@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,10 @@ from helpers import qutrit_threshold_vector, random_quantum_structure
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
 GAMMA4_BAR = purify(GAMMA4)
+
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "pinned_solves.json").read_text(encoding="utf-8")
+)
 
 
 class TestShareBound:
@@ -120,6 +126,35 @@ class TestShareBound:
             isinstance(e["mult"], str) and "/" in e["mult"]
             for e in data["certificate"]["entries"]
         )
+
+
+class TestPinnedPivotSequence:
+    """Exact solves pinned to the pivot sequence of the Fraction kernel.
+
+    ``data/pinned_solves.json`` was recorded with the basis inverse held
+    as ``Fraction`` entries.  Any exact kernel that keeps Bland's rule
+    (lowest eligible column enters, lowest basis id leaves on ties) makes
+    the same pivots, so it must reproduce the pivot counts, the values
+    and every certificate entry exactly.
+    """
+
+    @pytest.mark.parametrize("case", PINNED["bounds"], ids=lambda c: c["name"])
+    def test_bound(self, case):
+        if "csirmaz" in case:
+            structure, _ = csirmaz(case["csirmaz"])
+        else:
+            structure = from_minimal_sets(case["n"], case["minimal_sets"])
+        report = share_bound(structure, auto_purify=True, ineq=case["ineq"])
+        assert report.pivots == case["pivots"]
+        assert report.lp_value == Fraction(case["lp_value"])
+        entries = [[rid, f"{m.numerator}/{m.denominator}"] for rid, m in report.certificate.entries]
+        assert entries == case["entries"]
+
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    def test_lemma_suite_threshold(self, ineq):
+        report = lemma_suite(THRESHOLD23, ineq=ineq)
+        got = [[o.instance.id, o.pivots] for o in report.outcomes]
+        assert got == PINNED["lemmas_threshold23"][ineq]
 
 
 class TestVerifyCertificate:
