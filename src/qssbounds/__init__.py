@@ -40,9 +40,7 @@ from .simplex import (
     LPProblem,
     LPRow,
     LPSolution,
-    Rational,
     extract_certificate,
-    parse_rational,
     rat_str,
     solve,
 )

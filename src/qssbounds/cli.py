@@ -20,10 +20,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .simplex import rat_str
+from .simplex import SimplexError, rat_str
 from .prover import (
     DEFAULT_ELEMENT_LIMIT,
     Objective,
+    ProverError,
     cached_system,
     certificate_from_json_dict,
     lemma_suite,
@@ -245,7 +246,7 @@ def _batch_worker(job: tuple[str, dict]) -> tuple[str, str, dict | str]:
     path, options = job
     try:
         return path, "ok", _bound_one(path, options)
-    except (UsageError, StructureError) as exc:
+    except (UsageError, StructureError, ProverError, SimplexError) as exc:
         return path, "error", str(exc)
     except CapacityError as exc:
         return path, "limit", str(exc)
@@ -463,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except StructureError as exc:
+    except (StructureError, ProverError, SimplexError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -30,13 +30,6 @@ from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, Str
 
 ONE = Fraction(1)
 
-#: Elemental weak-monotonicity flavour: "pair" emits
-#: S(iK)+S(jK) >= S(i)+S(j); "partition" emits S(iA)+S(iB) >= S(A)+S(B)
-#: for partitions (A,B) of the remaining elements.  Only the partition
-#: flavour provably spans the same cone as the full family.
-ELEMENTAL_WM_FLAVOUR = "partition"
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Players 1..m at bits 0..m-1 plus the reference system R at bit m."""
@@ -203,32 +196,23 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
                     if sub == 0:
                         break
                     sub = (sub - 1) & rest
-        if ELEMENTAL_WM_FLAVOUR == "pair":
-            for ei in elements:
-                for ej in elements:
-                    if ej <= ei:
-                        continue
-                    i_bit, j_bit = 1 << ei, 1 << ej
-                    rest = ground.full_mask & ~(i_bit | j_bit)
-                    sub = rest
-                    while sub:
-                        out.append(_wm_constraint(ground, i_bit | sub, j_bit | sub))
-                        sub = (sub - 1) & rest
-        else:
-            seen_ids: set[str] = set()
-            for ei in elements:
-                e_bit = 1 << ei
-                rest = ground.full_mask & ~e_bit
-                sub = rest
-                while True:
-                    other = rest & ~sub
-                    cons = _wm_constraint(ground, e_bit | sub, e_bit | other)
-                    if cons.id not in seen_ids:
-                        seen_ids.add(cons.id)
-                        out.append(cons)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & rest
+        # weak monotonicity S(iA)+S(iB) >= S(A)+S(B) for each partition
+        # (A,B) of the elements other than i; this family spans the same
+        # cone as the full one
+        seen_ids: set[str] = set()
+        for ei in elements:
+            e_bit = 1 << ei
+            rest = ground.full_mask & ~e_bit
+            sub = rest
+            while True:
+                other = rest & ~sub
+                cons = _wm_constraint(ground, e_bit | sub, e_bit | other)
+                if cons.id not in seen_ids:
+                    seen_ids.add(cons.id)
+                    out.append(cons)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
     return _dedupe(out)
 
 

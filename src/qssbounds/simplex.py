@@ -1,16 +1,25 @@
 """Exact rational linear programming with verifiable duals.
 
 Problems are minimizations of a sparse rational form over free variables
-subject to ``>=`` and ``=`` rows.  Everything is computed in
-:class:`fractions.Fraction`; there is no floating point anywhere in the
-solve path, so optima such as 3/2 are proved rather than approximated.
+subject to ``>=`` and ``=`` rows.  There is no floating point anywhere
+in the solve path, so optima such as 3/2 are proved rather than
+approximated.
 
 The solver is a two-phase simplex with Bland's anti-cycling rule.  The
 systems this package generates have far more rows than variables, so the
 pivoting works on the dual standard form (one nonnegative multiplier per
 row) after a presolve that eliminates equality rows by exact
-substitution; primal values and per-row dual multipliers for the
-*original* problem are reconstructed exactly afterwards and re-verified
+substitution.  The pivoting kernel is fraction-free: columns, right-hand
+side and costs are scaled to integers, and the basis inverse is an
+integer matrix Q over one positive common denominator D.  A pivot
+updates them by the Bareiss rule, Q'[i] = (w_r*Q[i] - w_i*Q[r]) // D,
+whose division is always exact, and the pivot element w_r becomes the
+new D (all signs are flipped when it is negative, so D stays positive).
+Every quantity the pivot rule compares is the exact one times a
+positive factor, so the pivot sequence is the one a rational basis
+inverse would make.  Only the final values are turned back into
+:class:`fractions.Fraction`: primal values and per-row dual multipliers
+for the *original* problem are reconstructed exactly and re-verified
 (feasibility, sign conditions and a zero duality gap) before an optimal
 status is returned.  Identical problems produce identical pivot
 sequences and identical solutions.
@@ -18,10 +27,9 @@ sequences and identical solutions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,11 +42,6 @@ class SimplexError(RuntimeError):
 def rat_str(value: Fraction) -> str:
     """Canonical "p/q" serialization (never floats)."""
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or plain integer strings."""
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -177,12 +180,29 @@ class _Presolve:
 
 
 class _Tableau:
-    """Revised simplex (explicit basis inverse) on equality standard form.
+    """Revised simplex on equality standard form, fraction-free.
 
     minimize cost . u  subject to  M u = d, u >= 0, where columns are
     sparse.  Artificial variables open phase 1; Bland's rule (lowest
     eligible column index enters, lowest basis id leaves on ties) makes
     every run deterministic and cycle-free.
+
+    All pivoting is in integers.  Each column is scaled by the lcm of
+    its denominators, and ``d`` and the costs by theirs; these positive
+    scalings change neither reduced-cost signs nor the order of ratios.
+    The basis inverse is ``q / den`` and the basic values are
+    ``x / den`` over one common denominator ``den`` (the basis
+    determinant up to sign).  A pivot on ``w_r`` applies the Bareiss
+    update ``q'[i] = (w_r*q[i] - w_i*q[r]) // den`` (and the same to
+    ``x``), a division that is always exact, and ``w_r`` becomes the new
+    denominator; when it is negative (possible only while driving out
+    artificials) ``q``, ``x`` and ``den`` are negated so ``den`` stays
+    positive.  Pricing uses the integer duals ``y = c_B q``, moved by one
+    rank-one step per pivot.  Values, ratios and reduced costs are the
+    exact ones times positive factors, so the pivot sequence is the one
+    an explicit rational basis inverse would make; results turn back
+    into ``Fraction`` only in :meth:`solution`, :meth:`multipliers` and
+    :meth:`phase1_value`.
     """
 
     def __init__(
@@ -194,125 +214,115 @@ class _Tableau:
     ) -> None:
         self.m = num_eqs
         self.n = len(columns)
-        self.sign = [ONE] * num_eqs
-        self.columns = columns
-        self.costs = costs
-        self.rhs = list(rhs)
+        self.rhs_scale = _lcm_of_denominators(rhs)
+        self.x = [_scaled(r, self.rhs_scale) for r in rhs]
+        self.sign = [1] * num_eqs
         for v in range(num_eqs):
-            if self.rhs[v] < 0:
-                self.sign[v] = -ONE
-                self.rhs[v] = -self.rhs[v]
-        # fold the equation sign flips into the stored columns once
-        self.scols = [
-            [(v, self.sign[v] * c) for v, c in col if c] for col in columns
-        ]
-        self.binv = [[ONE if i == j else ZERO for j in range(num_eqs)] for i in range(num_eqs)]
-        self.xb = list(self.rhs)
+            if self.x[v] < 0:
+                self.sign[v] = -1
+                self.x[v] = -self.x[v]
+        # integral columns with the equation sign flips folded in
+        self.col_scale: list[int] = []
+        self.cols: list[list[tuple[int, int]]] = []
+        scaled_costs = []
+        for col, cost in zip(columns, costs):
+            scale = _lcm_of_denominators(c for _, c in col)
+            self.col_scale.append(scale)
+            self.cols.append([(v, self.sign[v] * _scaled(c, scale)) for v, c in col if c])
+            scaled_costs.append(cost * scale)
+        self.cost_scale = _lcm_of_denominators(scaled_costs)
+        self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
+        self.q = [[1 if i == j else 0 for j in range(num_eqs)] for i in range(num_eqs)]
+        self.den = 1
         self.basis = [self.n + v for v in range(num_eqs)]  # artificial ids
         self.pivots = 0
 
-    def column_entries(self, j: int) -> list[tuple[int, Fraction]]:
-        if j >= self.n:  # artificial column
-            return [(j - self.n, ONE)]
-        return self.scols[j]
+    def _column(self, j: int) -> list[int]:
+        """``den`` times the entering column in basis coordinates."""
+        entries = self.cols[j]
+        return [sum(row[v] * c for v, c in entries) for row in self.q]
 
-    def _pi(self, costs_basic: list[Fraction]) -> list[Fraction]:
-        m = self.m
-        pi = [ZERO] * m
-        for i in range(m):
-            cb = costs_basic[i]
-            if not cb:
-                continue
-            row = self.binv[i]
-            for v in range(m):
-                rv = row[v]
-                if rv:
-                    pi[v] += cb * rv
-        return pi
-
-    def _basic_costs(self, phase: int) -> list[Fraction]:
-        if phase == 1:
-            return [ONE if b >= self.n else ZERO for b in self.basis]
-        return [ZERO if b >= self.n else self.costs[b] for b in self.basis]
+    def _duals(self, phase: int) -> list[int]:
+        """``y = c_B q``: ``den`` times the simplex multipliers."""
+        y = [0] * self.m
+        for i, b in enumerate(self.basis):
+            if phase == 1:
+                cb = 1 if b >= self.n else 0
+            else:
+                cb = 0 if b >= self.n else self.costs[b]
+            if cb:
+                y = [a + cb * qv for a, qv in zip(y, self.q[i])]
+        return y
 
     def run(self, phase: int, max_iters: int = 2_000_000) -> str:
         """Pivot until optimal or unbounded; returns the stop reason."""
+        cols = self.cols
+        costs = self.costs
+        y = self._duals(phase)
         in_basis = set(self.basis)
         for _ in range(max_iters):
-            costs_basic = self._basic_costs(phase)
-            pi = self._pi(costs_basic)
+            den = self.den
             entering = -1
-            scols = self.scols
-            costs = self.costs
             for j in range(self.n):  # artificials never re-enter
                 if j in in_basis:
                     continue
-                red = costs[j] if phase == 2 else ZERO
-                for v, c in scols[j]:
-                    pv = pi[v]
-                    if pv:
-                        red -= pv * c
+                red = den * costs[j] if phase == 2 else 0
+                for v, c in cols[j]:
+                    red -= y[v] * c
                 if red < 0:
                     entering = j
                     break
             if entering < 0:
                 return "optimal"
-            entries = self.column_entries(entering)
-            binv = self.binv
-            w = [ZERO] * self.m
-            for v, c in entries:
-                if not c:
-                    continue
-                for i in range(self.m):
-                    bv = binv[i][v]
-                    if bv:
-                        w[i] += bv * c
+            w = self._column(entering)
+            x = self.x
+            basis = self.basis
             leave = -1
-            best: Fraction | None = None
             for i in range(self.m):
                 wi = w[i]
                 if wi > 0:
-                    ratio = self.xb[i] / wi
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # x[i]/wi against x[leave]/w[leave], cross-multiplied
+                    lhs = x[i] * w[leave]
+                    rhs = x[leave] * wi
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return "unbounded"
+            wr = w[leave]
+            y = [(wr * a + red * b) // den for a, b in zip(y, self.q[leave])]
+            in_basis.discard(basis[leave])
+            in_basis.add(entering)
             self._pivot(entering, leave, w)
-            in_basis = set(self.basis)
         raise SimplexError("iteration limit exceeded")
 
-    def _pivot(self, entering: int, leave: int, w: list[Fraction]) -> None:
-        m = self.m
-        piv = w[leave]
-        row = self.binv[leave]
-        if piv != 1:
-            inv = ONE / piv
-            self.binv[leave] = row = [rv * inv for rv in row]
-            self.xb[leave] *= inv
-        xl = self.xb[leave]
-        for i in range(m):
+    def _pivot(self, entering: int, leave: int, w: list[int]) -> None:
+        q, x, den = self.q, self.x, self.den
+        wr = w[leave]
+        qr = q[leave]
+        xr = x[leave]
+        for i, wi in enumerate(w):
             if i == leave:
                 continue
-            f = w[i]
-            if not f:
-                continue
-            target = self.binv[i]
-            for v in range(m):
-                rv = row[v]
-                if rv:
-                    target[v] -= f * rv
-            if xl:
-                self.xb[i] -= f * xl
+            if wi:
+                q[i] = [(wr * a - wi * b) // den for a, b in zip(q[i], qr)]
+                x[i] = (wr * x[i] - wi * xr) // den
+            elif wr != den:
+                q[i] = [wr * a // den for a in q[i]]
+                x[i] = wr * x[i] // den
+        if wr < 0:
+            self.q = [[-a for a in row] for row in q]
+            self.x = [-a for a in x]
+            wr = -wr
+        self.den = wr
         self.basis[leave] = entering
         self.pivots += 1
 
     def phase1_value(self) -> Fraction:
-        return sum(
-            (self.xb[i] for i in range(self.m) if self.basis[i] >= self.n), ZERO
-        )
+        total = sum(self.x[i] for i in range(self.m) if self.basis[i] >= self.n)
+        return Fraction(total, self.den * self.rhs_scale)
 
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued basic artificials onto real columns.
@@ -320,47 +330,46 @@ class _Tableau:
         Must run between the phases: a later pivot may not move an
         artificial away from zero.  Rows where every real column has a
         zero entry are redundant equations; their artificial stays basic
-        at zero and no ratio test can ever touch the row again.
+        at zero and no ratio test can ever touch the row again.  The
+        pivot element here may be negative; :meth:`_pivot` then flips
+        the signs so the common denominator stays positive.
         """
         in_basis = set(self.basis)
         for i in range(self.m):
             if self.basis[i] < self.n:
                 continue
-            if self.xb[i] != 0:
+            if self.x[i] != 0:
                 raise SimplexError("positive artificial after phase 1")
-            row = self.binv[i]
+            row = self.q[i]
             for j in range(self.n):
                 if j in in_basis:
                     continue
-                val = ZERO
-                for v, c in self.scols[j]:
-                    rv = row[v]
-                    if rv:
-                        val += rv * c
-                if val:
-                    w = [ZERO] * self.m
-                    for v, c in self.scols[j]:
-                        if not c:
-                            continue
-                        for r in range(self.m):
-                            bv = self.binv[r][v]
-                            if bv:
-                                w[r] += bv * c
-                    self._pivot(j, i, w)
+                if sum(row[v] * c for v, c in self.cols[j]):
+                    self._pivot(j, i, self._column(j))
                     in_basis = set(self.basis)
                     break
 
     def solution(self) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
         for i, b in enumerate(self.basis):
-            if b < self.n and self.xb[i]:
-                out[b] = self.xb[i]
+            if b < self.n and self.x[i]:
+                out[b] = Fraction(self.x[i] * self.col_scale[b], self.den * self.rhs_scale)
         return out
 
     def multipliers(self) -> list[Fraction]:
         """Row multipliers -sign*pi for the unflipped equations (phase 2)."""
-        pi = self._pi(self._basic_costs(2))
-        return [-self.sign[v] * pi[v] for v in range(self.m)]
+        y = self._duals(2)
+        scale = self.den * self.cost_scale
+        return [Fraction(-self.sign[v] * y[v], scale) for v in range(self.m)]
+
+
+def _lcm_of_denominators(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` for a multiple ``scale`` of its denominator."""
+    return value.numerator * (scale // value.denominator)
 
 
 def solve(problem: LPProblem) -> LPSolution:

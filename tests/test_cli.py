@@ -1,6 +1,8 @@
 import json
 
+from qssbounds import prover
 from qssbounds.cli import main
+from qssbounds.simplex import LPSolution, SimplexError
 
 
 def run(capsys, *argv):
@@ -191,6 +193,48 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--batch", str(batch), "--workers", "1")
         assert code == 1
         assert json.loads(out)["batch"][0]["status"] == "error"
+
+
+class TestSolverFailures:
+    @staticmethod
+    def raise_simplex_error(problem):
+        raise SimplexError("iteration limit exceeded")
+
+    @staticmethod
+    def return_infeasible(problem):
+        return LPSolution("infeasible", None, None, None, 0)
+
+    def test_simplex_error_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(prover, "solve", self.raise_simplex_error)
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        code, out, err = run(capsys, "bound", "--in", path)
+        assert code == 1
+        assert out == ""
+        assert err == "failed: iteration limit exceeded\n"
+
+    def test_prover_error_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(prover, "solve", self.return_infeasible)
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        code, out, err = run(capsys, "bound", "--in", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("failed: bound solve ended infeasible")
+
+    def test_batch_records_solver_errors_per_file(self, capsys, tmp_path, monkeypatch):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        write_structure(batch, "b.json", 3, [[1, 2], [1, 3], [2, 3]])
+        failures = iter([self.raise_simplex_error, self.return_infeasible])
+        monkeypatch.setattr(prover, "solve", lambda problem: next(failures)(problem))
+        code, out, _ = run(capsys, "bound", "--batch", str(batch), "--workers", "1")
+        assert code == 1
+        summary = json.loads(out)["batch"]
+        assert [(e["file"], e["status"]) for e in summary] == [
+            ("a.json", "error"), ("b.json", "error"),
+        ]
+        assert summary[0]["error"] == "iteration limit exceeded"
+        assert "infeasible" in summary[1]["error"]
 
 
 class TestLemmasCommand:

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from qssbounds import simplex
 from qssbounds.simplex import (
     LPProblem,
     LPRow,
     extract_certificate,
-    parse_rational,
     rat_str,
     solve,
 )
@@ -25,8 +25,6 @@ class TestRationalStrings:
     def test_roundtrip(self):
         assert rat_str(Fraction(3, 2)) == "3/2"
         assert rat_str(Fraction(-7)) == "-7/1"
-        assert parse_rational("3/2") == Fraction(3, 2)
-        assert parse_rational("5") == Fraction(5)
 
     def test_canonical(self):
         q = Fraction(6, -4)
@@ -191,35 +189,44 @@ class TestSolutionQuality:
             assert scaled.value == base.value * factor
 
     @pytest.mark.parametrize(
-        "seed,trials,degenerate",
-        [(7321, 120, False), (480, 80, True)],
+        "seed,trials,degenerate,fractional",
+        [
+            pytest.param(7321, 120, False, False, id="7321-120-False"),
+            pytest.param(480, 80, True, False, id="480-80-True"),
+            pytest.param(2718, 120, False, True, id="2718-120-fractional"),
+        ],
     )
-    def test_random_lps_against_scipy(self, seed, trials, degenerate):
+    def test_random_lps_against_scipy(self, seed, trials, degenerate, fractional):
         # the degenerate batch forces many zero right-hand sides and
-        # duplicate rows, the territory where anti-cycling rules matter
+        # duplicate rows, the territory where anti-cycling rules matter;
+        # the fractional batch has non-integer coefficients, right-hand
+        # sides and objective entries, so the solver must scale columns,
+        # right-hand side and costs to integers
         scipy_opt = pytest.importorskip("scipy.optimize")
         rng = random.Random(seed)
+
+        def number(bound):
+            if fractional:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return Fraction(rng.randint(-bound, bound))
+
         checked = 0
         for _ in range(trials):
             n = rng.randint(1, 5 if degenerate else 4)
             rows = []
             for _ in range(rng.randint(1, 8 if degenerate else 6)):
-                terms = {
-                    v: Fraction(rng.randint(-3, 3))
-                    for v in range(n)
-                    if rng.random() < 0.8
-                }
+                terms = {v: number(3) for v in range(n) if rng.random() < 0.8}
                 terms = {v: c for v, c in terms.items() if c}
                 if not terms:
                     continue
                 rel = "=" if rng.random() < 0.25 else ">="
-                rhs = 0 if degenerate and rng.random() < 0.7 else rng.randint(-4, 4)
+                rhs = 0 if degenerate and rng.random() < 0.7 else number(4)
                 rows.append((terms, rel, rhs))
                 if degenerate and rng.random() < 0.3:
                     rows.append((dict(terms), rel, rhs))
             if not rows:
                 continue
-            objective = {v: Fraction(rng.randint(-3, 3)) for v in range(n)}
+            objective = {v: number(3) for v in range(n)}
             objective = {v: c for v, c in objective.items() if c}
             p = make_problem(n, objective, rows)
             s = solve(p)
@@ -252,6 +259,55 @@ class TestSolutionQuality:
             elif ref.status == 3:
                 assert s.status == "unbounded"
         assert checked > 20
+
+
+class TestIntegerKernel:
+    def test_negative_pivot_while_driving_out_artificials(self, monkeypatch):
+        # Presolve substitutes x1 = 1, which leaves no objective weight on
+        # x0.  The artificial of x0 ends phase 1 basic at zero and is
+        # driven out onto -2*x0 >= 0, a negative pivot element; phase 2
+        # then pivots -2*x0 >= 2 in, and its ratio test is only right if
+        # the common denominator was kept positive.
+        pivot_elements = []
+        pivot = simplex._Tableau._pivot
+
+        def spy(tableau, entering, leave, w):
+            pivot_elements.append(w[leave])
+            pivot(tableau, entering, leave, w)
+
+        monkeypatch.setattr(simplex._Tableau, "_pivot", spy)
+        p = make_problem(
+            2,
+            {1: Fraction(1)},
+            [
+                ({1: Fraction(1)}, "=", 1),
+                ({0: Fraction(-2)}, ">=", 0),
+                ({0: Fraction(-2)}, ">=", 2),
+            ],
+        )
+        s = solve(p)
+        assert pivot_elements[0] < 0 and len(pivot_elements) == 2
+        assert s.status == "optimal"
+        assert s.value == 1
+        assert s.duals == (Fraction(1), Fraction(0), Fraction(0))
+        assert s.primal == (Fraction(-1), Fraction(1))
+
+    def test_fractional_data_keeps_exact_values(self):
+        # columns, right-hand sides and objective all need scaling
+        # (the objective is 1/2 of the first row plus 1/3 of the second)
+        p = make_problem(
+            2,
+            {0: Fraction(1, 2), 1: Fraction(7, 18)},
+            [
+                ({0: Fraction(1, 2), 1: Fraction(2, 3)}, ">=", Fraction(1, 5)),
+                ({0: Fraction(3, 4), 1: Fraction(1, 6)}, ">=", Fraction(2, 7)),
+            ],
+        )
+        s = solve(p)
+        assert s.status == "optimal"
+        assert s.value == Fraction(41, 210)
+        assert s.duals == (Fraction(1, 2), Fraction(1, 3))
+        assert s.primal == (Fraction(66, 175), Fraction(3, 175))
 
 
 class TestCertificates:
