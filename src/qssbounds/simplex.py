@@ -239,8 +239,10 @@ class _Tableau:
 
     def _column(self, j: int) -> list[int]:
         """``den`` times the entering column in basis coordinates."""
-        entries = self.cols[j]
-        return [sum(row[v] * c for v, c in entries) for row in self.q]
+        w = [0] * self.m
+        for v, c in self.cols[j]:
+            w = [a + c * row[v] for a, row in zip(w, self.q)]
+        return w
 
     def _duals(self, phase: int) -> list[int]:
         """``y = c_B q``: ``den`` times the simplex multipliers."""
