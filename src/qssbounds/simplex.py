@@ -366,7 +366,10 @@ class _Tableau:
 
 
 def _lcm_of_denominators(values) -> int:
-    return math.lcm(*(v.denominator for v in values))
+    scale = 1
+    for v in values:
+        scale = math.lcm(scale, v.denominator)
+    return scale
 
 
 def _scaled(value: Fraction, scale: int) -> int:
