@@ -38,7 +38,6 @@ from .cone import (
 from .simplex import (
     Certificate,
     LPProblem,
-    LPRow,
     LPSolution,
     extract_certificate,
     rat_str,

@@ -28,6 +28,7 @@ from .prover import (
     cached_system,
     certificate_from_json_dict,
     lemma_suite,
+    prepare_structure,
     share_bound,
     theorem3_chain,
     verify_certificate,
@@ -74,26 +75,23 @@ def _load_structure(path: str) -> AccessStructure:
         return structure_from_dict(data)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     except StructureError as exc:
         raise UsageError(f"invalid access structure in {path}: {exc}") from exc
 
 
-def _format_sets(structure: AccessStructure, purifier: int | None = None) -> str:
-    parts = []
-    for m in structure.minimal_sets:
-        names = [
-            "p" if p == purifier else str(p) for p in m.players()
-        ]
-        parts.append("(" + ",".join(names) + ")")
-    return "; ".join(parts)
+def _format_sets(minimal_sets: list[list[int]], purifier: int | None = None) -> str:
+    return "; ".join(
+        "(" + ",".join("p" if p == purifier else str(p) for p in players) + ")"
+        for players in minimal_sets
+    )
 
 
 def _structure_text(structure: AccessStructure, purifier: int | None = None) -> str:
     return (
         f"players: {structure.n}\n"
-        f"minimal sets: {_format_sets(structure, purifier)}\n"
+        f"minimal sets: {_format_sets(structure.minimal_player_lists(), purifier)}\n"
     )
 
 
@@ -196,10 +194,7 @@ def _bound_one(path: str, options: dict) -> dict:
 
 def _bound_text(data: dict) -> str:
     purifier = data["structure"]["n"] if data["purified"] else None
-    sets = "; ".join(
-        "(" + ",".join("p" if p == purifier else str(p) for p in ms) + ")"
-        for ms in data["structure"]["minimal_sets"]
-    )
+    sets = _format_sets(data["structure"]["minimal_sets"], purifier)
     obj = data["objective"]
     if obj["kind"] == "single":
         obj_text = f"single share {obj['player']}"
@@ -292,20 +287,16 @@ def cmd_verify_cert(args) -> int:
     try:
         with open(args.cert, encoding="utf-8") as fh:
             cert = certificate_from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read certificate {args.cert}: {exc}") from exc
 
-    solved = structure
-    if args.mode == "pure" and not is_self_dual(structure):
-        if not args.auto_purify:
-            raise StructureError(
-                "pure mode needs a self-dual structure; pass --auto-purify"
-            )
-        solved = purify(structure)
-    if solved.n + 1 > args.limit_elements and not args.force:
-        raise CapacityError(
-            f"{solved.n + 1} elements exceed --limit-elements {args.limit_elements}"
-        )
+    solved, _ = prepare_structure(
+        structure,
+        pure=args.mode == "pure",
+        auto_purify=args.auto_purify,
+        max_elements=args.limit_elements,
+        force=args.force,
+    )
     system = cached_system(solved, args.mode == "pure", args.ineq)
     players = _parse_players(args.players) or tuple(range(1, solved.n + 1))
     objective = Objective.parse(_validate_objective(args.objective), players)
@@ -321,14 +312,12 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    structure = _load_structure(args.infile)
-    solved = structure
-    if not is_self_dual(structure):
-        if not args.auto_purify:
-            raise StructureError(
-                "lemma checks run on self-dual structures; pass --auto-purify"
-            )
-        solved = purify(structure)
+    solved, _ = prepare_structure(
+        _load_structure(args.infile),
+        auto_purify=args.auto_purify,
+        max_elements=args.limit_elements,
+        force=args.force,
+    )
     report = lemma_suite(
         solved,
         ineq=args.ineq,
@@ -376,7 +365,13 @@ def _add_common(parser: argparse.ArgumentParser, *, bound_flags: bool) -> None:
     )
     if bound_flags:
         parser.add_argument("--mode", choices=("pure", "mixed"), default="pure")
-        parser.add_argument("--ineq", choices=("full", "elemental"), default="full")
+        parser.add_argument(
+            "--ineq",
+            choices=("full", "elemental"),
+            default="full",
+            help="row set that certificates are replayed on and witnesses "
+            "checked against; every LP is solved on the elemental rows",
+        )
         parser.add_argument(
             "--objective",
             default="minmax",

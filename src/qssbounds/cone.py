@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
+from .simplex import LinearConstraint
 from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, StructureError
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 @dataclass(frozen=True)
@@ -80,51 +81,21 @@ class GroundSet:
         return subset.bits
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """Sparse rational row: terms (var index -> coefficient), relation, rhs.
+def sparse_form(*entries: tuple[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    """Sorted sparse form of a sum of ``(mask, coefficient)`` terms.
 
-    ``id`` is unique and deterministic within a generated system and
-    embeds the family parameters, so certificates stay meaningful after
-    deduplication.
+    Coefficients on the same mask add up; the empty set (mask 0, whose
+    entropy is identically zero) and terms that cancel are dropped.
     """
-
-    id: str
-    family: str
-    terms: tuple[tuple[int, Fraction], ...]
-    rel: str  # ">=" or "="
-    rhs: Fraction
-
-    def terms_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
-    def evaluate(self, point: list[Fraction] | dict[int, Fraction]) -> Fraction:
-        if isinstance(point, dict):
-            return sum((c * point.get(v, Fraction(0)) for v, c in self.terms), Fraction(0))
-        return sum((c * point[v] for v, c in self.terms), Fraction(0))
-
-    def satisfied_by(self, point) -> bool:
-        val = self.evaluate(point)
-        return val == self.rhs if self.rel == "=" else val >= self.rhs
-
-
-def _freeze(terms: dict[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    terms: dict[int, Fraction] = {}
+    for mask, coef in entries:
+        if mask:
+            terms[mask] = terms[mask] + coef if mask in terms else coef
     return tuple(sorted((v, c) for v, c in terms.items() if c))
 
 
-def _masks_terms(plus: Iterable[int], minus: Iterable[int]) -> tuple[tuple[int, Fraction], ...]:
-    terms: dict[int, Fraction] = {}
-    for m in plus:
-        if m:
-            terms[m] = terms.get(m, Fraction(0)) + 1
-    for m in minus:
-        if m:
-            terms[m] = terms.get(m, Fraction(0)) - 1
-    return _freeze(terms)
-
-
 def empty_set_constraint() -> LinearConstraint:
-    return LinearConstraint("emptyset", "emptyset", ((0, ONE),), "=", Fraction(0))
+    return LinearConstraint("emptyset", ((0, ONE),), "=", ZERO)
 
 
 def _ssa_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
@@ -133,7 +104,7 @@ def _ssa_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
     c = x & y
     ident = f"ssa:{ground.label(a)};{ground.label(b)}|{ground.label(c)}"
     return LinearConstraint(
-        ident, "ssa", _masks_terms((x, y), (x | y, c)), ">=", Fraction(0)
+        ident, sparse_form((x, ONE), (y, ONE), (x | y, -ONE), (c, -ONE)), ">=", ZERO
     )
 
 
@@ -143,7 +114,7 @@ def _wm_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
     shared = x & y
     ident = f"wm:{ground.label(a)};{ground.label(b)}|{ground.label(shared)}"
     return LinearConstraint(
-        ident, "wm", _masks_terms((x, y), (a, b)), ">=", Fraction(0)
+        ident, sparse_form((x, ONE), (y, ONE), (a, -ONE), (b, -ONE)), ">=", ZERO
     )
 
 
@@ -163,13 +134,7 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
     out = [empty_set_constraint()]
     for mask in range(1, ground.var_count):
         out.append(
-            LinearConstraint(
-                f"nonneg:{ground.label(mask)}",
-                "nonneg",
-                ((mask, ONE),),
-                ">=",
-                Fraction(0),
-            )
+            LinearConstraint(f"nonneg:{ground.label(mask)}", ((mask, ONE),), ">=", ZERO)
         )
     if mode == "full":
         masks = range(1, ground.var_count)
@@ -238,18 +203,15 @@ def qss_constraints(structure: AccessStructure, ground: GroundSet) -> list[Linea
     if ground.players != structure.n:
         raise StructureError("ground set does not match the structure's players")
     r = ground.reference_mask
-    out = [
-        LinearConstraint("normalize", "normalize", ((r, ONE),), "=", Fraction(1))
-    ]
+    out = [LinearConstraint("normalize", ((r, ONE),), "=", ONE)]
     for mask in range(1, ground.player_mask + 1):
         authorized = structure.mask_authorized(mask)
         family = "recover" if authorized else "secrecy"
-        rhs = Fraction(2) if authorized else Fraction(0)
+        rhs = Fraction(2) if authorized else ZERO
         out.append(
             LinearConstraint(
                 f"{family}:{ground.label(mask)}",
-                family,
-                _masks_terms((mask, r), (mask | r,)),
+                sparse_form((mask, ONE), (r, ONE), (mask | r, -ONE)),
                 "=",
                 rhs,
             )
@@ -259,9 +221,7 @@ def qss_constraints(structure: AccessStructure, ground: GroundSet) -> list[Linea
 
 def purity_constraint(ground: GroundSet) -> LinearConstraint:
     """Global purity: S(all players and R) = 0."""
-    return LinearConstraint(
-        "purity", "purity", ((ground.full_mask, ONE),), "=", Fraction(0)
-    )
+    return LinearConstraint("purity", ((ground.full_mask, ONE),), "=", ZERO)
 
 
 def mutual_information_expr(a: PlayerSet, b: PlayerSet) -> dict[int, Fraction]:
@@ -270,11 +230,7 @@ def mutual_information_expr(a: PlayerSet, b: PlayerSet) -> dict[int, Fraction]:
         raise StructureError("operands live on different ground sets")
     if a.bits & b.bits:
         raise StructureError("mutual information needs disjoint arguments")
-    terms: dict[int, Fraction] = {}
-    for mask, coef in ((a.bits, ONE), (b.bits, ONE), (a.bits | b.bits, -ONE)):
-        if mask:
-            terms[mask] = terms.get(mask, Fraction(0)) + coef
-    return {v: c for v, c in terms.items() if c}
+    return dict(sparse_form((a.bits, ONE), (b.bits, ONE), (a.bits | b.bits, -ONE)))
 
 
 class ConstraintSystem:

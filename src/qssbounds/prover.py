@@ -8,25 +8,29 @@ replays by pure constraint arithmetic, never consulting the solver.
 `check_implied` decides whether a linear inequality over subset
 entropies is a consequence of a system by minimizing its slack; the
 lemma and chain suites drive it over the scheme relations that every
-perfect realization must satisfy.  For a full-mode system the checks
-first run against the elemental subsystem (whose rows are a subset of
-the full rows, so any certificate found there is already a certificate
-for the full system) and only fall back to the full solve when needed.
+perfect realization must satisfy.
+
+Every LP here is solved on the elemental rows.  They generate the same
+cone as the full rows and are a subset of them, id for id, so a
+certificate found on them is also a certificate for the full system, and
+a point satisfying them satisfies every full row.  The ``ineq`` choice
+only names the row set that certificates are replayed on and witnesses
+are checked against, and both checks run before any result is returned.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cone import ConstraintSystem, GroundSet, LinearConstraint, build_system
+from .cone import ConstraintSystem, GroundSet, LinearConstraint, build_system, sparse_form
 from .simplex import (
     Certificate,
     LPProblem,
-    LPRow,
     rat_str,
     extract_certificate,
     solve,
@@ -135,10 +139,41 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
     }
 
 
-def certificate_from_json_dict(data: dict) -> Certificate:
+_RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
+
+
+def _rational_field(value, what: str) -> Fraction:
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ValueError(f"{what} must be a \"p/q\" string with q > 0, not {value!r}")
+    return Fraction(value)
+
+
+def certificate_from_json_dict(data) -> Certificate:
+    """Inverse of :func:`certificate_to_json_dict`.
+
+    Strict about shape: a malformed field, a rational that is not a
+    ``"p/q"`` string or a repeated row id raises ``ValueError``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a certificate must be a JSON object")
+    entries = data.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError("certificate entries must be a list")
+    parsed = []
+    seen: set[str] = set()
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"certificate entry {entry!r} is not an object")
+        rid = entry.get("id")
+        if not isinstance(rid, str):
+            raise ValueError(f"certificate row id {rid!r} is not a string")
+        if rid in seen:
+            raise ValueError(f"certificate names row {rid!r} twice")
+        seen.add(rid)
+        parsed.append((rid, _rational_field(entry.get("mult"), f"multiplier of {rid!r}")))
     return Certificate(
-        claimed_bound=Fraction(data["claimed_bound"]),
-        entries=tuple((e["id"], Fraction(e["mult"])) for e in data["entries"]),
+        claimed_bound=_rational_field(data.get("claimed_bound"), "claimed_bound"),
+        entries=tuple(parsed),
         objective=(),
     )
 
@@ -148,13 +183,9 @@ def cached_system(structure: AccessStructure, pure: bool, ineq: str) -> Constrai
     return build_system(structure, pure=pure, ineq=ineq)
 
 
-def _system_rows(system: ConstraintSystem) -> tuple[LPRow, ...]:
-    return tuple(LPRow(c.id, c.terms, c.rel, c.rhs) for c in system.constraints)
-
-
 def objective_rows(
     system: ConstraintSystem, objective: Objective
-) -> tuple[tuple[LPRow, ...], tuple[tuple[int, Fraction], ...], int]:
+) -> tuple[tuple[LinearConstraint, ...], tuple[tuple[int, Fraction], ...], int]:
     """Extra linking rows, minimized form and variable count for a bound LP."""
     ground = system.ground
     for p in objective.players:
@@ -163,29 +194,44 @@ def objective_rows(
     if objective.kind == "minmax":
         t_var = ground.var_count
         extra = tuple(
-            LPRow(
-                f"objlink:{i}",
-                ((1 << (i - 1), -ONE), (t_var, ONE)),
-                ">=",
-                ZERO,
-            )
+            LinearConstraint(f"objlink:{i}", ((1 << (i - 1), -ONE), (t_var, ONE)), ">=", ZERO)
             for i in objective.players
         )
         return extra, ((t_var, ONE),), ground.var_count + 1
-    terms: dict[int, Fraction] = {}
-    for i in objective.players:
-        mask = 1 << (i - 1)
-        terms[mask] = terms.get(mask, ZERO) + 1
-    form = tuple(sorted(terms.items()))
+    form = sparse_form(*((1 << (i - 1), ONE) for i in objective.players))
     return (), form, ground.var_count
 
 
-def _check_limit(total_elements: int, max_elements: int, force: bool) -> None:
-    if total_elements > max_elements and not force:
+def prepare_structure(
+    structure: AccessStructure,
+    *,
+    pure: bool = True,
+    auto_purify: bool = False,
+    max_elements: int = DEFAULT_ELEMENT_LIMIT,
+    force: bool = False,
+) -> tuple[AccessStructure, bool]:
+    """The structure a solve runs on, and whether it had to be purified.
+
+    Rejects structures that are not quantum, pure mode on a structure
+    that is not self-dual unless ``auto_purify`` is set, and ground sets
+    (players plus reference) above ``max_elements`` unless ``force`` is.
+    """
+    if not is_quantum(structure):
+        raise StructureError("proving requires a quantum access structure")
+    solved = structure
+    if pure and not is_self_dual(structure):
+        if not auto_purify:
+            raise StructureError(
+                "pure mode needs a self-dual structure; purify it first "
+                "(auto_purify=True, --auto-purify)"
+            )
+        solved = purify(structure)
+    if solved.n + 1 > max_elements and not force:
         raise CapacityError(
-            f"{total_elements} ground elements exceed the default limit "
-            f"{max_elements}; pass force=True (--force) for long runs"
+            f"{solved.n + 1} ground elements exceed the limit {max_elements}; "
+            "pass force=True (--force) for long runs"
         )
+    return solved, solved is not structure
 
 
 def share_bound(
@@ -203,36 +249,31 @@ def share_bound(
 
     Builds the constraint system for the structure (purifying first when
     ``auto_purify`` is set and the structure is not self-dual), attaches
-    the requested objective and solves.  The report carries the exact
-    optimum, its reciprocal as an upper bound on the information rate,
-    and a replayable certificate (verified before returning).
+    the requested objective and solves it on the elemental rows.  The
+    report carries the exact optimum, its reciprocal as an upper bound on
+    the information rate, and a certificate that has been replayed on the
+    ``ineq`` rows before returning.
     """
     if mode not in ("pure", "mixed"):
         raise StructureError(f"unknown mode {mode!r}")
-    if not is_quantum(structure):
-        raise StructureError("share bounds require a quantum access structure")
     started = time.perf_counter()
-    solved = structure
-    purified = False
-    if mode == "pure" and not is_self_dual(structure):
-        if not auto_purify:
-            raise StructureError(
-                "pure mode needs a self-dual structure; enable auto_purify"
-            )
-        solved = purify(structure)
-        purified = True
-    _check_limit(solved.n + 1, max_elements, force)
-
-    system = cached_system(solved, mode == "pure", ineq)
+    solved, purified = prepare_structure(
+        structure,
+        pure=mode == "pure",
+        auto_purify=auto_purify,
+        max_elements=max_elements,
+        force=force,
+    )
+    replay = cached_system(solved, mode == "pure", ineq)
+    elemental = cached_system(solved, mode == "pure", "elemental")
     if isinstance(objective, str):
         selected = tuple(players) if players is not None else tuple(range(1, solved.n + 1))
         obj = Objective.parse(objective, selected)
     else:
         obj = objective
 
-    extra, form, num_vars = objective_rows(system, obj)
-    rows = _system_rows(system) + extra
-    problem = LPProblem(num_vars, form, rows)
+    extra, form, num_vars = objective_rows(elemental, obj)
+    problem = LPProblem(num_vars, form, elemental.constraints + extra)
     solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError(
@@ -240,7 +281,7 @@ def share_bound(
             "should always admit a bounded optimum"
         )
     cert = extract_certificate(problem, solution, description=obj.describe())
-    if not verify_certificate(system, cert, objective=obj):
+    if not verify_certificate(replay, cert, objective=obj):
         raise ProverError("emitted certificate failed independent replay")
 
     k = _csirmaz_k_of(structure)
@@ -255,7 +296,7 @@ def share_bound(
         lp_value=solution.value,
         rate_upper_bound=1 / solution.value,
         certificate=cert,
-        rows=len(rows),
+        rows=len(problem.rows),
         cols=num_vars,
         pivots=solution.pivots,
         millis=int((time.perf_counter() - started) * 1000),
@@ -291,8 +332,7 @@ def verify_certificate(
     if isinstance(objective, Objective):
         extra, form, _ = objective_rows(system, objective)
         rows_by_id = dict(system.by_id)
-        for row in extra:
-            rows_by_id[row.id] = LinearConstraint(row.id, "objlink", row.terms, row.rel, row.rhs)
+        rows_by_id.update((row.id, row) for row in extra)
     else:
         form = tuple(objective)
         rows_by_id = system.by_id
@@ -335,15 +375,14 @@ def check_implied(
     terms: dict[int, Fraction] | Iterable[tuple[int, Fraction]],
     rel: str,
     rhs: Fraction,
-    *,
-    use_fast_path: bool = True,
 ) -> CheckResult:
     """Is ``terms . S rel rhs`` a consequence of the system?
 
-    Implied iff the minimum of the left-hand side over the feasible
-    region reaches the right-hand side (both directions for an
-    equality); returns the dual certificates, or a feasible entropy
-    vector refuting the target (re-validated against every constraint).
+    Implied iff the minimum of the left-hand side over the elemental
+    rows of the system's structure reaches the right-hand side (both
+    directions for an equality); returns the dual certificates, replayed
+    on the system's rows, or a feasible entropy vector refuting the
+    target, checked against every one of them.
     """
     if rel not in (">=", "="):
         raise StructureError(f"unsupported target relation {rel!r}")
@@ -356,7 +395,7 @@ def check_implied(
     certificates = []
     pivots = 0
     for form, bound in directions:
-        cert, witness, used = _prove_direction(system, form, bound, use_fast_path)
+        cert, witness, used = _prove_direction(system, form, bound)
         pivots += used
         if cert is None:
             return CheckResult(False, (), witness, pivots)
@@ -368,47 +407,33 @@ def _prove_direction(
     system: ConstraintSystem,
     form: dict[int, Fraction],
     bound: Fraction,
-    use_fast_path: bool,
 ):
     """Try to certify form . S >= bound; return (cert, witness, pivots)."""
     objective = tuple(sorted(form.items()))
-    pivots = 0
-    if use_fast_path and system.ineq == "full":
-        sibling = cached_system(system.structure, system.pure, "elemental")
-        problem = LPProblem(sibling.ground.var_count, objective, _system_rows(sibling))
-        solution = solve(problem)
-        pivots += solution.pivots
-        if solution.status == "optimal" and solution.value >= bound:
-            cert = Certificate(bound, extract_certificate(problem, solution).entries, objective)
-            if verify_certificate(system, cert, objective=objective):
-                return cert, None, pivots
-
-    problem = LPProblem(system.ground.var_count, objective, _system_rows(system))
+    elemental = cached_system(system.structure, system.pure, "elemental")
+    problem = LPProblem(elemental.ground.var_count, objective, elemental.constraints)
     solution = solve(problem)
-    pivots += solution.pivots
     if solution.status == "optimal" and solution.value >= bound:
         cert = Certificate(bound, extract_certificate(problem, solution).entries, objective)
         if not verify_certificate(system, cert, objective=objective):
             raise ProverError("optimal certificate failed replay")
-        return cert, None, pivots
+        return cert, None, solution.pivots
     if solution.status == "optimal":
-        witness = _as_point(system, solution.primal)
+        witness = _as_point(elemental, solution.primal)
     elif solution.status == "unbounded":
-        witness = _witness_below(system, objective, bound)
+        witness = _witness_below(elemental, objective, bound)
     else:
         raise ProverError("implication system is infeasible; cannot check targets")
     _validate_witness(system, witness)
-    return None, witness, pivots
+    return None, witness, solution.pivots
 
 
 def _witness_below(system, objective, bound):
     """Feasible point with objective value strictly below the bound."""
-    cutoff = LPRow(
+    cutoff = LinearConstraint(
         "cutoff", tuple((v, -c) for v, c in objective), ">=", -(bound - 1)
     )
-    problem = LPProblem(
-        system.ground.var_count, (), _system_rows(system) + (cutoff,)
-    )
+    problem = LPProblem(system.ground.var_count, (), system.constraints + (cutoff,))
     solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError("failed to materialize a refutation witness")
@@ -476,19 +501,6 @@ class SuiteReport:
         }
 
 
-def _form(*entries: tuple[int, Fraction | int]) -> tuple[tuple[int, Fraction], ...]:
-    terms: dict[int, Fraction] = {}
-    for mask, coef in entries:
-        if mask == 0:
-            continue
-        nv = terms.get(mask, ZERO) + coef
-        if nv:
-            terms[mask] = nv
-        else:
-            terms.pop(mask, None)
-    return tuple(sorted(terms.items()))
-
-
 def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> list[SuiteInstance]:
     """Every derivable scheme relation of the model for this structure.
 
@@ -507,12 +519,12 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
         abar = pmask & ~a
         lbl = ground.label(a)
         # S(A) = I(A:comp)/2 + 1, S(comp) = I(A:comp)/2, S(A) - S(comp) = 1
-        mutual = _form((a, ONE), (abar, ONE), (pmask, -ONE))
+        mutual = sparse_form((a, ONE), (abar, ONE), (pmask, -ONE))
         instances.append(
             SuiteInstance(
                 f"joint1:{lbl}",
                 f"2*S({lbl}) - I({lbl}:complement) = 2",
-                _form((a, Fraction(2)), *((m, -c) for m, c in mutual)),
+                sparse_form((a, Fraction(2)), *((m, -c) for m, c in mutual)),
                 "=",
                 Fraction(2),
             )
@@ -521,7 +533,7 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
             SuiteInstance(
                 f"joint2:{lbl}",
                 f"2*S(complement of {lbl}) - I({lbl}:complement) = 0",
-                _form((abar, Fraction(2)), *((m, -c) for m, c in mutual)),
+                sparse_form((abar, Fraction(2)), *((m, -c) for m, c in mutual)),
                 "=",
                 ZERO,
             )
@@ -530,7 +542,7 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
             SuiteInstance(
                 f"joint3:{lbl}",
                 f"S({lbl}) - S(complement) = 1",
-                _form((a, ONE), (abar, -ONE)),
+                sparse_form((a, ONE), (abar, -ONE)),
                 "=",
                 ONE,
             )
@@ -544,7 +556,7 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
             SuiteInstance(
                 f"withref:{lbl}",
                 f"S({lbl},R) = S({lbl}) {word} 1",
-                _form((a | r, ONE), (a, -ONE)),
+                sparse_form((a | r, ONE), (a, -ONE)),
                 "=",
                 sign,
             )
@@ -559,7 +571,7 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
                 SuiteInstance(
                     f"gap:{la};{lb}",
                     f"S({la})+S({lb}) >= S(union)+S(intersection)+2",
-                    _form((a, ONE), (b, ONE), (a | b, -ONE), (meet, -ONE)),
+                    sparse_form((a, ONE), (b, ONE), (a | b, -ONE), (meet, -ONE)),
                     ">=",
                     Fraction(2),
                 )
@@ -571,7 +583,6 @@ def lemma_suite(
     structure: AccessStructure,
     *,
     ineq: str = "full",
-    use_fast_path: bool = True,
     max_elements: int = DEFAULT_ELEMENT_LIMIT,
     force: bool = False,
 ) -> SuiteReport:
@@ -580,18 +591,12 @@ def lemma_suite(
     Requires a quantum, self-dual structure (the relations are stated in
     pure mode).  Expected outcome: every instance implied.
     """
-    if not is_quantum(structure):
-        raise StructureError("lemma checks require a quantum access structure")
-    if not is_self_dual(structure):
-        raise StructureError("lemma checks run in pure mode; purify first")
-    _check_limit(structure.n + 1, max_elements, force)
+    prepare_structure(structure, max_elements=max_elements, force=force)
     started = time.perf_counter()
     system = cached_system(structure, True, ineq)
     outcomes = []
     for inst in scheme_relation_instances(structure, system.ground):
-        res = check_implied(
-            system, dict(inst.terms), inst.rel, inst.rhs, use_fast_path=use_fast_path
-        )
+        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs)
         outcomes.append(SuiteOutcome(inst, res.implied, res.pivots))
     return SuiteReport(
         structure=structure,
@@ -653,7 +658,7 @@ def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteI
             SuiteInstance(
                 f"step:{i}",
                 f"S(A,B_{i})+S(B_{i + 1}) >= S(A,B_{i + 1})+S(B_{i})+2",
-                _form((a0 | bi, ONE), (bj, ONE), (a0 | bj, -ONE), (bi, -ONE)),
+                sparse_form((a0 | bi, ONE), (bj, ONE), (a0 | bj, -ONE), (bi, -ONE)),
                 ">=",
                 Fraction(2),
             )
@@ -663,7 +668,7 @@ def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteI
         SuiteInstance(
             "telescoped",
             f"S(A)+S(B) >= S(A,B)+{(count - 1) * 2}",
-            _form((a0, ONE), (b_last, ONE), (pmask, -ONE)),
+            sparse_form((a0, ONE), (b_last, ONE), (pmask, -ONE)),
             ">=",
             Fraction((count - 1) * 2),
         )
@@ -673,7 +678,7 @@ def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteI
         SuiteInstance(
             "final",
             f"2*S(A)+S(purifier) >= {final_rhs}",
-            _form((a0, Fraction(2)), (purifier_bit, ONE)),
+            sparse_form((a0, Fraction(2)), (purifier_bit, ONE)),
             ">=",
             Fraction(final_rhs),
         )
@@ -685,7 +690,6 @@ def theorem3_chain(
     n: int,
     *,
     ineq: str = "full",
-    use_fast_path: bool = True,
     max_elements: int = DEFAULT_ELEMENT_LIMIT,
     force: bool = False,
 ) -> ChainReport:
@@ -697,14 +701,12 @@ def theorem3_chain(
     the minmax bound and reports it next to the closed-form reference.
     """
     purified, k, instances = staircase_chain_instances(n)
-    _check_limit(purified.n + 1, max_elements, force)
+    prepare_structure(purified, max_elements=max_elements, force=force)
     started = time.perf_counter()
     system = cached_system(purified, True, ineq)
     steps = []
     for inst in instances:
-        res = check_implied(
-            system, dict(inst.terms), inst.rel, inst.rhs, use_fast_path=use_fast_path
-        )
+        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs)
         steps.append(SuiteOutcome(inst, res.implied, res.pivots))
     bound = share_bound(
         purified, mode="pure", ineq=ineq, max_elements=max_elements, force=force

@@ -45,11 +45,35 @@ def rat_str(value: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class LPRow:
+class LinearConstraint:
+    """Sparse rational row ``terms . x rel rhs``.
+
+    ``terms`` pairs variable indices with nonzero coefficients in
+    increasing index order.  ``id`` is unique within a problem and starts
+    with the row's family, as in ``ssa:1;2|3``, so certificates that
+    name rows stay meaningful after deduplication.
+    """
+
     id: str
     terms: tuple[tuple[int, Fraction], ...]
     rel: str  # ">=" or "="
     rhs: Fraction
+
+    @property
+    def family(self) -> str:
+        return self.id.split(":", 1)[0]
+
+    def terms_dict(self) -> dict[int, Fraction]:
+        return dict(self.terms)
+
+    def evaluate(self, point: list[Fraction] | dict[int, Fraction]) -> Fraction:
+        if isinstance(point, dict):
+            return sum((c * point.get(v, ZERO) for v, c in self.terms), ZERO)
+        return sum((c * point[v] for v, c in self.terms), ZERO)
+
+    def satisfied_by(self, point) -> bool:
+        val = self.evaluate(point)
+        return val == self.rhs if self.rel == "=" else val >= self.rhs
 
 
 @dataclass(frozen=True)
@@ -58,7 +82,7 @@ class LPProblem:
 
     num_vars: int
     objective: tuple[tuple[int, Fraction], ...]
-    rows: tuple[LPRow, ...]
+    rows: tuple[LinearConstraint, ...]
 
 
 @dataclass(frozen=True)

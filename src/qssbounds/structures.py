@@ -334,6 +334,17 @@ def structure_from_dict(data: dict) -> AccessStructure:
         sets = data["minimal_sets"]
     except (TypeError, KeyError) as exc:
         raise StructureError(f"missing access-structure field: {exc}") from exc
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise StructureError("player count must be an integer")
+    if not isinstance(sets, list) or not all(isinstance(m, list) for m in sets):
+        raise StructureError("minimal_sets must be a list of player lists")
+    for m in sets:
+        for p in m:
+            if not _is_int(p):
+                raise StructureError(f"player index {p!r} is not an integer")
     return from_minimal_sets(n, sets)
+
+
+def _is_int(value) -> bool:
+    """JSON integer check; ``bool`` is an ``int`` subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qssbounds import prover
 from qssbounds.cli import main
 from qssbounds.simplex import LPSolution, SimplexError
@@ -15,6 +17,36 @@ def write_structure(tmp_path, name, n, sets):
     path = tmp_path / name
     path.write_text(json.dumps({"n": n, "minimal_sets": sets}))
     return str(path)
+
+
+# Structure JSON of the right overall shape whose fields have wrong types.
+HOSTILE_STRUCTURES = {
+    "sets-not-a-list": {"n": 3, "minimal_sets": 5},
+    "set-not-a-list": {"n": 3, "minimal_sets": [[1, 2], 3]},
+    "string-player": {"n": 3, "minimal_sets": [[1, "2"]]},
+    "float-player": {"n": 3, "minimal_sets": [[1, 2.0], [1, 3]]},
+    "bool-player": {"n": 3, "minimal_sets": [[1, True]]},
+    "bool-n": {"n": True, "minimal_sets": [[1]]},
+}
+
+# Certificate JSON that must be refused before any replay.
+HOSTILE_CERTIFICATES = {
+    "top-level-list": [],
+    "null-claimed-bound": {"claimed_bound": None, "entries": []},
+    "entries-string": {"claimed_bound": "1/1", "entries": "ab"},
+    "entries-missing": {"claimed_bound": "1/1"},
+    "entry-not-object": {"claimed_bound": "1/1", "entries": [["normalize", "1/1"]]},
+    "list-id": {"claimed_bound": "1/1", "entries": [{"id": ["normalize"], "mult": "1/1"}]},
+    "repeated-id": {
+        "claimed_bound": "1/1",
+        "entries": [{"id": "normalize", "mult": "1/2"}, {"id": "normalize", "mult": "1/2"}],
+    },
+    "decimal-mult": {"claimed_bound": "1/1", "entries": [{"id": "normalize", "mult": "0.5"}]},
+    "exponent-mult": {"claimed_bound": "1/1", "entries": [{"id": "normalize", "mult": "1e3"}]},
+    "float-mult": {"claimed_bound": "1/1", "entries": [{"id": "normalize", "mult": 2.5}]},
+    "int-claimed-bound": {"claimed_bound": 1, "entries": []},
+    "zero-denominator": {"claimed_bound": "1/0", "entries": []},
+}
 
 
 class TestGen:
@@ -67,6 +99,21 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--in", str(path))
         assert code == 2
         assert "malformed" in err
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "check", "--in", str(path))
+        assert code == 2
+        assert "malformed" in err
+
+    @pytest.mark.parametrize("shape", sorted(HOSTILE_STRUCTURES))
+    def test_hostile_structure_reported_invalid(self, capsys, tmp_path, shape):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(HOSTILE_STRUCTURES[shape]))
+        code, out, _ = run(capsys, "check", "--in", str(path))
+        assert code == 1
+        assert json.loads(out)["valid_antichain"] is False
 
 
 class TestTransforms:
@@ -169,6 +216,33 @@ class TestBound:
         a, b = json.loads(first), json.loads(second)
         a["stats"].pop("millis"), b["stats"].pop("millis")
         assert a == b
+
+    @pytest.mark.parametrize("shape", sorted(HOSTILE_STRUCTURES))
+    def test_hostile_structure_is_usage_error(self, capsys, tmp_path, shape):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(HOSTILE_STRUCTURES[shape]))
+        code, out, err = run(capsys, "bound", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid access structure" in err
+
+    @pytest.mark.parametrize("shape", sorted(HOSTILE_CERTIFICATES))
+    def test_hostile_certificate_is_usage_error(self, capsys, tmp_path, shape):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(HOSTILE_CERTIFICATES[shape]))
+        code, out, err = run(capsys, "verify-cert", "--system-from", path, "--cert", str(cert))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read certificate")
+
+    def test_deeply_nested_certificate_is_usage_error(self, capsys, tmp_path):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, _, err = run(capsys, "verify-cert", "--system-from", path, "--cert", str(cert))
+        assert code == 2
+        assert err.startswith("error: cannot read certificate")
 
     def test_batch(self, capsys, tmp_path):
         batch = tmp_path / "batch"

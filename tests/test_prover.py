@@ -6,24 +6,27 @@ from pathlib import Path
 import pytest
 
 from qssbounds.prover import (
+    Objective,
     cached_system,
     certificate_from_json_dict,
     certificate_to_json_dict,
     check_implied,
     lemma_suite,
+    objective_rows,
     scheme_relation_instances,
     share_bound,
     staircase_chain_instances,
     theorem3_chain,
     verify_certificate,
 )
-from qssbounds.simplex import Certificate
+from qssbounds.simplex import Certificate, LPProblem, extract_certificate, solve
 from qssbounds.structures import (
     CapacityError,
     StructureError,
     csirmaz,
     from_minimal_sets,
     is_quantum,
+    is_self_dual,
     purify,
 )
 
@@ -128,6 +131,19 @@ class TestShareBound:
         )
 
 
+def pinned_structure(case):
+    """The structure a pinned case was solved on (purified when needed)."""
+    if "csirmaz" in case:
+        structure, _ = csirmaz(case["csirmaz"])
+    else:
+        structure = from_minimal_sets(case["n"], case["minimal_sets"])
+    return structure if is_self_dual(structure) else purify(structure)
+
+
+def entry_strings(cert):
+    return [[rid, f"{m.numerator}/{m.denominator}"] for rid, m in cert.entries]
+
+
 class TestPinnedPivotSequence:
     """Exact solves pinned to the pivot sequence of the Fraction kernel.
 
@@ -135,20 +151,40 @@ class TestPinnedPivotSequence:
     as ``Fraction`` entries.  Any exact kernel that keeps Bland's rule
     (lowest eligible column enters, lowest basis id leaves on ties) makes
     the same pivots, so it must reproduce the pivot counts, the values
-    and every certificate entry exactly.
+    and every certificate entry exactly.  Each pinned LP is the minmax
+    bound LP over all players on the named row set, solved directly.
     """
 
     @pytest.mark.parametrize("case", PINNED["bounds"], ids=lambda c: c["name"])
     def test_bound(self, case):
-        if "csirmaz" in case:
-            structure, _ = csirmaz(case["csirmaz"])
-        else:
-            structure = from_minimal_sets(case["n"], case["minimal_sets"])
-        report = share_bound(structure, auto_purify=True, ineq=case["ineq"])
-        assert report.pivots == case["pivots"]
-        assert report.lp_value == Fraction(case["lp_value"])
-        entries = [[rid, f"{m.numerator}/{m.denominator}"] for rid, m in report.certificate.entries]
-        assert entries == case["entries"]
+        structure = pinned_structure(case)
+        system = cached_system(structure, True, case["ineq"])
+        objective = Objective("minmax", tuple(range(1, structure.n + 1)))
+        extra, form, num_vars = objective_rows(system, objective)
+        problem = LPProblem(num_vars, form, system.constraints + extra)
+        solution = solve(problem)
+        assert solution.pivots == case["pivots"]
+        assert solution.value == Fraction(case["lp_value"])
+        assert entry_strings(extract_certificate(problem, solution)) == case["entries"]
+
+    @pytest.mark.parametrize(
+        "name", sorted({c["name"].rsplit("_", 1)[0] for c in PINNED["bounds"]})
+    )
+    def test_share_bound_on_full_rows_solves_the_elemental_lp(self, name):
+        cases = {c["ineq"]: c for c in PINNED["bounds"] if c["name"].startswith(name + "_")}
+        any_case = next(iter(cases.values()))
+        structure = pinned_structure(any_case)
+        report = share_bound(structure, ineq="full")
+        elemental = share_bound(structure, ineq="elemental")
+        assert report.lp_value == Fraction(any_case["lp_value"])
+        assert (report.pivots, entry_strings(report.certificate)) == (
+            elemental.pivots, entry_strings(elemental.certificate)
+        )
+        if "elemental" in cases:
+            assert report.pivots == cases["elemental"]["pivots"]
+            assert entry_strings(report.certificate) == cases["elemental"]["entries"]
+        full = cached_system(structure, True, "full")
+        assert verify_certificate(full, report.certificate, objective=report.objective)
 
     @pytest.mark.parametrize("ineq", ["full", "elemental"])
     def test_lemma_suite_threshold(self, ineq):
@@ -261,18 +297,28 @@ class TestCheckImplied:
         res = check_implied(system, ((0b0001, Fraction(1)),), ">=", Fraction(1))
         assert res.implied
 
-    def test_fast_path_agrees_with_slow_path(self):
-        system = cached_system(THRESHOLD23, True, "full")
+    def test_full_and_elemental_systems_agree(self):
+        full = cached_system(THRESHOLD23, True, "full")
+        elemental = cached_system(THRESHOLD23, True, "elemental")
         targets = [
             ({0b0001: Fraction(1)}, ">=", Fraction(1)),
             ({0b0011: Fraction(1), 0b0001: Fraction(-1)}, ">=", Fraction(0)),
             ({0b0111: Fraction(1)}, "=", Fraction(1)),
             ({0b0001: Fraction(1)}, ">=", Fraction(2)),
+            ({0b0001: Fraction(-1)}, ">=", Fraction(0)),
         ]
+        outcomes = set()
         for terms, rel, rhs in targets:
-            fast = check_implied(system, dict(terms), rel, rhs, use_fast_path=True)
-            slow = check_implied(system, dict(terms), rel, rhs, use_fast_path=False)
-            assert fast.implied == slow.implied
+            on_full = check_implied(full, dict(terms), rel, rhs)
+            on_elemental = check_implied(elemental, dict(terms), rel, rhs)
+            assert on_full.implied == on_elemental.implied
+            outcomes.add(on_full.implied)
+            for res in (on_full, on_elemental):
+                for cert in res.certificates:
+                    assert verify_certificate(full, cert, objective=cert.objective)
+                if res.witness is not None:
+                    assert all(c.satisfied_by(res.witness) for c in full.constraints)
+        assert outcomes == {True, False}
 
 
 class TestSuites:
@@ -396,7 +442,5 @@ class TestElementalSpansFullCone:
         full = cached_system(THRESHOLD23, True, "full")
         candidates = [c for c in full.constraints if c.family in ("ssa", "wm")]
         for c in rng.sample(candidates, 25):
-            res = check_implied(
-                elemental, c.terms_dict(), ">=", c.rhs, use_fast_path=False
-            )
+            res = check_implied(elemental, c.terms_dict(), ">=", c.rhs)
             assert res.implied, c.id

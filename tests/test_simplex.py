@@ -5,8 +5,8 @@ import pytest
 
 from qssbounds import simplex
 from qssbounds.simplex import (
+    LinearConstraint,
     LPProblem,
-    LPRow,
     extract_certificate,
     rat_str,
     solve,
@@ -15,7 +15,7 @@ from qssbounds.simplex import (
 
 def make_problem(num_vars, objective, rows):
     lp_rows = tuple(
-        LPRow(f"r{i}", tuple(sorted(terms.items())), rel, Fraction(rhs))
+        LinearConstraint(f"r{i}", tuple(sorted(terms.items())), rel, Fraction(rhs))
         for i, (terms, rel, rhs) in enumerate(rows)
     )
     return LPProblem(num_vars, tuple(sorted(objective.items())), lp_rows)
