@@ -358,13 +358,35 @@ def cmd_chain(args) -> int:
     return EXIT_OK if report.all_implied else EXIT_FAIL
 
 
-def _add_common(parser: argparse.ArgumentParser, *, bound_flags: bool) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser,
+    *,
+    rows: bool = False,
+    objective: bool = False,
+    auto_purify: bool = False,
+) -> None:
+    """Add the shared flags a subcommand reads, and no others.
+
+    ``rows`` adds ``--ineq``, ``--limit-elements`` and ``--force``;
+    ``objective`` adds ``--mode``, ``--objective`` and ``--players``;
+    ``auto_purify`` adds ``--auto-purify``.  Argparse then rejects any
+    flag the subcommand would ignore.
+    """
     parser.add_argument("--out", help="write the main JSON output to this path")
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
     )
-    if bound_flags:
+    if objective:
         parser.add_argument("--mode", choices=("pure", "mixed"), default="pure")
+        parser.add_argument(
+            "--objective",
+            default="minmax",
+            help="minmax | minsum | single:<i>",
+        )
+        parser.add_argument("--players", help="comma-separated share indices")
+    if auto_purify:
+        parser.add_argument("--auto-purify", action="store_true", dest="auto_purify")
+    if rows:
         parser.add_argument(
             "--ineq",
             choices=("full", "elemental"),
@@ -372,13 +394,6 @@ def _add_common(parser: argparse.ArgumentParser, *, bound_flags: bool) -> None:
             help="row set that certificates are replayed on and witnesses "
             "checked against; every LP is solved on the elemental rows",
         )
-        parser.add_argument(
-            "--objective",
-            default="minmax",
-            help="minmax | minsum | single:<i>",
-        )
-        parser.add_argument("--players", help="comma-separated share indices")
-        parser.add_argument("--auto-purify", action="store_true", dest="auto_purify")
         parser.add_argument(
             "--limit-elements",
             type=int,
@@ -398,22 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named access-structure family")
     p.add_argument("family", help="family name (csirmaz)")
     p.add_argument("--n", type=int, required=True, help="player count")
-    _add_common(p, bound_flags=False)
+    _add_common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("check", help="validate a structure and report properties")
     p.add_argument("--in", dest="infile", required=True)
-    _add_common(p, bound_flags=False)
+    _add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dual", help="dual access structure")
     p.add_argument("--in", dest="infile", required=True)
-    _add_common(p, bound_flags=False)
+    _add_common(p)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("purify", help="self-dualize by adding one party")
     p.add_argument("--in", dest="infile", required=True)
-    _add_common(p, bound_flags=False)
+    _add_common(p)
     p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("bound", help="prove a share-size lower bound")
@@ -426,23 +441,23 @@ def build_parser() -> argparse.ArgumentParser:
         dest="dump_system",
         help="debug: write the generated constraint system as text",
     )
-    _add_common(p, bound_flags=True)
+    _add_common(p, rows=True, objective=True, auto_purify=True)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify-cert", help="replay a certificate against a fresh system")
     p.add_argument("--system-from", dest="system_from", required=True)
     p.add_argument("--cert", required=True)
-    _add_common(p, bound_flags=True)
+    _add_common(p, rows=True, objective=True, auto_purify=True)
     p.set_defaults(func=cmd_verify_cert)
 
     p = sub.add_parser("lemmas", help="check the scheme relations are all implied")
     p.add_argument("--in", dest="infile", required=True)
-    _add_common(p, bound_flags=True)
+    _add_common(p, rows=True, auto_purify=True)
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("chain", help="replay the staircase telescoping argument")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, bound_flags=True)
+    _add_common(p, rows=True)
     p.set_defaults(func=cmd_chain)
 
     return parser

@@ -23,9 +23,10 @@ Generation is deterministic: identical input yields an identical list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .simplex import LinearConstraint
+from .simplex import LinearConstraint, Presolved
 from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, StructureError
 
 ZERO = Fraction(0)
@@ -256,6 +257,16 @@ class ConstraintSystem:
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+    @cached_property
+    def presolved(self) -> Presolved:
+        """The rows' presolve, built on first use.
+
+        Every objective solved on ``self.constraints`` can share it as
+        ``LPProblem.presolved``.  It lives as long as the system, so a
+        cache that drops the system drops its presolve too.
+        """
+        return Presolved(self.constraints)
 
     def dump(self) -> str:
         """Line-oriented debug text, one constraint per line."""

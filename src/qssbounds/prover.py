@@ -411,7 +411,9 @@ def _prove_direction(
     """Try to certify form . S >= bound; return (cert, witness, pivots)."""
     objective = tuple(sorted(form.items()))
     elemental = cached_system(system.structure, system.pure, "elemental")
-    problem = LPProblem(elemental.ground.var_count, objective, elemental.constraints)
+    problem = LPProblem(
+        elemental.ground.var_count, objective, elemental.constraints, elemental.presolved
+    )
     solution = solve(problem)
     if solution.status == "optimal" and solution.value >= bound:
         cert = Certificate(bound, extract_certificate(problem, solution).entries, objective)

@@ -9,26 +9,37 @@ The solver is a two-phase simplex with Bland's anti-cycling rule.  The
 systems this package generates have far more rows than variables, so the
 pivoting works on the dual standard form (one nonnegative multiplier per
 row) after a presolve that eliminates equality rows by exact
-substitution.  The pivoting kernel is fraction-free: columns, right-hand
-side and costs are scaled to integers, and the basis inverse is an
-integer matrix Q over one positive common denominator D.  A pivot
-updates them by the Bareiss rule, Q'[i] = (w_r*Q[i] - w_i*Q[r]) // D,
-whose division is always exact, and the pivot element w_r becomes the
-new D (all signs are flipped when it is negative, so D stays positive).
-Every quantity the pivot rule compares is the exact one times a
-positive factor, so the pivot sequence is the one a rational basis
-inverse would make.  Only the final values are turned back into
-:class:`fractions.Fraction`: primal values and per-row dual multipliers
-for the *original* problem are reconstructed exactly and re-verified
-(feasibility, sign conditions and a zero duality gap) before an optimal
-status is returned.  Identical problems produce identical pivot
-sequences and identical solutions.
+substitution.  The presolve depends only on the rows, so it is a
+:class:`Presolved` state built once per row tuple: the eliminations, the
+reduced and deduplicated inequality rows with the weights that lift
+their multipliers back, and those rows as integer-scaled dual columns
+and costs.  A problem may carry the state of its rows (a constraint
+system keeps one and hands it to every objective solved on it);
+otherwise :func:`solve` builds it.  Only the objective is reduced per
+solve.
+
+The pivoting kernel is fraction-free: columns, right-hand side and
+costs are scaled to integers, and the basis inverse is an integer
+matrix Q over one positive common denominator D.  A pivot updates them
+by the Bareiss rule, Q'[i] = (w_r*Q[i] - w_i*Q[r]) // D, whose division
+is always exact, and the pivot element w_r becomes the new D (all signs
+are flipped when it is negative, so D stays positive).  Every quantity
+the pivot rule compares is the exact one times a positive factor, so
+the pivot sequence is the one a rational basis inverse would make.
+Only the final values are turned back into :class:`fractions.Fraction`:
+primal values and per-row dual multipliers for the *original* problem
+are reconstructed exactly and re-verified against every original row
+(feasibility, sign conditions, the dual combination and a zero duality
+gap, with the rows evaluated in integers over the common denominator of
+the primal point) before an optimal status is returned.  Identical
+problems produce identical pivot sequences and identical solutions,
+whether or not their presolved state was shared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -78,11 +89,16 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """Minimize ``objective . x`` over free x subject to the rows."""
+    """Minimize ``objective . x`` over free x subject to the rows.
+
+    ``presolved`` may carry the :class:`Presolved` state of exactly this
+    ``rows`` tuple, to share it with other objectives on the same rows.
+    """
 
     num_vars: int
     objective: tuple[tuple[int, Fraction], ...]
     rows: tuple[LinearConstraint, ...]
+    presolved: Presolved | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -124,7 +140,6 @@ class _Presolve:
         self.rhss: list[Fraction] = []
         # record k as a combination of original equality-row indices
         self.trans: list[dict[int, Fraction]] = []
-        self.eliminated: set[int] = set()
 
     def reduce_form(
         self, terms: dict[int, Fraction], rhs: Fraction
@@ -173,7 +188,6 @@ class _Presolve:
         self.rests.append(red_terms)
         self.rhss.append(red_rhs)
         self.trans.append(combo)
-        self.eliminated.add(pivot)
         return True
 
     def lift_primal(self, reduced: dict[int, Fraction], num_vars: int) -> list[Fraction]:
@@ -203,6 +217,103 @@ class _Presolve:
         return lam
 
 
+class _IntegerColumns:
+    """Dual columns and costs scaled to integers, shared read-only.
+
+    Column ``j`` is its rational column times ``scales[j]`` (the lcm of
+    its denominators) and ``costs[j]`` is its rational cost times
+    ``scales[j] * cost_scale``.  Positive column scalings change neither
+    reduced-cost signs nor the order of ratios, so pivoting on these
+    makes the pivots the rational columns would.
+    """
+
+    def __init__(
+        self,
+        cols: list[list[tuple[int, int]]],
+        scales: list[int],
+        costs: list[int],
+        cost_scale: int,
+    ) -> None:
+        self.cols = cols
+        self.scales = scales
+        self.costs = costs
+        self.cost_scale = cost_scale
+
+    @classmethod
+    def scale(
+        cls, columns: list[list[tuple[int, Fraction]]], costs: list[Fraction]
+    ) -> _IntegerColumns:
+        cols, scales, scaled_costs = [], [], []
+        for col, cost in zip(columns, costs):
+            scale = _lcm_of_denominators(c for _, c in col)
+            scales.append(scale)
+            cols.append([(v, _scaled(c, scale)) for v, c in col if c])
+            scaled_costs.append(cost * scale)
+        cost_scale = _lcm_of_denominators(scaled_costs)
+        return cls(cols, scales, [_scaled(c, cost_scale) for c in scaled_costs], cost_scale)
+
+
+class Presolved:
+    """Everything a solve derives from the rows alone, built once.
+
+    Equality rows are eliminated; the inequality rows are reduced by
+    those eliminations, rows that reduce to ``0 >= rhs`` with
+    ``rhs <= 0`` and duplicates are dropped, and the rest become the dual
+    columns in integers (one per reduced row, over the sorted
+    ``var_ids`` the rows still contain) with costs ``-rhs``.  ``row_index``, ``weights`` and
+    ``rhs`` keep, per reduced row, its original row, the elimination
+    weights that lift its multiplier and its reduced right-hand side.
+    ``infeasible`` records contradictory equalities or a row that
+    reduces to ``0 >= rhs > 0``; every solve on the rows is then
+    infeasible.  Nothing here depends on an objective, and solves only
+    read it, so one state serves any number of objectives.
+    """
+
+    def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
+        self.rows = rows
+        self.eliminations = _Presolve()
+        self.infeasible = False
+        self.row_index: list[int] = []
+        self.weights: list[dict[int, Fraction]] = []
+        self.rhs: list[Fraction] = []
+        self.var_ids: list[int] = []
+        self.columns = _IntegerColumns([], [], [], 1)
+
+        for idx, row in enumerate(rows):
+            if row.rel not in (">=", "="):
+                raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
+            if row.rel == "=" and not self.eliminations.add_equality(idx, dict(row.terms), row.rhs):
+                self.infeasible = True
+                return
+
+        reduced: list[tuple[tuple[int, Fraction], ...]] = []
+        seen: set[tuple] = set()
+        for idx, row in enumerate(rows):
+            if row.rel == "=":
+                continue
+            terms, rhs, weights = self.eliminations.reduce_form(dict(row.terms), row.rhs)
+            if not terms:
+                if rhs > 0:
+                    self.infeasible = True
+                    return
+                continue
+            items = tuple(sorted(terms.items()))
+            if (items, rhs) in seen:
+                continue
+            seen.add((items, rhs))
+            reduced.append(items)
+            self.row_index.append(idx)
+            self.weights.append(weights)
+            self.rhs.append(rhs)
+
+        self.var_ids = sorted({v for items in reduced for v, _ in items})
+        pos = {v: i for i, v in enumerate(self.var_ids)}
+        self.columns = _IntegerColumns.scale(
+            [[(pos[v], c) for v, c in items] for items in reduced],
+            [-rhs for rhs in self.rhs],
+        )
+
+
 class _Tableau:
     """Revised simplex on equality standard form, fraction-free.
 
@@ -211,12 +322,14 @@ class _Tableau:
     eligible column index enters, lowest basis id leaves on ties) makes
     every run deterministic and cycle-free.
 
-    All pivoting is in integers.  Each column is scaled by the lcm of
-    its denominators, and ``d`` and the costs by theirs; these positive
-    scalings change neither reduced-cost signs nor the order of ratios.
-    The basis inverse is ``q / den`` and the basic values are
-    ``x / den`` over one common denominator ``den`` (the basis
-    determinant up to sign).  A pivot on ``w_r`` applies the Bareiss
+    All pivoting is in integers, on the shared :class:`_IntegerColumns`
+    and with ``d`` scaled by the lcm of its denominators.  The basis
+    inverse is ``q / den`` and the basic values are ``x / den`` over one
+    common denominator ``den`` (the basis determinant up to sign).  An
+    equation with a negative ``d`` entry gets the artificial column
+    ``-e_v`` instead of ``e_v``, so the start is ``q = diag(sign)`` and
+    ``x = |d|``; that is the same as negating the equation, without
+    touching the shared columns.  A pivot on ``w_r`` applies the Bareiss
     update ``q'[i] = (w_r*q[i] - w_i*q[r]) // den`` (and the same to
     ``x``), a division that is always exact, and ``w_r`` becomes the new
     denominator; when it is negative (possible only while driving out
@@ -229,34 +342,20 @@ class _Tableau:
     :meth:`phase1_value`.
     """
 
-    def __init__(
-        self,
-        num_eqs: int,
-        columns: list[list[tuple[int, Fraction]]],
-        costs: list[Fraction],
-        rhs: list[Fraction],
-    ) -> None:
+    def __init__(self, num_eqs: int, columns: _IntegerColumns, rhs: list[Fraction]) -> None:
         self.m = num_eqs
-        self.n = len(columns)
+        self.n = len(columns.cols)
+        self.cols = columns.cols
+        self.costs = columns.costs
+        self.col_scale = columns.scales
+        self.cost_scale = columns.cost_scale
         self.rhs_scale = _lcm_of_denominators(rhs)
         self.x = [_scaled(r, self.rhs_scale) for r in rhs]
-        self.sign = [1] * num_eqs
+        self.q = [[0] * num_eqs for _ in range(num_eqs)]
         for v in range(num_eqs):
-            if self.x[v] < 0:
-                self.sign[v] = -1
-                self.x[v] = -self.x[v]
-        # integral columns with the equation sign flips folded in
-        self.col_scale: list[int] = []
-        self.cols: list[list[tuple[int, int]]] = []
-        scaled_costs = []
-        for col, cost in zip(columns, costs):
-            scale = _lcm_of_denominators(c for _, c in col)
-            self.col_scale.append(scale)
-            self.cols.append([(v, self.sign[v] * _scaled(c, scale)) for v, c in col if c])
-            scaled_costs.append(cost * scale)
-        self.cost_scale = _lcm_of_denominators(scaled_costs)
-        self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
-        self.q = [[1 if i == j else 0 for j in range(num_eqs)] for i in range(num_eqs)]
+            sign = -1 if self.x[v] < 0 else 1
+            self.q[v][v] = sign
+            self.x[v] *= sign
         self.den = 1
         self.basis = [self.n + v for v in range(num_eqs)]  # artificial ids
         self.pivots = 0
@@ -383,10 +482,9 @@ class _Tableau:
         return out
 
     def multipliers(self) -> list[Fraction]:
-        """Row multipliers -sign*pi for the unflipped equations (phase 2)."""
-        y = self._duals(2)
+        """Row multipliers -pi of the equations (phase 2)."""
         scale = self.den * self.cost_scale
-        return [Fraction(-self.sign[v] * y[v], scale) for v in range(self.m)]
+        return [Fraction(-y, scale) for y in self._duals(2)]
 
 
 def _lcm_of_denominators(values) -> int:
@@ -406,113 +504,102 @@ def solve(problem: LPProblem) -> LPSolution:
 
     Statuses are ``optimal`` (with a strong-duality-checked solution),
     ``infeasible`` and ``unbounded``; arithmetic is exact, so there are
-    no tolerance failures.
+    no tolerance failures.  The problem's ``presolved`` state is used
+    when present and must have been built from ``problem.rows`` itself;
+    otherwise the state is built here.
     """
-    presolve = _Presolve()
-    objective = dict(problem.objective)
+    state = problem.presolved
+    if state is None:
+        state = Presolved(problem.rows)
+    elif state.rows is not problem.rows:
+        raise ValueError("presolved state was built from a different row tuple")
+    if state.infeasible:
+        return LPSolution("infeasible", None, None, None, 0)
 
-    for idx, row in enumerate(problem.rows):
-        if row.rel not in (">=", "="):
-            raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
-        if row.rel == "=":
-            if not presolve.add_equality(idx, dict(row.terms), row.rhs):
-                return LPSolution("infeasible", None, None, None, 0)
-
-    reduced_rows: list[tuple[int, dict[int, Fraction], Fraction, dict[int, Fraction]]] = []
-    seen: set[tuple] = set()
-    for idx, row in enumerate(problem.rows):
-        if row.rel == "=":
-            continue
-        terms, rhs, weights = presolve.reduce_form(dict(row.terms), row.rhs)
-        if not terms:
-            if rhs > 0:
-                return LPSolution("infeasible", None, None, None, 0)
-            continue
-        key = (tuple(sorted(terms.items())), rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        reduced_rows.append((idx, terms, rhs, weights))
-
-    red_obj, obj_offset_neg, obj_weights = presolve.reduce_form(objective, ZERO)
+    red_obj, obj_offset_neg, obj_weights = state.eliminations.reduce_form(
+        dict(problem.objective), ZERO
+    )
     # reduce_form treats the constant like a rhs: c.x = red.x - obj_offset_neg
     obj_offset = -obj_offset_neg
 
-    var_ids = sorted(set(red_obj) | {v for _, t, _, _ in reduced_rows for v in t})
-    var_pos = {v: i for i, v in enumerate(var_ids)}
+    var_ids, columns = state.var_ids, state.columns
+    if not set(red_obj).issubset(var_ids):
+        # the objective keeps a variable no reduced row contains: give it
+        # an equation of its own, in sorted position
+        var_ids = sorted(set(var_ids).union(red_obj))
+        pos = {v: i for i, v in enumerate(var_ids)}
+        moved = [pos[v] for v in state.var_ids]
+        columns = _IntegerColumns(
+            [[(moved[p], c) for p, c in col] for col in columns.cols],
+            columns.scales,
+            columns.costs,
+            columns.cost_scale,
+        )
     m = len(var_ids)
 
     pivots = 0
-    if m == 0:
-        reduced_primal: dict[int, Fraction] = {}
-        row_duals = [ZERO] * len(reduced_rows)
-        value = obj_offset
-    else:
-        columns = [
-            [(var_pos[v], c) for v, c in sorted(terms.items())]
-            for _, terms, _, _ in reduced_rows
-        ]
-        costs = [-rhs for _, _, rhs, _ in reduced_rows]
-        d = [red_obj.get(v, ZERO) for v in var_ids]
-        tableau = _Tableau(m, columns, costs, d)
+    row_duals: dict[int, Fraction] = {}
+    reduced_primal: dict[int, Fraction] = {}
+    if m:
+        tableau = _Tableau(m, columns, [red_obj.get(v, ZERO) for v in var_ids])
         if tableau.run(1) != "optimal":
             raise SimplexError("phase 1 cannot be unbounded")
         if tableau.phase1_value() != 0:
-            status, extra = _classify_dual_infeasible(m, columns, reduced_rows)
+            status, extra = _classify_dual_infeasible(m, columns, state.rhs)
             return LPSolution(status, None, None, None, tableau.pivots + extra)
         tableau.drive_out_artificials()
         reason = tableau.run(2)
         pivots = tableau.pivots
         if reason == "unbounded":
             return LPSolution("infeasible", None, None, None, pivots)
-        u = tableau.solution()
-        row_duals = [u.get(j, ZERO) for j in range(len(reduced_rows))]
+        row_duals = tableau.solution()
         mult = tableau.multipliers()
-        reduced_primal = {v: mult[var_pos[v]] for v in var_ids if mult[var_pos[v]]}
-        value = obj_offset + sum(
-            (row_duals[j] * reduced_rows[j][2] for j in range(len(reduced_rows))), ZERO
-        )
+        reduced_primal = {v: mult[i] for i, v in enumerate(var_ids) if mult[i]}
+    value = obj_offset + sum((u * state.rhs[j] for j, u in row_duals.items()), ZERO)
 
-    x = presolve.lift_primal(reduced_primal, problem.num_vars)
+    x = state.eliminations.lift_primal(reduced_primal, problem.num_vars)
 
     alpha: dict[int, Fraction] = dict(obj_weights)
     duals = [ZERO] * len(problem.rows)
-    for j, (orig_idx, _, _, weights) in enumerate(reduced_rows):
+    for j in sorted(row_duals):
         uj = row_duals[j]
-        if not uj:
-            continue
-        duals[orig_idx] = uj
-        for k, t in weights.items():
+        duals[state.row_index[j]] = uj
+        for k, t in state.weights[j].items():
             nv = alpha.get(k, ZERO) - uj * t
             if nv:
                 alpha[k] = nv
             else:
                 alpha.pop(k, None)
-    for j, lam in presolve.equality_duals(alpha).items():
+    for j, lam in state.eliminations.equality_duals(alpha).items():
         duals[j] = lam
 
     _verify_optimal(problem, x, duals, value)
     return LPSolution("optimal", value, tuple(x), tuple(duals), pivots)
 
 
-def _classify_dual_infeasible(m, columns, reduced_rows) -> tuple[str, int]:
+def _classify_dual_infeasible(
+    m: int, columns: _IntegerColumns, rhs: list[Fraction]
+) -> tuple[str, int]:
     """Dual system has no solution: decide primal infeasible vs unbounded.
 
     A Farkas certificate of primal infeasibility is a nonnegative
     combination w of the inequality rows with zero total form and
     positive total rhs; we search for one with the normalization
-    rhs . w = 1 as a pure feasibility problem.
+    rhs . w = 1 as a pure feasibility problem.  Each integer column
+    gains its row's rhs as entry ``m``; when that entry is not integral
+    the whole column is multiplied by its denominator, a positive
+    scaling that changes no pivot.
     """
     ext_columns = []
-    for j, col in enumerate(columns):
-        rhs = reduced_rows[j][2]
-        entries = list(col)
-        if rhs:
-            entries.append((m, rhs))
+    for col, scale, r in zip(columns.cols, columns.scales, rhs):
+        t = r * scale
+        entries = [(v, c * t.denominator) for v, c in col]
+        if t:
+            entries.append((m, t.numerator))
         ext_columns.append(entries)
-    costs = [ZERO] * len(ext_columns)
-    d = [ZERO] * m + [ONE]
-    tableau = _Tableau(m + 1, ext_columns, costs, d)
+    n = len(ext_columns)
+    farkas = _IntegerColumns(ext_columns, [1] * n, [0] * n, 1)
+    tableau = _Tableau(m + 1, farkas, [ZERO] * m + [ONE])
     tableau.run(1)
     status = "infeasible" if tableau.phase1_value() == 0 else "unbounded"
     return status, tableau.pivots
@@ -524,21 +611,41 @@ def _verify_optimal(
     duals: list[Fraction],
     value: Fraction,
 ) -> None:
-    """Exact post-checks: primal feasibility, signs and zero duality gap."""
+    """Exact post-checks against every row of the problem.
+
+    Primal feasibility, nonnegative multipliers on inequalities, a dual
+    combination equal to the objective, and a zero duality gap.  Rows are
+    evaluated in integers: ``xs`` is ``x`` times its common denominator
+    ``scale``, and each row is summed over the lcm ``den`` of its own
+    coefficient denominators as it is read (1 for integral rows), so
+    ``lhs = (row . x) * den * scale`` with no ``Fraction`` per term.
+    """
+    scale = _lcm_of_denominators(x)
+    xs = [_scaled(v, scale) for v in x]
     combo: dict[int, Fraction] = {}
     rhs_total = ZERO
     for row, u in zip(problem.rows, duals):
-        lhs = sum((c * x[v] for v, c in row.terms), ZERO)
+        lhs = 0
+        den = 1
+        for v, c in row.terms:
+            q = c.denominator
+            if den % q:
+                step = q // math.gcd(den, q)
+                lhs *= step
+                den *= step
+            lhs += c.numerator * (den // q) * xs[v]
+        rhs = row.rhs
+        lhs *= rhs.denominator
+        target = rhs.numerator * den * scale
         if row.rel == "=":
-            if lhs != row.rhs:
+            if lhs != target:
                 raise SimplexError(f"primal violates equality {row.id}")
-        else:
-            if lhs < row.rhs:
-                raise SimplexError(f"primal violates inequality {row.id}")
-            if u < 0:
+        elif lhs < target:
+            raise SimplexError(f"primal violates inequality {row.id}")
+        if u:  # a zero multiplier has the right sign on any row
+            if row.rel != "=" and u < 0:
                 raise SimplexError(f"negative multiplier on inequality {row.id}")
-        if u:
-            rhs_total += u * row.rhs
+            rhs_total += u * rhs
             for v, c in row.terms:
                 nv = combo.get(v, ZERO) + u * c
                 if nv:

@@ -327,7 +327,45 @@ class TestLemmasCommand:
         assert "auto-purify" in err
 
 
+    @pytest.mark.parametrize(
+        "flag", [["--mode", "mixed"], ["--objective", "single:9"], ["--players", "7"]]
+    )
+    def test_flags_it_would_ignore_are_usage_errors(self, capsys, tmp_path, flag):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--in", path, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flags_it_reads(self, capsys, tmp_path):
+        # not self-dual: --auto-purify adds a fourth player, 5 elements
+        path = write_structure(tmp_path, "star.json", 3, [[1, 2], [1, 3]])
+        code, out, _ = run(
+            capsys, "lemmas", "--in", path, "--auto-purify", "--ineq", "elemental",
+            "--limit-elements", "5", "--format", "text",
+        )
+        assert code == 0
+        assert "failures: none" in out
+        code, _, _ = run(capsys, "lemmas", "--in", path, "--auto-purify", "--limit-elements", "4")
+        assert code == 3
+
+
 class TestChainCommand:
+    @pytest.mark.parametrize(
+        "flag",
+        [["--mode", "mixed"], ["--objective", "single:9"], ["--players", "7"], ["--auto-purify"]],
+    )
+    def test_flags_it_would_ignore_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--n", "4", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_limit_flags_apply(self, capsys):
+        code, _, err = run(capsys, "chain", "--n", "4", "--limit-elements", "5")
+        assert code == 3
+        assert err.startswith("limit:")
+
     def test_n4_json(self, capsys):
         code, out, _ = run(capsys, "chain", "--n", "4")
         assert code == 0

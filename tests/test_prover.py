@@ -19,7 +19,14 @@ from qssbounds.prover import (
     theorem3_chain,
     verify_certificate,
 )
-from qssbounds.simplex import Certificate, LPProblem, extract_certificate, solve
+from qssbounds.simplex import (
+    Certificate,
+    LinearConstraint,
+    LPProblem,
+    Presolved,
+    extract_certificate,
+    solve,
+)
 from qssbounds.structures import (
     CapacityError,
     StructureError,
@@ -35,6 +42,9 @@ from helpers import qutrit_threshold_vector, random_quantum_structure
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
 GAMMA4_BAR = purify(GAMMA4)
+# three players, not self-dual: purified, a 5-element ground set
+STAR3_BAR = purify(from_minimal_sets(3, [[1, 2], [1, 3]]))
+ZERO, ONE = Fraction(0), Fraction(1)
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "pinned_solves.json").read_text(encoding="utf-8")
@@ -191,6 +201,72 @@ class TestPinnedPivotSequence:
         report = lemma_suite(THRESHOLD23, ineq=ineq)
         got = [[o.instance.id, o.pivots] for o in report.outcomes]
         assert got == PINNED["lemmas_threshold23"][ineq]
+
+    def test_lemma_suite_g4bar_elemental_total(self):
+        # 136 targets, 22977 pivots in total: the same on the Fraction
+        # kernel, on the integer kernel and with the presolve shared
+        report = lemma_suite(GAMMA4_BAR, ineq="elemental")
+        assert len(report.outcomes) == 136
+        assert report.all_implied
+        assert sum(o.pivots for o in report.outcomes) == 22977
+
+
+class TestSharedPresolve:
+    """Solves with a system's shared presolve equal fresh solves."""
+
+    @staticmethod
+    def both_ways(num_vars, objective, rows, state):
+        shared = solve(LPProblem(num_vars, objective, rows, state))
+        fresh = solve(LPProblem(num_vars, objective, rows))
+        assert shared == fresh
+        return shared
+
+    @pytest.mark.parametrize(
+        "structure,elements",
+        [(THRESHOLD23, 4), (STAR3_BAR, 5)],
+        ids=["threshold23", "star3bar"],
+    )
+    def test_every_lemma_target_both_directions(self, structure, elements):
+        assert structure.n + 1 == elements
+        system = cached_system(structure, True, "elemental")
+        statuses = set()
+        for inst in scheme_relation_instances(structure, system.ground):
+            for sign in (1, -1):
+                objective = tuple((v, sign * c) for v, c in inst.terms)
+                solution = self.both_ways(
+                    system.ground.var_count, objective, system.constraints, system.presolved
+                )
+                statuses.add(solution.status)
+        # a reversed ">=" target is unbounded, which also runs the
+        # Farkas classification on the shared columns
+        assert statuses == {"optimal", "unbounded"}
+
+    def test_objective_on_a_variable_no_row_contains(self):
+        system = cached_system(THRESHOLD23, True, "elemental")
+        free = system.ground.var_count  # a variable outside every row
+        for objective in (((free, ONE),), ((1, ONE), (free, -ONE)), ((1, ONE), (free, ZERO))):
+            solution = self.both_ways(
+                free + 1, objective, system.constraints, system.presolved
+            )
+            assert solution.status == ("optimal" if objective[-1][1] == 0 else "unbounded")
+
+    def test_contradictory_equalities(self):
+        system = cached_system(THRESHOLD23, True, "elemental")
+        r = system.ground.reference_mask
+        renormalize = LinearConstraint("renormalize", ((r, ONE),), "=", Fraction(2))
+        rows = system.constraints + (renormalize,)
+        presolved = Presolved(rows)
+        assert presolved.infeasible
+        for objective in (((1, ONE),), ((1, -ONE),)):
+            solution = self.both_ways(system.ground.var_count, objective, rows, presolved)
+            assert (solution.status, solution.pivots) == ("infeasible", 0)
+
+    def test_shared_state_lives_with_the_system(self):
+        system = cached_system(THRESHOLD23, True, "elemental")
+        assert system.presolved is system.presolved
+        assert system.presolved.rows is system.constraints
+        cached_system.cache_clear()
+        assert cached_system(THRESHOLD23, True, "elemental").presolved is not system.presolved
 
 
 class TestVerifyCertificate:

@@ -7,6 +7,8 @@ from qssbounds import simplex
 from qssbounds.simplex import (
     LinearConstraint,
     LPProblem,
+    Presolved,
+    SimplexError,
     extract_certificate,
     rat_str,
     solve,
@@ -308,6 +310,113 @@ class TestIntegerKernel:
         assert s.value == Fraction(41, 210)
         assert s.duals == (Fraction(1, 2), Fraction(1, 3))
         assert s.primal == (Fraction(66, 175), Fraction(3, 175))
+
+
+class TestVerifyOptimal:
+    """``_verify_optimal`` rejects every kind of wrong optimum.
+
+    The rows have fractional coefficients and right-hand sides, so the
+    integer evaluation must bring each row over its own denominator.  The
+    optimum of the two inequalities is (66/175, 3/175) with duals
+    (1/2, 1/3); the equality holds there and carries a zero multiplier.
+    """
+
+    ROWS = [
+        ({0: Fraction(1, 2), 1: Fraction(2, 3)}, ">=", Fraction(1, 5)),
+        ({0: Fraction(3, 4), 1: Fraction(1, 6)}, ">=", Fraction(2, 7)),
+        ({0: Fraction(2, 3), 1: Fraction(-3, 5)}, "=", Fraction(211, 875)),
+    ]
+    OBJECTIVE = {0: Fraction(1, 2), 1: Fraction(7, 18)}
+
+    def optimum(self):
+        problem = make_problem(2, self.OBJECTIVE, self.ROWS)
+        x = [Fraction(66, 175), Fraction(3, 175)]
+        duals = [Fraction(1, 2), Fraction(1, 3), Fraction(0)]
+        return problem, x, duals, Fraction(41, 210)
+
+    def test_true_optimum_passes(self):
+        problem, x, duals, value = self.optimum()
+        simplex._verify_optimal(problem, x, duals, value)
+        assert solve(problem).value == value
+
+    @pytest.mark.parametrize(
+        "shift,message",
+        [
+            (Fraction(-1, 10**30), "violates inequality r0"),
+            (Fraction(1, 10**30), "violates equality r2"),
+        ],
+    )
+    def test_wrong_primal_point(self, shift, message):
+        problem, x, duals, value = self.optimum()
+        x[0] += shift
+        with pytest.raises(SimplexError, match=message):
+            simplex._verify_optimal(problem, x, duals, value)
+
+    def test_negative_inequality_multiplier(self):
+        problem, x, duals, value = self.optimum()
+        duals[1] = Fraction(-1, 3)
+        with pytest.raises(SimplexError, match="negative multiplier on inequality r1"):
+            simplex._verify_optimal(problem, x, duals, value)
+
+    @pytest.mark.parametrize("row,delta", [(1, Fraction(1, 100)), (2, Fraction(-1, 7))])
+    def test_dual_combination_misses_objective(self, row, delta):
+        problem, x, duals, value = self.optimum()
+        duals[row] += delta
+        with pytest.raises(SimplexError, match="does not reproduce the objective"):
+            simplex._verify_optimal(problem, x, duals, value)
+
+    def test_nonzero_gap(self):
+        problem, x, duals, value = self.optimum()
+        with pytest.raises(SimplexError, match="duality gap"):
+            simplex._verify_optimal(problem, x, duals, value + Fraction(1, 1000))
+
+
+class TestPresolvedState:
+    def test_state_of_other_rows_refused(self):
+        problem = make_problem(1, {0: Fraction(1)}, [({0: Fraction(1)}, ">=", 3)])
+        other = make_problem(1, {0: Fraction(1)}, [({0: Fraction(1)}, ">=", 4)])
+        with pytest.raises(ValueError, match="different row tuple"):
+            solve(LPProblem(1, problem.objective, problem.rows, Presolved(other.rows)))
+
+    def test_state_of_equal_but_distinct_tuple_refused(self):
+        problem = make_problem(1, {0: Fraction(1)}, [({0: Fraction(1)}, ">=", 3)])
+        copy = tuple(list(problem.rows))
+        assert copy == problem.rows and copy is not problem.rows
+        with pytest.raises(ValueError, match="different row tuple"):
+            solve(LPProblem(1, problem.objective, problem.rows, Presolved(copy)))
+
+    def test_state_serves_several_objectives(self):
+        rows = [
+            ({0: Fraction(1), 1: Fraction(1)}, ">=", 4),
+            ({0: Fraction(1), 1: Fraction(-1)}, ">=", 0),
+            ({1: Fraction(1)}, "=", 1),
+        ]
+        base = make_problem(2, {}, rows)
+        state = Presolved(base.rows)
+        for objective in ({0: Fraction(1)}, {0: Fraction(2), 1: Fraction(1)},
+                          {0: Fraction(-1)}, {1: Fraction(3)}, {}):
+            fresh = make_problem(2, objective, rows)
+            shared = LPProblem(2, fresh.objective, base.rows, state)
+            assert solve(shared) == solve(fresh)
+
+    def test_objective_variable_below_the_row_variables(self):
+        # x0 is in no row, so the objective gives it an equation of its
+        # own ahead of the rows' variables, and their columns move down
+        rows = [
+            ({1: Fraction(1), 2: Fraction(1)}, ">=", 2),
+            ({2: Fraction(1)}, ">=", Fraction(1, 2)),
+        ]
+        base = make_problem(3, {}, rows)
+        state = Presolved(base.rows)
+        expected = {
+            ((0, Fraction(1)),): ("unbounded", None),
+            ((0, Fraction(0)), (1, Fraction(1)), (2, Fraction(1))): ("optimal", 2),
+            ((0, Fraction(0)), (2, Fraction(1))): ("optimal", Fraction(1, 2)),
+        }
+        for objective, (status, value) in expected.items():
+            solution = solve(LPProblem(3, objective, base.rows, state))
+            assert (solution.status, solution.value) == (status, value)
+            assert solution == solve(LPProblem(3, objective, base.rows))
 
 
 class TestCertificates:
