@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .simplex import SimplexError, rat_str
@@ -56,6 +57,10 @@ class UsageError(Exception):
     pass
 
 
+class InvalidStructureError(UsageError):
+    """Well-formed JSON that is not a valid access structure."""
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -78,7 +83,7 @@ def _load_structure(path: str) -> AccessStructure:
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     except StructureError as exc:
-        raise UsageError(f"invalid access structure in {path}: {exc}") from exc
+        raise InvalidStructureError(f"invalid access structure in {path}: {exc}") from exc
 
 
 def _format_sets(minimal_sets: list[list[int]], purifier: int | None = None) -> str:
@@ -120,9 +125,7 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     try:
         structure = _load_structure(args.infile)
-    except UsageError as exc:
-        if "invalid access structure" not in str(exc):
-            raise
+    except InvalidStructureError as exc:
         _dump_json({"valid_antichain": False, "error": str(exc)}, args.out)
         return EXIT_FAIL
     report = {
@@ -245,6 +248,18 @@ def _batch_worker(job: tuple[str, dict]) -> tuple[str, str, dict | str]:
         return path, "error", str(exc)
     except CapacityError as exc:
         return path, "limit", str(exc)
+    except Exception as exc:  # a bug on one input must not lose the other reports
+        sys.stderr.write(f"{path}: {traceback.format_exc()}")
+        return path, "error", f"{type(exc).__name__}: {exc}"
+
+
+def _batch_results(jobs: list[tuple[str, dict]], workers: int):
+    """Worker results in job order, each as soon as it and those before are done."""
+    if workers == 1:
+        yield from map(_batch_worker, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_batch_worker, jobs)
 
 
 def _cmd_bound_batch(args, options: dict) -> int:
@@ -260,14 +275,9 @@ def _cmd_bound_batch(args, options: dict) -> int:
         raise UsageError(f"no .json inputs in {directory}")
     jobs = [(os.path.join(directory, name), options) for name in names]
     workers = max(1, min(args.workers, len(jobs)))
-    if workers == 1:
-        results = [_batch_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, jobs))
     out_dir = args.out or directory
     summary = []
-    for path, status, payload in results:
+    for path, status, payload in _batch_results(jobs, workers):
         name = os.path.basename(path)
         entry = {"file": name, "status": status}
         if status == "ok":

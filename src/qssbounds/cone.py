@@ -75,12 +75,6 @@ class GroundSet:
             parts.append("R")
         return ",".join(parts)
 
-    def player_subset_mask(self, subset: PlayerSet) -> int:
-        """Bitmask of a player subset inside this ground set."""
-        if subset.n > self.total:
-            raise StructureError("subset does not fit the ground set")
-        return subset.bits
-
 
 def sparse_form(*entries: tuple[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
     """Sorted sparse form of a sum of ``(mask, coefficient)`` terms.

@@ -18,6 +18,11 @@ system keeps one and hands it to every objective solved on it);
 otherwise :func:`solve` builds it.  Only the objective is reduced per
 solve.
 
+Every status comes out of the same tableau on the same state.  An
+unbounded dual means an infeasible primal.  An infeasible dual leaves
+the primal infeasible or unbounded, and it is unbounded exactly when the
+same rows with the zero objective solve to optimal.
+
 The pivoting kernel is fraction-free: columns, right-hand side and
 costs are scaled to integers, and the basis inverse is an integer
 matrix Q over one positive common denominator D.  A pivot updates them
@@ -217,56 +222,22 @@ class _Presolve:
         return lam
 
 
-class _IntegerColumns:
-    """Dual columns and costs scaled to integers, shared read-only.
-
-    Column ``j`` is its rational column times ``scales[j]`` (the lcm of
-    its denominators) and ``costs[j]`` is its rational cost times
-    ``scales[j] * cost_scale``.  Positive column scalings change neither
-    reduced-cost signs nor the order of ratios, so pivoting on these
-    makes the pivots the rational columns would.
-    """
-
-    def __init__(
-        self,
-        cols: list[list[tuple[int, int]]],
-        scales: list[int],
-        costs: list[int],
-        cost_scale: int,
-    ) -> None:
-        self.cols = cols
-        self.scales = scales
-        self.costs = costs
-        self.cost_scale = cost_scale
-
-    @classmethod
-    def scale(
-        cls, columns: list[list[tuple[int, Fraction]]], costs: list[Fraction]
-    ) -> _IntegerColumns:
-        cols, scales, scaled_costs = [], [], []
-        for col, cost in zip(columns, costs):
-            scale = _lcm_of_denominators(c for _, c in col)
-            scales.append(scale)
-            cols.append([(v, _scaled(c, scale)) for v, c in col if c])
-            scaled_costs.append(cost * scale)
-        cost_scale = _lcm_of_denominators(scaled_costs)
-        return cls(cols, scales, [_scaled(c, cost_scale) for c in scaled_costs], cost_scale)
-
-
 class Presolved:
     """Everything a solve derives from the rows alone, built once.
 
     Equality rows are eliminated; the inequality rows are reduced by
-    those eliminations, rows that reduce to ``0 >= rhs`` with
-    ``rhs <= 0`` and duplicates are dropped, and the rest become the dual
-    columns in integers (one per reduced row, over the sorted
-    ``var_ids`` the rows still contain) with costs ``-rhs``.  ``row_index``, ``weights`` and
-    ``rhs`` keep, per reduced row, its original row, the elimination
+    those eliminations, and duplicates and rows that reduce to
+    ``0 >= rhs`` with ``rhs <= 0`` are dropped.  Per reduced row,
+    ``row_index``, ``weights`` and ``rhs`` keep its original row, the
     weights that lift its multiplier and its reduced right-hand side.
-    ``infeasible`` records contradictory equalities or a row that
-    reduces to ``0 >= rhs > 0``; every solve on the rows is then
-    infeasible.  Nothing here depends on an objective, and solves only
-    read it, so one state serves any number of objectives.
+    ``var_pos`` numbers the variables the reduced rows contain, in
+    increasing order.  Reduced row ``j`` times ``scales[j]`` (the lcm of
+    its denominators) is the integer dual column ``cols[j]`` over those
+    positions, with cost ``costs[j] = -rhs[j] * scales[j] * cost_scale``;
+    positive column scalings change no pivot.  ``infeasible`` records
+    contradictory equalities or a row that reduces to ``0 >= rhs > 0``;
+    every solve on the rows is then infeasible.  Solves only read the
+    state, so one state serves any number of objectives.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
@@ -276,12 +247,17 @@ class Presolved:
         self.row_index: list[int] = []
         self.weights: list[dict[int, Fraction]] = []
         self.rhs: list[Fraction] = []
-        self.var_ids: list[int] = []
-        self.columns = _IntegerColumns([], [], [], 1)
+        self.var_pos: dict[int, int] = {}
+        self.cols: list[list[tuple[int, int]]] = []
+        self.scales: list[int] = []
+        self.costs: list[int] = []
+        self.cost_scale = 1
 
         for idx, row in enumerate(rows):
             if row.rel not in (">=", "="):
                 raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
+            if not all(c for _, c in row.terms):
+                raise ValueError(f"zero coefficient in row {row.id}")
             if row.rel == "=" and not self.eliminations.add_equality(idx, dict(row.terms), row.rhs):
                 self.infeasible = True
                 return
@@ -306,12 +282,16 @@ class Presolved:
             self.weights.append(weights)
             self.rhs.append(rhs)
 
-        self.var_ids = sorted({v for items in reduced for v, _ in items})
-        pos = {v: i for i, v in enumerate(self.var_ids)}
-        self.columns = _IntegerColumns.scale(
-            [[(pos[v], c) for v, c in items] for items in reduced],
-            [-rhs for rhs in self.rhs],
-        )
+        var_ids = sorted({v for items in reduced for v, _ in items})
+        pos = self.var_pos = {v: i for i, v in enumerate(var_ids)}
+        scaled_costs = []
+        for items, rhs in zip(reduced, self.rhs):
+            scale = _lcm_of_denominators(c for _, c in items)
+            self.scales.append(scale)
+            self.cols.append([(pos[v], _scaled(c, scale)) for v, c in items])
+            scaled_costs.append(-rhs * scale)
+        self.cost_scale = _lcm_of_denominators(scaled_costs)
+        self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
 
 
 class _Tableau:
@@ -320,9 +300,12 @@ class _Tableau:
     minimize cost . u  subject to  M u = d, u >= 0, where columns are
     sparse.  Artificial variables open phase 1; Bland's rule (lowest
     eligible column index enters, lowest basis id leaves on ties) makes
-    every run deterministic and cycle-free.
+    every run deterministic and cycle-free.  The columns are the dual
+    columns of a :class:`Presolved` state and ``d`` the reduced objective,
+    so a positive phase 1 value means the dual is infeasible and an
+    unbounded phase 2 means the primal is.
 
-    All pivoting is in integers, on the shared :class:`_IntegerColumns`
+    All pivoting is in integers, on the state's shared columns and costs
     and with ``d`` scaled by the lcm of its denominators.  The basis
     inverse is ``q / den`` and the basic values are ``x / den`` over one
     common denominator ``den`` (the basis determinant up to sign).  An
@@ -342,22 +325,20 @@ class _Tableau:
     :meth:`phase1_value`.
     """
 
-    def __init__(self, num_eqs: int, columns: _IntegerColumns, rhs: list[Fraction]) -> None:
-        self.m = num_eqs
-        self.n = len(columns.cols)
-        self.cols = columns.cols
-        self.costs = columns.costs
-        self.col_scale = columns.scales
-        self.cost_scale = columns.cost_scale
+    def __init__(self, state: Presolved, rhs: list[Fraction]) -> None:
+        self.m = m = len(rhs)
+        self.n = len(state.cols)
+        self.cols, self.costs = state.cols, state.costs
+        self.col_scale, self.cost_scale = state.scales, state.cost_scale
         self.rhs_scale = _lcm_of_denominators(rhs)
         self.x = [_scaled(r, self.rhs_scale) for r in rhs]
-        self.q = [[0] * num_eqs for _ in range(num_eqs)]
-        for v in range(num_eqs):
+        self.q = [[0] * m for _ in range(m)]
+        for v in range(m):
             sign = -1 if self.x[v] < 0 else 1
             self.q[v][v] = sign
             self.x[v] *= sign
         self.den = 1
-        self.basis = [self.n + v for v in range(num_eqs)]  # artificial ids
+        self.basis = [self.n + v for v in range(m)]  # artificial ids
         self.pivots = 0
 
     def _column(self, j: int) -> list[int]:
@@ -522,39 +503,24 @@ def solve(problem: LPProblem) -> LPSolution:
     # reduce_form treats the constant like a rhs: c.x = red.x - obj_offset_neg
     obj_offset = -obj_offset_neg
 
-    var_ids, columns = state.var_ids, state.columns
-    if not set(red_obj).issubset(var_ids):
-        # the objective keeps a variable no reduced row contains: give it
-        # an equation of its own, in sorted position
-        var_ids = sorted(set(var_ids).union(red_obj))
-        pos = {v: i for i, v in enumerate(var_ids)}
-        moved = [pos[v] for v in state.var_ids]
-        columns = _IntegerColumns(
-            [[(moved[p], c) for p, c in col] for col in columns.cols],
-            columns.scales,
-            columns.costs,
-            columns.cost_scale,
-        )
-    m = len(var_ids)
+    if any(c and v not in state.var_pos for v, c in red_obj.items()):
+        # the objective keeps a variable no reduced row contains: its dual
+        # equation has no column, so the dual has no feasible point
+        return _infeasible_or_unbounded(problem, state, 0)
 
-    pivots = 0
-    row_duals: dict[int, Fraction] = {}
-    reduced_primal: dict[int, Fraction] = {}
-    if m:
-        tableau = _Tableau(m, columns, [red_obj.get(v, ZERO) for v in var_ids])
-        if tableau.run(1) != "optimal":
-            raise SimplexError("phase 1 cannot be unbounded")
-        if tableau.phase1_value() != 0:
-            status, extra = _classify_dual_infeasible(m, columns, state.rhs)
-            return LPSolution(status, None, None, None, tableau.pivots + extra)
-        tableau.drive_out_artificials()
-        reason = tableau.run(2)
-        pivots = tableau.pivots
-        if reason == "unbounded":
-            return LPSolution("infeasible", None, None, None, pivots)
-        row_duals = tableau.solution()
-        mult = tableau.multipliers()
-        reduced_primal = {v: mult[i] for i, v in enumerate(var_ids) if mult[i]}
+    tableau = _Tableau(state, [red_obj.get(v, ZERO) for v in state.var_pos])
+    if tableau.run(1) != "optimal":
+        raise SimplexError("phase 1 cannot be unbounded")
+    if tableau.phase1_value() != 0:
+        return _infeasible_or_unbounded(problem, state, tableau.pivots)
+    tableau.drive_out_artificials()
+    reason = tableau.run(2)
+    pivots = tableau.pivots
+    if reason == "unbounded":
+        return LPSolution("infeasible", None, None, None, pivots)
+    row_duals = tableau.solution()
+    mult = tableau.multipliers()
+    reduced_primal = {v: mult[i] for v, i in state.var_pos.items() if mult[i]}
     value = obj_offset + sum((u * state.rhs[j] for j, u in row_duals.items()), ZERO)
 
     x = state.eliminations.lift_primal(reduced_primal, problem.num_vars)
@@ -577,32 +543,16 @@ def solve(problem: LPProblem) -> LPSolution:
     return LPSolution("optimal", value, tuple(x), tuple(duals), pivots)
 
 
-def _classify_dual_infeasible(
-    m: int, columns: _IntegerColumns, rhs: list[Fraction]
-) -> tuple[str, int]:
-    """Dual system has no solution: decide primal infeasible vs unbounded.
+def _infeasible_or_unbounded(problem: LPProblem, state: Presolved, pivots: int) -> LPSolution:
+    """Infeasible or unbounded, for a problem whose dual is infeasible.
 
-    A Farkas certificate of primal infeasibility is a nonnegative
-    combination w of the inequality rows with zero total form and
-    positive total rhs; we search for one with the normalization
-    rhs . w = 1 as a pure feasibility problem.  Each integer column
-    gains its row's rhs as entry ``m``; when that entry is not integral
-    the whole column is multiplied by its denominator, a positive
-    scaling that changes no pivot.
+    It is unbounded exactly when the rows have a feasible point, that is
+    when the zero objective, whose dual is feasible at ``u = 0``, solves
+    to a verified optimum on the same state.
     """
-    ext_columns = []
-    for col, scale, r in zip(columns.cols, columns.scales, rhs):
-        t = r * scale
-        entries = [(v, c * t.denominator) for v, c in col]
-        if t:
-            entries.append((m, t.numerator))
-        ext_columns.append(entries)
-    n = len(ext_columns)
-    farkas = _IntegerColumns(ext_columns, [1] * n, [0] * n, 1)
-    tableau = _Tableau(m + 1, farkas, [ZERO] * m + [ONE])
-    tableau.run(1)
-    status = "infeasible" if tableau.phase1_value() == 0 else "unbounded"
-    return status, tableau.pivots
+    feasibility = solve(LPProblem(problem.num_vars, (), problem.rows, state))
+    status = "unbounded" if feasibility.status == "optimal" else "infeasible"
+    return LPSolution(status, None, None, None, pivots + feasibility.pivots)
 
 
 def _verify_optimal(

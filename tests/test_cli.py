@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qssbounds import prover
+from qssbounds import cli, prover
 from qssbounds.cli import main
 from qssbounds.simplex import LPSolution, SimplexError
 
@@ -105,6 +105,18 @@ class TestCheck:
         path.write_text("[" * 100_000 + "]" * 100_000)
         code, _, err = run(capsys, "check", "--in", str(path))
         assert code == 2
+        assert "malformed" in err
+
+    def test_malformed_json_under_a_misleading_directory_name(self, capsys, tmp_path):
+        # the error text then contains "invalid access structure", but
+        # the input is still malformed JSON and so a usage error
+        folder = tmp_path / "invalid access structure"
+        folder.mkdir()
+        path = folder / "broken.json"
+        path.write_text("{not json")
+        code, out, err = run(capsys, "check", "--in", str(path))
+        assert code == 2
+        assert out == ""
         assert "malformed" in err
 
     @pytest.mark.parametrize("shape", sorted(HOSTILE_STRUCTURES))
@@ -309,6 +321,32 @@ class TestSolverFailures:
         ]
         assert summary[0]["error"] == "iteration limit exceeded"
         assert "infeasible" in summary[1]["error"]
+
+    def test_batch_keeps_finished_reports_when_a_job_raises(self, capsys, tmp_path, monkeypatch):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        write_structure(batch, "b.json", 3, [[1, 2], [1, 3], [2, 3]])
+        real = cli.share_bound
+        calls = []
+
+        def second_call_raises(structure, **options):
+            calls.append(structure)
+            if len(calls) == 2:
+                raise RuntimeError("unexpected failure")
+            return real(structure, **options)
+
+        monkeypatch.setattr(cli, "share_bound", second_call_raises)
+        code, out, err = run(capsys, "bound", "--batch", str(batch), "--workers", "1")
+        assert code == 1
+        summary = json.loads(out)["batch"]
+        assert [(e["file"], e["status"]) for e in summary] == [
+            ("a.json", "ok"), ("b.json", "error"),
+        ]
+        assert summary[1]["error"] == "RuntimeError: unexpected failure"
+        assert "b.json: Traceback" in err
+        assert json.loads((batch / "a.report.json").read_text())["lp_value"] == "1/1"
+        assert not (batch / "b.report.json").exists()
 
 
 class TestLemmasCommand:

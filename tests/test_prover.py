@@ -238,7 +238,7 @@ class TestSharedPresolve:
                 )
                 statuses.add(solution.status)
         # a reversed ">=" target is unbounded, which also runs the
-        # Farkas classification on the shared columns
+        # zero-objective feasibility solve on the shared state
         assert statuses == {"optimal", "unbounded"}
 
     def test_objective_on_a_variable_no_row_contains(self):

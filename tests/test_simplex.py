@@ -400,8 +400,8 @@ class TestPresolvedState:
             assert solve(shared) == solve(fresh)
 
     def test_objective_variable_below_the_row_variables(self):
-        # x0 is in no row, so the objective gives it an equation of its
-        # own ahead of the rows' variables, and their columns move down
+        # x0 is in no row, so a nonzero objective weight on it leaves the
+        # dual infeasible, and a zero weight leaves the dual unchanged
         rows = [
             ({1: Fraction(1), 2: Fraction(1)}, ">=", 2),
             ({2: Fraction(1)}, ">=", Fraction(1, 2)),
@@ -417,6 +417,31 @@ class TestPresolvedState:
             solution = solve(LPProblem(3, objective, base.rows, state))
             assert (solution.status, solution.value) == (status, value)
             assert solution == solve(LPProblem(3, objective, base.rows))
+
+    def test_infeasible_inequalities_with_an_objective_variable_outside_them(self):
+        # x1 is in no row, so the dual is infeasible before any pivot, and
+        # the zero-objective solve on the same state finds no primal point
+        base = make_problem(2, {}, [({0: Fraction(1)}, ">=", 1), ({0: Fraction(-1)}, ">=", 0)])
+        state = Presolved(base.rows)
+        for objective in (((1, Fraction(1)),), ((0, Fraction(1)), (1, Fraction(-1)))):
+            solution = solve(LPProblem(2, objective, base.rows, state))
+            assert solution.status == "infeasible"
+            assert solution == solve(LPProblem(2, objective, base.rows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [({0: Fraction(1), 1: Fraction(0)}, "=", 1), ({1: Fraction(1)}, ">=", 0)],
+            [({0: Fraction(1), 1: Fraction(0)}, "=", 1)],
+        ],
+        ids=["with-inequality", "equality-alone"],
+    )
+    def test_zero_coefficient_refused(self, rows):
+        # make_problem keeps the zero term: x0 + 0*x1 = 1
+        problem = make_problem(2, {0: Fraction(1)}, rows)
+        assert problem.rows[0].terms == ((0, Fraction(1)), (1, Fraction(0)))
+        with pytest.raises(ValueError, match="zero coefficient in row r0"):
+            solve(problem)
 
 
 class TestCertificates:
