@@ -20,6 +20,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .simplex import SimplexError, rat_str
 from .prover import (
@@ -63,8 +64,11 @@ class InvalidStructureError(UsageError):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -231,8 +235,7 @@ def cmd_bound(args) -> int:
     if args.dump_system:
         solved = structure_from_dict(data["structure"])
         system = cached_system(solved, args.mode == "pure", args.ineq)
-        with open(args.dump_system, "w", encoding="utf-8") as fh:
-            fh.write(system.dump() + "\n")
+        _emit(system.dump() + "\n", args.dump_system)
     if args.format == "text":
         _emit(_bound_text(data), args.out)
     else:
@@ -254,12 +257,21 @@ def _batch_worker(job: tuple[str, dict]) -> tuple[str, str, dict | str]:
 
 
 def _batch_results(jobs: list[tuple[str, dict]], workers: int):
-    """Worker results in job order, each as soon as it and those before are done."""
+    """Worker results in job order, each as soon as it and those before are done.
+
+    A worker process that dies breaks the pool: every job it leaves
+    unfinished becomes an ``error`` result, and finished ones are kept.
+    """
     if workers == 1:
         yield from map(_batch_worker, jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_batch_worker, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_batch_worker, job) for job in jobs]
+        for (path, _), future in zip(jobs, futures):
+            try:
+                yield future.result()
+            except BrokenProcessPool:
+                yield path, "error", "worker process died"
 
 
 def _cmd_bound_batch(args, options: dict) -> int:
@@ -273,9 +285,11 @@ def _cmd_bound_batch(args, options: dict) -> int:
         raise UsageError(f"cannot list {directory}: {exc}") from exc
     if not names:
         raise UsageError(f"no .json inputs in {directory}")
+    out_dir = args.out or directory
+    if not os.path.isdir(out_dir):
+        raise UsageError(f"cannot write reports to {out_dir}: not a directory")
     jobs = [(os.path.join(directory, name), options) for name in names]
     workers = max(1, min(args.workers, len(jobs)))
-    out_dir = args.out or directory
     summary = []
     for path, status, payload in _batch_results(jobs, workers):
         name = os.path.basename(path)

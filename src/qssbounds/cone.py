@@ -18,6 +18,10 @@ zero.  Generators emit three kinds of material:
 Terms never mention the empty set (its entropy is identically zero); the
 single ``emptyset`` equality keeps the variable pinned for solvers.
 Generation is deterministic: identical input yields an identical list.
+Rows leave their generators final, with sorted nonzero terms, and are
+unique by construction, so nothing deduplicates them: ssa and wm rows
+come from distinct pairs of subsets, and the scheme rows are equalities
+where the entropy rows are inequalities.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, Str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+NEG_ONE = Fraction(-1)
+TWO = Fraction(2)
 
 @dataclass(frozen=True)
 class GroundSet:
@@ -66,14 +72,18 @@ class GroundSet:
     def var_count(self) -> int:
         return 1 << self.total
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every subset's label, indexed by mask, built on first use."""
+        table = [""]
+        for name in [str(i + 1) for i in range(self.players)] + ["R"]:
+            table += [f"{t},{name}" if t else name for t in table]
+        table[0] = "∅"
+        return tuple(table)
+
     def label(self, mask: int) -> str:
         """Subset label: sorted players, reference last, ∅ when empty."""
-        if mask == 0:
-            return "∅"
-        parts = [str(i + 1) for i in range(self.players) if mask >> i & 1]
-        if mask & self.reference_mask:
-            parts.append("R")
-        return ",".join(parts)
+        return self.labels[mask]
 
 
 def sparse_form(*entries: tuple[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
@@ -89,28 +99,40 @@ def sparse_form(*entries: tuple[int, Fraction]) -> tuple[tuple[int, Fraction], .
     return tuple(sorted((v, c) for v, c in terms.items() if c))
 
 
-def empty_set_constraint() -> LinearConstraint:
-    return LinearConstraint("emptyset", ((0, ONE),), "=", ZERO)
+def _submasks(mask: int):
+    """Every submask of ``mask`` in decreasing order, ending with 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def _ssa_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
-    """Submodularity on the incomparable pair {x, y}."""
-    a, b = sorted((x & ~y, y & ~x))
+    """Submodularity on the incomparable pair {x, y}, where x < y.
+
+    Then x\\y < y\\x, the meet lies below x and the join above y, so the
+    id's operands and the terms are already in order.
+    """
+    labels = ground.labels
     c = x & y
-    ident = f"ssa:{ground.label(a)};{ground.label(b)}|{ground.label(c)}"
-    return LinearConstraint(
-        ident, sparse_form((x, ONE), (y, ONE), (x | y, -ONE), (c, -ONE)), ">=", ZERO
-    )
+    ident = f"ssa:{labels[x & ~y]};{labels[y & ~x]}|{labels[c]}"
+    terms = ((x, ONE), (y, ONE), (x | y, NEG_ONE))
+    return LinearConstraint(ident, ((c, NEG_ONE),) + terms if c else terms, ">=", ZERO)
 
 
 def _wm_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
-    """Weak monotonicity / triangle on the overlapping pair {x, y}."""
+    """Weak monotonicity / triangle on the overlapping pair {x, y}.
+
+    The differences are disjoint from each other and proper submasks of
+    x and y, so the nonzero masks are distinct and only need sorting.
+    """
+    labels = ground.labels
     a, b = sorted((x & ~y, y & ~x))
-    shared = x & y
-    ident = f"wm:{ground.label(a)};{ground.label(b)}|{ground.label(shared)}"
-    return LinearConstraint(
-        ident, sparse_form((x, ONE), (y, ONE), (a, -ONE), (b, -ONE)), ">=", ZERO
-    )
+    ident = f"wm:{labels[a]};{labels[b]}|{labels[x & y]}"
+    terms = sorted(((x, ONE), (y, ONE), (b, NEG_ONE)) + (((a, NEG_ONE),) if a else ()))
+    return LinearConstraint(ident, tuple(terms), ">=", ZERO)
 
 
 def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstraint]:
@@ -122,15 +144,16 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
     instance S(X)+S(Y) >= S(X\\Y)+S(Y\\X) on overlapping pairs (nested
     pairs give the triangle inequalities).  ``elemental`` emits S(X) >= 0,
     the conditional mutual informations I(i;j|K) >= 0, and a small
-    weak-monotonicity family; duplicates are emitted once.
+    weak-monotonicity family.  Rows are unique by construction: each
+    comes from a distinct subset or pair, and the elemental wm family
+    visits each unordered partition of the other elements once.
     """
     if mode not in ("full", "elemental"):
         raise StructureError(f"unknown inequality mode {mode!r}")
-    out = [empty_set_constraint()]
+    labels = ground.labels
+    out = [LinearConstraint("emptyset", ((0, ONE),), "=", ZERO)]
     for mask in range(1, ground.var_count):
-        out.append(
-            LinearConstraint(f"nonneg:{ground.label(mask)}", ((mask, ONE),), ">=", ZERO)
-        )
+        out.append(LinearConstraint(f"nonneg:{labels[mask]}", ((mask, ONE),), ">=", ZERO))
     if mode == "full":
         masks = range(1, ground.var_count)
         for x in masks:
@@ -148,43 +171,18 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
                 if ej <= ei:
                     continue
                 i_bit, j_bit = 1 << ei, 1 << ej
-                rest = ground.full_mask & ~(i_bit | j_bit)
-                # iterate all submasks of rest, including the empty one
-                sub = rest
-                while True:
+                for sub in _submasks(ground.full_mask & ~(i_bit | j_bit)):
                     out.append(_ssa_constraint(ground, i_bit | sub, j_bit | sub))
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & rest
-        # weak monotonicity S(iA)+S(iB) >= S(A)+S(B) for each partition
-        # (A,B) of the elements other than i; this family spans the same
-        # cone as the full one
-        seen_ids: set[str] = set()
+        # weak monotonicity S(iA)+S(iB) >= S(A)+S(B) once per unordered
+        # partition {A,B} of the elements other than i, as the pair with
+        # A > B; this family spans the same cone as the full one
         for ei in elements:
             e_bit = 1 << ei
             rest = ground.full_mask & ~e_bit
-            sub = rest
-            while True:
+            for sub in _submasks(rest):
                 other = rest & ~sub
-                cons = _wm_constraint(ground, e_bit | sub, e_bit | other)
-                if cons.id not in seen_ids:
-                    seen_ids.add(cons.id)
-                    out.append(cons)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-    return _dedupe(out)
-
-
-def _dedupe(constraints: list[LinearConstraint]) -> list[LinearConstraint]:
-    seen: set[tuple] = set()
-    out = []
-    for c in constraints:
-        key = (c.terms, c.rel, c.rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(c)
+                if sub > other:
+                    out.append(_wm_constraint(ground, e_bit | sub, e_bit | other))
     return out
 
 
@@ -198,17 +196,18 @@ def qss_constraints(structure: AccessStructure, ground: GroundSet) -> list[Linea
     if ground.players != structure.n:
         raise StructureError("ground set does not match the structure's players")
     r = ground.reference_mask
+    labels = ground.labels
     out = [LinearConstraint("normalize", ((r, ONE),), "=", ONE)]
+    # a player subset lies below r, and r below the subset joined with R
     for mask in range(1, ground.player_mask + 1):
         authorized = structure.mask_authorized(mask)
         family = "recover" if authorized else "secrecy"
-        rhs = Fraction(2) if authorized else ZERO
         out.append(
             LinearConstraint(
-                f"{family}:{ground.label(mask)}",
-                sparse_form((mask, ONE), (r, ONE), (mask | r, -ONE)),
+                f"{family}:{labels[mask]}",
+                ((mask, ONE), (r, ONE), (mask | r, NEG_ONE)),
                 "=",
-                rhs,
+                TWO if authorized else ZERO,
             )
         )
     return out
@@ -225,11 +224,11 @@ def mutual_information_expr(a: PlayerSet, b: PlayerSet) -> dict[int, Fraction]:
         raise StructureError("operands live on different ground sets")
     if a.bits & b.bits:
         raise StructureError("mutual information needs disjoint arguments")
-    return dict(sparse_form((a.bits, ONE), (b.bits, ONE), (a.bits | b.bits, -ONE)))
+    return dict(sparse_form((a.bits, ONE), (b.bits, ONE), (a.bits | b.bits, NEG_ONE)))
 
 
 class ConstraintSystem:
-    """Ordered, deduplicated constraint list for one structure and mode."""
+    """Ordered constraint list, unique ids, for one structure and mode."""
 
     def __init__(
         self,
@@ -285,4 +284,4 @@ def build_system(
     constraints.extend(qss_constraints(structure, ground))
     if pure:
         constraints.append(purity_constraint(ground))
-    return ConstraintSystem(structure, ground, _dedupe(constraints), pure=pure, ineq=ineq)
+    return ConstraintSystem(structure, ground, constraints, pure=pure, ineq=ineq)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -47,6 +48,16 @@ HOSTILE_CERTIFICATES = {
     "int-claimed-bound": {"claimed_bound": 1, "entries": []},
     "zero-denominator": {"claimed_bound": "1/0", "entries": []},
 }
+
+
+def _worker_dying_on_b(job):
+    """``cli._batch_worker`` whose process dies on ``b.json``."""
+    if os.path.basename(job[0]) == "b.json":
+        os._exit(1)
+    return _REAL_BATCH_WORKER(job)
+
+
+_REAL_BATCH_WORKER = cli._batch_worker
 
 
 class TestGen:
@@ -118,6 +129,17 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "malformed" in err
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_out_in_missing_directory_is_usage_error(self, capsys, tmp_path, valid):
+        sets = [[1, 2], [1, 3], [2, 3]] if valid else [[1, 2], [1]]
+        path = write_structure(tmp_path, "t.json", 3, sets)
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "check", "--in", path, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("shape", sorted(HOSTILE_STRUCTURES))
     def test_hostile_structure_reported_invalid(self, capsys, tmp_path, shape):
@@ -272,6 +294,33 @@ class TestBound:
         report = json.loads((batch / "b.report.json").read_text())
         assert report["purified"] is True
 
+    @pytest.mark.parametrize("flag", ["--out", "--certificate", "--dump-system"])
+    def test_output_in_missing_directory_is_usage_error(self, capsys, tmp_path, flag):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, "bound", "--in", path, flag, str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
+    def test_batch_out_in_missing_directory_fails_before_solving(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        solved = []
+        monkeypatch.setattr(cli, "share_bound", lambda *a, **k: solved.append(a))
+        missing = tmp_path / "missing"
+        code, out, err = run(
+            capsys, "bound", "--batch", str(batch), "--out", str(missing), "--workers", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write reports to {missing}")
+        assert solved == []
+        assert sorted(p.name for p in batch.iterdir()) == ["a.json"]
+
     def test_batch_collects_errors(self, capsys, tmp_path):
         batch = tmp_path / "batch"
         batch.mkdir()
@@ -347,6 +396,31 @@ class TestSolverFailures:
         assert "b.json: Traceback" in err
         assert json.loads((batch / "a.report.json").read_text())["lp_value"] == "1/1"
         assert not (batch / "b.report.json").exists()
+
+
+    def test_batch_worker_death_keeps_finished_reports(self, capsys, tmp_path, monkeypatch):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for name in ("a.json", "b.json", "c.json"):
+            write_structure(batch, name, 3, [[1, 2], [1, 3], [2, 3]])
+        monkeypatch.setattr(cli, "_batch_worker", _worker_dying_on_b)
+        code, out, err = run(capsys, "bound", "--batch", str(batch), "--workers", "2")
+        assert code == 1
+        assert "Traceback" not in err
+        summary = json.loads(out)["batch"]
+        assert [e["file"] for e in summary] == ["a.json", "b.json", "c.json"]
+        assert summary[1] == {
+            "file": "b.json", "status": "error", "error": "worker process died"
+        }
+        # a.json and c.json may or may not finish before the pool breaks;
+        # each ends as a written report or as a recorded error, never lost
+        for entry in summary:
+            report = batch / (entry["file"][: -len(".json")] + ".report.json")
+            if entry["status"] == "ok":
+                assert json.loads(report.read_text())["lp_value"] == "1/1"
+            else:
+                assert entry["error"] == "worker process died"
+                assert not report.exists()
 
 
 class TestLemmasCommand:

@@ -1,5 +1,8 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from qssbounds.structures import (
     CapacityError,
     PlayerSet,
     StructureError,
+    csirmaz,
     from_minimal_sets,
     purify,
 )
@@ -242,3 +246,58 @@ class TestSystem:
         assert lines[0] == "emptyset : 1*S(∅) = 0"
         assert any(line.startswith("nonneg:1,2,R : 1*S(1,2,R) >= 0") for line in lines)
         assert any(" >= " in line for line in lines)
+
+
+def row_digest(system):
+    """SHA-256 over every row's ``(id, terms, rel, rhs)``, in system order."""
+    h = hashlib.sha256()
+    for c in system.constraints:
+        terms = " ".join(f"{v}:{coef}" for v, coef in c.terms)
+        h.update(f"{c.id}\t{terms}\t{c.rel}\t{c.rhs}\n".encode())
+    return h.hexdigest()
+
+
+PINNED_STRUCTURES = {
+    "threshold23": THRESHOLD23,
+    "g4bar": GAMMA4_BAR,
+    "csirmaz5bar": purify(csirmaz(5)[0]),
+}
+PINNED_ROWS = json.loads(
+    (Path(__file__).parent / "data" / "pinned_rows.json").read_text(encoding="utf-8")
+)
+
+
+class TestPinnedRowDigest:
+    """Every row, id and row order of ``build_system`` stays as recorded.
+
+    Bland's rule picks pivots by row position, so certificates and the
+    pinned pivot counts depend on the exact row sequence, not only on
+    the row set.
+    """
+
+    @pytest.mark.parametrize("key", sorted(PINNED_ROWS))
+    def test_digest(self, key):
+        name, ineq, mode = key.split("/")
+        system = build_system(PINNED_STRUCTURES[name], pure=mode == "pure", ineq=ineq)
+        assert len(system) == PINNED_ROWS[key]["rows"]
+        assert row_digest(system) == PINNED_ROWS[key]["sha256"]
+
+
+class TestRowsUniqueByConstruction:
+    """The generators never emit a row twice, so nothing deduplicates them."""
+
+    @pytest.mark.parametrize("players", range(1, 7))
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_rows(self, players, ineq, pure):
+        structure = from_minimal_sets(players, [list(range(1, players + 1))])
+        system = build_system(structure, pure=pure, ineq=ineq)
+        ids = [c.id for c in system.constraints]
+        assert len(ids) == len(set(ids))
+        keys = [(c.terms, c.rel, c.rhs) for c in system.constraints]
+        assert len(keys) == len(set(keys))
+        for c in system.constraints:
+            masks = [v for v, _ in c.terms]
+            assert masks == sorted(set(masks)), c.id
+            assert all(masks) or c.id == "emptyset", c.id
+            assert all(coef for _, coef in c.terms), c.id
