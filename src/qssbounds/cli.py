@@ -73,6 +73,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path in a missing directory before any work is done."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+
+
 def _dump_json(data: dict, out: str | None) -> None:
     _emit(json.dumps(data, ensure_ascii=False, indent=2) + "\n", out)
 
@@ -229,6 +240,8 @@ def cmd_bound(args) -> int:
         return _cmd_bound_batch(args, options)
     if not args.infile:
         raise UsageError("bound needs --in FILE (or --batch DIR)")
+    for path in (args.out, args.certificate, args.dump_system):
+        _check_writable(path)
     data = _bound_one(args.infile, options)
     if args.certificate:
         _dump_json(data["certificate"], args.certificate)

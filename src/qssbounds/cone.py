@@ -13,7 +13,11 @@ zero.  Generators emit three kinds of material:
   A, secrecy I(A:R) = 0 for unauthorized A, and the normalization
   S(R) = 1 that fixes the unit to the secret's entropy;
 * optionally, global purity S(players + R) = 0, which together with the
-  triangle instances forces S(X) = S(complement) for every X.
+  triangle instances forces S(X) = S(complement) for every X
+  (Araki-Lieb).  Pure systems are therefore solved on their
+  :class:`Quotient`, with one variable per complementary pair, and
+  :func:`complement_chain` names the rows that carry a quotient
+  certificate back onto the system's own rows.
 
 Terms never mention the empty set (its entropy is identically zero); the
 single ``emptyset`` equality keeps the variable pinned for solvers.
@@ -252,14 +256,13 @@ class ConstraintSystem:
         return len(self.constraints)
 
     @cached_property
-    def presolved(self) -> Presolved:
-        """The rows' presolve, built on first use.
+    def quotient(self) -> Quotient:
+        """The rows every LP on this system is solved on, built on first use.
 
-        Every objective solved on ``self.constraints`` can share it as
-        ``LPProblem.presolved``.  It lives as long as the system, so a
-        cache that drops the system drops its presolve too.
+        It lives as long as the system, so a cache that drops the system
+        drops the quotient and its presolve too.
         """
-        return Presolved(self.constraints)
+        return Quotient(self)
 
     def dump(self) -> str:
         """Line-oriented debug text, one constraint per line."""
@@ -270,6 +273,84 @@ class ConstraintSystem:
             )
             lines.append(f"{c.id} : {terms} {c.rel} {c.rhs}")
         return "\n".join(lines)
+
+
+class Quotient:
+    """A system's rows with one variable per complementary pair.
+
+    In pure mode every feasible point has S(X) = S(F\\X), where F is the
+    whole ground set, so every term S(X) with R in X is written as
+    S(F\\X); S(F) becomes S(∅) and drops out with the other zero terms.
+    Rows that become ``0 = 0`` or ``0 >= c`` with ``c <= 0`` are dropped,
+    and a row repeated after mapping is kept once, under the first id
+    that produced it.  The variables left are the masks below R.  In
+    mixed mode the map is the identity and the rows are the system's
+    own.  A lifted quotient point satisfies every row of the system,
+    because each row there has the value of its mapped row here.
+    """
+
+    def __init__(self, system: ConstraintSystem) -> None:
+        self.ground = system.ground
+        self.pure = system.pure
+        if not self.pure:
+            self.rows = system.constraints
+            self.var_count = self.ground.var_count
+            return
+        self.var_count = self.ground.reference_mask
+        rows = []
+        seen: set[tuple] = set()
+        for row in system.constraints:
+            mapped = self.map_row(row)
+            if not mapped.terms and (mapped.rhs == 0 if mapped.rel == "=" else mapped.rhs <= 0):
+                continue
+            key = (mapped.terms, mapped.rel, mapped.rhs)
+            if key not in seen:
+                seen.add(key)
+                rows.append(mapped)
+        self.rows = tuple(rows)
+
+    @cached_property
+    def presolved(self) -> Presolved:
+        """The rows' presolve, shared by every objective solved on ``rows``."""
+        return Presolved(self.rows)
+
+    def map_terms(self, terms) -> tuple[tuple[int, Fraction], ...]:
+        """Sparse form of ``terms`` on the quotient's variables."""
+        if not self.pure:
+            return tuple(terms)
+        r, full = self.ground.reference_mask, self.ground.full_mask
+        return sparse_form(*((full & ~v if v & r else v, c) for v, c in terms))
+
+    def map_row(self, row: LinearConstraint) -> LinearConstraint:
+        terms = self.map_terms(row.terms)
+        if terms == row.terms:
+            return row
+        return LinearConstraint(row.id, terms, row.rel, row.rhs)
+
+    def lift(self, primal) -> dict[int, Fraction]:
+        """The system's point for a quotient primal: S(X) = S(F\\X) when R is in X."""
+        r = self.ground.reference_mask if self.pure else 0
+        full = self.ground.full_mask
+        return {v: primal[full & ~v if v & r else v] for v in range(self.ground.var_count)}
+
+
+def complement_chain(ground: GroundSet, y: int) -> list[LinearConstraint]:
+    """Elemental wm rows that add up to S(Y) - S(F\\Y) + S(F) >= 0.
+
+    ``y`` is a proper nonempty subset Y of the ground set F.  Each step
+    drops the lowest element i of the current set Z, starting from
+    Z = Y, with the row S(Z) + S(i ∪ F\\Z) >= S(Z\\i) + S(F\\Z); the
+    sum telescopes, and the last step, Z = {i}, is the triangle
+    ``wm:∅;F\\i|i``.  Every right-hand side is 0.
+    """
+    full = ground.full_mask
+    chain = []
+    z = y
+    while z:
+        i = z & -z
+        chain.append(_wm_constraint(ground, z, i | (full & ~z)))
+        z &= ~i
+    return chain
 
 
 def build_system(

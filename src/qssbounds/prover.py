@@ -10,12 +10,18 @@ entropies is a consequence of a system by minimizing its slack; the
 lemma and chain suites drive it over the scheme relations that every
 perfect realization must satisfy.
 
-Every LP here is solved on the elemental rows.  They generate the same
-cone as the full rows and are a subset of them, id for id, so a
-certificate found on them is also a certificate for the full system, and
-a point satisfying them satisfies every full row.  The ``ineq`` choice
-only names the row set that certificates are replayed on and witnesses
-are checked against, and both checks run before any result is returned.
+Every LP here is solved on the :class:`cone.Quotient` of the elemental
+rows.  The elemental rows generate the same cone as the full rows and
+are a subset of them, id for id, so a certificate on them is also a
+certificate for the full system, and a point satisfying them satisfies
+every full row.  In pure mode the quotient has one variable per
+complementary pair; its multipliers name original rows, and `_expand`
+turns them into a certificate on those rows with chains of elemental
+wm rows, so no new row is needed.  Quotient points lift back to points
+of the system.  In mixed mode the quotient is the system itself.  The
+``ineq`` choice only names the row set that certificates are replayed
+on and witnesses are checked against, and both checks run before any
+result is returned.
 """
 
 from __future__ import annotations
@@ -27,7 +33,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cone import ConstraintSystem, GroundSet, LinearConstraint, build_system, sparse_form
+from .cone import (
+    ConstraintSystem,
+    GroundSet,
+    LinearConstraint,
+    Quotient,
+    build_system,
+    complement_chain,
+    sparse_form,
+)
 from .simplex import (
     Certificate,
     LPProblem,
@@ -249,10 +263,12 @@ def share_bound(
 
     Builds the constraint system for the structure (purifying first when
     ``auto_purify`` is set and the structure is not self-dual), attaches
-    the requested objective and solves it on the elemental rows.  The
-    report carries the exact optimum, its reciprocal as an upper bound on
-    the information rate, and a certificate that has been replayed on the
-    ``ineq`` rows before returning.
+    the requested objective and solves it on the quotient of the
+    elemental rows.  The report carries the exact optimum, its
+    reciprocal as an upper bound on the information rate, and a
+    certificate on the original rows that has been replayed on the
+    ``ineq`` rows before returning.  ``rows`` and ``cols`` give the size
+    of the quotient LP.
     """
     if mode not in ("pure", "mixed"):
         raise StructureError(f"unknown mode {mode!r}")
@@ -273,14 +289,21 @@ def share_bound(
         obj = objective
 
     extra, form, num_vars = objective_rows(elemental, obj)
-    problem = LPProblem(num_vars, form, elemental.constraints + extra)
+    quotient = elemental.quotient
+    problem = LPProblem(
+        num_vars,
+        quotient.map_terms(form),
+        quotient.rows + tuple(quotient.map_row(row) for row in extra),
+    )
     solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError(
             f"bound solve ended {solution.status}; the scheme constraints "
             "should always admit a bounded optimum"
         )
-    cert = extract_certificate(problem, solution, description=obj.describe())
+    found = extract_certificate(problem, solution, description=obj.describe())
+    entries = _expand(elemental, extra, found.entries, form)
+    cert = Certificate(found.claimed_bound, entries, form, found.description)
     if not verify_certificate(replay, cert, objective=obj):
         raise ProverError("emitted certificate failed independent replay")
 
@@ -297,9 +320,51 @@ def share_bound(
         rate_upper_bound=1 / solution.value,
         certificate=cert,
         rows=len(problem.rows),
-        cols=num_vars,
+        # the quotient's variables plus the objective's own (t for minmax)
+        cols=quotient.var_count + num_vars - elemental.ground.var_count,
         pivots=solution.pivots,
         millis=int((time.perf_counter() - started) * 1000),
+    )
+
+
+def _expand(
+    system: ConstraintSystem,
+    extra: tuple[LinearConstraint, ...],
+    entries: Iterable[tuple[str, Fraction]],
+    objective: Iterable[tuple[int, Fraction]],
+) -> tuple[tuple[str, Fraction], ...]:
+    """Certificate entries on the original rows from quotient multipliers.
+
+    The multipliers name rows of ``system`` and ``extra``.  Weighted by
+    them, those rows minus the objective leave c * (S(X) - S(F\\X)) on
+    complementary pairs, where F is the ground set, plus a term on S(F),
+    since the quotient sees neither.  Each pair is cancelled by |c| times
+    the :func:`cone.complement_chain` of X when c < 0, or of F\\X when
+    c > 0, which adds |c| * S(F) and nothing to the right-hand side;
+    ``purity`` absorbs the S(F) total and ``emptyset`` a term on S(∅).
+    Entries come out in row order.  In mixed mode nothing is left over,
+    so the entries are the quotient's own.
+    """
+    ground = system.ground
+    full, r = ground.full_mask, ground.reference_mask
+    by_id = {row.id: row for row in extra}
+    left: dict[int, Fraction] = {v: -c for v, c in objective}
+    mult = dict(entries)
+    for rid, u in mult.items():
+        for v, c in (system.by_id.get(rid) or by_id[rid]).terms:
+            left[v] = left.get(v, ZERO) + u * c
+    absorb = {"purity": left.get(full, ZERO), "emptyset": left.get(0, ZERO)}
+    for v, c in left.items():
+        if c and v & r and v != full:
+            for row in complement_chain(ground, v if c < 0 else full & ~v):
+                mult[row.id] = mult.get(row.id, ZERO) + abs(c)
+            absorb["purity"] += abs(c)
+    for rid, c in absorb.items():
+        if c:
+            mult[rid] = mult.get(rid, ZERO) - c
+    return tuple(
+        (row.id, mult[row.id]) for rows in (system.constraints, extra) for row in rows
+        if mult.get(row.id)
     )
 
 
@@ -411,39 +476,36 @@ def _prove_direction(
     """Try to certify form . S >= bound; return (cert, witness, pivots)."""
     objective = tuple(sorted(form.items()))
     elemental = cached_system(system.structure, system.pure, "elemental")
-    problem = LPProblem(
-        elemental.ground.var_count, objective, elemental.constraints, elemental.presolved
-    )
+    quotient = elemental.quotient
+    mapped = quotient.map_terms(objective)
+    problem = LPProblem(elemental.ground.var_count, mapped, quotient.rows, quotient.presolved)
     solution = solve(problem)
     if solution.status == "optimal" and solution.value >= bound:
-        cert = Certificate(bound, extract_certificate(problem, solution).entries, objective)
+        entries = extract_certificate(problem, solution).entries
+        cert = Certificate(bound, _expand(elemental, (), entries, objective), objective)
         if not verify_certificate(system, cert, objective=objective):
             raise ProverError("optimal certificate failed replay")
         return cert, None, solution.pivots
     if solution.status == "optimal":
-        witness = _as_point(elemental, solution.primal)
+        witness = quotient.lift(solution.primal)
     elif solution.status == "unbounded":
-        witness = _witness_below(elemental, objective, bound)
+        witness = _witness_below(quotient, mapped, bound)
     else:
         raise ProverError("implication system is infeasible; cannot check targets")
     _validate_witness(system, witness)
     return None, witness, solution.pivots
 
 
-def _witness_below(system, objective, bound):
+def _witness_below(quotient: Quotient, objective, bound):
     """Feasible point with objective value strictly below the bound."""
     cutoff = LinearConstraint(
         "cutoff", tuple((v, -c) for v, c in objective), ">=", -(bound - 1)
     )
-    problem = LPProblem(system.ground.var_count, (), system.constraints + (cutoff,))
+    problem = LPProblem(quotient.ground.var_count, (), quotient.rows + (cutoff,))
     solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError("failed to materialize a refutation witness")
-    return _as_point(system, solution.primal)
-
-
-def _as_point(system, primal) -> dict[int, Fraction]:
-    return {v: primal[v] for v in range(system.ground.var_count)}
+    return quotient.lift(solution.primal)
 
 
 def _validate_witness(system: ConstraintSystem, point: dict[int, Fraction]) -> None:

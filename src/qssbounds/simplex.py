@@ -13,10 +13,12 @@ substitution.  The presolve depends only on the rows, so it is a
 :class:`Presolved` state built once per row tuple: the eliminations, the
 reduced and deduplicated inequality rows with the weights that lift
 their multipliers back, and those rows as integer-scaled dual columns
-and costs.  A problem may carry the state of its rows (a constraint
-system keeps one and hands it to every objective solved on it);
-otherwise :func:`solve` builds it.  Only the objective is reduced per
-solve.
+and costs.  A problem may carry the state of its rows (the rows a
+constraint system is solved on, its complement quotient in pure mode,
+keep one and hand it to every objective solved on them); otherwise
+:func:`solve` builds it.  Only the objective is reduced per solve.
+The solver sees only the rows it is given: mapping a system onto its
+quotient and carrying certificates back is the caller's business.
 
 Every status comes out of the same tableau on the same state.  An
 unbounded dual means an infeasible primal.  An infeasible dual leaves

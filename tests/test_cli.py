@@ -303,6 +303,32 @@ class TestBound:
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--certificate", "--dump-system"])
+    def test_output_in_missing_directory_fails_before_solving(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        solved = []
+        monkeypatch.setattr(cli, "share_bound", lambda *a, **k: solved.append(a))
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "bound", "--in", path, flag, str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert solved == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+    def test_output_path_that_is_a_directory_fails_before_solving(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        solved = []
+        monkeypatch.setattr(cli, "share_bound", lambda *a, **k: solved.append(a))
+        code, _, err = run(capsys, "bound", "--in", path, "--out", str(tmp_path))
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path}: it is a directory\n"
+        assert solved == []
+
     def test_batch_out_in_missing_directory_fails_before_solving(
         self, capsys, tmp_path, monkeypatch
     ):

@@ -134,7 +134,8 @@ class TestShareBound:
             "objective", "lp_value", "rate_upper_bound", "certificate", "stats",
         ]
         assert data["lp_value"] == "1/1"
-        assert data["stats"]["rows"] > 0 and data["stats"]["cols"] == 17
+        # the quotient LP: one variable per complementary pair, plus t
+        assert data["stats"]["rows"] > 0 and data["stats"]["cols"] == 9
         assert all(
             isinstance(e["mult"], str) and "/" in e["mult"]
             for e in data["certificate"]["entries"]
@@ -181,8 +182,9 @@ class TestPinnedPivotSequence:
         "name", sorted({c["name"].rsplit("_", 1)[0] for c in PINNED["bounds"]})
     )
     def test_share_bound_on_full_rows_solves_the_elemental_lp(self, name):
-        cases = {c["ineq"]: c for c in PINNED["bounds"] if c["name"].startswith(name + "_")}
-        any_case = next(iter(cases.values()))
+        # share_bound solves the quotient of the elemental rows whatever
+        # ineq is; its pins are recorded in the "share_bound" section
+        any_case = next(c for c in PINNED["bounds"] if c["name"].startswith(name + "_"))
         structure = pinned_structure(any_case)
         report = share_bound(structure, ineq="full")
         elemental = share_bound(structure, ineq="elemental")
@@ -190,11 +192,12 @@ class TestPinnedPivotSequence:
         assert (report.pivots, entry_strings(report.certificate)) == (
             elemental.pivots, entry_strings(elemental.certificate)
         )
-        if "elemental" in cases:
-            assert report.pivots == cases["elemental"]["pivots"]
-            assert entry_strings(report.certificate) == cases["elemental"]["entries"]
-        full = cached_system(structure, True, "full")
-        assert verify_certificate(full, report.certificate, objective=report.objective)
+        pinned = PINNED["share_bound"][name]
+        assert report.pivots == pinned["pivots"]
+        assert entry_strings(report.certificate) == pinned["entries"]
+        for ineq in ("full", "elemental"):
+            system = cached_system(structure, True, ineq)
+            assert verify_certificate(system, report.certificate, objective=report.objective)
 
     @pytest.mark.parametrize("ineq", ["full", "elemental"])
     def test_lemma_suite_threshold(self, ineq):
@@ -203,16 +206,16 @@ class TestPinnedPivotSequence:
         assert got == PINNED["lemmas_threshold23"][ineq]
 
     def test_lemma_suite_g4bar_elemental_total(self):
-        # 136 targets, 22977 pivots in total: the same on the Fraction
-        # kernel, on the integer kernel and with the presolve shared
+        # 136 targets, 9610 pivots in total on the complement quotient
+        # (22977 on the plain elemental rows)
         report = lemma_suite(GAMMA4_BAR, ineq="elemental")
         assert len(report.outcomes) == 136
         assert report.all_implied
-        assert sum(o.pivots for o in report.outcomes) == 22977
+        assert sum(o.pivots for o in report.outcomes) == 9610
 
 
 class TestSharedPresolve:
-    """Solves with a system's shared presolve equal fresh solves."""
+    """Solves with a quotient's shared presolve equal fresh solves."""
 
     @staticmethod
     def both_ways(num_vars, objective, rows, state):
@@ -229,12 +232,13 @@ class TestSharedPresolve:
     def test_every_lemma_target_both_directions(self, structure, elements):
         assert structure.n + 1 == elements
         system = cached_system(structure, True, "elemental")
+        quotient = system.quotient
         statuses = set()
         for inst in scheme_relation_instances(structure, system.ground):
             for sign in (1, -1):
-                objective = tuple((v, sign * c) for v, c in inst.terms)
+                objective = quotient.map_terms((v, sign * c) for v, c in inst.terms)
                 solution = self.both_ways(
-                    system.ground.var_count, objective, system.constraints, system.presolved
+                    system.ground.var_count, objective, quotient.rows, quotient.presolved
                 )
                 statuses.add(solution.status)
         # a reversed ">=" target is unbounded, which also runs the
@@ -242,12 +246,10 @@ class TestSharedPresolve:
         assert statuses == {"optimal", "unbounded"}
 
     def test_objective_on_a_variable_no_row_contains(self):
-        system = cached_system(THRESHOLD23, True, "elemental")
-        free = system.ground.var_count  # a variable outside every row
+        quotient = cached_system(THRESHOLD23, True, "elemental").quotient
+        free = quotient.ground.var_count  # a variable outside every row
         for objective in (((free, ONE),), ((1, ONE), (free, -ONE)), ((1, ONE), (free, ZERO))):
-            solution = self.both_ways(
-                free + 1, objective, system.constraints, system.presolved
-            )
+            solution = self.both_ways(free + 1, objective, quotient.rows, quotient.presolved)
             assert solution.status == ("optimal" if objective[-1][1] == 0 else "unbounded")
 
     def test_contradictory_equalities(self):
@@ -263,10 +265,12 @@ class TestSharedPresolve:
 
     def test_shared_state_lives_with_the_system(self):
         system = cached_system(THRESHOLD23, True, "elemental")
-        assert system.presolved is system.presolved
-        assert system.presolved.rows is system.constraints
+        assert system.quotient is system.quotient
+        assert system.quotient.presolved is system.quotient.presolved
+        assert system.quotient.presolved.rows is system.quotient.rows
         cached_system.cache_clear()
-        assert cached_system(THRESHOLD23, True, "elemental").presolved is not system.presolved
+        fresh = cached_system(THRESHOLD23, True, "elemental")
+        assert fresh.quotient.presolved is not system.quotient.presolved
 
 
 class TestVerifyCertificate:

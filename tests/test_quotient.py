@@ -1,0 +1,235 @@
+"""The pure-mode complement quotient against the plain LP it replaces.
+
+Pure rows force S(X) = S(F\\X), so every LP is solved with one variable
+per complementary pair and its certificates are expanded back onto the
+elemental rows.  The plain LPs here are built in the tests themselves.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qssbounds.cone import complement_chain, sparse_form
+from qssbounds.prover import (
+    Objective,
+    cached_system,
+    check_implied,
+    objective_rows,
+    scheme_relation_instances,
+    share_bound,
+    verify_certificate,
+)
+from qssbounds.simplex import Certificate, LPProblem, Presolved, extract_certificate, solve
+from qssbounds.structures import csirmaz, from_minimal_sets, is_self_dual, purify
+
+from helpers import random_quantum_structure
+
+THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
+GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
+GAMMA4_BAR = purify(GAMMA4)
+STAR3_BAR = purify(from_minimal_sets(3, [[1, 2], [1, 3]]))
+ONE = Fraction(1)
+
+
+def seeded_structure(rng, elements):
+    """A self-dual quantum structure on ``elements`` ground elements.
+
+    Every player lies in some minimal set, so none is a dummy.
+    """
+    known = (THRESHOLD23, GAMMA4_BAR, STAR3_BAR)
+    while True:
+        s = random_quantum_structure(rng, rng.randint(elements - 2, elements - 1))
+        if not is_self_dual(s):
+            s = purify(s)
+        used = {p for m in s.minimal_sets for p in m.players()}
+        if s.n + 1 == elements and len(used) == s.n and s not in known:
+            return s
+
+
+RNG = random.Random(2)
+SEEDED = [seeded_structure(RNG, elements) for elements in (5, 6, 7)]
+STRUCTURES = [THRESHOLD23, GAMMA4_BAR, STAR3_BAR] + SEEDED
+IDS = ["threshold23", "g4bar", "star3bar", "seeded-5el", "seeded-6el", "seeded-7el"]
+# Plain solves at 7 elements take about 0.1 s each and a 7-element
+# structure has hundreds of targets, so there a seeded sample is checked.
+SAMPLED_TARGETS_AT_7 = 10
+
+
+def replay_systems(structure, max_full=6):
+    """Elemental rows, and full rows up to ``max_full`` elements."""
+    ineqs = ("elemental", "full") if structure.n + 1 <= max_full else ("elemental",)
+    return [cached_system(structure, True, ineq) for ineq in ineqs]
+
+
+@pytest.mark.parametrize("structure", [THRESHOLD23, GAMMA4_BAR], ids=IDS[:2])
+def test_quotient_keeps_each_mapped_row_once_under_its_first_id(structure):
+    system = cached_system(structure, True, "elemental")
+    quotient = system.quotient
+    first = {}
+    for row in system.constraints:
+        mapped = quotient.map_row(row)
+        if mapped.terms:
+            first.setdefault((mapped.terms, mapped.rel, mapped.rhs), row.id)
+        else:  # e.g. purity, and the triangles S(i)+S(F) >= S(F\i)
+            assert mapped.rhs == 0, row.id
+    assert [row.id for row in quotient.rows] == list(first.values())
+    assert [(row.terms, row.rel, row.rhs) for row in quotient.rows] == list(first)
+    assert all(0 < v < quotient.var_count for row in quotient.rows for v, _ in row.terms)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)
+def test_every_lemma_target_matches_the_plain_lp(structure):
+    elemental = cached_system(structure, True, "elemental")
+    quotient = elemental.quotient
+    plain_state = Presolved(elemental.constraints)
+    systems = replay_systems(structure)
+    # a witness that satisfies the elemental rows satisfies the full ones;
+    # checking them too costs seconds from 6 elements on
+    witness_systems = replay_systems(structure, max_full=5)
+    num_vars = elemental.ground.var_count
+    statuses = set()
+    targets = scheme_relation_instances(structure, elemental.ground)
+    if structure.n + 1 == 7:
+        targets = random.Random(7).sample(targets, SAMPLED_TARGETS_AT_7)
+    for inst in targets:
+        form = dict(inst.terms)
+        negated = {v: -c for v, c in form.items()}
+        for terms, bound in ((form, inst.rhs), (negated, -inst.rhs)):
+            objective = tuple(sorted(terms.items()))
+            plain = solve(LPProblem(num_vars, objective, elemental.constraints, plain_state))
+            mapped = quotient.map_terms(objective)
+            reduced = solve(LPProblem(num_vars, mapped, quotient.rows, quotient.presolved))
+            assert (reduced.status, reduced.value) == (plain.status, plain.value), inst.id
+            statuses.add(plain.status)
+            result = check_implied(elemental, terms, ">=", bound)
+            assert result.implied == (plain.status == "optimal" and plain.value >= bound)
+            for cert in result.certificates:
+                for system in systems:
+                    assert verify_certificate(system, cert, objective=objective), inst.id
+            if result.witness is not None:
+                for system in witness_systems:
+                    assert all(c.satisfied_by(result.witness) for c in system.constraints)
+    assert "optimal" in statuses
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)
+def test_minmax_bound_matches_the_plain_lp(structure):
+    elemental = cached_system(structure, True, "elemental")
+    objective = Objective("minmax", tuple(range(1, structure.n + 1)))
+    extra, form, num_vars = objective_rows(elemental, objective)
+    plain = solve(LPProblem(num_vars, form, elemental.constraints + extra))
+    report = share_bound(structure, ineq="elemental")
+    assert plain.status == "optimal"
+    assert report.lp_value == plain.value
+    for system in replay_systems(structure):
+        assert verify_certificate(system, report.certificate, objective=objective)
+
+
+class TestExpansion:
+    """Quotient multipliers carried back onto elemental rows."""
+
+    @pytest.mark.parametrize("structure", [THRESHOLD23, GAMMA4_BAR, STAR3_BAR], ids=IDS[:3])
+    def test_certificate_ids_are_elemental_rows(self, structure):
+        elemental = cached_system(structure, True, "elemental")
+        report = share_bound(structure, ineq="full")
+        links = {f"objlink:{i}" for i in range(1, structure.n + 1)}
+        assert {rid for rid, _ in report.certificate.entries} <= set(elemental.by_id) | links
+        for inst in scheme_relation_instances(structure, elemental.ground):
+            for cert in check_implied(elemental, dict(inst.terms), inst.rel, inst.rhs).certificates:
+                assert {rid for rid, _ in cert.entries} <= set(elemental.by_id)
+
+    def test_chain_sums_to_the_complement_relation(self):
+        elemental = cached_system(STAR3_BAR, True, "elemental")
+        ground = elemental.ground
+        full = ground.full_mask
+        for y in range(1, full):
+            chain = complement_chain(ground, y)
+            assert len(chain) == y.bit_count()
+            total = {}
+            for row in chain:
+                assert elemental.by_id[row.id] == row
+                assert (row.rel, row.rhs) == (">=", 0)
+                for v, c in row.terms:
+                    total[v] = total.get(v, 0) + c
+            assert {v: c for v, c in total.items() if c} == dict(
+                sparse_form((y, ONE), (full & ~y, -ONE), (full, ONE))
+            )
+
+    @staticmethod
+    def expanded_g4bar():
+        """The g4bar bound certificate and the rows its expansion added."""
+        elemental = cached_system(GAMMA4_BAR, True, "elemental")
+        quotient = elemental.quotient
+        objective = Objective("minmax", (1, 2, 3, 4, 5))
+        extra, form, num_vars = objective_rows(elemental, objective)
+        problem = LPProblem(num_vars, form, quotient.rows + extra)
+        found = dict(extract_certificate(problem, solve(problem)).entries)
+        report = share_bound(GAMMA4_BAR, ineq="elemental")
+        added = [
+            rid for rid, mult in report.certificate.entries
+            if rid != "purity" and found.get(rid) != mult
+        ]
+        return elemental, report, added
+
+    def test_dropping_any_chain_row_is_rejected(self):
+        elemental, report, added = self.expanded_g4bar()
+        assert added and all(rid.startswith("wm:") for rid in added)
+        assert verify_certificate(elemental, report.certificate, objective=report.objective)
+        for rid in added:
+            entries = tuple(e for e in report.certificate.entries if e[0] != rid)
+            cert = Certificate(report.lp_value, entries, report.certificate.objective)
+            assert not verify_certificate(elemental, cert, objective=report.objective), rid
+
+    @pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)])
+    def test_changed_purity_multiplier_is_rejected(self, delta):
+        elemental, report, _ = self.expanded_g4bar()
+        entries = tuple(
+            (rid, mult + delta if rid == "purity" else mult)
+            for rid, mult in report.certificate.entries
+        )
+        assert "purity" in dict(report.certificate.entries)
+        cert = Certificate(report.lp_value, entries, report.certificate.objective)
+        assert not verify_certificate(elemental, cert, objective=report.objective)
+
+    def test_target_term_on_the_empty_set_goes_to_emptyset(self):
+        # S(∅) drops out of the quotient; its term is carried by `emptyset`
+        system = cached_system(THRESHOLD23, True, "full")
+        result = check_implied(system, {0b0001: ONE, 0: Fraction(5)}, ">=", ONE)
+        assert result.implied
+        assert dict(result.certificates[0].entries)["emptyset"] == 5
+
+    @pytest.mark.parametrize(
+        "structure", [GAMMA4, THRESHOLD23, STAR3_BAR], ids=["g4", "threshold23", "star3"]
+    )
+    def test_mixed_mode_quotient_is_the_identity(self, structure):
+        system = cached_system(structure, False, "elemental")
+        assert system.quotient.rows is system.constraints
+        objective = Objective("minmax", tuple(range(1, structure.n + 1)))
+        extra, form, num_vars = objective_rows(system, objective)
+        problem = LPProblem(num_vars, form, system.constraints + extra)
+        plain = solve(problem)
+        report = share_bound(structure, mode="mixed", ineq="elemental")
+        assert (report.lp_value, report.pivots) == (plain.value, plain.pivots)
+        assert report.certificate.entries == extract_certificate(problem, plain).entries
+        assert (report.rows, report.cols) == (len(problem.rows), num_vars)
+
+
+class TestCsirmazLadder:
+    """Exact, replayed bounds on the purified staircase structures."""
+
+    @pytest.mark.parametrize(
+        "n,value,rows,cols",
+        [(5, Fraction(7, 4), 469, 65), (6, Fraction(9, 5), 1158, 129),
+         (7, Fraction(11, 6), 2823, 257)],
+    )
+    def test_bound(self, n, value, rows, cols):
+        structure, _ = csirmaz(n)
+        report = share_bound(structure, auto_purify=True, ineq="elemental")
+        assert report.structure.n + 1 == n + 2
+        assert report.lp_value == value
+        # the quotient LP: half the variables, rows deduplicated after mapping
+        assert (report.rows, report.cols) == (rows, cols)
+        assert report.lp_value >= report.theorem3_bound == Fraction(7, 5)
+        elemental = cached_system(report.structure, True, "elemental")
+        assert verify_certificate(elemental, report.certificate, objective=report.objective)
