@@ -237,6 +237,11 @@ def _bound_text(data: dict) -> str:
 def cmd_bound(args) -> int:
     options = _bound_options(args)
     if args.batch:
+        single = {"--in": args.infile, "--certificate": args.certificate,
+                  "--dump-system": args.dump_system}
+        given = [flag for flag, value in single.items() if value]
+        if given:
+            raise UsageError(f"bound --batch does not take {', '.join(given)}")
         return _cmd_bound_batch(args, options)
     if not args.infile:
         raise UsageError("bound needs --in FILE (or --batch DIR)")

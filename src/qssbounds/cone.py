@@ -26,6 +26,11 @@ Rows leave their generators final, with sorted nonzero terms, and are
 unique by construction, so nothing deduplicates them: ssa and wm rows
 come from distinct pairs of subsets, and the scheme rows are equalities
 where the entropy rows are inequalities.
+
+Rows are :class:`simplex.LinearConstraint` named tuples of plain ints:
+every coefficient is -1 or 1 and every right-hand side 0, 1 or 2.  The
+quotient's merged terms stay ints, so no row arithmetic needs
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ from fractions import Fraction
 from .simplex import LinearConstraint, Presolved
 from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, StructureError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-NEG_ONE = Fraction(-1)
-TWO = Fraction(2)
+ZERO = 0
+ONE = 1
+NEG_ONE = -1
+TWO = 2
 
 @dataclass(frozen=True)
 class GroundSet:
@@ -90,13 +95,13 @@ class GroundSet:
         return self.labels[mask]
 
 
-def sparse_form(*entries: tuple[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
+def sparse_form(*entries: tuple[int, int | Fraction]) -> tuple[tuple[int, int | Fraction], ...]:
     """Sorted sparse form of a sum of ``(mask, coefficient)`` terms.
 
     Coefficients on the same mask add up; the empty set (mask 0, whose
     entropy is identically zero) and terms that cancel are dropped.
     """
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, int | Fraction] = {}
     for mask, coef in entries:
         if mask:
             terms[mask] = terms[mask] + coef if mask in terms else coef
@@ -130,13 +135,19 @@ def _wm_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
     """Weak monotonicity / triangle on the overlapping pair {x, y}.
 
     The differences are disjoint from each other and proper submasks of
-    x and y, so the nonzero masks are distinct and only need sorting.
+    x and y, so the nonzero masks are distinct.  With a < b the
+    differences and lo < hi the pair, a lies below lo and b below hi,
+    so one comparison of b with lo puts the terms in order.
     """
     labels = ground.labels
-    a, b = sorted((x & ~y, y & ~x))
+    a, b = x & ~y, y & ~x
+    if a > b:
+        a, b = b, a
+    lo, hi = (x, y) if x < y else (y, x)
     ident = f"wm:{labels[a]};{labels[b]}|{labels[x & y]}"
-    terms = sorted(((x, ONE), (y, ONE), (b, NEG_ONE)) + (((a, NEG_ONE),) if a else ()))
-    return LinearConstraint(ident, tuple(terms), ">=", ZERO)
+    middle = ((b, NEG_ONE), (lo, ONE)) if b < lo else ((lo, ONE), (b, NEG_ONE))
+    terms = ((a, NEG_ONE),) + middle + ((hi, ONE),) if a else middle + ((hi, ONE),)
+    return LinearConstraint(ident, terms, ">=", ZERO)
 
 
 def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstraint]:

@@ -48,6 +48,7 @@ from .simplex import (
     rat_str,
     extract_certificate,
     solve,
+    weighted_sum,
 )
 from .structures import (
     AccessStructure,
@@ -61,8 +62,9 @@ from .structures import (
     theorem3_reference_bound,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+TWO = 2
 
 #: Ground-set sizes above this need force=True; exact pivoting on larger
 #: instances can take far longer than the defaults should.
@@ -199,7 +201,7 @@ def cached_system(structure: AccessStructure, pure: bool, ineq: str) -> Constrai
 
 def objective_rows(
     system: ConstraintSystem, objective: Objective
-) -> tuple[tuple[LinearConstraint, ...], tuple[tuple[int, Fraction], ...], int]:
+) -> tuple[tuple[LinearConstraint, ...], tuple[tuple[int, int], ...], int]:
     """Extra linking rows, minimized form and variable count for a bound LP."""
     ground = system.ground
     for p in objective.players:
@@ -348,20 +350,23 @@ def _expand(
     ground = system.ground
     full, r = ground.full_mask, ground.reference_mask
     by_id = {row.id: row for row in extra}
-    left: dict[int, Fraction] = {v: -c for v, c in objective}
     mult = dict(entries)
-    for rid, u in mult.items():
-        for v, c in (system.by_id.get(rid) or by_id[rid]).terms:
-            left[v] = left.get(v, ZERO) + u * c
-    absorb = {"purity": left.get(full, ZERO), "emptyset": left.get(0, ZERO)}
+    # left is scale times the weighted rows minus the objective
+    left, _, scale = weighted_sum(
+        (u, system.by_id.get(rid) or by_id[rid]) for rid, u in mult.items()
+    )
+    for v, c in objective:
+        left[v] = left.get(v, 0) - c * scale
+    absorb = {"purity": left.get(full, 0), "emptyset": left.get(0, 0)}
     for v, c in left.items():
         if c and v & r and v != full:
+            weight = Fraction(abs(c), scale)
             for row in complement_chain(ground, v if c < 0 else full & ~v):
-                mult[row.id] = mult.get(row.id, ZERO) + abs(c)
+                mult[row.id] = mult.get(row.id, 0) + weight
             absorb["purity"] += abs(c)
     for rid, c in absorb.items():
         if c:
-            mult[rid] = mult.get(rid, ZERO) - c
+            mult[rid] = mult.get(rid, 0) - Fraction(c, scale)
     return tuple(
         (row.id, mult[row.id]) for rows in (system.constraints, extra) for row in rows
         if mult.get(row.id)
@@ -396,33 +401,22 @@ def verify_certificate(
     """
     if isinstance(objective, Objective):
         extra, form, _ = objective_rows(system, objective)
-        rows_by_id = dict(system.by_id)
-        rows_by_id.update((row.id, row) for row in extra)
     else:
-        form = tuple(objective)
-        rows_by_id = system.by_id
+        extra, form = (), tuple(objective)
+    extra_by_id = {row.id: row for row in extra}
 
-    combo: dict[int, Fraction] = {}
-    total_rhs = ZERO
+    weighted = []
     for rid, mult in cert.entries:
-        row = rows_by_id.get(rid)
+        row = extra_by_id.get(rid) or system.by_id.get(rid)
         if row is None:
             raise KeyError(f"certificate references unknown constraint {rid!r}")
         if row.rel != "=" and mult < 0:
             return False
-        if not mult:
-            continue
-        total_rhs += mult * row.rhs
-        for v, c in row.terms:
-            nv = combo.get(v, ZERO) + mult * c
-            if nv:
-                combo[v] = nv
-            else:
-                combo.pop(v, None)
-    target = {v: c for v, c in form if c}
-    if combo != target:
+        weighted.append((mult, row))
+    combo, total_rhs, scale = weighted_sum(weighted)
+    if combo != {v: c * scale for v, c in form if c}:
         return False
-    return total_rhs >= cert.claimed_bound
+    return total_rhs >= cert.claimed_bound * scale
 
 
 @dataclass(frozen=True)
@@ -520,9 +514,9 @@ class SuiteInstance:
 
     id: str
     description: str
-    terms: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, int], ...]
     rel: str
-    rhs: Fraction
+    rhs: int
 
 
 @dataclass(frozen=True)
@@ -588,16 +582,16 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
             SuiteInstance(
                 f"joint1:{lbl}",
                 f"2*S({lbl}) - I({lbl}:complement) = 2",
-                sparse_form((a, Fraction(2)), *((m, -c) for m, c in mutual)),
+                sparse_form((a, TWO), *((m, -c) for m, c in mutual)),
                 "=",
-                Fraction(2),
+                TWO,
             )
         )
         instances.append(
             SuiteInstance(
                 f"joint2:{lbl}",
                 f"2*S(complement of {lbl}) - I({lbl}:complement) = 0",
-                sparse_form((abar, Fraction(2)), *((m, -c) for m, c in mutual)),
+                sparse_form((abar, TWO), *((m, -c) for m, c in mutual)),
                 "=",
                 ZERO,
             )
@@ -637,7 +631,7 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
                     f"S({la})+S({lb}) >= S(union)+S(intersection)+2",
                     sparse_form((a, ONE), (b, ONE), (a | b, -ONE), (meet, -ONE)),
                     ">=",
-                    Fraction(2),
+                    TWO,
                 )
             )
     return instances
@@ -724,7 +718,7 @@ def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteI
                 f"S(A,B_{i})+S(B_{i + 1}) >= S(A,B_{i + 1})+S(B_{i})+2",
                 sparse_form((a0 | bi, ONE), (bj, ONE), (a0 | bj, -ONE), (bi, -ONE)),
                 ">=",
-                Fraction(2),
+                TWO,
             )
         )
     b_last = params.b_sets[-1].bits
@@ -734,7 +728,7 @@ def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteI
             f"S(A)+S(B) >= S(A,B)+{(count - 1) * 2}",
             sparse_form((a0, ONE), (b_last, ONE), (pmask, -ONE)),
             ">=",
-            Fraction((count - 1) * 2),
+            (count - 1) * 2,
         )
     )
     final_rhs = 2 ** (k + 1) - 1
@@ -742,9 +736,9 @@ def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteI
         SuiteInstance(
             "final",
             f"2*S(A)+S(purifier) >= {final_rhs}",
-            sparse_form((a0, Fraction(2)), (purifier_bit, ONE)),
+            sparse_form((a0, TWO), (purifier_bit, ONE)),
             ">=",
-            Fraction(final_rhs),
+            final_rhs,
         )
     )
     return purified, k, instances

@@ -3,7 +3,11 @@
 Problems are minimizations of a sparse rational form over free variables
 subject to ``>=`` and ``=`` rows.  There is no floating point anywhere
 in the solve path, so optima such as 3/2 are proved rather than
-approximated.
+approximated.  A row is a :class:`LinearConstraint` named tuple whose
+numbers are ``int`` or ``Fraction``.  The rows this package generates
+are all ints, and the presolve, the optimality checks and
+:func:`weighted_sum` stay in ints wherever the values are whole: a
+``Fraction`` appears only where a division does not come out even.
 
 The solver is a two-phase simplex with Bland's anti-cycling rule.  The
 systems this package generates have far more rows than variables, so the
@@ -48,9 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from typing import NamedTuple
 
 
 class SimplexError(RuntimeError):
@@ -62,32 +64,33 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """Sparse rational row ``terms . x rel rhs``.
 
     ``terms`` pairs variable indices with nonzero coefficients in
-    increasing index order.  ``id`` is unique within a problem and starts
+    increasing index order.  Coefficients and ``rhs`` are ``int`` or
+    ``Fraction``; every row this package generates is integral and
+    holds plain ints.  ``id`` is unique within a problem and starts
     with the row's family, as in ``ssa:1;2|3``, so certificates that
     name rows stay meaningful after deduplication.
     """
 
     id: str
-    terms: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, int | Fraction], ...]
     rel: str  # ">=" or "="
-    rhs: Fraction
+    rhs: int | Fraction
 
     @property
     def family(self) -> str:
         return self.id.split(":", 1)[0]
 
-    def terms_dict(self) -> dict[int, Fraction]:
+    def terms_dict(self) -> dict[int, int | Fraction]:
         return dict(self.terms)
 
-    def evaluate(self, point: list[Fraction] | dict[int, Fraction]) -> Fraction:
+    def evaluate(self, point: list | dict) -> int | Fraction:
         if isinstance(point, dict):
-            return sum((c * point.get(v, ZERO) for v, c in self.terms), ZERO)
-        return sum((c * point[v] for v, c in self.terms), ZERO)
+            return sum(c * point.get(v, 0) for v, c in self.terms)
+        return sum(c * point[v] for v, c in self.terms)
 
     def satisfied_by(self, point) -> bool:
         val = self.evaluate(point)
@@ -137,37 +140,36 @@ class _Presolve:
     Each usable equality pins its highest-index variable.  Reduction of
     any form records which eliminations were applied with what weights,
     so dual multipliers of the reduced problem can be lifted to exact
-    multipliers on the original equality rows.
+    multipliers on the original equality rows.  Values stay ``int``
+    while every division by a pivot coefficient comes out even.
     """
 
     def __init__(self) -> None:
         self.pivots: list[int] = []          # pivot variable per record
-        self.coefs: list[Fraction] = []      # pivot coefficient per record
-        self.rests: list[dict[int, Fraction]] = []
-        self.rhss: list[Fraction] = []
+        self.coefs: list[int | Fraction] = []  # pivot coefficient per record
+        self.rests: list[dict[int, int | Fraction]] = []
+        self.rhss: list[int | Fraction] = []
         # record k as a combination of original equality-row indices
-        self.trans: list[dict[int, Fraction]] = []
+        self.trans: list[dict[int, int | Fraction]] = []
 
-    def reduce_form(
-        self, terms: dict[int, Fraction], rhs: Fraction
-    ) -> tuple[dict[int, Fraction], Fraction, dict[int, Fraction]]:
+    def reduce_form(self, terms: dict, rhs) -> tuple[dict, int | Fraction, dict]:
         """Apply all recorded substitutions to ``terms . x >= rhs``.
 
         Returns the reduced terms, reduced rhs and the sparse weight
         vector t (record index -> weight) that was subtracted.
         """
         terms = dict(terms)
-        weights: dict[int, Fraction] = {}
+        weights = {}
         for k, pivot in enumerate(self.pivots):
             coef = terms.get(pivot)
             if not coef:
                 terms.pop(pivot, None)
                 continue
-            t = coef / self.coefs[k]
+            t = _exact_div(coef, self.coefs[k])
             weights[k] = t
             del terms[pivot]
             for v, c in self.rests[k].items():
-                nv = terms.get(v, ZERO) - t * c
+                nv = terms.get(v, 0) - t * c
                 if nv:
                     terms[v] = nv
                 else:
@@ -175,13 +177,13 @@ class _Presolve:
             rhs = rhs - t * self.rhss[k]
         return terms, rhs, weights
 
-    def add_equality(self, row_index: int, terms: dict[int, Fraction], rhs: Fraction) -> bool:
+    def add_equality(self, row_index: int, terms: dict, rhs) -> bool:
         """Digest one equality row; returns False on contradiction."""
         red_terms, red_rhs, weights = self.reduce_form(terms, rhs)
-        combo: dict[int, Fraction] = {row_index: ONE}
+        combo = {row_index: 1}
         for k, t in weights.items():
             for j, w in self.trans[k].items():
-                nv = combo.get(j, ZERO) - t * w
+                nv = combo.get(j, 0) - t * w
                 if nv:
                     combo[j] = nv
                 else:
@@ -197,8 +199,8 @@ class _Presolve:
         self.trans.append(combo)
         return True
 
-    def lift_primal(self, reduced: dict[int, Fraction], num_vars: int) -> list[Fraction]:
-        x = [ZERO] * num_vars
+    def lift_primal(self, reduced: dict, num_vars: int) -> list[int | Fraction]:
+        x = [0] * num_vars
         for v, val in reduced.items():
             x[v] = val
         for k in range(len(self.pivots) - 1, -1, -1):
@@ -206,22 +208,31 @@ class _Presolve:
             for v, c in self.rests[k].items():
                 if x[v]:
                     acc -= c * x[v]
-            x[self.pivots[k]] = acc / self.coefs[k]
+            x[self.pivots[k]] = _exact_div(acc, self.coefs[k])
         return x
 
-    def equality_duals(self, alpha: dict[int, Fraction]) -> dict[int, Fraction]:
+    def equality_duals(self, alpha: dict) -> dict:
         """Multipliers on original equality rows from record weights."""
-        lam: dict[int, Fraction] = {}
+        lam = {}
         for k, a in alpha.items():
             if not a:
                 continue
             for j, w in self.trans[k].items():
-                nv = lam.get(j, ZERO) + a * w
+                nv = lam.get(j, 0) + a * w
                 if nv:
                     lam[j] = nv
                 else:
                     lam.pop(j, None)
         return lam
+
+
+def _exact_div(a, b):
+    """``a / b`` as the ``int`` quotient when it is whole, else a ``Fraction``.
+
+    Plain ``/`` on two ints would give a float.
+    """
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 class Presolved:
@@ -500,7 +511,7 @@ def solve(problem: LPProblem) -> LPSolution:
         return LPSolution("infeasible", None, None, None, 0)
 
     red_obj, obj_offset_neg, obj_weights = state.eliminations.reduce_form(
-        dict(problem.objective), ZERO
+        dict(problem.objective), 0
     )
     # reduce_form treats the constant like a rhs: c.x = red.x - obj_offset_neg
     obj_offset = -obj_offset_neg
@@ -510,7 +521,7 @@ def solve(problem: LPProblem) -> LPSolution:
         # equation has no column, so the dual has no feasible point
         return _infeasible_or_unbounded(problem, state, 0)
 
-    tableau = _Tableau(state, [red_obj.get(v, ZERO) for v in state.var_pos])
+    tableau = _Tableau(state, [red_obj.get(v, 0) for v in state.var_pos])
     if tableau.run(1) != "optimal":
         raise SimplexError("phase 1 cannot be unbounded")
     if tableau.phase1_value() != 0:
@@ -523,17 +534,17 @@ def solve(problem: LPProblem) -> LPSolution:
     row_duals = tableau.solution()
     mult = tableau.multipliers()
     reduced_primal = {v: mult[i] for v, i in state.var_pos.items() if mult[i]}
-    value = obj_offset + sum((u * state.rhs[j] for j, u in row_duals.items()), ZERO)
+    value = Fraction(obj_offset + sum(u * state.rhs[j] for j, u in row_duals.items()))
 
     x = state.eliminations.lift_primal(reduced_primal, problem.num_vars)
 
-    alpha: dict[int, Fraction] = dict(obj_weights)
-    duals = [ZERO] * len(problem.rows)
+    alpha = dict(obj_weights)
+    duals = [0] * len(problem.rows)
     for j in sorted(row_duals):
         uj = row_duals[j]
         duals[state.row_index[j]] = uj
         for k, t in state.weights[j].items():
-            nv = alpha.get(k, ZERO) - uj * t
+            nv = alpha.get(k, 0) - uj * t
             if nv:
                 alpha[k] = nv
             else:
@@ -559,57 +570,58 @@ def _infeasible_or_unbounded(problem: LPProblem, state: Presolved, pivots: int) 
 
 def _verify_optimal(
     problem: LPProblem,
-    x: list[Fraction],
-    duals: list[Fraction],
+    x: list[int | Fraction],
+    duals: list[int | Fraction],
     value: Fraction,
 ) -> None:
     """Exact post-checks against every row of the problem.
 
     Primal feasibility, nonnegative multipliers on inequalities, a dual
-    combination equal to the objective, and a zero duality gap.  Rows are
-    evaluated in integers: ``xs`` is ``x`` times its common denominator
-    ``scale``, and each row is summed over the lcm ``den`` of its own
-    coefficient denominators as it is read (1 for integral rows), so
-    ``lhs = (row . x) * den * scale`` with no ``Fraction`` per term.
+    combination equal to the objective, and a zero duality gap.  ``xs``
+    is ``x`` times its common denominator ``scale``, so on integral rows
+    ``lhs = (row . x) * scale`` is summed in ints, with no ``Fraction``
+    per term; the dual combination is a :func:`weighted_sum`, in ints too.
     """
     scale = _lcm_of_denominators(x)
     xs = [_scaled(v, scale) for v in x]
-    combo: dict[int, Fraction] = {}
-    rhs_total = ZERO
     for row, u in zip(problem.rows, duals):
         lhs = 0
-        den = 1
         for v, c in row.terms:
-            q = c.denominator
-            if den % q:
-                step = q // math.gcd(den, q)
-                lhs *= step
-                den *= step
-            lhs += c.numerator * (den // q) * xs[v]
-        rhs = row.rhs
-        lhs *= rhs.denominator
-        target = rhs.numerator * den * scale
+            lhs += c * xs[v]
+        target = row.rhs * scale
         if row.rel == "=":
             if lhs != target:
                 raise SimplexError(f"primal violates equality {row.id}")
         elif lhs < target:
             raise SimplexError(f"primal violates inequality {row.id}")
-        if u:  # a zero multiplier has the right sign on any row
-            if row.rel != "=" and u < 0:
-                raise SimplexError(f"negative multiplier on inequality {row.id}")
-            rhs_total += u * rhs
-            for v, c in row.terms:
-                nv = combo.get(v, ZERO) + u * c
-                if nv:
-                    combo[v] = nv
-                else:
-                    combo.pop(v, None)
-    objective = {v: c for v, c in problem.objective if c}
-    if combo != objective:
+        if u < 0 and row.rel != "=":
+            raise SimplexError(f"negative multiplier on inequality {row.id}")
+    combo, rhs_total, dual_scale = weighted_sum(zip(duals, problem.rows))
+    if combo != {v: c * dual_scale for v, c in problem.objective if c}:
         raise SimplexError("dual combination does not reproduce the objective")
-    primal_value = sum((c * x[v] for v, c in problem.objective), ZERO)
-    if primal_value != value or rhs_total != value:
+    primal_value = sum(c * x[v] for v, c in problem.objective)
+    if primal_value != value or rhs_total != value * dual_scale:
         raise SimplexError("duality gap is not zero")
+
+
+def weighted_sum(pairs) -> tuple[dict[int, int | Fraction], int | Fraction, int]:
+    """``scale`` times the sum of ``u * row`` over ``(u, row)`` pairs.
+
+    ``scale`` is the lcm of the multipliers' denominators, so each
+    multiplier becomes the integer ``u * scale`` and, on integral rows,
+    every product and sum is an ``int``.  Returns the combined terms with
+    zeros dropped, the combined right-hand side and ``scale``.
+    """
+    pairs = [(u, row) for u, row in pairs if u]
+    scale = _lcm_of_denominators(u for u, _ in pairs)
+    combo: dict = {}
+    rhs = 0
+    for u, row in pairs:
+        w = _scaled(u, scale)
+        rhs += w * row.rhs
+        for v, c in row.terms:
+            combo[v] = combo.get(v, 0) + w * c
+    return {v: c for v, c in combo.items() if c}, rhs, scale
 
 
 def extract_certificate(

@@ -347,6 +347,27 @@ class TestBound:
         assert solved == []
         assert sorted(p.name for p in batch.iterdir()) == ["a.json"]
 
+    @pytest.mark.parametrize("flag", ["--in", "--certificate", "--dump-system"])
+    def test_batch_refuses_single_file_flags(self, capsys, tmp_path, monkeypatch, flag):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        solved = []
+        monkeypatch.setattr(cli, "share_bound", lambda *a, **k: solved.append(a))
+        listed = []
+        monkeypatch.setattr(cli.os, "listdir", lambda path: listed.append(path) or [])
+        target = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "bound", "--batch", str(batch), flag, str(target), "--workers", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bound --batch does not take {flag}\n"
+        assert solved == [] and listed == []
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["batch"]
+        assert sorted(p.name for p in batch.iterdir()) == ["a.json"]
+
     def test_batch_collects_errors(self, capsys, tmp_path):
         batch = tmp_path / "batch"
         batch.mkdir()

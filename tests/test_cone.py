@@ -261,6 +261,7 @@ PINNED_STRUCTURES = {
     "threshold23": THRESHOLD23,
     "g4bar": GAMMA4_BAR,
     "csirmaz5bar": purify(csirmaz(5)[0]),
+    "csirmaz6bar": purify(csirmaz(6)[0]),
 }
 PINNED_ROWS = json.loads(
     (Path(__file__).parent / "data" / "pinned_rows.json").read_text(encoding="utf-8")
@@ -301,3 +302,16 @@ class TestRowsUniqueByConstruction:
             assert masks == sorted(set(masks)), c.id
             assert all(masks) or c.id == "emptyset", c.id
             assert all(coef for _, coef in c.terms), c.id
+
+
+class TestRowsIntegral:
+    """Every generated row holds plain ints, so no row arithmetic needs ``Fraction``."""
+
+    @pytest.mark.parametrize("players", range(1, 7))
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_rows(self, players, ineq, pure):
+        structure = from_minimal_sets(players, [list(range(1, players + 1))])
+        for c in build_system(structure, pure=pure, ineq=ineq).constraints:
+            assert type(c.rhs) is int, c.id
+            assert all(type(coef) is int for _, coef in c.terms), c.id

@@ -327,6 +327,98 @@ class TestVerifyCertificate:
         assert back.claimed_bound == report.certificate.claimed_bound
 
 
+def reference_replay(system, cert, objective):
+    """``verify_certificate`` as a plain ``Fraction`` sum, entry by entry.
+
+    An unknown id raises and a negative inequality multiplier rejects,
+    whichever comes first in entry order.
+    """
+    if isinstance(objective, Objective):
+        extra, form, _ = objective_rows(system, objective)
+    else:
+        extra, form = (), tuple(objective)
+    rows = dict(system.by_id)
+    rows.update((row.id, row) for row in extra)
+    combo, total = {}, Fraction(0)
+    for rid, mult in cert.entries:
+        if rid not in rows:
+            raise KeyError(rid)
+        row = rows[rid]
+        if row.rel != "=" and mult < 0:
+            return False
+        total += Fraction(mult) * Fraction(row.rhs)
+        for v, c in row.terms:
+            combo[v] = combo.get(v, Fraction(0)) + Fraction(mult) * Fraction(c)
+    combo = {v: c for v, c in combo.items() if c}
+    return combo == {v: Fraction(c) for v, c in form if c} and total >= cert.claimed_bound
+
+
+def replay_outcome(replay, system, cert, objective):
+    try:
+        return replay(system, cert, objective=objective)
+    except KeyError:
+        return "KeyError"
+
+
+def certificate_variants(system, cert):
+    """The certificate and variants of it that replay must judge alike."""
+    entries, claim = cert.entries, cert.claimed_bound
+    first = next(i for i, (rid, _) in enumerate(entries) if system.by_id[rid].rel == ">=")
+    rid, mult = entries[first]
+    rest = entries[:first] + entries[first + 1:]
+
+    def with_mult(new):
+        return entries[:first] + ((rid, new),) + entries[first + 1:]
+
+    unused = next(c.id for c in system.constraints if c.id not in dict(entries))
+    negative = (rid, -mult)
+    unknown = ("nonsense:1", Fraction(1))
+    yield "genuine", entries, claim
+    yield "raised-claim", entries, claim + Fraction(1, 7)
+    yield "thirds", tuple((r, m * Fraction(1, 3)) for r, m in entries), claim / 3
+    yield "tampered", with_mult(mult + Fraction(1, 7)), claim
+    yield "zero-unused", entries + ((unused, Fraction(0)),), claim
+    yield "zero-used", with_mult(Fraction(0)), claim
+    yield "negative-ineq", rest + (negative,), claim
+    yield "unknown-id", (unknown,) + entries, claim
+    yield "negative-then-unknown", (negative, unknown) + rest, claim
+    yield "unknown-then-negative", (unknown, negative) + rest, claim
+
+
+class TestReplayMatchesFractionSum:
+    """Integer replay judges every certificate as a ``Fraction`` sum does."""
+
+    def cases(self):
+        report = share_bound(GAMMA4_BAR, players=[1, 2, 3, 4])
+        yield report.certificate, report.objective
+        system = cached_system(GAMMA4_BAR, True, "full")
+        res = check_implied(
+            system, {0b00011: Fraction(1), 0b11100: Fraction(-1)}, "=", Fraction(1)
+        )
+        for cert in res.certificates:
+            yield cert, cert.objective
+
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    def test_variants(self, ineq):
+        system = cached_system(GAMMA4_BAR, True, ineq)
+        seen = {}
+        fractional = False
+        for cert, objective in self.cases():
+            fractional |= any(m.denominator > 1 for _, m in cert.entries)
+            for name, entries, claim in certificate_variants(system, cert):
+                variant = Certificate(claim, entries, cert.objective)
+                got = replay_outcome(verify_certificate, system, variant, objective)
+                want = replay_outcome(reference_replay, system, variant, objective)
+                assert got == want, name
+                seen.setdefault(name, set()).add(got)
+        assert fractional
+        assert seen["genuine"] == {True} and seen["zero-unused"] == {True}
+        assert seen["negative-then-unknown"] == {False}
+        assert seen["unknown-then-negative"] == seen["unknown-id"] == {"KeyError"}
+        for name in ("raised-claim", "thirds", "tampered", "zero-used", "negative-ineq"):
+            assert seen[name] == {False}, name
+
+
 class TestCheckImplied:
     def test_lemma4_instance_on_gamma4_bar(self):
         system = cached_system(GAMMA4_BAR, True, "full")

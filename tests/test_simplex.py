@@ -478,3 +478,82 @@ class TestCertificates:
                     combo[v] = combo.get(v, Fraction(0)) + mult * c
             combo = {v: c for v, c in combo.items() if c}
             assert combo != dict(p.objective)
+
+
+def int_problem(num_vars, objective, rows):
+    """``make_problem`` with plain int coefficients and right-hand sides."""
+    lp_rows = tuple(
+        LinearConstraint(f"r{i}", tuple(sorted(terms.items())), rel, rhs)
+        for i, (terms, rel, rhs) in enumerate(rows)
+    )
+    return LPProblem(num_vars, tuple(sorted(objective.items())), lp_rows)
+
+
+def as_fractions(problem):
+    """The same problem with every number a ``Fraction``."""
+    rows = tuple(
+        LinearConstraint(r.id, tuple((v, Fraction(c)) for v, c in r.terms), r.rel, Fraction(r.rhs))
+        for r in problem.rows
+    )
+    objective = tuple((v, Fraction(c)) for v, c in problem.objective)
+    return LPProblem(problem.num_vars, objective, rows)
+
+
+def exact_numbers(solution):
+    values = [] if solution.value is None else [solution.value]
+    return values + list(solution.primal or ()) + list(solution.duals or ())
+
+
+class TestIntegerRows:
+    """Integral rows are solved in ints, and a division never gives a float."""
+
+    def test_uneven_pivot_division_gives_a_fraction(self):
+        presolve = simplex._Presolve()
+        assert presolve.add_equality(0, {1: 2}, 1)  # 2*x1 = 1
+        terms, rhs, weights = presolve.reduce_form({0: 1, 1: 1}, 0)
+        assert (terms, rhs, weights) == ({0: 1}, Fraction(-1, 2), {0: Fraction(1, 2)})
+        assert type(rhs) is Fraction and type(weights[0]) is Fraction
+        x = presolve.lift_primal({}, 2)
+        assert x == [0, Fraction(1, 2)] and type(x[1]) is Fraction
+
+    def test_even_pivot_division_stays_int(self):
+        presolve = simplex._Presolve()
+        assert presolve.add_equality(0, {0: 2, 1: 2}, 4)  # 2*x0 + 2*x1 = 4
+        terms, rhs, weights = presolve.reduce_form({1: 4}, 0)
+        assert (terms, rhs, weights) == ({0: -4}, -8, {0: 2})
+        assert type(rhs) is int and type(weights[0]) is int
+        x = presolve.lift_primal({0: 3}, 2)
+        assert x == [3, -1] and type(x[1]) is int
+
+    def test_solve_with_a_pivot_coefficient_of_two(self):
+        p = int_problem(2, {0: 1, 1: 1}, [({1: 2}, "=", 1), ({0: 1}, ">=", 0)])
+        s = solve(p)
+        assert s.status == "optimal"
+        assert s.value == Fraction(1, 2) and type(s.value) is Fraction
+        assert s.primal == (0, Fraction(1, 2)) and type(s.primal[1]) is Fraction
+        assert s.duals == (Fraction(1, 2), 1)
+        assert s == solve(as_fractions(p))
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_seeded_int_lps_match_their_fraction_copies(self, seed):
+        rng = random.Random(seed)
+        statuses = set()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rows = []
+            for _ in range(rng.randint(1, 8)):
+                terms = {v: rng.choice((-2, -1, 1, 2)) for v in range(n) if rng.random() < 0.6}
+                if terms:
+                    rel = "=" if rng.random() < 0.25 else ">="
+                    rows.append((terms, rel, rng.choice((0, 1, 2))))
+            if not rows:
+                continue
+            objective = {v: rng.choice((-2, -1, 1, 2)) for v in range(n) if rng.random() < 0.7}
+            p = int_problem(n, objective, rows)
+            s = solve(p)
+            statuses.add(s.status)
+            assert all(type(v) in (int, Fraction) for v in exact_numbers(s))
+            assert s == solve(as_fractions(p))
+            if s.status == "optimal":
+                assert type(s.value) is Fraction
+        assert statuses == {"optimal", "infeasible", "unbounded"}
