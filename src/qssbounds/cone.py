@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .simplex import LinearConstraint, Presolved
+from .simplex import LinearConstraint, Presolved, add_scaled
 from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, StructureError
 
 ZERO = 0
@@ -102,10 +102,9 @@ def sparse_form(*entries: tuple[int, int | Fraction]) -> tuple[tuple[int, int | 
     entropy is identically zero) and terms that cancel are dropped.
     """
     terms: dict[int, int | Fraction] = {}
-    for mask, coef in entries:
-        if mask:
-            terms[mask] = terms[mask] + coef if mask in terms else coef
-    return tuple(sorted((v, c) for v, c in terms.items() if c))
+    add_scaled(terms, entries, 1)
+    terms.pop(0, None)
+    return tuple(sorted(terms.items()))
 
 
 def _submasks(mask: int):
@@ -267,6 +266,11 @@ class ConstraintSystem:
         return len(self.constraints)
 
     @cached_property
+    def position(self) -> dict[str, int]:
+        """Each row id's index in ``constraints``, built on first use."""
+        return {c.id: i for i, c in enumerate(self.constraints)}
+
+    @cached_property
     def quotient(self) -> Quotient:
         """The rows every LP on this system is solved on, built on first use.
 
@@ -297,7 +301,10 @@ class Quotient:
     that produced it.  The variables left are the masks below R.  In
     mixed mode the map is the identity and the rows are the system's
     own.  A lifted quotient point satisfies every row of the system,
-    because each row there has the value of its mapped row here.
+    because each row there has the value of its mapped row here.  Terms
+    are sorted and R is the top bit, so only a row whose last term holds
+    R or whose first term is S(∅) changes under the map; the others are
+    kept as they are.
     """
 
     def __init__(self, system: ConstraintSystem) -> None:
@@ -307,17 +314,19 @@ class Quotient:
             self.rows = system.constraints
             self.var_count = self.ground.var_count
             return
-        self.var_count = self.ground.reference_mask
+        r = self.var_count = self.ground.reference_mask
         rows = []
         seen: set[tuple] = set()
         for row in system.constraints:
-            mapped = self.map_row(row)
-            if not mapped.terms and (mapped.rhs == 0 if mapped.rel == "=" else mapped.rhs <= 0):
+            terms = row.terms
+            if terms and (terms[-1][0] >= r or not terms[0][0]):
+                row = self.map_row(row)
+            if not row.terms and (row.rhs == 0 if row.rel == "=" else row.rhs <= 0):
                 continue
-            key = (mapped.terms, mapped.rel, mapped.rhs)
+            key = (row.terms, row.rel, row.rhs)
             if key not in seen:
                 seen.add(key)
-                rows.append(mapped)
+                rows.append(row)
         self.rows = tuple(rows)
 
     @cached_property

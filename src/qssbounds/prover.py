@@ -45,6 +45,7 @@ from .cone import (
 from .simplex import (
     Certificate,
     LPProblem,
+    add_scaled,
     rat_str,
     extract_certificate,
     solve,
@@ -93,7 +94,11 @@ class Objective:
     @classmethod
     def parse(cls, spec: str, default_players: Sequence[int]) -> "Objective":
         if spec.startswith("single:"):
-            return cls("single", (int(spec.split(":", 1)[1]),))
+            try:
+                player = int(spec.split(":", 1)[1])
+            except ValueError:
+                raise StructureError(f"bad objective {spec!r}; use single:<player>") from None
+            return cls("single", (player,))
         return cls(spec, tuple(default_players))
 
     def describe(self) -> str:
@@ -344,7 +349,8 @@ def _expand(
     the :func:`cone.complement_chain` of X when c < 0, or of F\\X when
     c > 0, which adds |c| * S(F) and nothing to the right-hand side;
     ``purity`` absorbs the S(F) total and ``emptyset`` a term on S(∅).
-    Entries come out in row order.  In mixed mode nothing is left over,
+    Entries come out in the system's row order (its ``position`` index),
+    then ``extra``'s.  In mixed mode nothing is left over,
     so the entries are the quotient's own.
     """
     ground = system.ground
@@ -355,11 +361,10 @@ def _expand(
     left, _, scale = weighted_sum(
         (u, system.by_id.get(rid) or by_id[rid]) for rid, u in mult.items()
     )
-    for v, c in objective:
-        left[v] = left.get(v, 0) - c * scale
+    add_scaled(left, objective, -scale)
     absorb = {"purity": left.get(full, 0), "emptyset": left.get(0, 0)}
     for v, c in left.items():
-        if c and v & r and v != full:
+        if v & r and v != full:
             weight = Fraction(abs(c), scale)
             for row in complement_chain(ground, v if c < 0 else full & ~v):
                 mult[row.id] = mult.get(row.id, 0) + weight
@@ -367,10 +372,10 @@ def _expand(
     for rid, c in absorb.items():
         if c:
             mult[rid] = mult.get(rid, 0) - Fraction(c, scale)
-    return tuple(
-        (row.id, mult[row.id]) for rows in (system.constraints, extra) for row in rows
-        if mult.get(row.id)
-    )
+    position = system.position
+    ids = sorted((rid for rid, u in mult.items() if u and rid in position), key=position.get)
+    ids += [row.id for row in extra if mult.get(row.id)]
+    return tuple((rid, mult[rid]) for rid in ids)
 
 
 def _csirmaz_k_of(structure: AccessStructure) -> int | None:

@@ -7,20 +7,21 @@ approximated.  A row is a :class:`LinearConstraint` named tuple whose
 numbers are ``int`` or ``Fraction``.  The rows this package generates
 are all ints, and the presolve, the optimality checks and
 :func:`weighted_sum` stay in ints wherever the values are whole: a
-``Fraction`` appears only where a division does not come out even.
+``Fraction`` appears only where a division does not come out even;
+every sparse row update goes through :func:`add_scaled`.
 
 The solver is a two-phase simplex with Bland's anti-cycling rule.  The
 systems this package generates have far more rows than variables, so the
 pivoting works on the dual standard form (one nonnegative multiplier per
 row) after a presolve that eliminates equality rows by exact
-substitution.  The presolve depends only on the rows, so it is a
-:class:`Presolved` state built once per row tuple: the eliminations, the
-reduced and deduplicated inequality rows with the weights that lift
-their multipliers back, and those rows as integer-scaled dual columns
-and costs.  A problem may carry the state of its rows (the rows a
-constraint system is solved on, its complement quotient in pure mode,
-keep one and hand it to every objective solved on them); otherwise
-:func:`solve` builds it.  Only the objective is reduced per solve.
+substitution.  The presolve depends only on the rows, so it is one
+:class:`Presolved` state built once per row tuple: the elimination
+records, the reduced and deduplicated inequality rows with the weights
+that lift their multipliers back, and those rows as integer-scaled dual
+columns and costs.  It reduces each objective and lifts each solution.
+A problem may carry the state of its rows (the rows a constraint system
+is solved on, its complement quotient in pure mode, keep one and hand it
+to every objective solved on them); otherwise :func:`solve` builds it.
 The solver sees only the rows it is given: mapping a system onto its
 quotient and carrying certificates back is the caller's business.
 
@@ -53,6 +54,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
+
+
+#: Pivots one phase of a tableau may make before the solve is abandoned.
+MAX_ITERATIONS = 2_000_000
 
 
 class SimplexError(RuntimeError):
@@ -134,98 +139,6 @@ class Certificate:
     description: str = ""
 
 
-class _Presolve:
-    """Exact elimination of equality rows by back-substitution.
-
-    Each usable equality pins its highest-index variable.  Reduction of
-    any form records which eliminations were applied with what weights,
-    so dual multipliers of the reduced problem can be lifted to exact
-    multipliers on the original equality rows.  Values stay ``int``
-    while every division by a pivot coefficient comes out even.
-    """
-
-    def __init__(self) -> None:
-        self.pivots: list[int] = []          # pivot variable per record
-        self.coefs: list[int | Fraction] = []  # pivot coefficient per record
-        self.rests: list[dict[int, int | Fraction]] = []
-        self.rhss: list[int | Fraction] = []
-        # record k as a combination of original equality-row indices
-        self.trans: list[dict[int, int | Fraction]] = []
-
-    def reduce_form(self, terms: dict, rhs) -> tuple[dict, int | Fraction, dict]:
-        """Apply all recorded substitutions to ``terms . x >= rhs``.
-
-        Returns the reduced terms, reduced rhs and the sparse weight
-        vector t (record index -> weight) that was subtracted.
-        """
-        terms = dict(terms)
-        weights = {}
-        for k, pivot in enumerate(self.pivots):
-            coef = terms.get(pivot)
-            if not coef:
-                terms.pop(pivot, None)
-                continue
-            t = _exact_div(coef, self.coefs[k])
-            weights[k] = t
-            del terms[pivot]
-            for v, c in self.rests[k].items():
-                nv = terms.get(v, 0) - t * c
-                if nv:
-                    terms[v] = nv
-                else:
-                    terms.pop(v, None)
-            rhs = rhs - t * self.rhss[k]
-        return terms, rhs, weights
-
-    def add_equality(self, row_index: int, terms: dict, rhs) -> bool:
-        """Digest one equality row; returns False on contradiction."""
-        red_terms, red_rhs, weights = self.reduce_form(terms, rhs)
-        combo = {row_index: 1}
-        for k, t in weights.items():
-            for j, w in self.trans[k].items():
-                nv = combo.get(j, 0) - t * w
-                if nv:
-                    combo[j] = nv
-                else:
-                    combo.pop(j, None)
-        if not red_terms:
-            return red_rhs == 0  # redundant when 0 = 0, contradiction otherwise
-        pivot = max(red_terms)
-        coef = red_terms.pop(pivot)
-        self.pivots.append(pivot)
-        self.coefs.append(coef)
-        self.rests.append(red_terms)
-        self.rhss.append(red_rhs)
-        self.trans.append(combo)
-        return True
-
-    def lift_primal(self, reduced: dict, num_vars: int) -> list[int | Fraction]:
-        x = [0] * num_vars
-        for v, val in reduced.items():
-            x[v] = val
-        for k in range(len(self.pivots) - 1, -1, -1):
-            acc = self.rhss[k]
-            for v, c in self.rests[k].items():
-                if x[v]:
-                    acc -= c * x[v]
-            x[self.pivots[k]] = _exact_div(acc, self.coefs[k])
-        return x
-
-    def equality_duals(self, alpha: dict) -> dict:
-        """Multipliers on original equality rows from record weights."""
-        lam = {}
-        for k, a in alpha.items():
-            if not a:
-                continue
-            for j, w in self.trans[k].items():
-                nv = lam.get(j, 0) + a * w
-                if nv:
-                    lam[j] = nv
-                else:
-                    lam.pop(j, None)
-        return lam
-
-
 def _exact_div(a, b):
     """``a / b`` as the ``int`` quotient when it is whole, else a ``Fraction``.
 
@@ -235,31 +148,59 @@ def _exact_div(a, b):
     return Fraction(a, b) if r else q
 
 
+def add_scaled(acc: dict, terms, factor) -> None:
+    """``acc += factor * terms`` for ``(key, coefficient)`` pairs.
+
+    Keys whose sum cancels are dropped, and int sums stay ints.
+    """
+    for k, c in terms:
+        nv = acc.get(k, 0) + factor * c
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+
+
 class Presolved:
     """Everything a solve derives from the rows alone, built once.
 
-    Equality rows are eliminated; the inequality rows are reduced by
-    those eliminations, and duplicates and rows that reduce to
-    ``0 >= rhs`` with ``rhs <= 0`` are dropped.  Per reduced row,
-    ``row_index``, ``weights`` and ``rhs`` keep its original row, the
-    weights that lift its multiplier and its reduced right-hand side.
-    ``var_pos`` numbers the variables the reduced rows contain, in
-    increasing order.  Reduced row ``j`` times ``scales[j]`` (the lcm of
-    its denominators) is the integer dual column ``cols[j]`` over those
-    positions, with cost ``costs[j] = -rhs[j] * scales[j] * cost_scale``;
-    positive column scalings change no pivot.  ``infeasible`` records
-    contradictory equalities or a row that reduces to ``0 >= rhs > 0``;
-    every solve on the rows is then infeasible.  Solves only read the
-    state, so one state serves any number of objectives.
+    Each usable equality row, reduced by the records before it, becomes
+    record ``k``: ``pivot_coefs[k] * x[pivot_vars[k]] + rests[k] . x =
+    rest_rhs[k]``, pinning its highest-index variable, and ``combos[k]``
+    is that record as a combination of original equality rows (row index
+    -> weight).  :meth:`reduce_form` substitutes the records into any
+    form and returns the record weights it used, so multipliers of the
+    reduced problem lift to exact multipliers on the original equality
+    rows (:meth:`equality_duals`) and a reduced point lifts to the
+    original variables (:meth:`lift_primal`).  Values stay ``int`` while
+    every division by a pivot coefficient comes out even.
+
+    The inequality rows are reduced by the records, and duplicates and
+    rows that reduce to ``0 >= rhs`` with ``rhs <= 0`` are dropped.  Per
+    reduced row, ``row_index``, ``weights`` and ``rhs`` keep its original
+    row, the record weights that lift its multiplier and its reduced
+    right-hand side.  ``var_pos`` numbers the variables the reduced rows
+    contain, in increasing order.  Reduced row ``j`` times ``scales[j]``
+    (the lcm of its denominators) is the integer dual column ``cols[j]``
+    over those positions, with cost ``costs[j] = -rhs[j] * scales[j] *
+    cost_scale``; positive column scalings change no pivot.
+    ``infeasible`` records contradictory equalities or a row that reduces
+    to ``0 >= rhs > 0``; every solve on the rows is then infeasible.
+    Solves only read the state, so one state serves any number of
+    objectives.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
         self.rows = rows
-        self.eliminations = _Presolve()
+        self.pivot_vars: list[int] = []
+        self.pivot_coefs: list[int | Fraction] = []
+        self.rests: list[dict[int, int | Fraction]] = []
+        self.rest_rhs: list[int | Fraction] = []
+        self.combos: list[dict[int, int | Fraction]] = []
         self.infeasible = False
         self.row_index: list[int] = []
-        self.weights: list[dict[int, Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.weights: list[dict[int, int | Fraction]] = []
+        self.rhs: list[int | Fraction] = []
         self.var_pos: dict[int, int] = {}
         self.cols: list[list[tuple[int, int]]] = []
         self.scales: list[int] = []
@@ -271,16 +212,28 @@ class Presolved:
                 raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
             if not all(c for _, c in row.terms):
                 raise ValueError(f"zero coefficient in row {row.id}")
-            if row.rel == "=" and not self.eliminations.add_equality(idx, dict(row.terms), row.rhs):
-                self.infeasible = True
-                return
+            if row.rel == "=":
+                terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
+                if not terms:
+                    if rhs:  # 0 = rhs contradicts; 0 = 0 is redundant
+                        self.infeasible = True
+                        return
+                    continue
+                combo = self.equality_duals({k: -t for k, t in weights.items()})
+                combo[idx] = 1
+                pivot = max(terms)
+                self.pivot_vars.append(pivot)
+                self.pivot_coefs.append(terms.pop(pivot))
+                self.rests.append(terms)
+                self.rest_rhs.append(rhs)
+                self.combos.append(combo)
 
-        reduced: list[tuple[tuple[int, Fraction], ...]] = []
+        reduced: list[tuple[tuple[int, int | Fraction], ...]] = []
         seen: set[tuple] = set()
         for idx, row in enumerate(rows):
             if row.rel == "=":
                 continue
-            terms, rhs, weights = self.eliminations.reduce_form(dict(row.terms), row.rhs)
+            terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
             if not terms:
                 if rhs > 0:
                     self.infeasible = True
@@ -305,6 +258,44 @@ class Presolved:
             scaled_costs.append(-rhs * scale)
         self.cost_scale = _lcm_of_denominators(scaled_costs)
         self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
+
+    def reduce_form(self, terms, rhs) -> tuple[dict, int | Fraction, dict]:
+        """Substitute every record into ``terms . x >= rhs``.
+
+        ``terms`` is a mapping or ``(variable, coefficient)`` pairs.
+        Returns the reduced terms, the reduced rhs and the sparse weight
+        vector (record index -> weight) that was subtracted.
+        """
+        terms = dict(terms)
+        weights = {}
+        for k, pivot in enumerate(self.pivot_vars):
+            coef = terms.pop(pivot, 0)
+            if not coef:
+                continue
+            t = weights[k] = _exact_div(coef, self.pivot_coefs[k])
+            add_scaled(terms, self.rests[k].items(), -t)
+            rhs = rhs - t * self.rest_rhs[k]
+        return terms, rhs, weights
+
+    def lift_primal(self, reduced: dict, num_vars: int) -> list[int | Fraction]:
+        """The original point for reduced values, by back-substitution."""
+        x = [0] * num_vars
+        for v, val in reduced.items():
+            x[v] = val
+        for k in range(len(self.pivot_vars) - 1, -1, -1):
+            acc = self.rest_rhs[k]
+            for v, c in self.rests[k].items():
+                if x[v]:
+                    acc -= c * x[v]
+            x[self.pivot_vars[k]] = _exact_div(acc, self.pivot_coefs[k])
+        return x
+
+    def equality_duals(self, alpha: dict) -> dict:
+        """Multipliers on original equality rows from record weights."""
+        lam = {}
+        for k, a in alpha.items():
+            add_scaled(lam, self.combos[k].items(), a)
+        return lam
 
 
 class _Tableau:
@@ -373,13 +364,13 @@ class _Tableau:
                 y = [a + cb * qv for a, qv in zip(y, self.q[i])]
         return y
 
-    def run(self, phase: int, max_iters: int = 2_000_000) -> str:
+    def run(self, phase: int) -> str:
         """Pivot until optimal or unbounded; returns the stop reason."""
         cols = self.cols
         costs = self.costs
         y = self._duals(phase)
         in_basis = set(self.basis)
-        for _ in range(max_iters):
+        for _ in range(MAX_ITERATIONS):
             den = self.den
             entering = -1
             for j in range(self.n):  # artificials never re-enter
@@ -510,9 +501,7 @@ def solve(problem: LPProblem) -> LPSolution:
     if state.infeasible:
         return LPSolution("infeasible", None, None, None, 0)
 
-    red_obj, obj_offset_neg, obj_weights = state.eliminations.reduce_form(
-        dict(problem.objective), 0
-    )
+    red_obj, obj_offset_neg, alpha = state.reduce_form(problem.objective, 0)
     # reduce_form treats the constant like a rhs: c.x = red.x - obj_offset_neg
     obj_offset = -obj_offset_neg
 
@@ -536,20 +525,14 @@ def solve(problem: LPProblem) -> LPSolution:
     reduced_primal = {v: mult[i] for v, i in state.var_pos.items() if mult[i]}
     value = Fraction(obj_offset + sum(u * state.rhs[j] for j, u in row_duals.items()))
 
-    x = state.eliminations.lift_primal(reduced_primal, problem.num_vars)
+    x = state.lift_primal(reduced_primal, problem.num_vars)
 
-    alpha = dict(obj_weights)
+    # alpha: the objective's record weights less those of the row duals
     duals = [0] * len(problem.rows)
     for j in sorted(row_duals):
-        uj = row_duals[j]
-        duals[state.row_index[j]] = uj
-        for k, t in state.weights[j].items():
-            nv = alpha.get(k, 0) - uj * t
-            if nv:
-                alpha[k] = nv
-            else:
-                alpha.pop(k, None)
-    for j, lam in state.eliminations.equality_duals(alpha).items():
+        duals[state.row_index[j]] = row_duals[j]
+        add_scaled(alpha, state.weights[j].items(), -row_duals[j])
+    for j, lam in state.equality_duals(alpha).items():
         duals[j] = lam
 
     _verify_optimal(problem, x, duals, value)
@@ -619,9 +602,8 @@ def weighted_sum(pairs) -> tuple[dict[int, int | Fraction], int | Fraction, int]
     for u, row in pairs:
         w = _scaled(u, scale)
         rhs += w * row.rhs
-        for v, c in row.terms:
-            combo[v] = combo.get(v, 0) + w * c
-    return {v: c for v, c in combo.items() if c}, rhs, scale
+        add_scaled(combo, row.terms, w)
+    return combo, rhs, scale
 
 
 def extract_certificate(

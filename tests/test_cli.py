@@ -219,9 +219,10 @@ class TestBound:
 
     def test_bad_objective_is_usage_error(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
-        code, _, err = run(capsys, "bound", "--in", path, "--objective", "median")
-        assert code == 2
-        assert "--objective" in err
+        for spec in ("median", "single:x", "single:"):
+            code, _, err = run(capsys, "bound", "--in", path, "--objective", spec)
+            assert code == 2
+            assert "--objective" in err
 
     def test_bound_without_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound")

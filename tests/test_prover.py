@@ -110,6 +110,11 @@ class TestShareBound:
         assert report.objective.kind == "single"
         assert report.lp_value == 1
 
+    @pytest.mark.parametrize("spec", ["single:x", "single:", "single:1.5"])
+    def test_malformed_single_objective_is_a_structure_error(self, spec):
+        with pytest.raises(StructureError, match=repr(spec)):
+            share_bound(THRESHOLD23, objective=spec)
+
     def test_minsum_objective(self):
         report = share_bound(THRESHOLD23, objective="minsum")
         assert report.lp_value == 3

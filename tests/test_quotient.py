@@ -62,7 +62,9 @@ def replay_systems(structure, max_full=6):
     return [cached_system(structure, True, ineq) for ineq in ineqs]
 
 
-@pytest.mark.parametrize("structure", [THRESHOLD23, GAMMA4_BAR], ids=IDS[:2])
+@pytest.mark.parametrize(
+    "structure", [THRESHOLD23, GAMMA4_BAR] + SEEDED[1:], ids=IDS[:2] + IDS[4:]
+)
 def test_quotient_keeps_each_mapped_row_once_under_its_first_id(structure):
     system = cached_system(structure, True, "elemental")
     quotient = system.quotient

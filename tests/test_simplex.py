@@ -508,8 +508,8 @@ class TestIntegerRows:
     """Integral rows are solved in ints, and a division never gives a float."""
 
     def test_uneven_pivot_division_gives_a_fraction(self):
-        presolve = simplex._Presolve()
-        assert presolve.add_equality(0, {1: 2}, 1)  # 2*x1 = 1
+        presolve = Presolved((LinearConstraint("e", ((1, 2),), "=", 1),))  # 2*x1 = 1
+        assert not presolve.infeasible and presolve.pivot_vars == [1]
         terms, rhs, weights = presolve.reduce_form({0: 1, 1: 1}, 0)
         assert (terms, rhs, weights) == ({0: 1}, Fraction(-1, 2), {0: Fraction(1, 2)})
         assert type(rhs) is Fraction and type(weights[0]) is Fraction
@@ -517,13 +517,20 @@ class TestIntegerRows:
         assert x == [0, Fraction(1, 2)] and type(x[1]) is Fraction
 
     def test_even_pivot_division_stays_int(self):
-        presolve = simplex._Presolve()
-        assert presolve.add_equality(0, {0: 2, 1: 2}, 4)  # 2*x0 + 2*x1 = 4
+        presolve = Presolved((LinearConstraint("e", ((0, 2), (1, 2)), "=", 4),))  # 2*x0 + 2*x1 = 4
+        assert not presolve.infeasible and presolve.pivot_vars == [1]
         terms, rhs, weights = presolve.reduce_form({1: 4}, 0)
         assert (terms, rhs, weights) == ({0: -4}, -8, {0: 2})
         assert type(rhs) is int and type(weights[0]) is int
         x = presolve.lift_primal({0: 3}, 2)
         assert x == [3, -1] and type(x[1]) is int
+
+    def test_add_scaled_drops_cancelled_keys_and_keeps_ints(self):
+        acc = {1: 2, 2: 1}
+        simplex.add_scaled(acc, ((1, -1), (3, 1)), 2)
+        assert acc == {2: 1, 3: 2} and all(type(v) is int for v in acc.values())
+        simplex.add_scaled(acc, {2: 1}.items(), Fraction(1, 2))
+        assert acc == {2: Fraction(3, 2), 3: 2} and type(acc[3]) is int
 
     def test_solve_with_a_pivot_coefficient_of_two(self):
         p = int_problem(2, {0: 1, 1: 1}, [({1: 2}, "=", 1), ({0: 1}, ">=", 0)])

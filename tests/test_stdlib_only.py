@@ -1,0 +1,28 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import qssbounds
+
+SOURCES = sorted(Path(qssbounds.__file__).parent.glob("*.py"))
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_every_absolute_import_is_standard_library():
+    assert SOURCES
+    outside = {
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert not outside
