@@ -22,6 +22,12 @@ of the system.  In mixed mode the quotient is the system itself.  The
 ``ineq`` choice only names the row set that certificates are replayed
 on and witnesses are checked against, and both checks run before any
 result is returned.
+
+The implied-inequality checks of one suite share the quotient's
+presolved state, so they share one :class:`simplex.Session` too: each
+target restarts from the optimal basis of the one before it.  The
+session is a local of the suite (or of one `check_implied` call) and
+dies with it; bound LPs are solved cold.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .cone import (
 from .simplex import (
     Certificate,
     LPProblem,
+    Session,
     add_scaled,
     rat_str,
     extract_certificate,
@@ -275,7 +282,8 @@ def share_bound(
     reciprocal as an upper bound on the information rate, and a
     certificate on the original rows that has been replayed on the
     ``ineq`` rows before returning.  ``rows`` and ``cols`` give the size
-    of the quotient LP.
+    of the quotient LP.  An objective whose LP value is 0, such as the
+    share of a dummy player, bounds no rate and raises ``ProverError``.
     """
     if mode not in ("pure", "mixed"):
         raise StructureError(f"unknown mode {mode!r}")
@@ -307,6 +315,11 @@ def share_bound(
         raise ProverError(
             f"bound solve ended {solution.status}; the scheme constraints "
             "should always admit a bounded optimum"
+        )
+    if solution.value <= 0:
+        raise ProverError(
+            f"the {obj.describe()} objective has LP value {rat_str(solution.value)}, "
+            "which bounds no information rate"
         )
     found = extract_certificate(problem, solution, description=obj.describe())
     entries = _expand(elemental, extra, found.entries, form)
@@ -439,6 +452,8 @@ def check_implied(
     terms: dict[int, Fraction] | Iterable[tuple[int, Fraction]],
     rel: str,
     rhs: Fraction,
+    *,
+    session: Session | None = None,
 ) -> CheckResult:
     """Is ``terms . S rel rhs`` a consequence of the system?
 
@@ -446,7 +461,8 @@ def check_implied(
     rows of the system's structure reaches the right-hand side (both
     directions for an equality); returns the dual certificates, replayed
     on the system's rows, or a feasible entropy vector refuting the
-    target, checked against every one of them.
+    target, checked against every one of them.  The solves run in
+    ``session`` (from :func:`open_session`), or in one opened here.
     """
     if rel not in (">=", "="):
         raise StructureError(f"unsupported target relation {rel!r}")
@@ -456,10 +472,12 @@ def check_implied(
     if rel == "=":
         directions.append(({v: -c for v, c in base.items()}, -Fraction(rhs)))
 
+    if session is None:
+        session = open_session(system)
     certificates = []
     pivots = 0
     for form, bound in directions:
-        cert, witness, used = _prove_direction(system, form, bound)
+        cert, witness, used = _prove_direction(system, form, bound, session)
         pivots += used
         if cert is None:
             return CheckResult(False, (), witness, pivots)
@@ -467,10 +485,16 @@ def check_implied(
     return CheckResult(True, tuple(certificates), None, pivots)
 
 
+def open_session(system: ConstraintSystem) -> Session:
+    """A solve session on the quotient that checks on ``system`` solve on."""
+    return Session(cached_system(system.structure, system.pure, "elemental").quotient.presolved)
+
+
 def _prove_direction(
     system: ConstraintSystem,
     form: dict[int, Fraction],
     bound: Fraction,
+    session: Session,
 ):
     """Try to certify form . S >= bound; return (cert, witness, pivots)."""
     objective = tuple(sorted(form.items()))
@@ -478,7 +502,7 @@ def _prove_direction(
     quotient = elemental.quotient
     mapped = quotient.map_terms(objective)
     problem = LPProblem(elemental.ground.var_count, mapped, quotient.rows, quotient.presolved)
-    solution = solve(problem)
+    solution = solve(problem, session)
     if solution.status == "optimal" and solution.value >= bound:
         entries = extract_certificate(problem, solution).entries
         cert = Certificate(bound, _expand(elemental, (), entries, objective), objective)
@@ -500,8 +524,8 @@ def _witness_below(quotient: Quotient, objective, bound):
     cutoff = LinearConstraint(
         "cutoff", tuple((v, -c) for v, c in objective), ">=", -(bound - 1)
     )
-    problem = LPProblem(quotient.ground.var_count, (), quotient.rows + (cutoff,))
-    solution = solve(problem)
+    state = quotient.presolved.with_inequality(cutoff)
+    solution = solve(LPProblem(quotient.ground.var_count, (), state.rows, state))
     if solution.status != "optimal":
         raise ProverError("failed to materialize a refutation witness")
     return quotient.lift(solution.primal)
@@ -657,9 +681,10 @@ def lemma_suite(
     prepare_structure(structure, max_elements=max_elements, force=force)
     started = time.perf_counter()
     system = cached_system(structure, True, ineq)
+    session = open_session(system)
     outcomes = []
     for inst in scheme_relation_instances(structure, system.ground):
-        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs)
+        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs, session=session)
         outcomes.append(SuiteOutcome(inst, res.implied, res.pivots))
     return SuiteReport(
         structure=structure,
@@ -767,9 +792,10 @@ def theorem3_chain(
     prepare_structure(purified, max_elements=max_elements, force=force)
     started = time.perf_counter()
     system = cached_system(purified, True, ineq)
+    session = open_session(system)
     steps = []
     for inst in instances:
-        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs)
+        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs, session=session)
         steps.append(SuiteOutcome(inst, res.implied, res.pivots))
     bound = share_bound(
         purified, mode="pure", ineq=ineq, max_elements=max_elements, force=force

@@ -25,6 +25,15 @@ to every objective solved on them); otherwise :func:`solve` builds it.
 The solver sees only the rows it is given: mapping a system onto its
 quotient and carrying certificates back is the caller's business.
 
+The costs of the dual form come from the rows alone and an objective
+only sets its right-hand side, so an optimal basis for one objective
+stays dual-feasible for every other objective on the same state.  A
+:class:`Session`, which the caller opens on one state and passes to
+:func:`solve`, keeps that basis: the next objective restarts from it and
+runs a dual simplex (dual steepest edge, falling back to the dual Bland
+rule after a run of degenerate pivots) instead of two phases from an
+all-artificial basis.  Without a session every solve is cold.
+
 Every status comes out of the same tableau on the same state.  An
 unbounded dual means an infeasible primal.  An infeasible dual leaves
 the primal infeasible or unbounded, and it is unbounded exactly when the
@@ -44,12 +53,15 @@ are reconstructed exactly and re-verified against every original row
 (feasibility, sign conditions, the dual combination and a zero duality
 gap, with the rows evaluated in integers over the common denominator of
 the primal point) before an optimal status is returned.  Identical
-problems produce identical pivot sequences and identical solutions,
-whether or not their presolved state was shared.
+problems solved cold produce identical pivot sequences and identical
+solutions, whether or not their presolved state was shared; solved in a
+session, the same holds for the same sequence of objectives on a fresh
+session.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,6 +70,9 @@ from typing import NamedTuple
 
 #: Pivots one phase of a tableau may make before the solve is abandoned.
 MAX_ITERATIONS = 2_000_000
+
+#: Consecutive degenerate dual pivots after which the dual Bland rule takes over.
+DEGENERATE_RUN = 50
 
 
 class SimplexError(RuntimeError):
@@ -259,6 +274,37 @@ class Presolved:
         self.cost_scale = _lcm_of_denominators(scaled_costs)
         self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
 
+    def with_inequality(self, row: LinearConstraint) -> Presolved:
+        """The state of ``self.rows + (row,)`` for one more ``>=`` row.
+
+        Only ``row`` is reduced; the records and the other columns are
+        shared with this state, which is left as it was.  The new row is
+        not deduplicated, since a repeated dual column changes no optimum.
+        A row with a variable no reduced row contains would renumber the
+        columns, so it gets a full presolve instead.
+        """
+        state = copy.copy(self)
+        state.rows = self.rows + (row,)
+        terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
+        if not terms:
+            state.infeasible = self.infeasible or rhs > 0
+            return state
+        if any(v not in self.var_pos for v in terms):
+            return Presolved(state.rows)
+        items = sorted(terms.items())
+        scale = _lcm_of_denominators(c for _, c in items)
+        cost = -rhs * scale
+        cost_scale = math.lcm(self.cost_scale, cost.denominator)
+        factor = cost_scale // self.cost_scale
+        state.row_index = self.row_index + [len(self.rows)]
+        state.weights = self.weights + [weights]
+        state.rhs = self.rhs + [rhs]
+        state.scales = self.scales + [scale]
+        state.cols = self.cols + [[(self.var_pos[v], _scaled(c, scale)) for v, c in items]]
+        state.costs = [c * factor for c in self.costs] + [_scaled(cost, cost_scale)]
+        state.cost_scale = cost_scale
+        return state
+
     def reduce_form(self, terms, rhs) -> tuple[dict, int | Fraction, dict]:
         """Substitute every record into ``terms . x >= rhs``.
 
@@ -319,14 +365,17 @@ class _Tableau:
     touching the shared columns.  A pivot on ``w_r`` applies the Bareiss
     update ``q'[i] = (w_r*q[i] - w_i*q[r]) // den`` (and the same to
     ``x``), a division that is always exact, and ``w_r`` becomes the new
-    denominator; when it is negative (possible only while driving out
-    artificials) ``q``, ``x`` and ``den`` are negated so ``den`` stays
-    positive.  Pricing uses the integer duals ``y = c_B q``, moved by one
+    denominator; when it is negative (while driving out artificials, and
+    on every dual pivot) ``q``, ``x`` and ``den`` are negated so ``den``
+    stays positive, by negating ``w_r`` and the pivot row before the
+    update.  Pricing uses the integer duals ``y = c_B q``, moved by one
     rank-one step per pivot.  Values, ratios and reduced costs are the
     exact ones times positive factors, so the pivot sequence is the one
     an explicit rational basis inverse would make; results turn back
     into ``Fraction`` only in :meth:`solution`, :meth:`multipliers` and
-    :meth:`phase1_value`.
+    :meth:`phase1_value`.  After phase 2 the basis is dual-feasible for
+    every ``d``: :meth:`restart` takes a new one and :meth:`dual_run`
+    re-optimises from there.
     """
 
     def __init__(self, state: Presolved, rhs: list[Fraction]) -> None:
@@ -411,6 +460,11 @@ class _Tableau:
     def _pivot(self, entering: int, leave: int, w: list[int]) -> None:
         q, x, den = self.q, self.x, self.den
         wr = w[leave]
+        if wr < 0:
+            # negating the pivot row and w_r negates every updated row
+            wr = -wr
+            q[leave] = [-a for a in q[leave]]
+            x[leave] = -x[leave]
         qr = q[leave]
         xr = x[leave]
         for i, wi in enumerate(w):
@@ -422,13 +476,79 @@ class _Tableau:
             elif wr != den:
                 q[i] = [wr * a // den for a in q[i]]
                 x[i] = wr * x[i] // den
-        if wr < 0:
-            self.q = [[-a for a in row] for row in q]
-            self.x = [-a for a in x]
-            wr = -wr
         self.den = wr
         self.basis[leave] = entering
         self.pivots += 1
+
+    def restart(self, rhs: list[Fraction]) -> None:
+        """Keep the basis and recompute the basic values for a new ``d``."""
+        self.rhs_scale = _lcm_of_denominators(rhs)
+        d = [(v, _scaled(r, self.rhs_scale)) for v, r in enumerate(rhs) if r]
+        self.x = [sum(row[v] * dv for v, dv in d) for row in self.q]
+        self.pivots = 0
+
+    def dual_run(self) -> str:
+        """Dual simplex from a dual-feasible phase-2 basis.
+
+        Returns ``optimal`` once every basic value is nonnegative, or
+        ``infeasible`` when ``M u = d, u >= 0`` has no solution: a basic
+        artificial (whose row of ``q`` is orthogonal to every column) has
+        a nonzero value, or a leaving row has no entering column.  The
+        leaving row has the largest ``x_i**2 / |q_i|**2`` among negative
+        values (dual steepest edge, with exact row norms of the basis
+        inverse); after :data:`DEGENERATE_RUN` consecutive pivots that
+        leave the dual objective unchanged it is the lowest basis id
+        instead (the dual Bland rule) until a pivot makes progress.  The
+        entering column wins the ratio test ``red_j / -alpha_j``, ties
+        going to the lowest index.  Pivot elements are negative, so
+        :meth:`_pivot` flips the signs and ``y`` is flipped with them.
+        """
+        n, cols, costs, basis = self.n, self.cols, self.costs, self.basis
+        if any(xi for xi, b in zip(self.x, basis) if b >= n):
+            return "infeasible"
+        y = self._duals(2)
+        degenerate = 0
+        for _ in range(MAX_ITERATIONS):
+            q, x, den = self.q, self.x, self.den
+            leave, leave_norm = -1, 0
+            for i, xi in enumerate(x):
+                if xi >= 0:
+                    continue
+                if degenerate >= DEGENERATE_RUN:
+                    if leave < 0 or basis[i] < basis[leave]:
+                        leave = i
+                    continue
+                norm = sum(a * a for a in q[i])
+                if leave >= 0:
+                    # x_i^2/norm_i against x_leave^2/norm_leave, cross-multiplied
+                    lhs = xi * xi * leave_norm
+                    rhs = x[leave] * x[leave] * norm
+                    if lhs < rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, leave_norm = i, norm
+            if leave < 0:
+                return "optimal"
+            qr = q[leave]
+            entering, red, alpha = -1, 0, 0
+            for j, col in enumerate(cols):  # a basic column has a = den or 0
+                a = 0
+                for v, c in col:
+                    a += qr[v] * c
+                if a >= 0:
+                    continue
+                rj = den * costs[j]
+                for v, c in col:
+                    rj -= y[v] * c
+                # rj/-a against red/-alpha, cross-multiplied
+                if entering < 0 or rj * alpha > red * a:
+                    entering, red, alpha = j, rj, a
+            if entering < 0:
+                return "infeasible"
+            degenerate = degenerate + 1 if red == 0 else 0
+            # the rank-one dual update of run(), negated with the pivot
+            y = [(-alpha * a - red * b) // den for a, b in zip(y, qr)]
+            self._pivot(entering, leave, self._column(entering))
+        raise SimplexError("iteration limit exceeded")
 
     def phase1_value(self) -> Fraction:
         total = sum(self.x[i] for i in range(self.m) if self.basis[i] >= self.n)
@@ -472,6 +592,20 @@ class _Tableau:
         return [Fraction(-y, scale) for y in self._duals(2)]
 
 
+class Session:
+    """A warm-start basis for successive objectives on one presolved state.
+
+    The caller opens a session on a :class:`Presolved` state and passes
+    it to :func:`solve` with each problem on that state; the session
+    keeps the last dual-feasible tableau and nothing else, and lives as
+    long as the caller holds it.
+    """
+
+    def __init__(self, state: Presolved) -> None:
+        self.state = state
+        self.tableau: _Tableau | None = None
+
+
 def _lcm_of_denominators(values) -> int:
     scale = 1
     for v in values:
@@ -484,20 +618,24 @@ def _scaled(value: Fraction, scale: int) -> int:
     return value.numerator * (scale // value.denominator)
 
 
-def solve(problem: LPProblem) -> LPSolution:
+def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
     """Exact optimum of the problem with primal point and row duals.
 
     Statuses are ``optimal`` (with a strong-duality-checked solution),
     ``infeasible`` and ``unbounded``; arithmetic is exact, so there are
     no tolerance failures.  The problem's ``presolved`` state is used
     when present and must have been built from ``problem.rows`` itself;
-    otherwise the state is built here.
+    otherwise the state is built here.  A ``session`` must have been
+    opened on that state; the solve then restarts from the session's
+    basis when it has one, and leaves its own dual-feasible basis there.
     """
     state = problem.presolved
     if state is None:
         state = Presolved(problem.rows)
     elif state.rows is not problem.rows:
         raise ValueError("presolved state was built from a different row tuple")
+    if session is not None and session.state is not state:
+        raise ValueError("session was opened on a different presolved state")
     if state.infeasible:
         return LPSolution("infeasible", None, None, None, 0)
 
@@ -508,18 +646,26 @@ def solve(problem: LPProblem) -> LPSolution:
     if any(c and v not in state.var_pos for v, c in red_obj.items()):
         # the objective keeps a variable no reduced row contains: its dual
         # equation has no column, so the dual has no feasible point
-        return _infeasible_or_unbounded(problem, state, 0)
+        return _infeasible_or_unbounded(problem, state, 0, session)
 
-    tableau = _Tableau(state, [red_obj.get(v, 0) for v in state.var_pos])
-    if tableau.run(1) != "optimal":
-        raise SimplexError("phase 1 cannot be unbounded")
-    if tableau.phase1_value() != 0:
-        return _infeasible_or_unbounded(problem, state, tableau.pivots)
-    tableau.drive_out_artificials()
-    reason = tableau.run(2)
+    rhs = [red_obj.get(v, 0) for v in state.var_pos]
+    tableau = session.tableau if session is not None else None
+    if tableau is not None:
+        tableau.restart(rhs)
+        if tableau.dual_run() != "optimal":
+            return _infeasible_or_unbounded(problem, state, tableau.pivots, session)
+    else:
+        tableau = _Tableau(state, rhs)
+        if tableau.run(1) != "optimal":
+            raise SimplexError("phase 1 cannot be unbounded")
+        if tableau.phase1_value() != 0:
+            return _infeasible_or_unbounded(problem, state, tableau.pivots, session)
+        tableau.drive_out_artificials()
+        if tableau.run(2) == "unbounded":
+            return LPSolution("infeasible", None, None, None, tableau.pivots)
+        if session is not None:
+            session.tableau = tableau
     pivots = tableau.pivots
-    if reason == "unbounded":
-        return LPSolution("infeasible", None, None, None, pivots)
     row_duals = tableau.solution()
     mult = tableau.multipliers()
     reduced_primal = {v: mult[i] for v, i in state.var_pos.items() if mult[i]}
@@ -539,14 +685,17 @@ def solve(problem: LPProblem) -> LPSolution:
     return LPSolution("optimal", value, tuple(x), tuple(duals), pivots)
 
 
-def _infeasible_or_unbounded(problem: LPProblem, state: Presolved, pivots: int) -> LPSolution:
+def _infeasible_or_unbounded(
+    problem: LPProblem, state: Presolved, pivots: int, session: Session | None
+) -> LPSolution:
     """Infeasible or unbounded, for a problem whose dual is infeasible.
 
     It is unbounded exactly when the rows have a feasible point, that is
     when the zero objective, whose dual is feasible at ``u = 0``, solves
-    to a verified optimum on the same state.
+    to a verified optimum on the same state (in the same session, where
+    a dual-feasible basis is already optimal for it).
     """
-    feasibility = solve(LPProblem(problem.num_vars, (), problem.rows, state))
+    feasibility = solve(LPProblem(problem.num_vars, (), problem.rows, state), session)
     status = "unbounded" if feasibility.status == "optimal" else "infeasible"
     return LPSolution(status, None, None, None, pivots + feasibility.pivots)
 

@@ -217,6 +217,15 @@ class TestBound:
         assert code == 3
         assert "limit" in err
 
+    @pytest.mark.parametrize("flags", [(), ("--mode", "mixed")], ids=["pure", "mixed"])
+    def test_zero_lp_value_fails_cleanly(self, capsys, tmp_path, flags):
+        path = write_structure(tmp_path, "s.json", 4, [[2]])
+        code, out, err = run(
+            capsys, "bound", "--in", path, "--objective", "single:1", "--auto-purify", *flags
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("failed: the single over players 1 objective has LP value 0/1")
+
     def test_bad_objective_is_usage_error(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
         for spec in ("median", "single:x", "single:"):

@@ -1,12 +1,16 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qssbounds import prover, simplex
 from qssbounds.prover import (
     Objective,
+    ProverError,
     cached_system,
     certificate_from_json_dict,
     certificate_to_json_dict,
@@ -104,6 +108,15 @@ class TestShareBound:
         big, _ = csirmaz(9)
         with pytest.raises(CapacityError):
             share_bound(big, auto_purify=True)
+
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_zero_lp_value_names_the_objective(self, mode, ineq):
+        # player 1 is a dummy, so its share can be empty: the LP value is
+        # 0 and bounds no information rate
+        dummy = from_minimal_sets(4, [[2]])
+        with pytest.raises(ProverError, match="single over players 1"):
+            share_bound(dummy, auto_purify=True, mode=mode, ineq=ineq, objective="single:1")
 
     def test_single_objective(self):
         report = share_bound(THRESHOLD23, objective="single:2")
@@ -206,17 +219,87 @@ class TestPinnedPivotSequence:
 
     @pytest.mark.parametrize("ineq", ["full", "elemental"])
     def test_lemma_suite_threshold(self, ineq):
+        # a suite solves its targets in one session: each one restarts
+        # from the basis of the one before, so the pins are per target in
+        # suite order (threshold(2,3) has one feasible point, whose basis
+        # the first target finds)
         report = lemma_suite(THRESHOLD23, ineq=ineq)
         got = [[o.instance.id, o.pivots] for o in report.outcomes]
         assert got == PINNED["lemmas_threshold23"][ineq]
 
     def test_lemma_suite_g4bar_elemental_total(self):
-        # 136 targets, 9610 pivots in total on the complement quotient
-        # (22977 on the plain elemental rows)
+        # 136 targets, 150 pivots in total in one session on the complement
+        # quotient (9610 solved cold there, 22977 on the plain elemental rows)
         report = lemma_suite(GAMMA4_BAR, ineq="elemental")
         assert len(report.outcomes) == 136
         assert report.all_implied
-        assert sum(o.pivots for o in report.outcomes) == 9610
+        assert sum(o.pivots for o in report.outcomes) == 150
+
+
+def cold_direction_pivots(structure, instances):
+    """Pivots of every target direction of a suite, each solved cold."""
+    elemental = cached_system(structure, True, "elemental")
+    quotient = elemental.quotient
+    total = 0
+    for inst in instances:
+        signs = (1, -1) if inst.rel == "=" else (1,)
+        for sign in signs:
+            objective = quotient.map_terms(sorted((v, sign * c) for v, c in inst.terms))
+            problem = LPProblem(
+                elemental.ground.var_count, objective, quotient.rows, quotient.presolved
+            )
+            total += solve(problem).pivots
+    return total
+
+
+class TestSuiteSessions:
+    """Lemma and chain suites warm-start each target in one session."""
+
+    def test_warm_pivots_are_no_more_than_cold(self):
+        # a warm start that pivots more than a cold solve would be a
+        # regression: the dual Bland rule alone took the final step of
+        # theorem3_chain(6) from 245 pivots cold to 884
+        warm = cold = 0
+        for n in (4, 5, 6):
+            report = theorem3_chain(n, ineq="elemental")
+            assert report.all_implied
+            warm += sum(s.pivots for s in report.steps)
+            purified, _, instances = staircase_chain_instances(n)
+            cold += cold_direction_pivots(purified, instances)
+        suite = lemma_suite(GAMMA4_BAR, ineq="elemental")
+        warm += sum(o.pivots for o in suite.outcomes)
+        cold += cold_direction_pivots(GAMMA4_BAR, [o.instance for o in suite.outcomes])
+        assert warm <= cold
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: lemma_suite(GAMMA4_BAR, ineq="elemental"), lambda: theorem3_chain(4)],
+        ids=["lemma_suite", "theorem3_chain"],
+    )
+    def test_session_tableau_dies_with_the_suite(self, monkeypatch, run):
+        sessions = []
+
+        class Recorded(simplex.Session):
+            def __init__(self, state):
+                super().__init__(state)
+                sessions.append(weakref.ref(self))
+
+        monkeypatch.setattr(prover, "Session", Recorded)
+        tableaux = []
+        original = simplex.solve
+
+        def recording_solve(problem, session=None):
+            solution = original(problem, session)
+            if session is not None and session.tableau is not None:
+                tableaux.append(weakref.ref(session.tableau))
+            return solution
+
+        monkeypatch.setattr(prover, "solve", recording_solve)
+        assert run().all_implied
+        assert len(sessions) == 1 and tableaux
+        gc.collect()
+        assert sessions[0]() is None
+        assert all(ref() is None for ref in tableaux)
 
 
 class TestSharedPresolve:

@@ -13,6 +13,7 @@ import pytest
 from qssbounds.cone import complement_chain, sparse_form
 from qssbounds.prover import (
     Objective,
+    _expand,
     cached_system,
     check_implied,
     objective_rows,
@@ -20,7 +21,14 @@ from qssbounds.prover import (
     share_bound,
     verify_certificate,
 )
-from qssbounds.simplex import Certificate, LPProblem, Presolved, extract_certificate, solve
+from qssbounds.simplex import (
+    Certificate,
+    LPProblem,
+    Presolved,
+    Session,
+    extract_certificate,
+    solve,
+)
 from qssbounds.structures import csirmaz, from_minimal_sets, is_self_dual, purify
 
 from helpers import random_quantum_structure
@@ -113,6 +121,36 @@ def test_every_lemma_target_matches_the_plain_lp(structure):
                 for system in witness_systems:
                     assert all(c.satisfied_by(result.witness) for c in system.constraints)
     assert "optimal" in statuses
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)
+def test_session_solves_match_cold_solves(structure):
+    # every target in both directions, in suite order, in one session
+    elemental = cached_system(structure, True, "elemental")
+    quotient = elemental.quotient
+    state = quotient.presolved
+    systems = replay_systems(structure)
+    session = Session(state)
+    statuses, warm_pivots = set(), 0
+    for inst in scheme_relation_instances(structure, elemental.ground):
+        for sign in (1, -1):
+            objective = tuple(sorted((v, sign * c) for v, c in inst.terms))
+            problem = LPProblem(
+                elemental.ground.var_count, quotient.map_terms(objective), quotient.rows, state
+            )
+            warm = solve(problem, session)
+            cold = solve(problem)
+            assert (warm.status, warm.value) == (cold.status, cold.value), inst.id
+            statuses.add(warm.status)
+            warm_pivots += warm.pivots
+            if warm.status != "optimal":
+                continue
+            entries = extract_certificate(problem, warm).entries
+            cert = Certificate(warm.value, _expand(elemental, (), entries, objective), objective)
+            for system in systems:
+                assert verify_certificate(system, cert, objective=objective), inst.id
+    assert statuses == {"optimal", "unbounded"}
+    assert warm_pivots > 0
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)

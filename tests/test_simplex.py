@@ -564,3 +564,170 @@ class TestIntegerRows:
             if s.status == "optimal":
                 assert type(s.value) is Fraction
         assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def random_session_lp(rng, shape):
+    """Rows, a presolved state and many objectives on them.
+
+    Shapes: ``degenerate`` rows are mostly tight at a seeded integer
+    point and often repeated; ``lowrank`` rows span fewer directions
+    than there are variables, so some equations of the dual stay
+    redundant and keep an artificial basic; ``infeasible`` rows add one
+    row that contradicts another.  Most objectives are nonnegative
+    combinations of the rows (bounded when the rows are feasible), the
+    rest are random (often unbounded); some have fractional entries.
+    """
+    n = rng.randint(2, 5)
+    point = [rng.randint(-2, 2) for _ in range(n)]
+    dirs = [{v: rng.choice((-1, 1, 2)) for v in range(n) if rng.random() < 0.7}
+            for _ in range(rng.randint(1, n - 1))]
+    rows = []
+    for _ in range(rng.randint(2, 9)):
+        if shape == "lowrank":
+            terms = {}
+            for d in dirs:
+                simplex.add_scaled(terms, d.items(), rng.randint(-2, 2))
+        else:
+            terms = {v: rng.choice((-2, -1, 1, 2)) for v in range(n) if rng.random() < 0.6}
+        if not terms:
+            continue
+        rel = "=" if rng.random() < 0.2 else ">="
+        slack = 0 if rel == "=" or (shape != "general" and rng.random() < 0.7) else rng.randint(0, 2)
+        rhs = sum(c * point[v] for v, c in terms.items()) - slack
+        rows.append((terms, rel, rhs))
+        if shape == "degenerate" and rng.random() < 0.3:
+            rows.append((dict(terms), rel, rhs))
+    inequalities = [r for r in rows if r[1] == ">="]
+    if shape == "infeasible" and inequalities:
+        terms, _, rhs = rng.choice(inequalities)
+        rows.append(({v: -c for v, c in terms.items()}, ">=", 1 - rhs))
+    base = make_problem(n, {}, rows)
+    objectives = []
+    for _ in range(12):
+        objective = {}
+        if rng.random() < 0.7:
+            for terms, rel, _ in rows:
+                weight = rng.randint(-1, 2) if rel == "=" else rng.randint(0, 2)
+                simplex.add_scaled(objective, terms.items(), Fraction(weight, rng.randint(1, 3)))
+        else:
+            objective = {v: Fraction(rng.randint(-3, 3)) for v in range(n)}
+        objectives.append(tuple(sorted((v, Fraction(c)) for v, c in objective.items() if c)))
+    return base.rows, Presolved(base.rows), objectives
+
+
+class TestSessions:
+    """Warm restarts in a session against cold solves on the same state."""
+
+    @pytest.mark.parametrize("degenerate_run", [simplex.DEGENERATE_RUN, 1, 0])
+    @pytest.mark.parametrize("shape", ["general", "degenerate", "lowrank", "infeasible"])
+    def test_seeded_objectives_match_cold_solves(self, monkeypatch, shape, degenerate_run):
+        # degenerate_run 0 runs the dual Bland rule from the first pivot
+        monkeypatch.setattr(simplex, "DEGENERATE_RUN", degenerate_run)
+        rng = random.Random(f"{shape}-{degenerate_run}")
+        statuses, warm_pivots, artificial_kept = set(), 0, False
+        for _ in range(40):
+            rows, state, objectives = random_session_lp(rng, shape)
+            num_vars = max((v for r in rows for v, _ in r.terms), default=0) + 1
+            session = simplex.Session(state)
+            for objective in objectives:
+                problem = LPProblem(num_vars, objective, rows, state)
+                warm_start = session.tableau is not None
+                warm = solve(problem, session)
+                cold = solve(problem)
+                assert (warm.status, warm.value) == (cold.status, cold.value), objective
+                statuses.add(warm.status)
+                if warm_start:
+                    warm_pivots += warm.pivots
+                if warm.status == "optimal":
+                    assert extract_certificate(problem, warm).claimed_bound == warm.value
+                tableau = session.tableau
+                if tableau is not None:
+                    artificial_kept |= any(b >= tableau.n for b in tableau.basis)
+        expected = {
+            "general": {"optimal", "unbounded"},
+            "degenerate": {"optimal", "unbounded"},
+            "lowrank": {"optimal", "unbounded"},
+            "infeasible": {"infeasible"},
+        }[shape]
+        assert expected <= statuses
+        if shape != "infeasible":
+            assert warm_pivots > 0
+        if shape == "lowrank":
+            assert artificial_kept
+
+    def test_repeated_objective_restarts_with_no_pivot(self):
+        rows = [
+            ({0: Fraction(1), 1: Fraction(1)}, ">=", 4),
+            ({0: Fraction(1), 1: Fraction(-1)}, ">=", 0),
+            ({1: Fraction(1)}, ">=", 1),
+        ]
+        problem = make_problem(2, {0: Fraction(1), 1: Fraction(2)}, rows)
+        state = Presolved(problem.rows)
+        problem = LPProblem(2, problem.objective, problem.rows, state)
+        session = simplex.Session(state)
+        first = solve(problem, session)
+        again = solve(problem, session)
+        assert first == solve(problem) and first.pivots > 0
+        assert (again.status, again.value, again.pivots) == ("optimal", first.value, 0)
+
+    def test_session_of_another_state_refused(self):
+        problem = make_problem(1, {0: Fraction(1)}, [({0: Fraction(1)}, ">=", 3)])
+        session = simplex.Session(Presolved(problem.rows))
+        with pytest.raises(ValueError, match="different presolved state"):
+            solve(problem, session)
+
+    def test_unbounded_objective_keeps_the_basis(self):
+        # the second objective leaves the dual infeasible from the warm
+        # basis; the feasibility solve in the same session needs no pivot
+        rows = [({0: Fraction(1)}, ">=", 1), ({0: Fraction(1), 1: Fraction(1)}, ">=", 0)]
+        base = make_problem(2, {}, rows)
+        state = Presolved(base.rows)
+        session = simplex.Session(state)
+        bounded = solve(LPProblem(2, ((0, Fraction(1)),), base.rows, state), session)
+        kept = session.tableau
+        unbounded = solve(LPProblem(2, ((0, Fraction(-1)),), base.rows, state), session)
+        assert (bounded.status, bounded.value) == ("optimal", 1)
+        assert (unbounded.status, unbounded.pivots) == ("unbounded", 0)
+        assert session.tableau is kept
+
+
+class TestWithInequality:
+    """One more row on a presolved state equals presolving all the rows."""
+
+    FIELDS = ("row_index", "weights", "rhs", "var_pos", "cols", "scales", "costs",
+              "cost_scale", "infeasible", "pivot_vars", "combos")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ({0: Fraction(-1), 2: Fraction(-1)}, Fraction(-7, 2)),  # new cost scale
+            ({1: Fraction(1, 3)}, 0),  # new column scale
+            ({0: Fraction(1)}, 5),  # reduces to 0 >= 5 - 1: infeasible
+            ({0: Fraction(1)}, -1),  # reduces to 0 >= -2: dropped
+            ({3: Fraction(1)}, 0),  # a variable no other row contains
+        ],
+        ids=["cost-scale", "column-scale", "empty-infeasible", "empty-dropped", "new-variable"],
+    )
+    def test_matches_a_fresh_presolve(self, extra):
+        rows = [
+            ({0: Fraction(1)}, "=", 1),
+            ({1: Fraction(1), 2: Fraction(1)}, ">=", 2),
+            ({0: Fraction(1), 1: Fraction(-1)}, ">=", Fraction(1, 2)),
+            ({2: Fraction(1)}, ">=", 0),
+        ]
+        base = make_problem(4, {}, rows)
+        state = Presolved(base.rows)
+        terms, rhs = extra
+        row = LinearConstraint("cutoff", tuple(sorted(terms.items())), ">=", rhs)
+        grown = state.with_inequality(row)
+        fresh = Presolved(base.rows + (row,))
+        assert grown.rows == fresh.rows
+        if not fresh.infeasible:
+            for name in self.FIELDS:
+                assert getattr(grown, name) == getattr(fresh, name), name
+        assert grown.infeasible == fresh.infeasible
+        assert not state.infeasible and len(state.rows) == len(rows)
+        for objective in (((1, Fraction(1)),), ((1, Fraction(1)), (2, Fraction(1))), ()):
+            assert solve(LPProblem(4, objective, grown.rows, grown)) == solve(
+                LPProblem(4, objective, fresh.rows, fresh)
+            )
