@@ -119,9 +119,12 @@ def _parse_players(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
     try:
-        return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+        players = tuple(int(p) for p in text.replace(" ", "").split(",") if p)
     except ValueError as exc:
         raise UsageError(f"bad --players list {text!r}") from exc
+    if len(set(players)) != len(players):
+        raise UsageError(f"bad --players list {text!r}: a player is repeated")
+    return players
 
 
 def cmd_gen(args) -> int:

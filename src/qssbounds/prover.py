@@ -32,6 +32,7 @@ dies with it; bound LPs are solved cold.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -54,9 +55,7 @@ from .simplex import (
     Session,
     add_scaled,
     rat_str,
-    extract_certificate,
     solve,
-    weighted_sum,
 )
 from .structures import (
     AccessStructure,
@@ -97,6 +96,8 @@ class Objective:
             raise StructureError("objective needs at least one player")
         if self.kind == "single" and len(self.players) != 1:
             raise StructureError("single-share objective takes exactly one player")
+        if len(set(self.players)) != len(self.players):
+            raise StructureError(f"objective names a player twice: {self.players}")
 
     @classmethod
     def parse(cls, spec: str, default_players: Sequence[int]) -> "Objective":
@@ -321,9 +322,8 @@ def share_bound(
             f"the {obj.describe()} objective has LP value {rat_str(solution.value)}, "
             "which bounds no information rate"
         )
-    found = extract_certificate(problem, solution, description=obj.describe())
-    entries = _expand(elemental, extra, found.entries, form)
-    cert = Certificate(found.claimed_bound, entries, form, found.description)
+    entries = _expand(elemental, extra, problem.rows, *solution.multipliers, form)
+    cert = Certificate(solution.value, entries, form, obj.describe())
     if not verify_certificate(replay, cert, objective=obj):
         raise ProverError("emitted certificate failed independent replay")
 
@@ -350,45 +350,47 @@ def share_bound(
 def _expand(
     system: ConstraintSystem,
     extra: tuple[LinearConstraint, ...],
-    entries: Iterable[tuple[str, Fraction]],
+    rows: Iterable[LinearConstraint],
+    multipliers: Iterable[int],
+    den: int,
     objective: Iterable[tuple[int, Fraction]],
 ) -> tuple[tuple[str, Fraction], ...]:
     """Certificate entries on the original rows from quotient multipliers.
 
-    The multipliers name rows of ``system`` and ``extra``.  Weighted by
-    them, those rows minus the objective leave c * (S(X) - S(F\\X)) on
-    complementary pairs, where F is the ground set, plus a term on S(F),
-    since the quotient sees neither.  Each pair is cancelled by |c| times
-    the :func:`cone.complement_chain` of X when c < 0, or of F\\X when
-    c > 0, which adds |c| * S(F) and nothing to the right-hand side;
-    ``purity`` absorbs the S(F) total and ``emptyset`` a term on S(∅).
-    Entries come out in the system's row order (its ``position`` index),
-    then ``extra``'s.  In mixed mode nothing is left over,
-    so the entries are the quotient's own.
+    ``multipliers[i] / den`` weights the row of ``system`` or ``extra``
+    that ``rows[i]`` names by id, and the work is in ints, ``den`` times
+    the certificate.  Weighted by them, those rows minus the objective
+    leave c * (S(X) - S(F\\X)) on complementary pairs, where F is the
+    ground set, plus a term on S(F), since the quotient sees neither.  Each
+    pair is cancelled by |c| times the :func:`cone.complement_chain` of X
+    when c < 0, or of F\\X when c > 0, which adds |c| * S(F) and nothing
+    to the right-hand side; ``purity`` absorbs the S(F) total and
+    ``emptyset`` a term on S(∅).  Entries come out in the system's row
+    order (its ``position`` index), then ``extra``'s.  In mixed mode
+    nothing is left over, so the entries are the quotient's own.
     """
     ground = system.ground
     full, r = ground.full_mask, ground.reference_mask
     by_id = {row.id: row for row in extra}
-    mult = dict(entries)
-    # left is scale times the weighted rows minus the objective
-    left, _, scale = weighted_sum(
-        (u, system.by_id.get(rid) or by_id[rid]) for rid, u in mult.items()
-    )
-    add_scaled(left, objective, -scale)
+    mult, left = {}, {}  # left is den times the weighted rows minus the objective
+    for row, u in zip(rows, multipliers):
+        if u:
+            mult[row.id] = u
+            add_scaled(left, (system.by_id.get(row.id) or by_id[row.id]).terms, u)
+    add_scaled(left, objective, -den)
     absorb = {"purity": left.get(full, 0), "emptyset": left.get(0, 0)}
     for v, c in left.items():
         if v & r and v != full:
-            weight = Fraction(abs(c), scale)
             for row in complement_chain(ground, v if c < 0 else full & ~v):
-                mult[row.id] = mult.get(row.id, 0) + weight
+                mult[row.id] = mult.get(row.id, 0) + abs(c)
             absorb["purity"] += abs(c)
     for rid, c in absorb.items():
         if c:
-            mult[rid] = mult.get(rid, 0) - Fraction(c, scale)
+            mult[rid] = mult.get(rid, 0) - c
     position = system.position
     ids = sorted((rid for rid, u in mult.items() if u and rid in position), key=position.get)
     ids += [row.id for row in extra if mult.get(row.id)]
-    return tuple((rid, mult[rid]) for rid in ids)
+    return tuple((rid, Fraction(mult[rid], den)) for rid in ids)
 
 
 def _csirmaz_k_of(structure: AccessStructure) -> int | None:
@@ -435,6 +437,24 @@ def verify_certificate(
     if combo != {v: c * scale for v, c in form if c}:
         return False
     return total_rhs >= cert.claimed_bound * scale
+
+
+def weighted_sum(pairs) -> tuple[dict[int, int | Fraction], int | Fraction, int]:
+    """``scale`` times the sum of ``u * row`` over ``(u, row)`` pairs.
+
+    ``scale`` is the lcm of the multipliers' denominators, so on integral
+    rows every sum is an ``int``.  Returns the combined terms with zeros
+    dropped, the combined right-hand side and ``scale``.
+    """
+    pairs = [(u, row) for u, row in pairs if u]
+    scale = math.lcm(*(u.denominator for u, _ in pairs))
+    combo: dict = {}
+    rhs = 0
+    for u, row in pairs:
+        w = u.numerator * (scale // u.denominator)
+        rhs += w * row.rhs
+        add_scaled(combo, row.terms, w)
+    return combo, rhs, scale
 
 
 @dataclass(frozen=True)
@@ -504,8 +524,8 @@ def _prove_direction(
     problem = LPProblem(elemental.ground.var_count, mapped, quotient.rows, quotient.presolved)
     solution = solve(problem, session)
     if solution.status == "optimal" and solution.value >= bound:
-        entries = extract_certificate(problem, solution).entries
-        cert = Certificate(bound, _expand(elemental, (), entries, objective), objective)
+        entries = _expand(elemental, (), problem.rows, *solution.multipliers, objective)
+        cert = Certificate(bound, entries, objective)
         if not verify_certificate(system, cert, objective=objective):
             raise ProverError("optimal certificate failed replay")
         return cert, None, solution.pivots
@@ -554,6 +574,10 @@ class SuiteOutcome:
     implied: bool
     pivots: int
 
+    def to_json_dict(self) -> dict:
+        inst = self.instance
+        return {"id": inst.id, "description": inst.description, "implied": self.implied}
+
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -576,14 +600,7 @@ class SuiteReport:
             "total": len(self.outcomes),
             "implied": sum(o.implied for o in self.outcomes),
             "all_implied": self.all_implied,
-            "instances": [
-                {
-                    "id": o.instance.id,
-                    "description": o.instance.description,
-                    "implied": o.implied,
-                }
-                for o in self.outcomes
-            ],
+            "instances": [o.to_json_dict() for o in self.outcomes],
             "stats": {"millis": self.millis},
         }
 
@@ -713,14 +730,7 @@ class ChainReport:
             "k": self.k,
             "theorem3_bound": rat_str(self.reference_bound),
             "all_implied": self.all_implied,
-            "steps": [
-                {
-                    "id": s.instance.id,
-                    "description": s.instance.description,
-                    "implied": s.implied,
-                }
-                for s in self.steps
-            ],
+            "steps": [s.to_json_dict() for s in self.steps],
             "lp_value": rat_str(self.bound.lp_value),
             "rate_upper_bound": rat_str(self.bound.rate_upper_bound),
             "stats": {"millis": self.millis},

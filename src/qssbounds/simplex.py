@@ -5,10 +5,10 @@ subject to ``>=`` and ``=`` rows.  There is no floating point anywhere
 in the solve path, so optima such as 3/2 are proved rather than
 approximated.  A row is a :class:`LinearConstraint` named tuple whose
 numbers are ``int`` or ``Fraction``.  The rows this package generates
-are all ints, and the presolve, the optimality checks and
-:func:`weighted_sum` stay in ints wherever the values are whole: a
-``Fraction`` appears only where a division does not come out even;
-every sparse row update goes through :func:`add_scaled`.
+are all ints, and the presolve and the post-solve stay in ints wherever
+the values are whole: a ``Fraction`` appears only where a division does
+not come out even; every sparse row update goes through
+:func:`add_scaled`.
 
 The solver is a two-phase simplex with Bland's anti-cycling rule.  The
 systems this package generates have far more rows than variables, so the
@@ -19,10 +19,9 @@ substitution.  The presolve depends only on the rows, so it is one
 records, the reduced and deduplicated inequality rows with the weights
 that lift their multipliers back, and those rows as integer-scaled dual
 columns and costs.  It reduces each objective and lifts each solution.
-A problem may carry the state of its rows (the rows a constraint system
-is solved on, its complement quotient in pure mode, keep one and hand it
-to every objective solved on them); otherwise :func:`solve` builds it.
-The solver sees only the rows it is given: mapping a system onto its
+A problem may carry the state of its rows (a constraint system keeps one
+for the rows it is solved on); otherwise :func:`solve` builds it.  The
+solver sees only the rows it is given: mapping a system onto its
 quotient and carrying certificates back is the caller's business.
 
 The costs of the dual form come from the rows alone and an objective
@@ -47,12 +46,11 @@ is always exact, and the pivot element w_r becomes the new D (all signs
 are flipped when it is negative, so D stays positive).  Every quantity
 the pivot rule compares is the exact one times a positive factor, so
 the pivot sequence is the one a rational basis inverse would make.
-Only the final values are turned back into :class:`fractions.Fraction`:
-primal values and per-row dual multipliers for the *original* problem
-are reconstructed exactly and re-verified against every original row
-(feasibility, sign conditions, the dual combination and a zero duality
-gap, with the rows evaluated in integers over the common denominator of
-the primal point) before an optimal status is returned.  Identical
+The primal point and the per-row multipliers of the *original* problem
+are lifted as integers over one positive denominator each, and checked
+in integers against every original row (feasibility, sign conditions,
+the dual combination and a zero duality gap) before an optimal status
+is returned; ``Fraction`` tuples are built only when read.  Identical
 problems solved cold produce identical pivot sequences and identical
 solutions, whether or not their presolved state was shared; solved in a
 session, the same holds for the same sequence of objectives on a fresh
@@ -65,6 +63,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -133,11 +132,30 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """A solve's status, pivot count and, when optimal, its verified optimum.
+
+    ``point`` and ``multipliers`` (one per row) are ``(numerators,
+    denominator)`` pairs of ints, and ``==`` compares these pairs;
+    ``primal`` and ``duals`` build their ``Fraction`` tuples on first read.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
-    primal: tuple[Fraction, ...] | None
-    duals: tuple[Fraction, ...] | None  # one multiplier per problem row
+    point: tuple[tuple[int, ...], int] | None
+    multipliers: tuple[tuple[int, ...], int] | None
     pivots: int
+
+    @cached_property
+    def primal(self) -> tuple[Fraction, ...] | None:
+        return _fractions(self.point)
+
+    @cached_property
+    def duals(self) -> tuple[Fraction, ...] | None:
+        return _fractions(self.multipliers)
+
+
+def _fractions(scaled: tuple[tuple[int, ...], int] | None) -> tuple[Fraction, ...] | None:
+    return None if scaled is None else tuple(Fraction(n, scaled[1]) for n in scaled[0])
 
 
 @dataclass(frozen=True)
@@ -155,10 +173,7 @@ class Certificate:
 
 
 def _exact_div(a, b):
-    """``a / b`` as the ``int`` quotient when it is whole, else a ``Fraction``.
-
-    Plain ``/`` on two ints would give a float.
-    """
+    """``a / b`` as an ``int`` when it is whole, else a ``Fraction`` (never a float)."""
     q, r = divmod(a, b)
     return Fraction(a, b) if r else q
 
@@ -187,8 +202,9 @@ class Presolved:
     form and returns the record weights it used, so multipliers of the
     reduced problem lift to exact multipliers on the original equality
     rows (:meth:`equality_duals`) and a reduced point lifts to the
-    original variables (:meth:`lift_primal`).  Values stay ``int`` while
-    every division by a pivot coefficient comes out even.
+    original variables (:meth:`lift_primal`), both in integers over a
+    common denominator, which a pivot coefficient that does not divide
+    rescales.
 
     The inequality rows are reduced by the records, and duplicates and
     rows that reduce to ``0 >= rhs`` with ``rhs <= 0`` are dropped.  Per
@@ -323,18 +339,23 @@ class Presolved:
             rhs = rhs - t * self.rest_rhs[k]
         return terms, rhs, weights
 
-    def lift_primal(self, reduced: dict, num_vars: int) -> list[int | Fraction]:
-        """The original point for reduced values, by back-substitution."""
+    def lift_primal(self, reduced: dict, den: int, num_vars: int) -> tuple[list[int], int]:
+        """The original point of ``reduced / den``, as ``(numerators, denominator)``."""
         x = [0] * num_vars
         for v, val in reduced.items():
             x[v] = val
         for k in range(len(self.pivot_vars) - 1, -1, -1):
-            acc = self.rest_rhs[k]
+            acc = self.rest_rhs[k] * den
             for v, c in self.rests[k].items():
                 if x[v]:
                     acc -= c * x[v]
-            x[self.pivot_vars[k]] = _exact_div(acc, self.pivot_coefs[k])
-        return x
+            t = _exact_div(acc, self.pivot_coefs[k])
+            if type(t) is not int:
+                x = [a * t.denominator for a in x]
+                den *= t.denominator
+                t = t.numerator
+            x[self.pivot_vars[k]] = t
+        return x, den
 
     def equality_duals(self, alpha: dict) -> dict:
         """Multipliers on original equality rows from record weights."""
@@ -365,17 +386,15 @@ class _Tableau:
     touching the shared columns.  A pivot on ``w_r`` applies the Bareiss
     update ``q'[i] = (w_r*q[i] - w_i*q[r]) // den`` (and the same to
     ``x``), a division that is always exact, and ``w_r`` becomes the new
-    denominator; when it is negative (while driving out artificials, and
-    on every dual pivot) ``q``, ``x`` and ``den`` are negated so ``den``
-    stays positive, by negating ``w_r`` and the pivot row before the
-    update.  Pricing uses the integer duals ``y = c_B q``, moved by one
-    rank-one step per pivot.  Values, ratios and reduced costs are the
-    exact ones times positive factors, so the pivot sequence is the one
-    an explicit rational basis inverse would make; results turn back
-    into ``Fraction`` only in :meth:`solution`, :meth:`multipliers` and
-    :meth:`phase1_value`.  After phase 2 the basis is dual-feasible for
-    every ``d``: :meth:`restart` takes a new one and :meth:`dual_run`
-    re-optimises from there.
+    denominator; a negative ``w_r`` (while driving out artificials, and on
+    every dual pivot) and the pivot row are negated first, so ``den``
+    stays positive.  Pricing uses the integer duals ``y = c_B q``, moved
+    by one rank-one step per pivot.  Values, ratios and reduced costs are
+    the exact ones times positive factors, so the pivot sequence is the
+    one an explicit rational basis inverse would make; the results stay
+    integers over a common denominator.  After phase 2 the basis is
+    dual-feasible for every ``d``: :meth:`restart` takes a new one and
+    :meth:`dual_run` re-optimises from there.
     """
 
     def __init__(self, state: Presolved, rhs: list[Fraction]) -> None:
@@ -550,10 +569,6 @@ class _Tableau:
             self._pivot(entering, leave, self._column(entering))
         raise SimplexError("iteration limit exceeded")
 
-    def phase1_value(self) -> Fraction:
-        total = sum(self.x[i] for i in range(self.m) if self.basis[i] >= self.n)
-        return Fraction(total, self.den * self.rhs_scale)
-
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued basic artificials onto real columns.
 
@@ -579,17 +594,14 @@ class _Tableau:
                     in_basis = set(self.basis)
                     break
 
-    def solution(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, b in enumerate(self.basis):
-            if b < self.n and self.x[i]:
-                out[b] = Fraction(self.x[i] * self.col_scale[b], self.den * self.rhs_scale)
-        return out
+    def solution(self) -> tuple[dict[int, int], int]:
+        """Nonzero basic ``u`` by column, as numerators over their denominator."""
+        u = {b: xi * self.col_scale[b] for b, xi in zip(self.basis, self.x) if xi and b < self.n}
+        return u, self.den * self.rhs_scale
 
-    def multipliers(self) -> list[Fraction]:
-        """Row multipliers -pi of the equations (phase 2)."""
-        scale = self.den * self.cost_scale
-        return [Fraction(-y, scale) for y in self._duals(2)]
+    def multipliers(self) -> tuple[list[int], int]:
+        """Row multipliers -pi of the equations (phase 2), over their denominator."""
+        return [-y for y in self._duals(2)], self.den * self.cost_scale
 
 
 class Session:
@@ -639,9 +651,8 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
     if state.infeasible:
         return LPSolution("infeasible", None, None, None, 0)
 
-    red_obj, obj_offset_neg, alpha = state.reduce_form(problem.objective, 0)
-    # reduce_form treats the constant like a rhs: c.x = red.x - obj_offset_neg
-    obj_offset = -obj_offset_neg
+    red_obj, neg_offset, alpha = state.reduce_form(problem.objective, 0)
+    # reduce_form treats the constant like a rhs: c.x = red.x - neg_offset
 
     if any(c and v not in state.var_pos for v, c in red_obj.items()):
         # the objective keeps a variable no reduced row contains: its dual
@@ -658,31 +669,37 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
         tableau = _Tableau(state, rhs)
         if tableau.run(1) != "optimal":
             raise SimplexError("phase 1 cannot be unbounded")
-        if tableau.phase1_value() != 0:
+        if any(xi for xi, b in zip(tableau.x, tableau.basis) if b >= tableau.n):
             return _infeasible_or_unbounded(problem, state, tableau.pivots, session)
         tableau.drive_out_artificials()
         if tableau.run(2) == "unbounded":
             return LPSolution("infeasible", None, None, None, tableau.pivots)
         if session is not None:
             session.tableau = tableau
-    pivots = tableau.pivots
-    row_duals = tableau.solution()
-    mult = tableau.multipliers()
+    row_duals, dual_den = tableau.solution()
+    mult, primal_den = tableau.multipliers()
     reduced_primal = {v: mult[i] for v, i in state.var_pos.items() if mult[i]}
-    value = Fraction(obj_offset + sum(u * state.rhs[j] for j, u in row_duals.items()))
+    rhs_total = sum(u * state.rhs[j] for j, u in row_duals.items())
+    value = Fraction(rhs_total - neg_offset * dual_den, dual_den)
+    x, primal_den = state.lift_primal(reduced_primal, primal_den, problem.num_vars)
 
-    x = state.lift_primal(reduced_primal, problem.num_vars)
-
-    # alpha: the objective's record weights less those of the row duals
+    # dual_den times alpha: the objective's record weights less the row duals'
+    alpha = {k: a * dual_den for k, a in alpha.items()}
     duals = [0] * len(problem.rows)
     for j in sorted(row_duals):
         duals[state.row_index[j]] = row_duals[j]
         add_scaled(alpha, state.weights[j].items(), -row_duals[j])
-    for j, lam in state.equality_duals(alpha).items():
-        duals[j] = lam
+    lam = state.equality_duals(alpha)
+    scale = _lcm_of_denominators(lam.values())
+    if scale != 1:  # a record weight whose division did not come out even
+        duals = [u * scale for u in duals]
+        dual_den *= scale
+    for j, u in lam.items():
+        duals[j] = _scaled(u, scale)
 
-    _verify_optimal(problem, x, duals, value)
-    return LPSolution("optimal", value, tuple(x), tuple(duals), pivots)
+    _verify_optimal(problem, x, primal_den, duals, dual_den, value)
+    point, multipliers = (tuple(x), primal_den), (tuple(duals), dual_den)
+    return LPSolution("optimal", value, point, multipliers, tableau.pivots)
 
 
 def _infeasible_or_unbounded(
@@ -701,58 +718,36 @@ def _infeasible_or_unbounded(
 
 
 def _verify_optimal(
-    problem: LPProblem,
-    x: list[int | Fraction],
-    duals: list[int | Fraction],
-    value: Fraction,
+    problem: LPProblem, x: list[int], x_den: int, duals: list[int], dual_den: int, value: Fraction
 ) -> None:
     """Exact post-checks against every row of the problem.
 
     Primal feasibility, nonnegative multipliers on inequalities, a dual
-    combination equal to the objective, and a zero duality gap.  ``xs``
-    is ``x`` times its common denominator ``scale``, so on integral rows
-    ``lhs = (row . x) * scale`` is summed in ints, with no ``Fraction``
-    per term; the dual combination is a :func:`weighted_sum`, in ints too.
+    combination equal to the objective, and a zero duality gap, for the
+    point ``x / x_den`` and multipliers ``duals / dual_den`` (ints over
+    positive denominators), with every sum in ints on integral rows.
     """
-    scale = _lcm_of_denominators(x)
-    xs = [_scaled(v, scale) for v in x]
-    for row, u in zip(problem.rows, duals):
+    combo, rhs_total = {}, 0
+    for (rid, terms, rel, rhs), u in zip(problem.rows, duals):
         lhs = 0
-        for v, c in row.terms:
-            lhs += c * xs[v]
-        target = row.rhs * scale
-        if row.rel == "=":
-            if lhs != target:
-                raise SimplexError(f"primal violates equality {row.id}")
-        elif lhs < target:
-            raise SimplexError(f"primal violates inequality {row.id}")
-        if u < 0 and row.rel != "=":
-            raise SimplexError(f"negative multiplier on inequality {row.id}")
-    combo, rhs_total, dual_scale = weighted_sum(zip(duals, problem.rows))
-    if combo != {v: c * dual_scale for v, c in problem.objective if c}:
+        for v, c in terms:
+            lhs += c * x[v]
+        if rel == "=":
+            if lhs != rhs * x_den:
+                raise SimplexError(f"primal violates equality {rid}")
+        elif lhs < rhs * x_den:
+            raise SimplexError(f"primal violates inequality {rid}")
+        if u:
+            if u < 0 and rel != "=":
+                raise SimplexError(f"negative multiplier on inequality {rid}")
+            rhs_total += u * rhs
+            add_scaled(combo, terms, u)
+    if combo != {v: c * dual_den for v, c in problem.objective if c}:
         raise SimplexError("dual combination does not reproduce the objective")
     primal_value = sum(c * x[v] for v, c in problem.objective)
-    if primal_value != value or rhs_total != value * dual_scale:
+    p, q = value.numerator, value.denominator
+    if primal_value * q != p * x_den or rhs_total * q != p * dual_den:
         raise SimplexError("duality gap is not zero")
-
-
-def weighted_sum(pairs) -> tuple[dict[int, int | Fraction], int | Fraction, int]:
-    """``scale`` times the sum of ``u * row`` over ``(u, row)`` pairs.
-
-    ``scale`` is the lcm of the multipliers' denominators, so each
-    multiplier becomes the integer ``u * scale`` and, on integral rows,
-    every product and sum is an ``int``.  Returns the combined terms with
-    zeros dropped, the combined right-hand side and ``scale``.
-    """
-    pairs = [(u, row) for u, row in pairs if u]
-    scale = _lcm_of_denominators(u for u, _ in pairs)
-    combo: dict = {}
-    rhs = 0
-    for u, row in pairs:
-        w = _scaled(u, scale)
-        rhs += w * row.rhs
-        add_scaled(combo, row.terms, w)
-    return combo, rhs, scale
 
 
 def extract_certificate(
@@ -761,14 +756,6 @@ def extract_certificate(
     """Nonnegative combination of rows reconstructing objective and value."""
     if solution.status != "optimal":
         raise ValueError("certificates exist only for optimal solves")
-    entries = tuple(
-        (row.id, u)
-        for row, u in zip(problem.rows, solution.duals)
-        if u
-    )
-    return Certificate(
-        claimed_bound=solution.value,
-        entries=entries,
-        objective=problem.objective,
-        description=description,
-    )
+    duals, den = solution.multipliers
+    entries = tuple((row.id, Fraction(u, den)) for row, u in zip(problem.rows, duals) if u)
+    return Certificate(solution.value, entries, problem.objective, description)

@@ -233,6 +233,24 @@ class TestBound:
             assert code == 2
             assert "--objective" in err
 
+    def test_repeated_player_is_usage_error(self, capsys, tmp_path):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        cert = tmp_path / "cert.json"
+        assert run(capsys, "bound", "--in", path, "--certificate", str(cert))[0] == 0
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        for argv in (
+            ("bound", "--in", path),
+            ("bound", "--batch", str(batch), "--workers", "1"),
+            ("verify-cert", "--system-from", path, "--cert", str(cert)),
+        ):
+            code, out, err = run(capsys, *argv, "--players", "1,1")
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: bad --players list '1,1'"), argv
+            assert "Traceback" not in err
+        assert not (batch / "a.report.json").exists()
+
     def test_bound_without_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound")
         assert code == 2

@@ -144,6 +144,16 @@ class TestShareBound:
         with pytest.raises(StructureError):
             share_bound(THRESHOLD23, players=[1, 9])
 
+    @pytest.mark.parametrize("kind", ["minmax", "minsum"])
+    def test_repeated_objective_player_rejected(self, kind):
+        # two objlink rows with one id would leave the certificate one
+        # multiplier short, so a repeated player is refused up front
+        with pytest.raises(StructureError, match="names a player twice"):
+            Objective(kind, (1, 2, 1))
+        for mode in ("pure", "mixed"):
+            with pytest.raises(StructureError, match="names a player twice"):
+                share_bound(THRESHOLD23, mode=mode, objective=kind, players=[1, 1])
+
     def test_report_json_shape(self):
         report = share_bound(THRESHOLD23)
         data = report.to_json_dict()

@@ -145,8 +145,8 @@ def test_session_solves_match_cold_solves(structure):
             warm_pivots += warm.pivots
             if warm.status != "optimal":
                 continue
-            entries = extract_certificate(problem, warm).entries
-            cert = Certificate(warm.value, _expand(elemental, (), entries, objective), objective)
+            entries = _expand(elemental, (), problem.rows, *warm.multipliers, objective)
+            cert = Certificate(warm.value, entries, objective)
             for system in systems:
                 assert verify_certificate(system, cert, objective=objective), inst.id
     assert statuses == {"optimal", "unbounded"}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -312,6 +313,20 @@ class TestIntegerKernel:
         assert s.primal == (Fraction(66, 175), Fraction(3, 175))
 
 
+def verify_fractions(problem, x, duals, value):
+    """``_verify_optimal`` on ``Fraction`` vectors, each over the lcm of its denominators."""
+    x_den = math.lcm(*(v.denominator for v in x))
+    dual_den = math.lcm(*(u.denominator for u in duals))
+    simplex._verify_optimal(
+        problem,
+        [v.numerator * (x_den // v.denominator) for v in x],
+        x_den,
+        [u.numerator * (dual_den // u.denominator) for u in duals],
+        dual_den,
+        value,
+    )
+
+
 class TestVerifyOptimal:
     """``_verify_optimal`` rejects every kind of wrong optimum.
 
@@ -336,7 +351,7 @@ class TestVerifyOptimal:
 
     def test_true_optimum_passes(self):
         problem, x, duals, value = self.optimum()
-        simplex._verify_optimal(problem, x, duals, value)
+        verify_fractions(problem, x, duals, value)
         assert solve(problem).value == value
 
     @pytest.mark.parametrize(
@@ -350,25 +365,25 @@ class TestVerifyOptimal:
         problem, x, duals, value = self.optimum()
         x[0] += shift
         with pytest.raises(SimplexError, match=message):
-            simplex._verify_optimal(problem, x, duals, value)
+            verify_fractions(problem, x, duals, value)
 
     def test_negative_inequality_multiplier(self):
         problem, x, duals, value = self.optimum()
         duals[1] = Fraction(-1, 3)
         with pytest.raises(SimplexError, match="negative multiplier on inequality r1"):
-            simplex._verify_optimal(problem, x, duals, value)
+            verify_fractions(problem, x, duals, value)
 
     @pytest.mark.parametrize("row,delta", [(1, Fraction(1, 100)), (2, Fraction(-1, 7))])
     def test_dual_combination_misses_objective(self, row, delta):
         problem, x, duals, value = self.optimum()
         duals[row] += delta
         with pytest.raises(SimplexError, match="does not reproduce the objective"):
-            simplex._verify_optimal(problem, x, duals, value)
+            verify_fractions(problem, x, duals, value)
 
     def test_nonzero_gap(self):
         problem, x, duals, value = self.optimum()
         with pytest.raises(SimplexError, match="duality gap"):
-            simplex._verify_optimal(problem, x, duals, value + Fraction(1, 1000))
+            verify_fractions(problem, x, duals, value + Fraction(1, 1000))
 
 
 class TestPresolvedState:
@@ -513,8 +528,10 @@ class TestIntegerRows:
         terms, rhs, weights = presolve.reduce_form({0: 1, 1: 1}, 0)
         assert (terms, rhs, weights) == ({0: 1}, Fraction(-1, 2), {0: Fraction(1, 2)})
         assert type(rhs) is Fraction and type(weights[0]) is Fraction
-        x = presolve.lift_primal({}, 2)
-        assert x == [0, Fraction(1, 2)] and type(x[1]) is Fraction
+        # the uneven division rescales the whole point: x1 = 1/2
+        x, den = presolve.lift_primal({}, 1, 2)
+        assert (x, den) == ([0, 1], 2) and type(x[1]) is int
+        assert [Fraction(v, den) for v in x] == [0, Fraction(1, 2)]
 
     def test_even_pivot_division_stays_int(self):
         presolve = Presolved((LinearConstraint("e", ((0, 2), (1, 2)), "=", 4),))  # 2*x0 + 2*x1 = 4
@@ -522,8 +539,10 @@ class TestIntegerRows:
         terms, rhs, weights = presolve.reduce_form({1: 4}, 0)
         assert (terms, rhs, weights) == ({0: -4}, -8, {0: 2})
         assert type(rhs) is int and type(weights[0]) is int
-        x = presolve.lift_primal({0: 3}, 2)
-        assert x == [3, -1] and type(x[1]) is int
+        x, den = presolve.lift_primal({0: 3}, 1, 2)
+        assert (x, den) == ([3, -1], 1) and type(x[1]) is int
+        # x0 = 3/2 lifts to x1 = 1/2 over the same denominator
+        assert presolve.lift_primal({0: 3}, 2, 2) == ([3, 1], 2)
 
     def test_add_scaled_drops_cancelled_keys_and_keeps_ints(self):
         acc = {1: 2, 2: 1}
