@@ -31,13 +31,29 @@ Rows are :class:`simplex.LinearConstraint` named tuples of plain ints:
 every coefficient is -1 or 1 and every right-hand side 0, 1 or 2.  The
 quotient's merged terms stay ints, so no row arithmetic needs
 ``Fraction``.
+
+A :class:`ConstraintSystem` is addressed by row id and makes no row
+until one is asked for.  Each id names its row: ``nonneg:X``,
+``ssa:A;B|C``, ``wm:A;B|C``, ``recover:X``, ``secrecy:X``,
+``normalize``, ``purity`` and ``emptyset``, with labels such as
+``1,3,R`` and ``∅``.  :meth:`ConstraintSystem.row` parses an id into
+masks and builds that one row with the generators' own builders, which
+print the id again; it is accepted only if the printed id is the id it
+was given and the row is a member of the system's family (see
+:meth:`ConstraintSystem.row` for the rules).  So replaying a certificate
+costs its own entries, not the 2^(2·elements) rows of the full family,
+and works on ground sets too large to generate.  The ordered list of
+every row (``constraints``, indexed by ``by_id`` and ``position``) is
+generated on first read, for the quotient, ``--dump-system`` and
+witness checks; ``len`` counts it from the family's closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 
 from .simplex import LinearConstraint, Presolved, add_scaled
 from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, StructureError
@@ -95,6 +111,45 @@ class GroundSet:
         return self.labels[mask]
 
 
+class _Labels:
+    """Subset labels printed and parsed one mask at a time.
+
+    The format is ``GroundSet.label``'s.  The row builders index this
+    like ``GroundSet.labels``, which holds all 2^elements labels; a row
+    looked up by id needs only its own few.  Parsing looks each token up
+    among the element names, so a token that is not exactly ``R`` or a
+    player number (``²``, ``١``, ``01``, `` 2``, 5000 digits) names no
+    element, and no token is ever handed to ``int``.
+    """
+
+    __slots__ = ("names", "bits")
+
+    def __init__(self, players: int) -> None:
+        self.names = [str(i + 1) for i in range(players)] + ["R"]
+        self.bits = {name: 1 << i for i, name in enumerate(self.names)}
+
+    def __getitem__(self, mask: int) -> str:
+        if not mask:
+            return "∅"
+        return ",".join([name for i, name in enumerate(self.names) if mask >> i & 1])
+
+    def parse(self, text: str) -> int | None:
+        """The mask ``text`` names, or None.
+
+        A repeated or misordered token (``1,1``, ``2,1``) still parses;
+        the caller prints the mask again and compares.
+        """
+        if text == "∅":
+            return 0
+        mask = 0
+        for token in text.split(","):
+            bit = self.bits.get(token)
+            if bit is None:
+                return None
+            mask |= bit
+        return mask
+
+
 def sparse_form(*entries: tuple[int, int | Fraction]) -> tuple[tuple[int, int | Fraction], ...]:
     """Sorted sparse form of a sum of ``(mask, coefficient)`` terms.
 
@@ -117,20 +172,20 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _ssa_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
+def _ssa_constraint(labels, x: int, y: int) -> LinearConstraint:
     """Submodularity on the incomparable pair {x, y}, where x < y.
 
     Then x\\y < y\\x, the meet lies below x and the join above y, so the
-    id's operands and the terms are already in order.
+    id's operands and the terms are already in order.  ``labels`` maps a
+    mask to its label: ``GroundSet.labels`` or a :class:`_Labels`.
     """
-    labels = ground.labels
     c = x & y
     ident = f"ssa:{labels[x & ~y]};{labels[y & ~x]}|{labels[c]}"
     terms = ((x, ONE), (y, ONE), (x | y, NEG_ONE))
     return LinearConstraint(ident, ((c, NEG_ONE),) + terms if c else terms, ">=", ZERO)
 
 
-def _wm_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
+def _wm_constraint(labels, x: int, y: int) -> LinearConstraint:
     """Weak monotonicity / triangle on the overlapping pair {x, y}.
 
     The differences are disjoint from each other and proper submasks of
@@ -138,7 +193,6 @@ def _wm_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
     differences and lo < hi the pair, a lies below lo and b below hi,
     so one comparison of b with lo puts the terms in order.
     """
-    labels = ground.labels
     a, b = x & ~y, y & ~x
     if a > b:
         a, b = b, a
@@ -147,6 +201,34 @@ def _wm_constraint(ground: GroundSet, x: int, y: int) -> LinearConstraint:
     middle = ((b, NEG_ONE), (lo, ONE)) if b < lo else ((lo, ONE), (b, NEG_ONE))
     terms = ((a, NEG_ONE),) + middle + ((hi, ONE),) if a else middle + ((hi, ONE),)
     return LinearConstraint(ident, terms, ">=", ZERO)
+
+
+def _nonneg_constraint(labels, x: int) -> LinearConstraint:
+    return LinearConstraint(f"nonneg:{labels[x]}", ((x, ONE),), ">=", ZERO)
+
+
+def _scheme_constraint(structure: AccessStructure, labels, r: int, x: int) -> LinearConstraint:
+    """Recoverability or secrecy of the player subset ``x``; ``r`` is R's mask."""
+    # a player subset lies below r, and r below the subset joined with R
+    authorized = structure.mask_authorized(x)
+    return LinearConstraint(
+        f"{'recover' if authorized else 'secrecy'}:{labels[x]}",
+        ((x, ONE), (r, ONE), (x | r, NEG_ONE)),
+        "=",
+        TWO if authorized else ZERO,
+    )
+
+
+def _normalize_constraint(r: int) -> LinearConstraint:
+    return LinearConstraint("normalize", ((r, ONE),), "=", ONE)
+
+
+EMPTYSET = LinearConstraint("emptyset", ((0, ONE),), "=", ZERO)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("full", "elemental"):
+        raise StructureError(f"unknown inequality mode {mode!r}")
 
 
 def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstraint]:
@@ -162,22 +244,21 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
     comes from a distinct subset or pair, and the elemental wm family
     visits each unordered partition of the other elements once.
     """
-    if mode not in ("full", "elemental"):
-        raise StructureError(f"unknown inequality mode {mode!r}")
+    _check_mode(mode)
     labels = ground.labels
-    out = [LinearConstraint("emptyset", ((0, ONE),), "=", ZERO)]
+    out = [EMPTYSET]
     for mask in range(1, ground.var_count):
-        out.append(LinearConstraint(f"nonneg:{labels[mask]}", ((mask, ONE),), ">=", ZERO))
+        out.append(_nonneg_constraint(labels, mask))
     if mode == "full":
         masks = range(1, ground.var_count)
         for x in masks:
             for y in range(x + 1, ground.var_count):
                 if x & ~y and y & ~x:
-                    out.append(_ssa_constraint(ground, x, y))
+                    out.append(_ssa_constraint(labels, x, y))
         for x in masks:
             for y in range(x + 1, ground.var_count):
                 if x & y:
-                    out.append(_wm_constraint(ground, x, y))
+                    out.append(_wm_constraint(labels, x, y))
     else:
         elements = list(range(ground.total))
         for ei in elements:
@@ -186,7 +267,7 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
                     continue
                 i_bit, j_bit = 1 << ei, 1 << ej
                 for sub in _submasks(ground.full_mask & ~(i_bit | j_bit)):
-                    out.append(_ssa_constraint(ground, i_bit | sub, j_bit | sub))
+                    out.append(_ssa_constraint(labels, i_bit | sub, j_bit | sub))
         # weak monotonicity S(iA)+S(iB) >= S(A)+S(B) once per unordered
         # partition {A,B} of the elements other than i, as the pair with
         # A > B; this family spans the same cone as the full one
@@ -196,7 +277,7 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
             for sub in _submasks(rest):
                 other = rest & ~sub
                 if sub > other:
-                    out.append(_wm_constraint(ground, e_bit | sub, e_bit | other))
+                    out.append(_wm_constraint(labels, e_bit | sub, e_bit | other))
     return out
 
 
@@ -211,19 +292,9 @@ def qss_constraints(structure: AccessStructure, ground: GroundSet) -> list[Linea
         raise StructureError("ground set does not match the structure's players")
     r = ground.reference_mask
     labels = ground.labels
-    out = [LinearConstraint("normalize", ((r, ONE),), "=", ONE)]
-    # a player subset lies below r, and r below the subset joined with R
+    out = [_normalize_constraint(r)]
     for mask in range(1, ground.player_mask + 1):
-        authorized = structure.mask_authorized(mask)
-        family = "recover" if authorized else "secrecy"
-        out.append(
-            LinearConstraint(
-                f"{family}:{labels[mask]}",
-                ((mask, ONE), (r, ONE), (mask | r, NEG_ONE)),
-                "=",
-                TWO if authorized else ZERO,
-            )
-        )
+        out.append(_scheme_constraint(structure, labels, r, mask))
     return out
 
 
@@ -242,33 +313,112 @@ def mutual_information_expr(a: PlayerSet, b: PlayerSet) -> dict[int, Fraction]:
 
 
 class ConstraintSystem:
-    """Ordered constraint list, unique ids, for one structure and mode."""
+    """The rows of one structure, mode and inequality family, made on demand.
 
-    def __init__(
-        self,
-        structure: AccessStructure,
-        ground: GroundSet,
-        constraints: list[LinearConstraint],
-        *,
-        pure: bool,
-        ineq: str,
-    ) -> None:
+    Building a system makes no row.  :meth:`row` makes the one row an id
+    names and keeps it in a memo that lives as long as the system;
+    ``constraints`` generates the ordered list of every row on first read
+    and fills the memo with it, and ``by_id`` and ``position`` index it.
+    ``len`` is the family's closed-form size, so counting rows makes none.
+    """
+
+    def __init__(self, structure: AccessStructure, *, pure: bool, ineq: str) -> None:
+        _check_mode(ineq)
         self.structure = structure
-        self.ground = ground
-        self.constraints = tuple(constraints)
+        self.ground = GroundSet(structure.n)
         self.pure = pure
         self.ineq = ineq
-        self.by_id = {c.id: c for c in self.constraints}
-        if len(self.by_id) != len(self.constraints):
-            raise StructureError("constraint ids are not unique")
+        self._labels = _Labels(structure.n)
+        self._memo: dict[str, LinearConstraint] = {}
 
     def __len__(self) -> int:
-        return len(self.constraints)
+        n = self.ground.total
+        if self.ineq == "full":
+            ssa = (4 ** n - 2 * 3 ** n + 2 ** n) // 2
+            wm = (4 ** n - 3 ** n - 2 ** n + 1) // 2
+        else:
+            ssa = comb(n, 2) << (n - 2)
+            wm = n << (n - 2)
+        # nonneg and emptyset, then normalize and recover/secrecy, then purity
+        return (1 << n) + ssa + wm + (1 << self.ground.players) + self.pure
+
+    @cached_property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """Every row, in generation order, generated on first read.
+
+        The rows also replace the memo of :meth:`row`, which from then on
+        holds every row and parses only ids that name none.
+        """
+        rows = vn_inequalities(self.ground, self.ineq)
+        rows.extend(qss_constraints(self.structure, self.ground))
+        if self.pure:
+            rows.append(purity_constraint(self.ground))
+        self._memo = {c.id: c for c in rows}
+        return tuple(rows)
+
+    @cached_property
+    def by_id(self) -> dict[str, LinearConstraint]:
+        """Every row by id, in generation order, built on first use."""
+        self.constraints  # generating the rows fills the memo with them
+        return self._memo
 
     @cached_property
     def position(self) -> dict[str, int]:
         """Each row id's index in ``constraints``, built on first use."""
         return {c.id: i for i, c in enumerate(self.constraints)}
+
+    def row(self, rid: str) -> LinearConstraint:
+        """The row named ``rid``, made from the id alone; ``KeyError`` if none is.
+
+        The id is parsed into masks and the row rebuilt by the generators'
+        own builders, which print its id again: an id that does not come
+        back the same is not canonical and names no row.  The builders
+        print the differences and the meet of A ∪ C and B ∪ C, so the
+        round trip also holds A, B and C disjoint.  The masks must name a
+        member of the family:
+
+        * ``ssa:A;B|C``: A and B nonempty, A ∪ C < B ∪ C as masks, and in
+          the elemental family |A| = |B| = 1;
+        * ``wm:A;B|C``: C nonempty, A < B, and in the elemental family
+          |C| = 1 with A ∪ B ∪ C the whole ground set;
+        * ``nonneg:X`` for nonempty X; ``recover:X`` or ``secrecy:X`` for
+          a nonempty player set X, as the structure authorizes X or not;
+        * ``emptyset``, ``normalize``, and ``purity`` in pure mode only.
+        """
+        row = self._memo.get(rid)
+        if row is None:
+            row = self._parse(rid) if isinstance(rid, str) else None
+            if row is None or row.id != rid:
+                raise KeyError(rid)
+            self._memo[rid] = row
+        return row
+
+    def _parse(self, rid: str) -> LinearConstraint | None:
+        """The row whose masks ``rid`` names, or None; the caller compares ids."""
+        family, _, body = rid.partition(":")
+        labels, ground, full = self._labels, self.ground, self.ineq == "full"
+        if family in ("ssa", "wm"):
+            ab, _, c = body.partition("|")
+            a, _, b = ab.partition(";")
+            a, b, c = labels.parse(a), labels.parse(b), labels.parse(c)
+            if a is None or b is None or c is None:
+                return None
+            if family == "ssa":
+                if a and b and a | c < b | c and (full or a.bit_count() == b.bit_count() == 1):
+                    return _ssa_constraint(labels, a | c, b | c)
+            elif c and a < b and (full or c.bit_count() == 1 and a | b | c == ground.full_mask):
+                return _wm_constraint(labels, a | c, b | c)
+            return None
+        x = labels.parse(body)
+        if family == "nonneg" and x:
+            return _nonneg_constraint(labels, x)
+        if family in ("recover", "secrecy") and x and x <= ground.player_mask:
+            return _scheme_constraint(self.structure, labels, ground.reference_mask, x)
+        if family == "emptyset":
+            return EMPTYSET
+        if family == "normalize":
+            return _normalize_constraint(ground.reference_mask)
+        return purity_constraint(ground) if family == "purity" and self.pure else None
 
     @cached_property
     def quotient(self) -> Quotient:
@@ -368,7 +518,7 @@ def complement_chain(ground: GroundSet, y: int) -> list[LinearConstraint]:
     z = y
     while z:
         i = z & -z
-        chain.append(_wm_constraint(ground, z, i | (full & ~z)))
+        chain.append(_wm_constraint(ground.labels, z, i | (full & ~z)))
         z &= ~i
     return chain
 
@@ -379,10 +529,5 @@ def build_system(
     pure: bool = True,
     ineq: str = "full",
 ) -> ConstraintSystem:
-    """Assemble the full constraint system for a quantum structure."""
-    ground = GroundSet(structure.n)
-    constraints = vn_inequalities(ground, ineq)
-    constraints.extend(qss_constraints(structure, ground))
-    if pure:
-        constraints.append(purity_constraint(ground))
-    return ConstraintSystem(structure, ground, constraints, pure=pure, ineq=ineq)
+    """The constraint system of a quantum structure; no row is made yet."""
+    return ConstraintSystem(structure, pure=pure, ineq=ineq)

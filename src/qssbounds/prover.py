@@ -376,7 +376,7 @@ def _expand(
     for row, u in zip(rows, multipliers):
         if u:
             mult[row.id] = u
-            add_scaled(left, (system.by_id.get(row.id) or by_id[row.id]).terms, u)
+            add_scaled(left, (by_id.get(row.id) or system.row(row.id)).terms, u)
     add_scaled(left, objective, -den)
     absorb = {"purity": left.get(full, 0), "emptyset": left.get(0, 0)}
     for v, c in left.items():
@@ -427,9 +427,10 @@ def verify_certificate(
 
     weighted = []
     for rid, mult in cert.entries:
-        row = extra_by_id.get(rid) or system.by_id.get(rid)
-        if row is None:
-            raise KeyError(f"certificate references unknown constraint {rid!r}")
+        try:
+            row = extra_by_id.get(rid) or system.row(rid)
+        except KeyError:
+            raise KeyError(f"certificate references unknown constraint {rid!r}") from None
         if row.rel != "=" and mult < 0:
             return False
         weighted.append((mult, row))

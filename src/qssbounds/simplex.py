@@ -388,11 +388,15 @@ class _Tableau:
     ``x``), a division that is always exact, and ``w_r`` becomes the new
     denominator; a negative ``w_r`` (while driving out artificials, and on
     every dual pivot) and the pivot row are negated first, so ``den``
-    stays positive.  Pricing uses the integer duals ``y = c_B q``, moved
-    by one rank-one step per pivot.  Values, ratios and reduced costs are
-    the exact ones times positive factors, so the pivot sequence is the
-    one an explicit rational basis inverse would make; the results stay
-    integers over a common denominator.  After phase 2 the basis is
+    stays positive.  Pricing uses the integer duals ``y = c_B q``, kept on
+    the tableau: :meth:`run` computes them for its phase and each pivot of
+    :meth:`run` and :meth:`dual_run` moves them by one rank-one step, so
+    after phase 2 they stay current (:meth:`restart` changes neither ``q``
+    nor ``y``) and :meth:`dual_run` and :meth:`multipliers` read them as
+    they are.  Values, ratios and reduced costs are the exact ones times
+    positive factors, so the pivot sequence is the one an explicit
+    rational basis inverse would make; the results stay integers over a
+    common denominator.  After phase 2 the basis is
     dual-feasible for every ``d``: :meth:`restart` takes a new one and
     :meth:`dual_run` re-optimises from there.
     """
@@ -436,7 +440,7 @@ class _Tableau:
         """Pivot until optimal or unbounded; returns the stop reason."""
         cols = self.cols
         costs = self.costs
-        y = self._duals(phase)
+        self.y = y = self._duals(phase)
         in_basis = set(self.basis)
         for _ in range(MAX_ITERATIONS):
             den = self.den
@@ -470,7 +474,7 @@ class _Tableau:
             if leave < 0:
                 return "unbounded"
             wr = w[leave]
-            y = [(wr * a + red * b) // den for a, b in zip(y, self.q[leave])]
+            self.y = y = [(wr * a + red * b) // den for a, b in zip(y, self.q[leave])]
             in_basis.discard(basis[leave])
             in_basis.add(entering)
             self._pivot(entering, leave, w)
@@ -525,7 +529,7 @@ class _Tableau:
         n, cols, costs, basis = self.n, self.cols, self.costs, self.basis
         if any(xi for xi, b in zip(self.x, basis) if b >= n):
             return "infeasible"
-        y = self._duals(2)
+        y = self.y
         degenerate = 0
         for _ in range(MAX_ITERATIONS):
             q, x, den = self.q, self.x, self.den
@@ -565,7 +569,7 @@ class _Tableau:
                 return "infeasible"
             degenerate = degenerate + 1 if red == 0 else 0
             # the rank-one dual update of run(), negated with the pivot
-            y = [(-alpha * a - red * b) // den for a, b in zip(y, qr)]
+            self.y = y = [(-alpha * a - red * b) // den for a, b in zip(y, qr)]
             self._pivot(entering, leave, self._column(entering))
         raise SimplexError("iteration limit exceeded")
 
@@ -601,7 +605,7 @@ class _Tableau:
 
     def multipliers(self) -> tuple[list[int], int]:
         """Row multipliers -pi of the equations (phase 2), over their denominator."""
-        return [-y for y in self._duals(2)], self.den * self.cost_scale
+        return [-y for y in self.y], self.den * self.cost_scale
 
 
 class Session:

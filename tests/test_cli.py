@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -496,6 +498,87 @@ class TestSolverFailures:
             else:
                 assert entry["error"] == "worker process died"
                 assert not report.exists()
+
+
+# name -> (players, minimal sets, flags); g4bar is g4 purified by --auto-purify
+CLI_STRUCTURES = {
+    "threshold23": (3, [[1, 2], [1, 3], [2, 3]], ()),
+    "g4bar": (4, [[1, 2], [1, 3], [2, 3, 4]], ("--auto-purify",)),
+}
+PINNED_CLI = json.loads(
+    (Path(__file__).parent / "data" / "pinned_cli.json").read_text(encoding="utf-8")
+)
+
+
+def _tampered(cert: dict, kind: str) -> dict:
+    entries = [dict(e) for e in cert["entries"]]
+    if kind == "unknown-id":
+        entries[0]["id"] = "unknown:" + entries[0]["id"]
+    elif kind == "raised-mult":
+        link = next(e for e in entries if e["id"].startswith("objlink:"))
+        num, den = map(int, link["mult"].split("/"))
+        link["mult"] = f"{num + den}/{den}"
+    else:  # player 1 written as an Arabic-Indic digit, which int() would accept
+        entries[0]["id"] = entries[0]["id"].replace("1", "١", 1)
+    return {"claimed_bound": cert["claimed_bound"], "entries": entries}
+
+
+def cli_outputs(tmp_path, name: str, ineq: str) -> dict:
+    """Exit codes and output files of `bound --dump-system` and `verify-cert`.
+
+    The dump is kept as its line count and SHA-256; the certificate and
+    the `verify-cert` JSON (genuine and three tampered certificates) are
+    kept whole.  Only files are read, so `main` runs as the command would.
+    """
+    n, sets, flags = CLI_STRUCTURES[name]
+    path = write_structure(tmp_path, f"{name}.json", n, sets)
+    cert, dump = tmp_path / "cert.json", tmp_path / "system.txt"
+    code = main(["bound", "--in", path, *flags, "--ineq", ineq, "--certificate", str(cert),
+                 "--dump-system", str(dump), "--out", str(tmp_path / "report.json")])
+    text = dump.read_bytes()
+    out = {"bound_exit": code, "dump_lines": text.count(b"\n"),
+           "dump_sha256": hashlib.sha256(text).hexdigest(),
+           "certificate": cert.read_text(encoding="utf-8")}
+    genuine = json.loads(out["certificate"])
+    for kind in ("genuine", "unknown-id", "raised-mult", "arabic-digit"):
+        data = genuine if kind == "genuine" else _tampered(genuine, kind)
+        cpath, vpath = tmp_path / f"{kind}.cert.json", tmp_path / f"{kind}.out.json"
+        cpath.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["verify-cert", "--system-from", path, *flags, "--ineq", ineq,
+                     "--cert", str(cpath), "--out", str(vpath)])
+        out[f"verify_{kind}"] = [code, vpath.read_text(encoding="utf-8")]
+    return out
+
+
+class TestPinnedOutputs:
+    """`bound --dump-system` and `verify-cert` print what they printed when
+    the rows were looked up in a fully generated system."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_CLI))
+    def test_outputs(self, tmp_path, key):
+        name, ineq = key.split("/")
+        assert cli_outputs(tmp_path, name, ineq) == PINNED_CLI[key]
+
+
+class TestHostileRowIds:
+    IDS = ["nonneg:²", "nonneg:١", "nonneg:" + "1" * 5000, "nonneg:01", "ssa:2;1|∅",
+           "ssa:1;2|∅ ", "recover:1", "purity:", "unknown:", ""]
+
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_verify_cert_exits_1(self, capsys, tmp_path, ineq, mode):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        for i, rid in enumerate(self.IDS + (["purity"] if mode == "mixed" else [])):
+            cert = tmp_path / f"{i}.json"
+            cert.write_text(json.dumps(
+                {"claimed_bound": "0/1", "entries": [{"id": rid, "mult": "1/1"}]}
+            ))
+            code, out, err = run(capsys, "verify-cert", "--system-from", path, "--cert",
+                                 str(cert), "--ineq", ineq, "--mode", mode)
+            assert (code, err) == (1, ""), rid[:20]
+            data = json.loads(out)
+            assert data["verified"] is False
+            assert data["error"] == repr(f"certificate references unknown constraint {rid!r}")
 
 
 class TestLemmasCommand:

@@ -14,6 +14,8 @@ from qssbounds.cone import (
     qss_constraints,
     vn_inequalities,
 )
+from qssbounds.prover import Objective, verify_certificate
+from qssbounds.simplex import Certificate
 from qssbounds.structures import (
     CapacityError,
     PlayerSet,
@@ -315,3 +317,163 @@ class TestRowsIntegral:
         for c in build_system(structure, pure=pure, ineq=ineq).constraints:
             assert type(c.rhs) is int, c.id
             assert all(type(coef) is int for _, coef in c.terms), c.id
+
+
+def mixed_structure(players):
+    """Authorizes exactly the sets holding players 1 and ``players``, so both
+    recover and secrecy rows occur from two players on."""
+    return from_minimal_sets(players, [sorted({1, players})])
+
+
+class TestRowById:
+    """``row`` makes each generated row from its id alone, and nothing else."""
+
+    @pytest.mark.parametrize("players", range(1, 7))
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_every_generated_row_parses_back(self, players, ineq, pure):
+        structure = mixed_structure(players)
+        generated = build_system(structure, pure=pure, ineq=ineq).constraints
+        system = build_system(structure, pure=pure, ineq=ineq)
+        for c in generated:
+            assert system.row(c.id) == c, c.id
+        assert system.row(generated[-1].id) is system.row(generated[-1].id)
+        assert "constraints" not in vars(system)
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_other_family_rejected(self, pure):
+        # the elemental rows are full rows, id for id; every other full
+        # row is refused by an elemental system
+        for players in (2, 3, 4):
+            structure = mixed_structure(players)
+            full = build_system(structure, pure=pure, ineq="full")
+            elemental = build_system(structure, pure=pure, ineq="elemental")
+            members = set(elemental.by_id)
+            probe = build_system(structure, pure=pure, ineq="elemental")
+            for c in full.constraints:
+                if c.id in members:
+                    assert probe.row(c.id) == c
+                else:
+                    with pytest.raises(KeyError):
+                        probe.row(c.id)
+        with pytest.raises(KeyError):
+            build_system(THRESHOLD23, pure=False).row("purity")
+        assert build_system(THRESHOLD23, pure=True).row("purity").family == "purity"
+
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    def test_rearranged_ids_parse_only_when_generated(self, ineq):
+        # B;A, A;C|B and the other orders of the three labels, on every
+        # ssa and wm row: a rearranged id is accepted exactly when the
+        # family holds a row under that id, and then gives that row
+        for pure in (True, False):
+            system = build_system(GAMMA4_BAR, pure=pure, ineq=ineq)
+            members = system.by_id
+            probe = build_system(GAMMA4_BAR, pure=pure, ineq=ineq)
+            for c in system.constraints:
+                if c.family not in ("ssa", "wm"):
+                    continue
+                body = c.id.split(":", 1)[1]
+                ab, cond = body.split("|")
+                a, b = ab.split(";")
+                swapped = f"{c.family}:{b};{a}|{cond}"
+                with pytest.raises(KeyError):
+                    probe.row(swapped)
+                for x, y, z in ((a, cond, b), (b, cond, a), (cond, a, b), (cond, b, a)):
+                    variant = f"{c.family}:{x};{y}|{z}"
+                    if variant in members:
+                        assert probe.row(variant) == members[variant]
+                    else:
+                        with pytest.raises(KeyError):
+                            probe.row(variant)
+
+    HOSTILE = [
+        # overlapping operands
+        "ssa:1;1,2|∅", "ssa:1;2|1", "ssa:1,3;2,3|∅", "wm:1;2|2", "wm:1;1|2",
+        # empty operands where the family needs them
+        "ssa:∅;2|1", "ssa:1;∅|2", "ssa:∅;∅|1", "wm:1;2|∅", "wm:∅;∅|1", "wm:∅;∅|∅",
+        "nonneg:∅", "recover:∅",
+        # player numbers out of range, and R where only players may stand
+        "nonneg:0", "nonneg:4", "nonneg:-1", "ssa:1;5|∅", "recover:1,R", "secrecy:R",
+        # labels that are not canonical
+        "nonneg:01", "nonneg:2,1", "nonneg:1, 2", "nonneg:1 ", "nonneg: 1", "nonneg:1,1",
+        "nonneg:R,1", "nonneg:R,R", "nonneg:1,", "nonneg:", "ssa:01;2|∅", "ssa:1;2|∅ ",
+        "ssa:1;2", "ssa:1;2|∅|3", "ssa:1;2;3|∅", "wm:∅;1|2|R",
+        # tokens int() chokes on or reads wrongly
+        "nonneg:²", "nonneg:١", "nonneg:1_0", "nonneg:+1", "nonneg:" + "1" * 5000,
+        # scheme rows under the wrong family for threshold(2,3)
+        "recover:1", "secrecy:1,2", "recover:1,2,3,R",
+        # ids no family has
+        "unknown:nonneg:1", "unknown:", "", "emptyset:", "normalize:R", "purity:1",
+        "nonneg", "NONNEG:1", "objlink:1",
+    ]
+
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    def test_hostile_ids_rejected(self, ineq):
+        system = build_system(THRESHOLD23, pure=True, ineq=ineq)
+        for rid in self.HOSTILE:
+            with pytest.raises(KeyError):
+                system.row(rid)
+        for rid in (None, 5, ("nonneg:1",)):
+            with pytest.raises(KeyError):
+                system.row(rid)
+        assert system.row("recover:1,2").rhs == 2
+        assert system.row("secrecy:1").rhs == 0
+        assert "constraints" not in vars(system)
+        # once the list is generated the memo holds every row; the rest still parse and fail
+        generated = system.by_id["secrecy:1"]
+        assert system.row("secrecy:1") is generated
+        for rid in self.HOSTILE:
+            with pytest.raises(KeyError):
+                system.row(rid)
+
+
+def closed_form_cases():
+    for players in range(1, 8):
+        for ineq in ("full", "elemental"):
+            for pure in (True, False):
+                yield pytest.param(players, ineq, pure,
+                                   id=f"{players + 1}el-{ineq}-{'pure' if pure else 'mixed'}")
+
+
+class TestLazySystem:
+    """Building, counting and replaying make no row that is not asked for."""
+
+    @pytest.mark.parametrize("players,ineq,pure", closed_form_cases())
+    def test_len_is_the_generated_count(self, players, ineq, pure):
+        system = build_system(mixed_structure(players), pure=pure, ineq=ineq)
+        count = len(system)
+        assert "constraints" not in vars(system)
+        assert count == len(system.constraints)
+
+    def test_unknown_mode_refused_at_build(self):
+        with pytest.raises(StructureError):
+            build_system(THRESHOLD23, ineq="both")
+
+    def test_fifteen_players_replay_without_labels(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("GroundSet.labels was read")
+
+        monkeypatch.setattr(GroundSet, "labels", property(refuse))
+        structure = from_minimal_sets(15, [[1, 2]])
+        for ineq in ("full", "elemental"):
+            system = build_system(structure, pure=False, ineq=ineq)
+            # counted from the closed form: the full family has about 4^16 / 2 rows
+            assert len(system) > (10 ** 9 if ineq == "full" else 10 ** 5)
+            single = Certificate(Fraction(0), (("nonneg:1", Fraction(1)),), ())
+            assert verify_certificate(system, single, objective=Objective("single", (1,)))
+            # S(1,2) >= 1 from recover:1,2, normalize and nonneg:1,2,R
+            r = 1 << 15
+            entries = (("recover:1,2", Fraction(1)), ("normalize", Fraction(-1)),
+                       ("nonneg:1,2,R", Fraction(1)))
+            form = ((0b11, 1),)
+            assert verify_certificate(system, Certificate(Fraction(1), entries, form), objective=form)
+            assert not verify_certificate(system, Certificate(Fraction(2), entries, form),
+                                          objective=form)
+            assert system.row("ssa:1;15|R").terms == ((r, -1), (r | 1, 1), (r | 1 << 14, 1),
+                                                      (r | 1 | 1 << 14, -1))
+            with pytest.raises(KeyError):
+                verify_certificate(
+                    system, Certificate(Fraction(0), (("nonneg:16", Fraction(1)),), form),
+                    objective=form,
+                )
+            assert "constraints" not in vars(system)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qssbounds import prover, simplex
+from qssbounds import cone, prover, simplex
 from qssbounds.prover import (
     Objective,
     ProverError,
@@ -515,6 +515,36 @@ class TestReplayMatchesFractionSum:
         assert seen["unknown-then-negative"] == seen["unknown-id"] == {"KeyError"}
         for name in ("raised-claim", "thirds", "tampered", "zero-used", "negative-ineq"):
             assert seen[name] == {False}, name
+
+
+class TestReplayGeneratesNoRows:
+    """Replay makes the rows a certificate names and never the row list."""
+
+    @pytest.mark.parametrize("ineq", ["full", "elemental"])
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_replay_never_calls_the_generators(self, monkeypatch, ineq, mode):
+        report = share_bound(GAMMA4, auto_purify=True, mode=mode, players=[1, 2, 3, 4])
+        implied = check_implied(
+            cached_system(GAMMA4_BAR, True, "elemental"),
+            {0b00011: Fraction(1), 0b11100: Fraction(-1)}, "=", Fraction(1),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rows were generated")
+
+        monkeypatch.setattr(cone, "vn_inequalities", refuse)
+        monkeypatch.setattr(cone, "qss_constraints", refuse)
+        system = prover.build_system(report.structure, pure=mode == "pure", ineq=ineq)
+        assert verify_certificate(system, report.certificate, objective=report.objective)
+        raised = Certificate(report.lp_value + 1, report.certificate.entries, ())
+        assert not verify_certificate(system, raised, objective=report.objective)
+        with pytest.raises(KeyError, match="unknown constraint 'nonneg:01'"):
+            unknown = Certificate(report.lp_value, (("nonneg:01", ONE),), ())
+            verify_certificate(system, unknown, objective=report.objective)
+        if mode == "pure":
+            for cert in implied.certificates:
+                assert verify_certificate(system, cert, objective=cert.objective)
+        assert "constraints" not in vars(system)
 
 
 class TestCheckImplied:

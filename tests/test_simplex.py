@@ -634,16 +634,37 @@ def random_session_lp(rng, shape):
     return base.rows, Presolved(base.rows), objectives
 
 
+@pytest.fixture
+def checked_duals(monkeypatch):
+    """Checks the tableau's kept duals against a fresh ``c_B q`` at every read.
+
+    ``multipliers`` is read once by every optimal solve, cold or warm;
+    the fixture's list counts those reads.
+    """
+    reads = []
+    original = simplex._Tableau.multipliers
+
+    def multipliers(self):
+        assert self.y == self._duals(2)
+        reads.append(self.pivots)
+        return original(self)
+
+    monkeypatch.setattr(simplex._Tableau, "multipliers", multipliers)
+    return reads
+
+
 class TestSessions:
     """Warm restarts in a session against cold solves on the same state."""
 
     @pytest.mark.parametrize("degenerate_run", [simplex.DEGENERATE_RUN, 1, 0])
     @pytest.mark.parametrize("shape", ["general", "degenerate", "lowrank", "infeasible"])
-    def test_seeded_objectives_match_cold_solves(self, monkeypatch, shape, degenerate_run):
+    def test_seeded_objectives_match_cold_solves(
+        self, monkeypatch, checked_duals, shape, degenerate_run
+    ):
         # degenerate_run 0 runs the dual Bland rule from the first pivot
         monkeypatch.setattr(simplex, "DEGENERATE_RUN", degenerate_run)
         rng = random.Random(f"{shape}-{degenerate_run}")
-        statuses, warm_pivots, artificial_kept = set(), 0, False
+        statuses, warm_pivots, artificial_kept, optimal = set(), 0, False, 0
         for _ in range(40):
             rows, state, objectives = random_session_lp(rng, shape)
             num_vars = max((v for r in rows for v, _ in r.terms), default=0) + 1
@@ -654,6 +675,7 @@ class TestSessions:
                 warm = solve(problem, session)
                 cold = solve(problem)
                 assert (warm.status, warm.value) == (cold.status, cold.value), objective
+                optimal += 2 * (warm.status == "optimal")
                 statuses.add(warm.status)
                 if warm_start:
                     warm_pivots += warm.pivots
@@ -662,6 +684,8 @@ class TestSessions:
                 tableau = session.tableau
                 if tableau is not None:
                     artificial_kept |= any(b >= tableau.n for b in tableau.basis)
+                    # kept current through every warm pivot, whatever the status
+                    assert tableau.y == tableau._duals(2)
         expected = {
             "general": {"optimal", "unbounded"},
             "degenerate": {"optimal", "unbounded"},
@@ -673,6 +697,8 @@ class TestSessions:
             assert warm_pivots > 0
         if shape == "lowrank":
             assert artificial_kept
+        # every optimal solve read the kept duals, and they were current
+        assert len(checked_duals) >= optimal
 
     def test_repeated_objective_restarts_with_no_pivot(self):
         rows = [
