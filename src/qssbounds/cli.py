@@ -118,10 +118,13 @@ def _structure_text(structure: AccessStructure, purifier: int | None = None) -> 
 def _parse_players(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
-    try:
-        players = tuple(int(p) for p in text.replace(" ", "").split(",") if p)
-    except ValueError as exc:
-        raise UsageError(f"bad --players list {text!r}") from exc
+    tokens = [p for p in text.replace(" ", "").split(",") if p]
+    # int() also reads non-ASCII digits such as "\u0661"
+    if not all(p.isascii() and p.isdigit() for p in tokens):
+        raise UsageError(f"bad --players list {text!r}")
+    players = tuple(int(p) for p in tokens)
+    if not players:
+        raise UsageError(f"bad --players list {text!r}: it names no player")
     if len(set(players)) != len(players):
         raise UsageError(f"bad --players list {text!r}: a player is repeated")
     return players
@@ -190,7 +193,8 @@ def cmd_purify(args) -> int:
 def _validate_objective(spec: str) -> str:
     if spec in ("minmax", "minsum"):
         return spec
-    if spec.startswith("single:") and spec[len("single:"):].isdigit():
+    player = spec.removeprefix("single:")
+    if player != spec and player.isascii() and player.isdigit():
         return spec
     raise UsageError(f"bad --objective {spec!r}; use minmax, minsum or single:<i>")
 

@@ -36,13 +36,14 @@ A :class:`ConstraintSystem` is addressed by row id and makes no row
 until one is asked for.  Each id names its row: ``nonneg:X``,
 ``ssa:A;B|C``, ``wm:A;B|C``, ``recover:X``, ``secrecy:X``,
 ``normalize``, ``purity`` and ``emptyset``, with labels such as
-``1,3,R`` and ``∅``.  :meth:`ConstraintSystem.row` parses an id into
-masks and builds that one row with the generators' own builders, which
-print the id again; it is accepted only if the printed id is the id it
-was given and the row is a member of the system's family (see
-:meth:`ConstraintSystem.row` for the rules).  So replaying a certificate
-costs its own entries, not the 2^(2·elements) rows of the full family,
-and works on ground sets too large to generate.  The ordered list of
+``1,3,R`` and ``∅`` from the one printer ``GroundSet.labels``.
+:meth:`ConstraintSystem.row` parses an id into masks and builds that one
+row with the generators' own builders, which print the id again; it is
+accepted only if the printed id is the id it was given and the row is a
+member of the system's family (see :meth:`ConstraintSystem.row` for the
+rules).  So replaying a certificate costs its own entries and labels,
+not the 2^(2·elements) rows of the full family, and works on ground
+sets too large to generate.  The ordered list of
 every row (``constraints``, indexed by ``by_id`` and ``position``) is
 generated on first read, for the quotient, ``--dump-system`` and
 witness checks; ``len`` counts it from the family's closed form.
@@ -98,40 +99,38 @@ class GroundSet:
         return 1 << self.total
 
     @cached_property
-    def labels(self) -> tuple[str, ...]:
-        """Every subset's label, indexed by mask, built on first use."""
-        table = [""]
-        for name in [str(i + 1) for i in range(self.players)] + ["R"]:
-            table += [f"{t},{name}" if t else name for t in table]
-        table[0] = "∅"
-        return tuple(table)
+    def labels(self) -> _Labels:
+        """The ground set's label printer and parser, made on first use."""
+        return _Labels(self.players)
 
     def label(self, mask: int) -> str:
         """Subset label: sorted players, reference last, ∅ when empty."""
         return self.labels[mask]
 
 
-class _Labels:
-    """Subset labels printed and parsed one mask at a time.
+class _Labels(dict):
+    """Subset labels by mask, each printed on its first lookup and kept.
 
-    The format is ``GroundSet.label``'s.  The row builders index this
-    like ``GroundSet.labels``, which holds all 2^elements labels; a row
-    looked up by id needs only its own few.  Parsing looks each token up
-    among the element names, so a token that is not exactly ``R`` or a
-    player number (``²``, ``١``, ``01``, `` 2``, 5000 digits) names no
-    element, and no token is ever handed to ``int``.
+    The format is ``GroundSet.label``'s, each label printed from that of
+    its set less the top element; a row looked up by id prints its few
+    labels and their prefixes, never all 2^elements.  Parsing looks each
+    token up among the element names, so a token that is not exactly
+    ``R`` or a player number (``²``, ``١``, ``01``, `` 2``, 5000 digits)
+    names no element, and no token is ever handed to ``int``.
     """
 
     __slots__ = ("names", "bits")
 
     def __init__(self, players: int) -> None:
+        super().__init__({0: "∅"})
         self.names = [str(i + 1) for i in range(players)] + ["R"]
         self.bits = {name: 1 << i for i, name in enumerate(self.names)}
 
-    def __getitem__(self, mask: int) -> str:
-        if not mask:
-            return "∅"
-        return ",".join([name for i, name in enumerate(self.names) if mask >> i & 1])
+    def __missing__(self, mask: int) -> str:
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        label = self[mask] = f"{self[rest]},{self.names[top]}" if rest else self.names[top]
+        return label
 
     def parse(self, text: str) -> int | None:
         """The mask ``text`` names, or None.
@@ -176,8 +175,8 @@ def _ssa_constraint(labels, x: int, y: int) -> LinearConstraint:
     """Submodularity on the incomparable pair {x, y}, where x < y.
 
     Then x\\y < y\\x, the meet lies below x and the join above y, so the
-    id's operands and the terms are already in order.  ``labels`` maps a
-    mask to its label: ``GroundSet.labels`` or a :class:`_Labels`.
+    id's operands and the terms are already in order.  ``labels`` is the
+    ground set's :class:`_Labels`.
     """
     c = x & y
     ident = f"ssa:{labels[x & ~y]};{labels[y & ~x]}|{labels[c]}"
@@ -245,7 +244,8 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
     visits each unordered partition of the other elements once.
     """
     _check_mode(mode)
-    labels = ground.labels
+    # every label is printed; a list of them indexes faster than the printer
+    labels = [ground.labels[mask] for mask in range(ground.var_count)]
     out = [EMPTYSET]
     for mask in range(1, ground.var_count):
         out.append(_nonneg_constraint(labels, mask))
@@ -328,7 +328,6 @@ class ConstraintSystem:
         self.ground = GroundSet(structure.n)
         self.pure = pure
         self.ineq = ineq
-        self._labels = _Labels(structure.n)
         self._memo: dict[str, LinearConstraint] = {}
 
     def __len__(self) -> int:
@@ -396,7 +395,7 @@ class ConstraintSystem:
     def _parse(self, rid: str) -> LinearConstraint | None:
         """The row whose masks ``rid`` names, or None; the caller compares ids."""
         family, _, body = rid.partition(":")
-        labels, ground, full = self._labels, self.ground, self.ineq == "full"
+        labels, ground, full = self.ground.labels, self.ground, self.ineq == "full"
         if family in ("ssa", "wm"):
             ab, _, c = body.partition("|")
             a, _, b = ab.partition(";")

@@ -23,11 +23,12 @@ of the system.  In mixed mode the quotient is the system itself.  The
 on and witnesses are checked against, and both checks run before any
 result is returned.
 
-The implied-inequality checks of one suite share the quotient's
-presolved state, so they share one :class:`simplex.Session` too: each
-target restarts from the optimal basis of the one before it.  The
-session is a local of the suite (or of one `check_implied` call) and
-dies with it; bound LPs are solved cold.
+Every LP solves on the quotient's presolved state, a bound LP and a
+refutation witness with their own rows added (`Presolved.with_rows`).
+The checks of one suite share one :class:`simplex.Session`: each target
+restarts from the optimal basis of the one before it.  The session is a
+local of the suite (or of one `check_implied` call) and dies with it;
+bound LPs are solved cold.
 """
 
 from __future__ import annotations
@@ -102,11 +103,10 @@ class Objective:
     @classmethod
     def parse(cls, spec: str, default_players: Sequence[int]) -> "Objective":
         if spec.startswith("single:"):
-            try:
-                player = int(spec.split(":", 1)[1])
-            except ValueError:
-                raise StructureError(f"bad objective {spec!r}; use single:<player>") from None
-            return cls("single", (player,))
+            player = spec.removeprefix("single:")
+            if not (player.isascii() and player.isdigit()):
+                raise StructureError(f"bad objective {spec!r}; use single:<player>")
+            return cls("single", (int(player),))
         return cls(spec, tuple(default_players))
 
     def describe(self) -> str:
@@ -306,11 +306,8 @@ def share_bound(
 
     extra, form, num_vars = objective_rows(elemental, obj)
     quotient = elemental.quotient
-    problem = LPProblem(
-        num_vars,
-        quotient.map_terms(form),
-        quotient.rows + tuple(quotient.map_row(row) for row in extra),
-    )
+    state = quotient.presolved.with_rows(quotient.map_row(row) for row in extra)
+    problem = LPProblem(num_vars, quotient.map_terms(form), state.rows, state)
     solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError(
@@ -483,7 +480,7 @@ def check_implied(
     directions for an equality); returns the dual certificates, replayed
     on the system's rows, or a feasible entropy vector refuting the
     target, checked against every one of them.  The solves run in
-    ``session`` (from :func:`open_session`), or in one opened here.
+    ``session``, or in one opened here.
     """
     if rel not in (">=", "="):
         raise StructureError(f"unsupported target relation {rel!r}")
@@ -494,7 +491,7 @@ def check_implied(
         directions.append(({v: -c for v, c in base.items()}, -Fraction(rhs)))
 
     if session is None:
-        session = open_session(system)
+        session = Session()
     certificates = []
     pivots = 0
     for form, bound in directions:
@@ -504,11 +501,6 @@ def check_implied(
             return CheckResult(False, (), witness, pivots)
         certificates.append(cert)
     return CheckResult(True, tuple(certificates), None, pivots)
-
-
-def open_session(system: ConstraintSystem) -> Session:
-    """A solve session on the quotient that checks on ``system`` solve on."""
-    return Session(cached_system(system.structure, system.pure, "elemental").quotient.presolved)
 
 
 def _prove_direction(
@@ -545,7 +537,7 @@ def _witness_below(quotient: Quotient, objective, bound):
     cutoff = LinearConstraint(
         "cutoff", tuple((v, -c) for v, c in objective), ">=", -(bound - 1)
     )
-    state = quotient.presolved.with_inequality(cutoff)
+    state = quotient.presolved.with_rows((cutoff,))
     solution = solve(LPProblem(quotient.ground.var_count, (), state.rows, state))
     if solution.status != "optimal":
         raise ProverError("failed to materialize a refutation witness")
@@ -699,7 +691,7 @@ def lemma_suite(
     prepare_structure(structure, max_elements=max_elements, force=force)
     started = time.perf_counter()
     system = cached_system(structure, True, ineq)
-    session = open_session(system)
+    session = Session()
     outcomes = []
     for inst in scheme_relation_instances(structure, system.ground):
         res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs, session=session)
@@ -803,7 +795,7 @@ def theorem3_chain(
     prepare_structure(purified, max_elements=max_elements, force=force)
     started = time.perf_counter()
     system = cached_system(purified, True, ineq)
-    session = open_session(system)
+    session = Session()
     steps = []
     for inst in instances:
         res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs, session=session)

@@ -18,20 +18,23 @@ substitution.  The presolve depends only on the rows, so it is one
 :class:`Presolved` state built once per row tuple: the elimination
 records, the reduced and deduplicated inequality rows with the weights
 that lift their multipliers back, and those rows as integer-scaled dual
-columns and costs.  It reduces each objective and lifts each solution.
-A problem may carry the state of its rows (a constraint system keeps one
-for the rows it is solved on); otherwise :func:`solve` builds it.  The
-solver sees only the rows it is given: mapping a system onto its
-quotient and carrying certificates back is the caller's business.
+columns and costs.  It reduces each objective and lifts each solution,
+and :meth:`Presolved.with_rows` derives the state of more ``>=`` rows
+from it with the same column builder.  A problem may carry the state of
+its rows (a constraint system keeps one for the rows it is solved on);
+otherwise :func:`solve` builds it.  The solver sees only the rows it is
+given: mapping a system onto its quotient and carrying certificates
+back is the caller's business.
 
 The costs of the dual form come from the rows alone and an objective
 only sets its right-hand side, so an optimal basis for one objective
 stays dual-feasible for every other objective on the same state.  A
-:class:`Session`, which the caller opens on one state and passes to
-:func:`solve`, keeps that basis: the next objective restarts from it and
-runs a dual simplex (dual steepest edge, falling back to the dual Bland
-rule after a run of degenerate pivots) instead of two phases from an
-all-artificial basis.  Without a session every solve is cold.
+:class:`Session`, which the caller opens and passes to :func:`solve`
+with each problem, keeps that basis and nothing else: the next
+objective on the same state restarts from it and runs a dual simplex
+(dual steepest edge, falling back to the dual Bland rule after a run of
+degenerate pivots) instead of two phases from an all-artificial basis.
+Without a session every solve is cold.
 
 Every status comes out of the same tableau on the same state.  An
 unbounded dual means an infeasible primal.  An infeasible dual leaves
@@ -218,7 +221,8 @@ class Presolved:
     ``infeasible`` records contradictory equalities or a row that reduces
     to ``0 >= rhs > 0``; every solve on the rows is then infeasible.
     Solves only read the state, so one state serves any number of
-    objectives.
+    objectives, and :meth:`with_rows` derives the state of more ``>=``
+    rows from it with the code that builds this one's columns.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
@@ -233,7 +237,7 @@ class Presolved:
         self.weights: list[dict[int, int | Fraction]] = []
         self.rhs: list[int | Fraction] = []
         self.var_pos: dict[int, int] = {}
-        self.cols: list[list[tuple[int, int]]] = []
+        self.cols: list[tuple[tuple[int, int], ...]] = []
         self.scales: list[int] = []
         self.costs: list[int] = []
         self.cost_scale = 1
@@ -243,12 +247,11 @@ class Presolved:
                 raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
             if not all(c for _, c in row.terms):
                 raise ValueError(f"zero coefficient in row {row.id}")
-            if row.rel == "=":
+            if row.rel == "=" and not self.infeasible:
                 terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
                 if not terms:
-                    if rhs:  # 0 = rhs contradicts; 0 = 0 is redundant
-                        self.infeasible = True
-                        return
+                    # 0 = rhs contradicts; 0 = 0 is redundant
+                    self.infeasible = bool(rhs)
                     continue
                 combo = self.equality_duals({k: -t for k, t in weights.items()})
                 combo[idx] = 1
@@ -258,68 +261,65 @@ class Presolved:
                 self.rests.append(terms)
                 self.rest_rhs.append(rhs)
                 self.combos.append(combo)
+        self._add_inequalities(rows, 0)
 
-        reduced: list[tuple[tuple[int, int | Fraction], ...]] = []
-        seen: set[tuple] = set()
-        for idx, row in enumerate(rows):
+    def with_rows(self, rows) -> Presolved:
+        """The state of ``self.rows`` plus the ``>=`` rows ``rows``.
+
+        Only the new rows are reduced and deduplicated; this state is left
+        as it was.  New variables take the positions after the old ones,
+        so one that sorts below a placed variable gets a full presolve.
+        """
+        rows = tuple(rows)
+        if any(row.rel != ">=" or not all(c for _, c in row.terms) for row in rows):
+            raise ValueError("with_rows adds only >= rows with nonzero coefficients")
+        state = copy.copy(self)
+        state.rows = self.rows + rows
+        if state._add_inequalities(rows, len(self.rows)):
+            return state
+        return Presolved(state.rows)
+
+    def _add_inequalities(self, rows: tuple[LinearConstraint, ...], offset: int) -> bool:
+        """Add the ``>=`` rows of ``rows``, rows ``offset`` on, as columns in
+        new containers; False when a new variable sorts below a placed one.
+        """
+        reduced = {}
+        for idx, row in enumerate(rows, offset):
+            if self.infeasible:
+                return True
             if row.rel == "=":
                 continue
             terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
             if not terms:
-                if rhs > 0:
-                    self.infeasible = True
-                    return
+                self.infeasible = rhs > 0
                 continue
-            items = tuple(sorted(terms.items()))
-            if (items, rhs) in seen:
-                continue
-            seen.add((items, rhs))
-            reduced.append(items)
-            self.row_index.append(idx)
-            self.weights.append(weights)
-            self.rhs.append(rhs)
-
-        var_ids = sorted({v for items in reduced for v, _ in items})
-        pos = self.var_pos = {v: i for i, v in enumerate(var_ids)}
-        scaled_costs = []
-        for items, rhs in zip(reduced, self.rhs):
+            reduced.setdefault((tuple(sorted(terms.items())), rhs), (idx, weights))
+        pos = dict(self.var_pos)
+        new_vars = sorted({v for items, _ in reduced for v, _ in items} - pos.keys())
+        if new_vars and pos and new_vars[0] < max(pos):
+            return False
+        for v in new_vars:
+            pos[v] = len(pos)
+        # a column with its scale and rhs determines its reduced row, and
+        # one on a new variable repeats no old column
+        new, placed = {}, len(self.var_pos)
+        for (items, rhs), (idx, weights) in reduced.items():
             scale = _lcm_of_denominators(c for _, c in items)
-            self.scales.append(scale)
-            self.cols.append([(pos[v], _scaled(c, scale)) for v, c in items])
-            scaled_costs.append(-rhs * scale)
-        self.cost_scale = _lcm_of_denominators(scaled_costs)
-        self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
-
-    def with_inequality(self, row: LinearConstraint) -> Presolved:
-        """The state of ``self.rows + (row,)`` for one more ``>=`` row.
-
-        Only ``row`` is reduced; the records and the other columns are
-        shared with this state, which is left as it was.  The new row is
-        not deduplicated, since a repeated dual column changes no optimum.
-        A row with a variable no reduced row contains would renumber the
-        columns, so it gets a full presolve instead.
-        """
-        state = copy.copy(self)
-        state.rows = self.rows + (row,)
-        terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
-        if not terms:
-            state.infeasible = self.infeasible or rhs > 0
-            return state
-        if any(v not in self.var_pos for v in terms):
-            return Presolved(state.rows)
-        items = sorted(terms.items())
-        scale = _lcm_of_denominators(c for _, c in items)
-        cost = -rhs * scale
-        cost_scale = math.lcm(self.cost_scale, cost.denominator)
+            col = tuple((pos[v], _scaled(c, scale)) for v, c in items)
+            if col[-1][0] >= placed or (col, scale, rhs) not in zip(self.cols, self.scales, self.rhs):
+                new[col, scale, rhs] = (idx, weights)
+        scaled_costs = [-rhs * scale for _, scale, rhs in new]
+        cost_scale = math.lcm(self.cost_scale, _lcm_of_denominators(scaled_costs))
         factor = cost_scale // self.cost_scale
-        state.row_index = self.row_index + [len(self.rows)]
-        state.weights = self.weights + [weights]
-        state.rhs = self.rhs + [rhs]
-        state.scales = self.scales + [scale]
-        state.cols = self.cols + [[(self.var_pos[v], _scaled(c, scale)) for v, c in items]]
-        state.costs = [c * factor for c in self.costs] + [_scaled(cost, cost_scale)]
-        state.cost_scale = cost_scale
-        return state
+        self.var_pos = pos
+        self.row_index = self.row_index + [idx for idx, _ in new.values()]
+        self.weights = self.weights + [weights for _, weights in new.values()]
+        self.cols = self.cols + [col for col, _, _ in new]
+        self.scales = self.scales + [scale for _, scale, _ in new]
+        self.rhs = self.rhs + [rhs for _, _, rhs in new]
+        self.costs = [c * factor for c in self.costs] + [_scaled(c, cost_scale) for c in scaled_costs]
+        self.cost_scale = cost_scale
+        return True
 
     def reduce_form(self, terms, rhs) -> tuple[dict, int | Fraction, dict]:
         """Substitute every record into ``terms . x >= rhs``.
@@ -402,10 +402,9 @@ class _Tableau:
     """
 
     def __init__(self, state: Presolved, rhs: list[Fraction]) -> None:
+        self.state = state
         self.m = m = len(rhs)
         self.n = len(state.cols)
-        self.cols, self.costs = state.cols, state.costs
-        self.col_scale, self.cost_scale = state.scales, state.cost_scale
         self.rhs_scale = _lcm_of_denominators(rhs)
         self.x = [_scaled(r, self.rhs_scale) for r in rhs]
         self.q = [[0] * m for _ in range(m)]
@@ -420,7 +419,7 @@ class _Tableau:
     def _column(self, j: int) -> list[int]:
         """``den`` times the entering column in basis coordinates."""
         w = [0] * self.m
-        for v, c in self.cols[j]:
+        for v, c in self.state.cols[j]:
             w = [a + c * row[v] for a, row in zip(w, self.q)]
         return w
 
@@ -431,15 +430,14 @@ class _Tableau:
             if phase == 1:
                 cb = 1 if b >= self.n else 0
             else:
-                cb = 0 if b >= self.n else self.costs[b]
+                cb = 0 if b >= self.n else self.state.costs[b]
             if cb:
                 y = [a + cb * qv for a, qv in zip(y, self.q[i])]
         return y
 
     def run(self, phase: int) -> str:
         """Pivot until optimal or unbounded; returns the stop reason."""
-        cols = self.cols
-        costs = self.costs
+        cols, costs = self.state.cols, self.state.costs
         self.y = y = self._duals(phase)
         in_basis = set(self.basis)
         for _ in range(MAX_ITERATIONS):
@@ -526,7 +524,7 @@ class _Tableau:
         going to the lowest index.  Pivot elements are negative, so
         :meth:`_pivot` flips the signs and ``y`` is flipped with them.
         """
-        n, cols, costs, basis = self.n, self.cols, self.costs, self.basis
+        n, cols, costs, basis = self.n, self.state.cols, self.state.costs, self.basis
         if any(xi for xi, b in zip(self.x, basis) if b >= n):
             return "infeasible"
         y = self.y
@@ -593,32 +591,31 @@ class _Tableau:
             for j in range(self.n):
                 if j in in_basis:
                     continue
-                if sum(row[v] * c for v, c in self.cols[j]):
+                if sum(row[v] * c for v, c in self.state.cols[j]):
                     self._pivot(j, i, self._column(j))
                     in_basis = set(self.basis)
                     break
 
     def solution(self) -> tuple[dict[int, int], int]:
         """Nonzero basic ``u`` by column, as numerators over their denominator."""
-        u = {b: xi * self.col_scale[b] for b, xi in zip(self.basis, self.x) if xi and b < self.n}
+        u = {b: xi * self.state.scales[b] for b, xi in zip(self.basis, self.x) if xi and b < self.n}
         return u, self.den * self.rhs_scale
 
     def multipliers(self) -> tuple[list[int], int]:
         """Row multipliers -pi of the equations (phase 2), over their denominator."""
-        return [-y for y in self.y], self.den * self.cost_scale
+        return [-y for y in self.y], self.den * self.state.cost_scale
 
 
 class Session:
     """A warm-start basis for successive objectives on one presolved state.
 
-    The caller opens a session on a :class:`Presolved` state and passes
-    it to :func:`solve` with each problem on that state; the session
-    keeps the last dual-feasible tableau and nothing else, and lives as
-    long as the caller holds it.
+    The caller opens a session and passes it to :func:`solve` with each
+    problem; the first optimal solve leaves its dual-feasible tableau
+    here, and the session then refuses a problem on any other state.  It
+    keeps nothing else and lives as long as the caller holds it.
     """
 
-    def __init__(self, state: Presolved) -> None:
-        self.state = state
+    def __init__(self) -> None:
         self.tableau: _Tableau | None = None
 
 
@@ -641,17 +638,18 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
     ``infeasible`` and ``unbounded``; arithmetic is exact, so there are
     no tolerance failures.  The problem's ``presolved`` state is used
     when present and must have been built from ``problem.rows`` itself;
-    otherwise the state is built here.  A ``session`` must have been
-    opened on that state; the solve then restarts from the session's
-    basis when it has one, and leaves its own dual-feasible basis there.
+    otherwise the state is built here.  With a ``session`` the solve
+    restarts from the session's basis when it has one, which must be a
+    basis on the same state, and leaves its own dual-feasible basis there.
     """
     state = problem.presolved
     if state is None:
         state = Presolved(problem.rows)
     elif state.rows is not problem.rows:
         raise ValueError("presolved state was built from a different row tuple")
-    if session is not None and session.state is not state:
-        raise ValueError("session was opened on a different presolved state")
+    tableau = session.tableau if session is not None else None
+    if tableau is not None and tableau.state is not state:
+        raise ValueError("session holds a basis of a different presolved state")
     if state.infeasible:
         return LPSolution("infeasible", None, None, None, 0)
 
@@ -664,7 +662,6 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
         return _infeasible_or_unbounded(problem, state, 0, session)
 
     rhs = [red_obj.get(v, 0) for v in state.var_pos]
-    tableau = session.tableau if session is not None else None
     if tableau is not None:
         tableau.restart(rhs)
         if tableau.dual_run() != "optimal":

@@ -228,8 +228,13 @@ def is_quantum(structure: AccessStructure) -> bool:
 
 
 def is_self_dual(structure: AccessStructure) -> bool:
-    """True iff the structure equals its dual (canonical-form equality)."""
-    return dual(structure) == structure
+    """True iff the structure equals its dual, without building the dual.
+
+    A set is in the dual exactly when its complement is unauthorized, so
+    the two agree when one set of each complementary pair is authorized.
+    """
+    full, auth = (1 << structure.n) - 1, structure.mask_authorized
+    return all(auth(m) != auth(full & ~m) for m in range(1 << (structure.n - 1)))
 
 
 def purify(structure: AccessStructure) -> AccessStructure:

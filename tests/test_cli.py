@@ -62,6 +62,30 @@ def _worker_dying_on_b(job):
 _REAL_BATCH_WORKER = cli._batch_worker
 
 
+GAMMA4_SETS = [[1, 2], [1, 3], [2, 3, 4]]
+
+# Outputs of the commands that inspect and transform structures, on csirmaz(4).
+RENDERINGS = {
+    "gen-text": (("gen", "csirmaz", "--n", "4", "--format", "text"),
+                 "players: 4\nminimal sets: (1,2); (1,3); (2,3,4)\nk: 2\n"),
+    "check-text": (("check", "--in", "{g4}", "--format", "text"),
+                   "players: 4\nminimal sets: (1,2); (1,3); (2,3,4)\nvalid antichain: yes\n"
+                   "quantum: yes\nself-dual: no\n"),
+    "dual-text": (("dual", "--in", "{g4}", "--format", "text"),
+                  "players: 4\nminimal sets: (1,2); (1,3); (2,3); (1,4)\n"),
+    "purify-json": (("purify", "--in", "{g4}"),
+                    json.dumps({"n": 5, "minimal_sets": GAMMA4_SETS + [[2, 3, 5], [1, 4, 5]]},
+                               indent=2) + "\n"),
+}
+
+
+@pytest.mark.parametrize("argv,expected", RENDERINGS.values(), ids=RENDERINGS.keys())
+def test_structure_renderings(capsys, tmp_path, argv, expected):
+    g4 = write_structure(tmp_path, "g4.json", 4, GAMMA4_SETS)
+    code, out, _ = run(capsys, *(arg.format(g4=g4) for arg in argv))
+    assert (code, out) == (0, expected)
+
+
 class TestGen:
     def test_csirmaz_4(self, capsys):
         code, out, _ = run(capsys, "gen", "csirmaz", "--n", "4")
@@ -230,7 +254,8 @@ class TestBound:
 
     def test_bad_objective_is_usage_error(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
-        for spec in ("median", "single:x", "single:"):
+        # non-ASCII digits: "²" passes str.isdigit, and int() reads "١" as 1
+        for spec in ("median", "single:x", "single:", "single:²", "single:١"):
             code, _, err = run(capsys, "bound", "--in", path, "--objective", spec)
             assert code == 2
             assert "--objective" in err
@@ -247,10 +272,13 @@ class TestBound:
             ("bound", "--batch", str(batch), "--workers", "1"),
             ("verify-cert", "--system-from", path, "--cert", str(cert)),
         ):
-            code, out, err = run(capsys, *argv, "--players", "1,1")
-            assert (code, out) == (2, ""), argv
-            assert err.startswith("error: bad --players list '1,1'"), argv
-            assert "Traceback" not in err
+            # a repeated player, lists that name no player at all, and a
+            # non-ASCII digit that int() would read as player 1
+            for players in ("1,1", "", ",", "\u0661"):
+                code, out, err = run(capsys, *argv, "--players", players)
+                assert (code, out) == (2, ""), (argv, players)
+                assert err.startswith(f"error: bad --players list {players!r}"), argv
+                assert "Traceback" not in err
         assert not (batch / "a.report.json").exists()
 
     def test_bound_without_input_is_usage_error(self, capsys):
@@ -272,6 +300,30 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--in", path, "--format", "text")
         assert code == 0
         assert "largest share >= 1/1" in out
+
+    def test_text_report_of_a_single_share_and_a_staircase(self, capsys, tmp_path):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        code, out, _ = run(capsys, "bound", "--in", path, "--objective", "single:2",
+                           "--format", "text")
+        assert code == 0
+        assert out.splitlines()[2:5] == [
+            "objective: single share 2",
+            "largest share >= 1/1 * S(secret)",
+            "information rate <= 1/1",
+        ]
+        path = write_structure(tmp_path, "g4.json", 4, GAMMA4_SETS)
+        code, out, _ = run(capsys, "bound", "--in", path, "--auto-purify", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:-1] == [
+            "structure: (1,2); (1,3); (2,3,4); (2,3,p); (1,4,p) [purified]",
+            "mode: pure   inequalities: full",
+            "objective: minmax over players 1,2,3,4,5",
+            "largest share >= 5/3 * S(secret)",
+            "information rate <= 3/5",
+            "closed-form reference (k=2): 7/5",
+        ]
+        assert lines[-1].startswith("lp: 188 rows, 33 cols, 45 pivots, ")
 
     def test_bound_deterministic_apart_from_timing(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
@@ -635,6 +687,18 @@ class TestChainCommand:
         code, _, err = run(capsys, "chain", "--n", "4", "--limit-elements", "5")
         assert code == 3
         assert err.startswith("limit:")
+
+    def test_n4_text(self, capsys):
+        code, out, _ = run(capsys, "chain", "--n", "4", "--format", "text")
+        assert code == 0
+        assert out == (
+            "k = 2, closed-form bound 7/5\n"
+            "  [ok ] S(A,B_0)+S(B_1) >= S(A,B_1)+S(B_0)+2\n"
+            "  [ok ] S(A,B_1)+S(B_2) >= S(A,B_2)+S(B_1)+2\n"
+            "  [ok ] S(A)+S(B) >= S(A,B)+4\n"
+            "  [ok ] 2*S(A)+S(purifier) >= 7\n"
+            "lp value: 5/3 (rate <= 3/5)\n"
+        )
 
     def test_n4_json(self, capsys):
         code, out, _ = run(capsys, "chain", "--n", "4")

@@ -290,8 +290,8 @@ class TestSuiteSessions:
         sessions = []
 
         class Recorded(simplex.Session):
-            def __init__(self, state):
-                super().__init__(state)
+            def __init__(self):
+                super().__init__()
                 sessions.append(weakref.ref(self))
 
         monkeypatch.setattr(prover, "Session", Recorded)
@@ -360,6 +360,20 @@ class TestSharedPresolve:
         for objective in (((1, ONE),), ((1, -ONE),)):
             solution = self.both_ways(system.ground.var_count, objective, rows, presolved)
             assert (solution.status, solution.pivots) == ("infeasible", 0)
+
+    def test_chain_presolves_its_rows_once(self, monkeypatch):
+        # the bound LP adds its objective links to the quotient's state
+        built = []
+        original = Presolved.__init__
+
+        def counted(self, rows):
+            built.append(len(rows))
+            original(self, rows)
+
+        monkeypatch.setattr(Presolved, "__init__", counted)
+        cached_system.cache_clear()
+        assert theorem3_chain(4).all_implied
+        assert len(built) == 1
 
     def test_shared_state_lives_with_the_system(self):
         system = cached_system(THRESHOLD23, True, "elemental")

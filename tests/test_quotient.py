@@ -130,7 +130,7 @@ def test_session_solves_match_cold_solves(structure):
     quotient = elemental.quotient
     state = quotient.presolved
     systems = replay_systems(structure)
-    session = Session(state)
+    session = Session()
     statuses, warm_pivots = set(), 0
     for inst in scheme_relation_instances(structure, elemental.ground):
         for sign in (1, -1):

@@ -239,6 +239,20 @@ class TestIsSelfDual:
     def test_threshold(self):
         assert is_self_dual(from_minimal_sets(3, THRESHOLD23))
 
+    def test_matches_the_dual_exhaustive(self):
+        structures = [s for n in range(1, 5) for s in all_antichain_structures(n)]
+        assert len(structures) == 189
+        verdicts = [is_self_dual(s) for s in structures]
+        assert verdicts == [dual(s) == s for s in structures]
+        assert 0 < sum(verdicts) < len(structures)
+
+    def test_matches_the_dual_random(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            s = random_quantum_structure(rng, rng.randint(5, 7))
+            for t in (s, purify(s)):
+                assert is_self_dual(t) == (dual(t) == t)
+
 
 class TestPurify:
     def test_gamma4(self):
