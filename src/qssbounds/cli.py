@@ -2,10 +2,12 @@
 
 Subcommands generate, inspect and transform access structures, compute
 share-size bounds with certificates, replay certificates, and run the
-lemma and chain regression suites.  Output is deterministic JSON (stable
-key order, rationals as "p/q" strings, no floats) or a human-readable
-text rendering that prints sets as (1,2) tuples and the purifying party
-as ``p``.
+lemma and chain regression suites.  Every command prints deterministic
+JSON (stable key order, rationals as "p/q" strings, no floats) or, under
+``--format text``, a human-readable rendering that prints sets as (1,2)
+tuples and the purifying party as ``p``; ``bound --batch`` prints JSON only.
+``bound`` and ``verify-cert`` read their shared flags into `share_bound`'s
+keywords, and refuse a bad one before any file is read.
 
 Exit codes: 0 success / implied / verified; 1 a checked property fails
 or a certificate is rejected; 2 usage error or malformed input; 3
@@ -27,6 +29,7 @@ from .prover import (
     DEFAULT_ELEMENT_LIMIT,
     Objective,
     ProverError,
+    bound_setup,
     cached_system,
     certificate_from_json_dict,
     lemma_suite,
@@ -88,6 +91,14 @@ def _dump_json(data: dict, out: str | None) -> None:
     _emit(json.dumps(data, ensure_ascii=False, indent=2) + "\n", out)
 
 
+def _output(args, data: dict, text: str) -> None:
+    """Write ``data`` as JSON, or ``text`` under ``--format text``, to ``--out`` or stdout."""
+    if args.format == "text":
+        _emit(text, args.out)
+    else:
+        _dump_json(data, args.out)
+
+
 def _load_structure(path: str) -> AccessStructure:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -122,24 +133,19 @@ def _parse_players(text: str | None) -> tuple[int, ...] | None:
     # int() also reads non-ASCII digits such as "\u0661"
     if not all(p.isascii() and p.isdigit() for p in tokens):
         raise UsageError(f"bad --players list {text!r}")
-    players = tuple(int(p) for p in tokens)
-    if not players:
-        raise UsageError(f"bad --players list {text!r}: it names no player")
-    if len(set(players)) != len(players):
-        raise UsageError(f"bad --players list {text!r}: a player is repeated")
-    return players
+    try:
+        # the player rules of every objective that takes a list
+        return Objective("minsum", tuple(int(p) for p in tokens)).players
+    except StructureError as exc:
+        raise UsageError(f"bad --players list {text!r}: {exc}") from exc
 
 
 def cmd_gen(args) -> int:
     if args.family != "csirmaz":
         raise UsageError(f"unknown family {args.family!r}; available: csirmaz")
     structure, params = csirmaz(args.n)
-    data = structure_to_dict(structure)
-    data["k"] = params.k
-    if args.format == "text":
-        _emit(_structure_text(structure) + f"k: {params.k}\n", args.out)
-    else:
-        _dump_json(data, args.out)
+    data = {**structure_to_dict(structure), "k": params.k}
+    _output(args, data, _structure_text(structure) + f"k: {params.k}\n")
     return EXIT_OK
 
 
@@ -147,35 +153,27 @@ def cmd_check(args) -> int:
     try:
         structure = _load_structure(args.infile)
     except InvalidStructureError as exc:
-        _dump_json({"valid_antichain": False, "error": str(exc)}, args.out)
+        _output(args, {"valid_antichain": False, "error": str(exc)},
+                f"valid antichain: no\nerror: {exc}\n")
         return EXIT_FAIL
+    quantum, self_dual = is_quantum(structure), is_self_dual(structure)
     report = {
         "n": structure.n,
         "minimal_sets": structure.minimal_player_lists(),
         "valid_antichain": True,
-        "is_quantum": is_quantum(structure),
-        "is_self_dual": is_self_dual(structure),
+        "is_quantum": quantum,
+        "is_self_dual": self_dual,
     }
-    if args.format == "text":
-        _emit(
-            _structure_text(structure)
-            + f"valid antichain: yes\n"
-            + f"quantum: {'yes' if report['is_quantum'] else 'no'}\n"
-            + f"self-dual: {'yes' if report['is_self_dual'] else 'no'}\n",
-            args.out,
-        )
-    else:
-        _dump_json(report, args.out)
-    return EXIT_OK if report["is_quantum"] else EXIT_FAIL
+    _output(args, report, _structure_text(structure) + (
+        f"valid antichain: yes\nquantum: {'yes' if quantum else 'no'}\n"
+        f"self-dual: {'yes' if self_dual else 'no'}\n"))
+    return EXIT_OK if quantum else EXIT_FAIL
 
 
 def cmd_dual(args) -> int:
     structure = _load_structure(args.infile)
     result = dual(structure)
-    if args.format == "text":
-        _emit(_structure_text(result), args.out)
-    else:
-        _dump_json(structure_to_dict(result), args.out)
+    _output(args, structure_to_dict(result), _structure_text(result))
     return EXIT_OK
 
 
@@ -183,38 +181,31 @@ def cmd_purify(args) -> int:
     structure = _load_structure(args.infile)
     result = purify(structure)
     purifier = result.n if result.n > structure.n else None
-    if args.format == "text":
-        _emit(_structure_text(result, purifier), args.out)
-    else:
-        _dump_json(structure_to_dict(result), args.out)
+    _output(args, structure_to_dict(result), _structure_text(result, purifier))
     return EXIT_OK
 
 
-def _validate_objective(spec: str) -> str:
-    if spec in ("minmax", "minsum"):
-        return spec
-    player = spec.removeprefix("single:")
-    if player != spec and player.isascii() and player.isdigit():
-        return spec
-    raise UsageError(f"bad --objective {spec!r}; use minmax, minsum or single:<i>")
-
-
 def _bound_options(args) -> dict:
+    """`share_bound`'s keywords from the flags of `bound` and `verify-cert`.
+
+    A bad ``--objective`` or ``--players`` is refused before any file is read.
+    """
+    try:
+        # any one player stands in for the structure's, which are not read yet
+        Objective.parse(args.objective, (1,))
+    except StructureError as exc:
+        raise UsageError(
+            f"bad --objective {args.objective!r}; use minmax, minsum or single:<i>"
+        ) from exc
     return {
         "auto_purify": args.auto_purify,
         "mode": args.mode,
         "ineq": args.ineq,
-        "objective": _validate_objective(args.objective),
+        "objective": args.objective,
         "players": _parse_players(args.players),
         "max_elements": args.limit_elements,
         "force": args.force,
     }
-
-
-def _bound_one(path: str, options: dict) -> dict:
-    structure = _load_structure(path)
-    report = share_bound(structure, **options)
-    return report.to_json_dict()
 
 
 def _bound_text(data: dict) -> str:
@@ -245,7 +236,7 @@ def cmd_bound(args) -> int:
     options = _bound_options(args)
     if args.batch:
         single = {"--in": args.infile, "--certificate": args.certificate,
-                  "--dump-system": args.dump_system}
+                  "--dump-system": args.dump_system, "--format text": args.format == "text"}
         given = [flag for flag, value in single.items() if value]
         if given:
             raise UsageError(f"bound --batch does not take {', '.join(given)}")
@@ -254,24 +245,21 @@ def cmd_bound(args) -> int:
         raise UsageError("bound needs --in FILE (or --batch DIR)")
     for path in (args.out, args.certificate, args.dump_system):
         _check_writable(path)
-    data = _bound_one(args.infile, options)
+    report = share_bound(_load_structure(args.infile), **options)
+    data = report.to_json_dict()
     if args.certificate:
         _dump_json(data["certificate"], args.certificate)
     if args.dump_system:
-        solved = structure_from_dict(data["structure"])
-        system = cached_system(solved, args.mode == "pure", args.ineq)
+        system = cached_system(report.structure, report.mode == "pure", report.ineq)
         _emit(system.dump() + "\n", args.dump_system)
-    if args.format == "text":
-        _emit(_bound_text(data), args.out)
-    else:
-        _dump_json(data, args.out)
+    _output(args, data, _bound_text(data))
     return EXIT_OK
 
 
 def _batch_worker(job: tuple[str, dict]) -> tuple[str, str, dict | str]:
     path, options = job
     try:
-        return path, "ok", _bound_one(path, options)
+        return path, "ok", share_bound(_load_structure(path), **options).to_json_dict()
     except (UsageError, StructureError, ProverError, SimplexError) as exc:
         return path, "error", str(exc)
     except CapacityError as exc:
@@ -332,31 +320,21 @@ def _cmd_bound_batch(args, options: dict) -> int:
 
 
 def cmd_verify_cert(args) -> int:
+    options = _bound_options(args)
     structure = _load_structure(args.system_from)
     try:
         with open(args.cert, encoding="utf-8") as fh:
             cert = certificate_from_json_dict(json.load(fh))
     except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read certificate {args.cert}: {exc}") from exc
-
-    solved, _ = prepare_structure(
-        structure,
-        pure=args.mode == "pure",
-        auto_purify=args.auto_purify,
-        max_elements=args.limit_elements,
-        force=args.force,
-    )
-    system = cached_system(solved, args.mode == "pure", args.ineq)
-    players = _parse_players(args.players) or tuple(range(1, solved.n + 1))
-    objective = Objective.parse(_validate_objective(args.objective), players)
+    _, _, system, objective = bound_setup(structure, **options)
     try:
         ok = verify_certificate(system, cert, objective=objective)
+        key, value = "claimed_bound", rat_str(cert.claimed_bound)
     except KeyError as exc:
-        _dump_json({"verified": False, "error": str(exc)}, args.out)
-        return EXIT_FAIL
-    _dump_json(
-        {"verified": bool(ok), "claimed_bound": rat_str(cert.claimed_bound)}, args.out
-    )
+        ok, key, value = False, "error", str(exc)
+    _output(args, {"verified": ok, key: value},
+            f"verified: {'yes' if ok else 'no'}\n{key.replace('_', ' ')}: {value}\n")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -373,17 +351,14 @@ def cmd_lemmas(args) -> int:
         max_elements=args.limit_elements,
         force=args.force,
     )
-    data = report.to_json_dict()
-    if args.format == "text":
-        failures = report.failures()
-        _emit(
-            f"instances: {len(report.outcomes)}\n"
-            f"implied: {len(report.outcomes) - len(failures)}\n"
-            f"failures: {', '.join(o.instance.id for o in failures) or 'none'}\n",
-            args.out,
-        )
-    else:
-        _dump_json(data, args.out)
+    failures = report.failures()
+    _output(
+        args,
+        report.to_json_dict(),
+        f"instances: {len(report.outcomes)}\n"
+        f"implied: {len(report.outcomes) - len(failures)}\n"
+        f"failures: {', '.join(o.instance.id for o in failures) or 'none'}\n",
+    )
     return EXIT_OK if report.all_implied else EXIT_FAIL
 
 
@@ -395,15 +370,12 @@ def cmd_chain(args) -> int:
         force=args.force,
     )
     data = report.to_json_dict()
-    if args.format == "text":
-        lines = [f"k = {report.k}, closed-form bound {data['theorem3_bound']}"]
-        for step in report.steps:
-            mark = "ok " if step.implied else "FAIL"
-            lines.append(f"  [{mark}] {step.instance.description}")
-        lines.append(f"lp value: {data['lp_value']} (rate <= {data['rate_upper_bound']})")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _dump_json(data, args.out)
+    lines = [f"k = {report.k}, closed-form bound {data['theorem3_bound']}"]
+    for step in report.steps:
+        mark = "ok " if step.implied else "FAIL"
+        lines.append(f"  [{mark}] {step.instance.description}")
+    lines.append(f"lp value: {data['lp_value']} (rate <= {data['rate_upper_bound']})")
+    _output(args, data, "\n".join(lines) + "\n")
     return EXIT_OK if report.all_implied else EXIT_FAIL
 
 

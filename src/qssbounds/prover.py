@@ -2,13 +2,16 @@
 
 `share_bound` turns an access structure into the entropy constraint
 system, attaches an objective over selected share entropies and solves it
-exactly; the result ships with a certificate that `verify_certificate`
-replays by pure constraint arithmetic, never consulting the solver.
+exactly.  `bound_setup` turns its keywords into the structure, replay rows
+and objective, and the ``verify-cert`` command replays on those.  Every
+certificate, of a bound or of a check, is replayed by `verify_certificate`
+by pure constraint arithmetic, never consulting the solver, before it is
+returned.
 
 `check_implied` decides whether a linear inequality over subset
 entropies is a consequence of a system by minimizing its slack; the
-lemma and chain suites drive it over the scheme relations that every
-perfect realization must satisfy.
+lemma and chain suites drive it, in one loop, over the scheme relations
+that every perfect realization must satisfy.
 
 Every LP here is solved on the :class:`cone.Quotient` of the elemental
 rows.  The elemental rows generate the same cone as the full rows and
@@ -39,7 +42,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cone import (
     ConstraintSystem,
@@ -53,6 +56,7 @@ from .cone import (
 from .simplex import (
     Certificate,
     LPProblem,
+    LPSolution,
     Session,
     add_scaled,
     rat_str,
@@ -102,6 +106,7 @@ class Objective:
 
     @classmethod
     def parse(cls, spec: str, default_players: Sequence[int]) -> "Objective":
+        """``minmax`` or ``minsum`` over the players, or ``single:<i>`` in ASCII digits."""
         if spec.startswith("single:"):
             player = spec.removeprefix("single:")
             if not (player.isascii() and player.isdigit()):
@@ -263,6 +268,28 @@ def prepare_structure(
     return solved, solved is not structure
 
 
+def bound_setup(
+    structure: AccessStructure, *, auto_purify: bool, mode: str, ineq: str,
+    objective: str | Objective, players: Iterable[int] | None, max_elements: int, force: bool,
+) -> tuple[AccessStructure, bool, ConstraintSystem, Objective]:
+    """The structure, purified flag, replay rows and objective of a bound.
+
+    Reads `share_bound`'s keywords; the objective is over every player of
+    the structure to solve unless ``players`` names some.
+    """
+    if mode not in ("pure", "mixed"):
+        raise StructureError(f"unknown mode {mode!r}")
+    solved, purified = prepare_structure(
+        structure, pure=mode == "pure", auto_purify=auto_purify,
+        max_elements=max_elements, force=force,
+    )
+    replay = cached_system(solved, mode == "pure", ineq)
+    if isinstance(objective, str):
+        selected = tuple(players) if players is not None else tuple(range(1, solved.n + 1))
+        objective = Objective.parse(objective, selected)
+    return solved, purified, replay, objective
+
+
 def share_bound(
     structure: AccessStructure,
     *,
@@ -286,24 +313,12 @@ def share_bound(
     of the quotient LP.  An objective whose LP value is 0, such as the
     share of a dummy player, bounds no rate and raises ``ProverError``.
     """
-    if mode not in ("pure", "mixed"):
-        raise StructureError(f"unknown mode {mode!r}")
     started = time.perf_counter()
-    solved, purified = prepare_structure(
-        structure,
-        pure=mode == "pure",
-        auto_purify=auto_purify,
-        max_elements=max_elements,
-        force=force,
+    solved, purified, replay, obj = bound_setup(
+        structure, auto_purify=auto_purify, mode=mode, ineq=ineq, objective=objective,
+        players=players, max_elements=max_elements, force=force,
     )
-    replay = cached_system(solved, mode == "pure", ineq)
     elemental = cached_system(solved, mode == "pure", "elemental")
-    if isinstance(objective, str):
-        selected = tuple(players) if players is not None else tuple(range(1, solved.n + 1))
-        obj = Objective.parse(objective, selected)
-    else:
-        obj = objective
-
     extra, form, num_vars = objective_rows(elemental, obj)
     quotient = elemental.quotient
     state = quotient.presolved.with_rows(quotient.map_row(row) for row in extra)
@@ -319,10 +334,8 @@ def share_bound(
             f"the {obj.describe()} objective has LP value {rat_str(solution.value)}, "
             "which bounds no information rate"
         )
-    entries = _expand(elemental, extra, problem.rows, *solution.multipliers, form)
-    cert = Certificate(solution.value, entries, form, obj.describe())
-    if not verify_certificate(replay, cert, objective=obj):
-        raise ProverError("emitted certificate failed independent replay")
+    cert = _certify(replay, obj, elemental, extra, form, problem, solution, solution.value,
+                    obj.describe())
 
     k = _csirmaz_k_of(structure)
     return BoundReport(
@@ -342,6 +355,22 @@ def share_bound(
         pivots=solution.pivots,
         millis=int((time.perf_counter() - started) * 1000),
     )
+
+
+def _certify(
+    replay: ConstraintSystem, objective, elemental: ConstraintSystem, extra, form,
+    problem: LPProblem, solution: LPSolution, claimed: Fraction, description: str = "",
+) -> Certificate:
+    """The certificate of ``form`` >= ``claimed`` from an optimal quotient LP.
+
+    Its entries are `_expand`'s; ``ProverError`` if it does not replay on
+    ``replay`` against ``objective`` (an :class:`Objective` or ``form``).
+    """
+    entries = _expand(elemental, extra, problem.rows, *solution.multipliers, form)
+    cert = Certificate(claimed, entries, form, description)
+    if not verify_certificate(replay, cert, objective=objective):
+        raise ProverError("emitted certificate failed independent replay")
+    return cert
 
 
 def _expand(
@@ -517,10 +546,7 @@ def _prove_direction(
     problem = LPProblem(elemental.ground.var_count, mapped, quotient.rows, quotient.presolved)
     solution = solve(problem, session)
     if solution.status == "optimal" and solution.value >= bound:
-        entries = _expand(elemental, (), problem.rows, *solution.multipliers, objective)
-        cert = Certificate(bound, entries, objective)
-        if not verify_certificate(system, cert, objective=objective):
-            raise ProverError("optimal certificate failed replay")
+        cert = _certify(system, objective, elemental, (), objective, problem, solution, bound)
         return cert, None, solution.pivots
     if solution.status == "optimal":
         witness = quotient.lift(solution.primal)
@@ -688,20 +714,28 @@ def lemma_suite(
     Requires a quantum, self-dual structure (the relations are stated in
     pure mode).  Expected outcome: every instance implied.
     """
+    return _run_suite(structure, ineq, scheme_relation_instances, max_elements, force)
+
+
+def _run_suite(
+    structure: AccessStructure, ineq: str,
+    instances_of: Callable[[AccessStructure, GroundSet], Iterable[SuiteInstance]],
+    max_elements: int, force: bool,
+) -> SuiteReport:
+    """Check ``instances_of(structure, ground)`` in one session on the pure ``ineq`` rows.
+
+    The structure must pass `prepare_structure` as it is, in pure mode.
+    """
     prepare_structure(structure, max_elements=max_elements, force=force)
     started = time.perf_counter()
     system = cached_system(structure, True, ineq)
     session = Session()
     outcomes = []
-    for inst in scheme_relation_instances(structure, system.ground):
+    for inst in instances_of(structure, system.ground):
         res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs, session=session)
         outcomes.append(SuiteOutcome(inst, res.implied, res.pivots))
-    return SuiteReport(
-        structure=structure,
-        ineq=ineq,
-        outcomes=tuple(outcomes),
-        millis=int((time.perf_counter() - started) * 1000),
-    )
+    millis = int((time.perf_counter() - started) * 1000)
+    return SuiteReport(structure, ineq, tuple(outcomes), millis)
 
 
 @dataclass(frozen=True)
@@ -792,22 +826,13 @@ def theorem3_chain(
     the minmax bound and reports it next to the closed-form reference.
     """
     purified, k, instances = staircase_chain_instances(n)
-    prepare_structure(purified, max_elements=max_elements, force=force)
-    started = time.perf_counter()
-    system = cached_system(purified, True, ineq)
-    session = Session()
-    steps = []
-    for inst in instances:
-        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs, session=session)
-        steps.append(SuiteOutcome(inst, res.implied, res.pivots))
-    bound = share_bound(
-        purified, mode="pure", ineq=ineq, max_elements=max_elements, force=force
-    )
+    suite = _run_suite(purified, ineq, lambda *_: instances, max_elements, force)
+    bound = share_bound(purified, ineq=ineq, max_elements=max_elements, force=force)
     return ChainReport(
         n=n,
         k=k,
         reference_bound=theorem3_reference_bound(k),
-        steps=tuple(steps),
+        steps=suite.outcomes,
         bound=bound,
-        millis=int((time.perf_counter() - started) * 1000),
+        millis=suite.millis + bound.millis,
     )

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -86,6 +87,48 @@ def test_structure_renderings(capsys, tmp_path, argv, expected):
     assert (code, out) == (0, expected)
 
 
+# Runs of each subcommand; {t} is the (2,3) threshold structure, {bad} a
+# broken antichain, {batch} a directory holding {t} and {cert} its certificate.
+TEXT_RUNS = {
+    "gen": [("gen", "csirmaz", "--n", "4")],
+    "check": [("check", "--in", "{t}"), ("check", "--in", "{bad}")],
+    "dual": [("dual", "--in", "{t}")],
+    "purify": [("purify", "--in", "{t}")],
+    "bound": [("bound", "--in", "{t}"), ("bound", "--batch", "{batch}")],
+    "verify-cert": [("verify-cert", "--system-from", "{t}", "--cert", "{cert}")],
+    "lemmas": [("lemmas", "--in", "{t}")],
+    "chain": [("chain", "--n", "4")],
+}
+
+
+def _subcommands() -> list[str]:
+    parser = cli.build_parser()
+    return sorted(next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ))
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_format_text_is_never_ignored(capsys, tmp_path, command):
+    """Under --format text a command prints text or refuses the flag (exit 2)."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    files = {
+        "t": write_structure(batch, "t.json", 3, [[1, 2], [1, 3], [2, 3]]),
+        "bad": write_structure(tmp_path, "bad.json", 2, [[1], [1, 2]]),
+        "batch": str(batch),
+        "cert": str(tmp_path / "cert.json"),
+    }
+    assert main(["bound", "--in", files["t"], "--certificate", files["cert"],
+                 "--out", str(tmp_path / "report.json")]) == 0
+    for argv in TEXT_RUNS[command]:
+        code, out, _ = run(capsys, *(a.format(**files) for a in argv), "--format", "text")
+        if code != 2:
+            assert out, argv
+            with pytest.raises(ValueError):
+                json.loads(out)
+
+
 class TestGen:
     def test_csirmaz_4(self, capsys):
         code, out, _ = run(capsys, "gen", "csirmaz", "--n", "4")
@@ -129,6 +172,18 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--in", path)
         assert code == 1
         assert json.loads(out)["valid_antichain"] is False
+
+    def test_broken_antichain_text(self, capsys, tmp_path):
+        path = write_structure(tmp_path, "bad.json", 2, [[1], [1, 2]])
+        code, out, _ = run(capsys, "check", "--in", path, "--format", "text")
+        assert code == 1
+        assert out.startswith(f"valid antichain: no\nerror: invalid access structure in {path}: ")
+
+    def test_unreadable_input_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "check", "--in", str(missing))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
 
     def test_malformed_json_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -254,11 +309,17 @@ class TestBound:
 
     def test_bad_objective_is_usage_error(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
-        # non-ASCII digits: "²" passes str.isdigit, and int() reads "١" as 1
-        for spec in ("median", "single:x", "single:", "single:²", "single:١"):
-            code, _, err = run(capsys, "bound", "--in", path, "--objective", spec)
-            assert code == 2
-            assert "--objective" in err
+        # not quantum, so a flag checked after the files are read fails with exit 1
+        nonquantum = write_structure(tmp_path, "nq.json", 2, [[1], [2]])
+        for argv in (
+            ("bound", "--in", path),
+            ("verify-cert", "--system-from", nonquantum, "--cert", str(tmp_path / "c.json")),
+        ):
+            # non-ASCII digits: "²" passes str.isdigit, and int() reads "١" as 1
+            for spec in ("median", "single:x", "single:", "single:²", "single:١"):
+                code, out, err = run(capsys, *argv, "--objective", spec)
+                assert (code, out) == (2, ""), (argv, spec)
+                assert err.startswith(f"error: bad --objective {spec!r}"), (argv, spec)
 
     def test_repeated_player_is_usage_error(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
@@ -267,10 +328,13 @@ class TestBound:
         batch = tmp_path / "batch"
         batch.mkdir()
         write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        # not quantum, so a flag checked after the files are read fails with exit 1
+        nonquantum = write_structure(tmp_path, "nq.json", 2, [[1], [2]])
         for argv in (
             ("bound", "--in", path),
             ("bound", "--batch", str(batch), "--workers", "1"),
             ("verify-cert", "--system-from", path, "--cert", str(cert)),
+            ("verify-cert", "--system-from", nonquantum, "--cert", str(cert)),
         ):
             # a repeated player, lists that name no player at all, and a
             # non-ASCII digit that int() would read as player 1
@@ -429,7 +493,7 @@ class TestBound:
         assert solved == []
         assert sorted(p.name for p in batch.iterdir()) == ["a.json"]
 
-    @pytest.mark.parametrize("flag", ["--in", "--certificate", "--dump-system"])
+    @pytest.mark.parametrize("flag", ["--in", "--certificate", "--dump-system", "--format text"])
     def test_batch_refuses_single_file_flags(self, capsys, tmp_path, monkeypatch, flag):
         batch = tmp_path / "batch"
         batch.mkdir()
@@ -439,8 +503,9 @@ class TestBound:
         listed = []
         monkeypatch.setattr(cli.os, "listdir", lambda path: listed.append(path) or [])
         target = tmp_path / "x.json"
+        name, _, value = flag.partition(" ")
         code, out, err = run(
-            capsys, "bound", "--batch", str(batch), flag, str(target), "--workers", "1"
+            capsys, "bound", "--batch", str(batch), name, value or str(target), "--workers", "1"
         )
         assert code == 2
         assert out == ""
@@ -449,6 +514,42 @@ class TestBound:
         monkeypatch.undo()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["batch"]
         assert sorted(p.name for p in batch.iterdir()) == ["a.json"]
+
+    @pytest.mark.parametrize("kind", ["missing", "no-inputs"])
+    def test_batch_without_inputs_is_usage_error(self, capsys, tmp_path, kind):
+        batch = tmp_path / "batch"
+        if kind == "no-inputs":
+            batch.mkdir()
+            (batch / "a.report.json").write_text("{}")
+        code, out, err = run(capsys, "bound", "--batch", str(batch), "--workers", "1")
+        assert (code, out) == (2, "")
+        expected = f"cannot list {batch}: " if kind == "missing" else f"no .json inputs in {batch}"
+        assert err.startswith("error: " + expected)
+
+    def test_batch_records_a_file_over_the_limit(self, capsys, tmp_path):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        code, out, _ = run(
+            capsys, "bound", "--batch", str(batch), "--limit-elements", "3", "--workers", "1"
+        )
+        assert code == 1
+        (entry,) = json.loads(out)["batch"]
+        assert (entry["file"], entry["status"]) == ("a.json", "limit")
+        assert entry["error"].startswith("4 ground elements exceed the limit 3")
+        assert sorted(p.name for p in batch.iterdir()) == ["a.json"]
+
+    def test_verify_cert_text(self, capsys, tmp_path):
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        cert = tmp_path / "cert.json"
+        assert run(capsys, "bound", "--in", path, "--certificate", str(cert))[0] == 0
+        argv = ("verify-cert", "--system-from", path, "--cert", str(cert), "--format", "text")
+        assert run(capsys, *argv)[:2] == (0, "verified: yes\nclaimed bound: 1/1\n")
+        cert.write_text(json.dumps({"claimed_bound": "0/1",
+                                    "entries": [{"id": "unknown", "mult": "1/1"}]}))
+        assert run(capsys, *argv)[:2] == (
+            1, "verified: no\nerror: \"certificate references unknown constraint 'unknown'\"\n"
+        )
 
     def test_batch_collects_errors(self, capsys, tmp_path):
         batch = tmp_path / "batch"

@@ -122,8 +122,10 @@ class TestShareBound:
         report = share_bound(THRESHOLD23, objective="single:2")
         assert report.objective.kind == "single"
         assert report.lp_value == 1
+        given = share_bound(THRESHOLD23, objective=Objective("single", (2,)))
+        assert (given.objective, given.certificate) == (report.objective, report.certificate)
 
-    @pytest.mark.parametrize("spec", ["single:x", "single:", "single:1.5"])
+    @pytest.mark.parametrize("spec", ["single:x", "single:", "single:1.5", "median"])
     def test_malformed_single_objective_is_a_structure_error(self, spec):
         with pytest.raises(StructureError, match=repr(spec)):
             share_bound(THRESHOLD23, objective=spec)
