@@ -35,16 +35,10 @@ from .cone import (
     qss_constraints,
     vn_inequalities,
 )
-from .simplex import (
-    Certificate,
-    LPProblem,
-    LPSolution,
-    extract_certificate,
-    rat_str,
-    solve,
-)
+from .simplex import LPProblem, LPSolution, solve
 from .prover import (
     BoundReport,
+    Certificate,
     ChainReport,
     CheckResult,
     Objective,
@@ -54,6 +48,7 @@ from .prover import (
     certificate_to_json_dict,
     check_implied,
     lemma_suite,
+    rat_str,
     share_bound,
     theorem3_chain,
     verify_certificate,

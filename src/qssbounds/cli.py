@@ -24,7 +24,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .simplex import SimplexError, rat_str
+from .simplex import SimplexError
 from .prover import (
     DEFAULT_ELEMENT_LIMIT,
     Objective,
@@ -34,6 +34,7 @@ from .prover import (
     certificate_from_json_dict,
     lemma_suite,
     prepare_structure,
+    rat_str,
     share_bound,
     theorem3_chain,
     verify_certificate,
@@ -208,18 +209,13 @@ def _bound_options(args) -> dict:
     }
 
 
-def _bound_text(data: dict) -> str:
+def _bound_text(data: dict, objective: Objective) -> str:
     purifier = data["structure"]["n"] if data["purified"] else None
     sets = _format_sets(data["structure"]["minimal_sets"], purifier)
-    obj = data["objective"]
-    if obj["kind"] == "single":
-        obj_text = f"single share {obj['player']}"
-    else:
-        obj_text = f"{obj['kind']} over players " + ",".join(map(str, obj["players"]))
     lines = [
         f"structure: {sets}" + (" [purified]" if data["purified"] else ""),
         f"mode: {data['mode']}   inequalities: {data['ineq']}",
-        f"objective: {obj_text}",
+        f"objective: {objective.describe()}",
         f"largest share >= {data['lp_value']} * S(secret)",
         f"information rate <= {data['rate_upper_bound']}",
     ]
@@ -252,7 +248,7 @@ def cmd_bound(args) -> int:
     if args.dump_system:
         system = cached_system(report.structure, report.mode == "pure", report.ineq)
         _emit(system.dump() + "\n", args.dump_system)
-    _output(args, data, _bound_text(data))
+    _output(args, data, _bound_text(data, report.objective))
     return EXIT_OK
 
 
@@ -331,8 +327,8 @@ def cmd_verify_cert(args) -> int:
     try:
         ok = verify_certificate(system, cert, objective=objective)
         key, value = "claimed_bound", rat_str(cert.claimed_bound)
-    except KeyError as exc:
-        ok, key, value = False, "error", str(exc)
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        ok, key, value = False, "error", exc.args[0]
     _output(args, {"verified": ok, key: value},
             f"verified: {'yes' if ok else 'no'}\n{key.replace('_', ' ')}: {value}\n")
     return EXIT_OK if ok else EXIT_FAIL

@@ -15,9 +15,10 @@ zero.  Generators emit three kinds of material:
 * optionally, global purity S(players + R) = 0, which together with the
   triangle instances forces S(X) = S(complement) for every X
   (Araki-Lieb).  Pure systems are therefore solved on their
-  :class:`Quotient`, with one variable per complementary pair, and
-  :func:`complement_chain` names the rows that carry a quotient
-  certificate back onto the system's own rows.
+  :class:`Quotient`, with one variable per complementary pair.  The
+  quotient maps rows forward and, with :meth:`Quotient.cancel` and the
+  elemental wm rows of :func:`complement_chain`, carries a combination
+  of rows back onto the system's own rows.
 
 Terms never mention the empty set (its entropy is identically zero); the
 single ``emptyset`` equality keeps the variable pinned for solvers.
@@ -501,6 +502,28 @@ class Quotient:
         r = self.ground.reference_mask if self.pure else 0
         full = self.ground.full_mask
         return {v: primal[full & ~v if v & r else v] for v in range(self.ground.var_count)}
+
+    def cancel(self, residual: dict[int, int]) -> dict[str, int]:
+        """Multipliers on the system's rows that add up to ``-residual``.
+
+        ``residual`` is a combination of the system's rows minus a form,
+        with weights that make it vanish on the quotient: c * (S(X) -
+        S(F\\X)) on complementary pairs, plus terms on S(F) and S(∅).
+        Each pair is cancelled by |c| times the :func:`complement_chain`
+        of X when c < 0, or of F\\X when c > 0, which adds |c| * S(F) and
+        nothing to the right-hand side; ``purity`` absorbs the S(F) total
+        and ``emptyset`` the term on S(∅).  In mixed mode the residual is
+        empty, and so is the result.
+        """
+        ground = self.ground
+        full, r = ground.full_mask, ground.reference_mask
+        mult = {"purity": -residual.get(full, 0), "emptyset": -residual.get(0, 0)}
+        for v, c in residual.items():
+            if v & r and v != full:
+                for row in complement_chain(ground, v if c < 0 else full & ~v):
+                    mult[row.id] = mult.get(row.id, 0) + abs(c)
+                mult["purity"] -= abs(c)
+        return {rid: u for rid, u in mult.items() if u}
 
 
 def complement_chain(ground: GroundSet, y: int) -> list[LinearConstraint]:

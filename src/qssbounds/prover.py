@@ -1,11 +1,16 @@
-"""Bound computation, implied-inequality checking and certificate replay.
+"""Bound computation, implied-inequality checking and certificates.
 
 `share_bound` turns an access structure into the entropy constraint
 system, attaches an objective over selected share entropies and solves it
 exactly.  `bound_setup` turns its keywords into the structure, replay rows
-and objective, and the ``verify-cert`` command replays on those.  Every
-certificate, of a bound or of a check, is replayed by `verify_certificate`
-by pure constraint arithmetic, never consulting the solver, before it is
+and objective, and the ``verify-cert`` command replays on those.
+
+This module owns the :class:`Certificate`: `_certify` builds it from a
+solve's multipliers, `certificate_to_json_dict` and
+`certificate_from_json_dict` write and read it with rationals as
+``"p/q"`` strings (`rat_str`), and `verify_certificate` replays it by
+pure constraint arithmetic, never consulting the solver.  Every
+certificate, of a bound or of a check, is replayed before it is
 returned.
 
 `check_implied` decides whether a linear inequality over subset
@@ -19,12 +24,12 @@ are a subset of them, id for id, so a certificate on them is also a
 certificate for the full system, and a point satisfying them satisfies
 every full row.  In pure mode the quotient has one variable per
 complementary pair; its multipliers name original rows, and `_expand`
-turns them into a certificate on those rows with chains of elemental
-wm rows, so no new row is needed.  Quotient points lift back to points
-of the system.  In mixed mode the quotient is the system itself.  The
-``ineq`` choice only names the row set that certificates are replayed
-on and witnesses are checked against, and both checks run before any
-result is returned.
+turns them into a certificate on those rows plus the elemental wm rows
+:meth:`cone.Quotient.cancel` adds, so no new row is needed.  Quotient
+points lift back to points of the system.  In mixed mode the quotient
+is the system itself.  The ``ineq`` choice only names the row set that
+certificates are replayed on and witnesses are checked against, and
+both checks run before any result is returned.
 
 Every LP solves on the quotient's presolved state, a bound LP and a
 refutation witness with their own rows added (`Presolved.with_rows`).
@@ -50,18 +55,9 @@ from .cone import (
     LinearConstraint,
     Quotient,
     build_system,
-    complement_chain,
     sparse_form,
 )
-from .simplex import (
-    Certificate,
-    LPProblem,
-    LPSolution,
-    Session,
-    add_scaled,
-    rat_str,
-    solve,
-)
+from .simplex import LPProblem, LPSolution, Session, add_scaled, solve
 from .structures import (
     AccessStructure,
     CapacityError,
@@ -115,13 +111,30 @@ class Objective:
         return cls(spec, tuple(default_players))
 
     def describe(self) -> str:
-        players = ",".join(str(p) for p in self.players)
-        return f"{self.kind} over players {players}"
+        if self.kind == "single":
+            return f"single share {self.players[0]}"
+        return f"{self.kind} over players " + ",".join(map(str, self.players))
 
     def to_json_dict(self) -> dict:
         if self.kind == "single":
             return {"kind": "single", "player": self.players[0]}
         return {"kind": self.kind, "players": list(self.players)}
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Replayable nonnegative combination of rows proving a lower bound.
+
+    The weighted sum of the referenced row forms equals ``objective``, the
+    minimized form, which for a check records the direction proved, and
+    the weighted right-hand sides add up to at least ``claimed_bound``.
+    A certificate read from JSON has an empty ``objective``; replay takes
+    the objective from its caller.
+    """
+
+    claimed_bound: Fraction
+    entries: tuple[tuple[str, Fraction], ...]
+    objective: tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -171,6 +184,11 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
             {"id": rid, "mult": rat_str(mult)} for rid, mult in cert.entries
         ],
     }
+
+
+def rat_str(value: Fraction) -> str:
+    """Canonical "p/q" serialization (never floats); `_RATIONAL` reads it back."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 _RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
@@ -334,8 +352,7 @@ def share_bound(
             f"the {obj.describe()} objective has LP value {rat_str(solution.value)}, "
             "which bounds no information rate"
         )
-    cert = _certify(replay, obj, elemental, extra, form, problem, solution, solution.value,
-                    obj.describe())
+    cert = _certify(replay, obj, elemental, extra, form, problem, solution, solution.value)
 
     k = _csirmaz_k_of(structure)
     return BoundReport(
@@ -359,7 +376,7 @@ def share_bound(
 
 def _certify(
     replay: ConstraintSystem, objective, elemental: ConstraintSystem, extra, form,
-    problem: LPProblem, solution: LPSolution, claimed: Fraction, description: str = "",
+    problem: LPProblem, solution: LPSolution, claimed: Fraction,
 ) -> Certificate:
     """The certificate of ``form`` >= ``claimed`` from an optimal quotient LP.
 
@@ -367,7 +384,7 @@ def _certify(
     ``replay`` against ``objective`` (an :class:`Objective` or ``form``).
     """
     entries = _expand(elemental, extra, problem.rows, *solution.multipliers, form)
-    cert = Certificate(claimed, entries, form, description)
+    cert = Certificate(claimed, entries, form)
     if not verify_certificate(replay, cert, objective=objective):
         raise ProverError("emitted certificate failed independent replay")
     return cert
@@ -386,17 +403,12 @@ def _expand(
     ``multipliers[i] / den`` weights the row of ``system`` or ``extra``
     that ``rows[i]`` names by id, and the work is in ints, ``den`` times
     the certificate.  Weighted by them, those rows minus the objective
-    leave c * (S(X) - S(F\\X)) on complementary pairs, where F is the
-    ground set, plus a term on S(F), since the quotient sees neither.  Each
-    pair is cancelled by |c| times the :func:`cone.complement_chain` of X
-    when c < 0, or of F\\X when c > 0, which adds |c| * S(F) and nothing
-    to the right-hand side; ``purity`` absorbs the S(F) total and
-    ``emptyset`` a term on S(∅).  Entries come out in the system's row
-    order (its ``position`` index), then ``extra``'s.  In mixed mode
-    nothing is left over, so the entries are the quotient's own.
+    leave what the quotient does not see, and the rows that
+    :meth:`cone.Quotient.cancel` returns for it are added.  Entries come
+    out in the system's row order (its ``position`` index), then
+    ``extra``'s.  In mixed mode nothing is left over, so the entries are
+    the quotient's own.
     """
-    ground = system.ground
-    full, r = ground.full_mask, ground.reference_mask
     by_id = {row.id: row for row in extra}
     mult, left = {}, {}  # left is den times the weighted rows minus the objective
     for row, u in zip(rows, multipliers):
@@ -404,18 +416,10 @@ def _expand(
             mult[row.id] = u
             add_scaled(left, (by_id.get(row.id) or system.row(row.id)).terms, u)
     add_scaled(left, objective, -den)
-    absorb = {"purity": left.get(full, 0), "emptyset": left.get(0, 0)}
-    for v, c in left.items():
-        if v & r and v != full:
-            for row in complement_chain(ground, v if c < 0 else full & ~v):
-                mult[row.id] = mult.get(row.id, 0) + abs(c)
-            absorb["purity"] += abs(c)
-    for rid, c in absorb.items():
-        if c:
-            mult[rid] = mult.get(rid, 0) - c
+    add_scaled(mult, system.quotient.cancel(left).items(), 1)
     position = system.position
-    ids = sorted((rid for rid, u in mult.items() if u and rid in position), key=position.get)
-    ids += [row.id for row in extra if mult.get(row.id)]
+    ids = sorted((rid for rid in mult if rid in position), key=position.get)
+    ids += [row.id for row in extra if row.id in mult]
     return tuple((rid, Fraction(mult[rid], den)) for rid in ids)
 
 

@@ -23,8 +23,9 @@ and :meth:`Presolved.with_rows` derives the state of more ``>=`` rows
 from it with the same column builder.  A problem may carry the state of
 its rows (a constraint system keeps one for the rows it is solved on);
 otherwise :func:`solve` builds it.  The solver sees only the rows it is
-given: mapping a system onto its quotient and carrying certificates
-back is the caller's business.
+given and returns a value, a point and one multiplier per row: mapping
+a system onto its quotient, turning multipliers into a certificate and
+printing rationals are the caller's business.
 
 The costs of the dual form come from the rows alone and an objective
 only sets its right-hand side, so an optimal basis for one objective
@@ -79,11 +80,6 @@ DEGENERATE_RUN = 50
 
 class SimplexError(RuntimeError):
     """Internal solver invariant violation; indicates a bug, not bad input."""
-
-
-def rat_str(value: Fraction) -> str:
-    """Canonical "p/q" serialization (never floats)."""
-    return f"{value.numerator}/{value.denominator}"
 
 
 class LinearConstraint(NamedTuple):
@@ -159,20 +155,6 @@ class LPSolution:
 
 def _fractions(scaled: tuple[tuple[int, ...], int] | None) -> tuple[Fraction, ...] | None:
     return None if scaled is None else tuple(Fraction(n, scaled[1]) for n in scaled[0])
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Replayable nonnegative combination of rows proving a lower bound.
-
-    The weighted sum of the referenced row forms equals ``objective`` and
-    the weighted right-hand sides add up to at least ``claimed_bound``.
-    """
-
-    claimed_bound: Fraction
-    entries: tuple[tuple[str, Fraction], ...]
-    objective: tuple[tuple[int, Fraction], ...]
-    description: str = ""
 
 
 def _exact_div(a, b):
@@ -749,14 +731,3 @@ def _verify_optimal(
     p, q = value.numerator, value.denominator
     if primal_value * q != p * x_den or rhs_total * q != p * dual_den:
         raise SimplexError("duality gap is not zero")
-
-
-def extract_certificate(
-    problem: LPProblem, solution: LPSolution, description: str = ""
-) -> Certificate:
-    """Nonnegative combination of rows reconstructing objective and value."""
-    if solution.status != "optimal":
-        raise ValueError("certificates exist only for optimal solves")
-    duals, den = solution.multipliers
-    entries = tuple((row.id, Fraction(u, den)) for row, u in zip(problem.rows, duals) if u)
-    return Certificate(solution.value, entries, problem.objective, description)

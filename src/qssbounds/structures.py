@@ -334,10 +334,12 @@ def structure_to_dict(structure: AccessStructure) -> dict:
 
 def structure_from_dict(data: dict) -> AccessStructure:
     """Inverse of :func:`structure_to_dict`; extra keys are ignored."""
+    if not isinstance(data, dict):
+        raise StructureError("an access structure must be a JSON object")
     try:
         n = data["n"]
         sets = data["minimal_sets"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise StructureError(f"missing access-structure field: {exc}") from exc
     if not _is_int(n):
         raise StructureError("player count must be an integer")

@@ -1,7 +1,9 @@
-"""Shared test utilities: random structures and known entropy points."""
+"""Shared test utilities: random structures, known entropy points and
+the certificate of a plain LP."""
 
 from fractions import Fraction
 
+from qssbounds.prover import Certificate
 from qssbounds.structures import PlayerSet, StructureError, from_minimal_sets, is_quantum
 
 
@@ -29,6 +31,19 @@ def random_quantum_structure(rng, n):
         s = random_structure(rng, n)
         if is_quantum(s):
             return s
+
+
+def plain_certificate(problem, solution):
+    """The reference certificate of an LP solved on its own rows.
+
+    Every row with a nonzero multiplier, in row order, and the optimum as
+    the claimed bound; no quotient and no replay.
+    """
+    if solution.status != "optimal":
+        raise ValueError("certificates exist only for optimal solves")
+    duals, den = solution.multipliers
+    entries = tuple((row.id, Fraction(u, den)) for row, u in zip(problem.rows, duals) if u)
+    return Certificate(solution.value, entries, problem.objective)
 
 
 def qutrit_threshold_vector(ground):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qssbounds.prover import (
+    Certificate,
     cached_system,
     check_implied,
     lemma_suite,
@@ -19,7 +20,6 @@ from qssbounds.prover import (
     theorem3_chain,
     verify_certificate,
 )
-from qssbounds.simplex import Certificate
 from qssbounds.structures import (
     CapacityError,
     PlayerSet,

@@ -23,7 +23,7 @@ def write_structure(tmp_path, name, n, sets):
     return str(path)
 
 
-# Structure JSON of the right overall shape whose fields have wrong types.
+# Structure JSON that is no object, or whose fields have wrong types.
 HOSTILE_STRUCTURES = {
     "sets-not-a-list": {"n": 3, "minimal_sets": 5},
     "set-not-a-list": {"n": 3, "minimal_sets": [[1, 2], 3]},
@@ -31,6 +31,10 @@ HOSTILE_STRUCTURES = {
     "float-player": {"n": 3, "minimal_sets": [[1, 2.0], [1, 3]]},
     "bool-player": {"n": 3, "minimal_sets": [[1, True]]},
     "bool-n": {"n": True, "minimal_sets": [[1]]},
+    "top-level-list": [1, 2],
+    "top-level-string": "x",
+    "top-level-number": 3,
+    "top-level-null": None,
 }
 
 # Certificate JSON that must be refused before any replay.
@@ -250,6 +254,12 @@ class TestTransforms:
         assert code == 1
         assert "quantum" in err
 
+    def test_purify_over_capacity_exits_3(self, capsys, tmp_path):
+        path = write_structure(tmp_path, "p15.json", 15, [[1, 2]])
+        code, out, err = run(capsys, "purify", "--in", path)
+        assert (code, out) == (3, "")
+        assert "purification would exceed 15 players" in err
+
 
 class TestBound:
     def test_threshold_bound(self, capsys, tmp_path):
@@ -305,7 +315,7 @@ class TestBound:
             capsys, "bound", "--in", path, "--objective", "single:1", "--auto-purify", *flags
         )
         assert (code, out) == (1, "")
-        assert err.startswith("failed: the single over players 1 objective has LP value 0/1")
+        assert err.startswith("failed: the single share 1 objective has LP value 0/1")
 
     def test_bad_objective_is_usage_error(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
@@ -548,7 +558,7 @@ class TestBound:
         cert.write_text(json.dumps({"claimed_bound": "0/1",
                                     "entries": [{"id": "unknown", "mult": "1/1"}]}))
         assert run(capsys, *argv)[:2] == (
-            1, "verified: no\nerror: \"certificate references unknown constraint 'unknown'\"\n"
+            1, "verified: no\nerror: certificate references unknown constraint 'unknown'\n"
         )
 
     def test_batch_collects_errors(self, capsys, tmp_path):
@@ -731,7 +741,7 @@ class TestHostileRowIds:
             assert (code, err) == (1, ""), rid[:20]
             data = json.loads(out)
             assert data["verified"] is False
-            assert data["error"] == repr(f"certificate references unknown constraint {rid!r}")
+            assert data["error"] == f"certificate references unknown constraint {rid!r}"
 
 
 class TestLemmasCommand:

@@ -14,8 +14,7 @@ from qssbounds.cone import (
     qss_constraints,
     vn_inequalities,
 )
-from qssbounds.prover import Objective, verify_certificate
-from qssbounds.simplex import Certificate
+from qssbounds.prover import Certificate, Objective, verify_certificate
 from qssbounds.structures import (
     CapacityError,
     PlayerSet,

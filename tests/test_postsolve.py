@@ -18,10 +18,11 @@ from qssbounds.simplex import (
     LPProblem,
     Presolved,
     SimplexError,
-    extract_certificate,
     solve,
 )
 from qssbounds.structures import from_minimal_sets, purify
+
+from helpers import plain_certificate
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4_BAR = purify(from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]]))
@@ -162,7 +163,7 @@ def assert_same_as_reference(problem):
     assert solution.primal == primal and solution.duals == duals
     assert all(type(v) is Fraction for v in solution.primal + solution.duals)
     entries = tuple((row.id, u) for row, u in zip(problem.rows, duals) if u)
-    assert extract_certificate(problem, solution).entries == entries
+    assert plain_certificate(problem, solution).entries == entries
     return solution, tableau_den
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from qssbounds import cone, prover, simplex
 from qssbounds.prover import (
+    Certificate,
     Objective,
     ProverError,
     cached_system,
@@ -23,14 +24,7 @@ from qssbounds.prover import (
     theorem3_chain,
     verify_certificate,
 )
-from qssbounds.simplex import (
-    Certificate,
-    LinearConstraint,
-    LPProblem,
-    Presolved,
-    extract_certificate,
-    solve,
-)
+from qssbounds.simplex import LinearConstraint, LPProblem, Presolved, solve
 from qssbounds.structures import (
     CapacityError,
     StructureError,
@@ -41,7 +35,7 @@ from qssbounds.structures import (
     purify,
 )
 
-from helpers import qutrit_threshold_vector, random_quantum_structure
+from helpers import plain_certificate, qutrit_threshold_vector, random_quantum_structure
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
@@ -115,7 +109,7 @@ class TestShareBound:
         # player 1 is a dummy, so its share can be empty: the LP value is
         # 0 and bounds no information rate
         dummy = from_minimal_sets(4, [[2]])
-        with pytest.raises(ProverError, match="single over players 1"):
+        with pytest.raises(ProverError, match="the single share 1 objective"):
             share_bound(dummy, auto_purify=True, mode=mode, ineq=ineq, objective="single:1")
 
     def test_single_objective(self):
@@ -129,6 +123,14 @@ class TestShareBound:
     def test_malformed_single_objective_is_a_structure_error(self, spec):
         with pytest.raises(StructureError, match=repr(spec)):
             share_bound(THRESHOLD23, objective=spec)
+
+    def test_single_objective_takes_one_player(self):
+        with pytest.raises(StructureError, match="exactly one player"):
+            Objective("single", (1, 2))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(StructureError, match="unknown mode 'median'"):
+            share_bound(THRESHOLD23, mode="median")
 
     def test_minsum_objective(self):
         report = share_bound(THRESHOLD23, objective="minsum")
@@ -206,7 +208,7 @@ class TestPinnedPivotSequence:
         solution = solve(problem)
         assert solution.pivots == case["pivots"]
         assert solution.value == Fraction(case["lp_value"])
-        assert entry_strings(extract_certificate(problem, solution)) == case["entries"]
+        assert entry_strings(plain_certificate(problem, solution)) == case["entries"]
 
     @pytest.mark.parametrize(
         "name", sorted({c["name"].rsplit("_", 1)[0] for c in PINNED["bounds"]})
@@ -607,6 +609,11 @@ class TestCheckImplied:
         )
         for cert in res.certificates:
             assert verify_certificate(system, cert, objective=cert.objective)
+
+    def test_unsupported_relation_rejected(self):
+        system = cached_system(THRESHOLD23, True, "full")
+        with pytest.raises(StructureError, match="unsupported target relation '<='"):
+            check_implied(system, {0b0001: Fraction(1)}, "<=", Fraction(1))
 
     def test_accepts_term_pairs_as_target(self):
         system = cached_system(THRESHOLD23, True, "full")

@@ -12,6 +12,7 @@ import pytest
 
 from qssbounds.cone import complement_chain, sparse_form
 from qssbounds.prover import (
+    Certificate,
     Objective,
     _expand,
     cached_system,
@@ -21,17 +22,10 @@ from qssbounds.prover import (
     share_bound,
     verify_certificate,
 )
-from qssbounds.simplex import (
-    Certificate,
-    LPProblem,
-    Presolved,
-    Session,
-    extract_certificate,
-    solve,
-)
+from qssbounds.simplex import LPProblem, Presolved, Session, solve
 from qssbounds.structures import csirmaz, from_minimal_sets, is_self_dual, purify
 
-from helpers import random_quantum_structure
+from helpers import plain_certificate, random_quantum_structure
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
@@ -204,7 +198,7 @@ class TestExpansion:
         objective = Objective("minmax", (1, 2, 3, 4, 5))
         extra, form, num_vars = objective_rows(elemental, objective)
         problem = LPProblem(num_vars, form, quotient.rows + extra)
-        found = dict(extract_certificate(problem, solve(problem)).entries)
+        found = dict(plain_certificate(problem, solve(problem)).entries)
         report = share_bound(GAMMA4_BAR, ineq="elemental")
         added = [
             rid for rid, mult in report.certificate.entries
@@ -251,7 +245,7 @@ class TestExpansion:
         plain = solve(problem)
         report = share_bound(structure, mode="mixed", ineq="elemental")
         assert (report.lp_value, report.pivots) == (plain.value, plain.pivots)
-        assert report.certificate.entries == extract_certificate(problem, plain).entries
+        assert report.certificate.entries == plain_certificate(problem, plain).entries
         assert (report.rows, report.cols) == (len(problem.rows), num_vars)
 
 

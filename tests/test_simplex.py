@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from qssbounds import simplex
+from qssbounds.prover import rat_str
 from qssbounds.simplex import (
     LinearConstraint,
     LPProblem,
     Presolved,
     SimplexError,
-    extract_certificate,
-    rat_str,
     solve,
 )
+
+from helpers import plain_certificate
 
 
 def make_problem(num_vars, objective, rows):
@@ -462,14 +463,14 @@ class TestPresolvedState:
 class TestCertificates:
     def test_identity_combination(self):
         p = make_problem(1, {0: Fraction(1)}, [({0: Fraction(1)}, ">=", 3)])
-        cert = extract_certificate(p, solve(p))
+        cert = plain_certificate(p, solve(p))
         assert cert.entries == (("r0", Fraction(1)),)
         assert cert.claimed_bound == 3
 
     def test_non_optimal_rejected(self):
         p = make_problem(1, {0: Fraction(1)}, [({0: Fraction(-1)}, ">=", -5)])
         with pytest.raises(ValueError):
-            extract_certificate(p, solve(p))
+            plain_certificate(p, solve(p))
 
     def test_dropping_any_entry_breaks_reconstruction(self):
         p = make_problem(
@@ -481,7 +482,7 @@ class TestCertificates:
             ],
         )
         s = solve(p)
-        cert = extract_certificate(p, s)
+        cert = plain_certificate(p, s)
         rows = {r.id: r for r in p.rows}
         assert len(cert.entries) >= 2
         for dropped in range(len(cert.entries)):
@@ -680,7 +681,7 @@ class TestSessions:
                 if warm_start:
                     warm_pivots += warm.pivots
                 if warm.status == "optimal":
-                    assert extract_certificate(problem, warm).claimed_bound == warm.value
+                    assert plain_certificate(problem, warm).claimed_bound == warm.value
                 tableau = session.tableau
                 if tableau is not None:
                     artificial_kept |= any(b >= tableau.n for b in tableau.basis)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qssbounds.structures import (
+    AccessStructure,
     CapacityError,
     PlayerSet,
     StructureError,
@@ -130,6 +131,24 @@ class TestFromMinimalSets:
     def test_index_out_of_range(self):
         with pytest.raises(StructureError):
             from_minimal_sets(3, [[1, 4]])
+
+
+class TestAccessStructureConstructor:
+    @pytest.mark.parametrize(
+        "n, bits, error, message",
+        [
+            (16, [1], CapacityError, "player count 16 outside 1..15"),
+            (3, [], StructureError, "at least one authorized set"),
+            (3, [0, 1], StructureError, "must be nonempty"),
+            (3, [(1, 4)], StructureError, "different ground"),
+            (3, [3, 1 << 2], StructureError, "canonical order"),
+        ],
+        ids=["too-many-players", "no-sets", "empty-set", "other-ground", "out-of-order"],
+    )
+    def test_rejects(self, n, bits, error, message):
+        sets = tuple(PlayerSet(*b) if isinstance(b, tuple) else PlayerSet(b, n) for b in bits)
+        with pytest.raises(error, match=message):
+            AccessStructure(n, sets)
 
 
 class TestIsAuthorized:
@@ -280,6 +299,11 @@ class TestPurify:
         with pytest.raises(StructureError):
             purify(from_minimal_sets(2, [[1], [2]]))
 
+    def test_capacity(self):
+        # quantum and not self-dual, so purifying needs a 16th player
+        with pytest.raises(CapacityError, match="would exceed 15 players"):
+            purify(from_minimal_sets(15, [[1, 2]]))
+
     def test_purify_properties_random(self):
         rng = random.Random(1123)
         seen_nontrivial = 0
@@ -394,3 +418,8 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(StructureError):
             structure_from_dict({"n": 3})
+
+    @pytest.mark.parametrize("data", [[1, 2], "x", 3, None])
+    def test_not_an_object(self, data):
+        with pytest.raises(StructureError, match="^an access structure must be a JSON object$"):
+            structure_from_dict(data)
