@@ -23,6 +23,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import cache
 
 from .simplex import SimplexError
 from .prover import (
@@ -420,7 +421,13 @@ def _add_common(
         parser.add_argument("--force", action="store_true", help="override the limit")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Parsing leaves the parser unchanged, since each ``parse_args`` fills a
+    new namespace, so one parser serves every `main` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="qssbounds",
         description="Share-size bounds for quantum secret sharing access structures.",

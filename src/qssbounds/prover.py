@@ -191,13 +191,14 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-_RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
+_RATIONAL = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
 
 
 def _rational_field(value, what: str) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
         raise ValueError(f"{what} must be a \"p/q\" string with q > 0, not {value!r}")
-    return Fraction(value)
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def certificate_from_json_dict(data) -> Certificate:
@@ -271,13 +272,13 @@ def prepare_structure(
     if not is_quantum(structure):
         raise StructureError("proving requires a quantum access structure")
     solved = structure
-    if pure and not is_self_dual(structure):
-        if not auto_purify:
-            raise StructureError(
-                "pure mode needs a self-dual structure; purify it first "
-                "(auto_purify=True, --auto-purify)"
-            )
+    if pure and auto_purify:
         solved = purify(structure)
+    elif pure and not is_self_dual(structure):
+        raise StructureError(
+            "pure mode needs a self-dual structure; purify it first "
+            "(auto_purify=True, --auto-purify)"
+        )
     if solved.n + 1 > max_elements and not force:
         raise CapacityError(
             f"{solved.n + 1} ground elements exceed the limit {max_elements}; "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 #: Hard cap on ground-set elements (players, purifier and reference system).
 CAPACITY = 16
@@ -177,39 +177,38 @@ def is_authorized(structure: AccessStructure, subset: PlayerSet) -> bool:
     return structure.is_authorized(subset)
 
 
-def _minimal_members(n: int, member: Callable[[int], bool]) -> list[PlayerSet]:
-    """Minimal elements of a monotone family given by a mask predicate."""
-    out = []
-    for mask in range(1, 1 << n):
-        if not member(mask):
-            continue
-        m = mask
-        lowered = False
-        while m:
-            low = m & -m
-            if member(mask & ~low):
-                lowered = True
-                break
-            m &= m - 1
-        if not lowered:
-            out.append(PlayerSet(mask, n))
-    out.sort(key=PlayerSet.sort_key)
-    return out
+def _blocker(masks: Iterable[int]) -> list[int]:
+    """Minimal transversals of the given sets, by Berge's sequential algorithm.
+
+    After each set m the list holds the minimal transversals of the sets
+    read so far: those that meet m stay, every other one is extended by
+    each element of m, and an extension that contains another transversal
+    is dropped.
+    """
+    blocker = [0]
+    for m in masks:
+        bits = [1 << i for i in range(m.bit_length()) if m >> i & 1]
+        keep = [t for t in blocker if t & m]
+        grown = {t | b for t in blocker if not t & m for b in bits}
+        both = keep + list(grown)
+        blocker = keep + [x for x in grown if not any(y != x and y & x == y for y in both)]
+    return blocker
+
+
+def _from_masks(n: int, masks: Iterable[int]) -> AccessStructure:
+    """The structure on {1..n} whose minimal sets are the given antichain."""
+    sets = sorted((PlayerSet(m, n) for m in masks), key=PlayerSet.sort_key)
+    return AccessStructure(n, tuple(sets))
 
 
 def dual(structure: AccessStructure) -> AccessStructure:
     """Dual structure: complements of the unauthorized sets.
 
-    Computed by enumerating the 2^n subsets; n is small by design, so no
-    sub-exponential transversal algorithm is attempted.
+    A set is in the dual exactly when it meets every authorized set, so
+    the dual's minimal sets are the minimal transversals of the minimal
+    sets; they are found without enumerating the 2^n subsets.
     """
-    n = structure.n
-    full = (1 << n) - 1
-
-    def member(mask: int) -> bool:
-        return not structure.mask_authorized(full & ~mask)
-
-    return AccessStructure(n, tuple(_minimal_members(n, member)))
+    return _from_masks(structure.n, _blocker(m.bits for m in structure.minimal_sets))
 
 
 def is_quantum(structure: AccessStructure) -> bool:
@@ -227,14 +226,20 @@ def is_quantum(structure: AccessStructure) -> bool:
     )
 
 
-def is_self_dual(structure: AccessStructure) -> bool:
-    """True iff the structure equals its dual, without building the dual.
+def _unauthorized_transversals(structure: AccessStructure) -> list[int]:
+    """Minimal sets of the dual that are unauthorized in ``structure``."""
+    auth = structure.mask_authorized
+    return [t for t in _blocker(m.bits for m in structure.minimal_sets) if not auth(t)]
 
-    A set is in the dual exactly when its complement is unauthorized, so
-    the two agree when one set of each complementary pair is authorized.
+
+def is_self_dual(structure: AccessStructure) -> bool:
+    """True iff the structure equals its dual.
+
+    A structure lies inside its dual exactly when it is quantum, and the
+    dual lies inside it exactly when every minimal set of the dual is
+    authorized; neither test builds the dual.
     """
-    full, auth = (1 << structure.n) - 1, structure.mask_authorized
-    return all(auth(m) != auth(full & ~m) for m in range(1 << (structure.n - 1)))
+    return is_quantum(structure) and not _unauthorized_transversals(structure)
 
 
 def purify(structure: AccessStructure) -> AccessStructure:
@@ -246,26 +251,18 @@ def purify(structure: AccessStructure) -> AccessStructure:
     one side is promoted: the authorized sets of the result are those of
     the input plus ``{A + {n+1} : A and complement both unauthorized}``.
     Every subset of {1..n} keeps its authorized/unauthorized status.
+    Those A are the unauthorized sets of the dual, so the new minimal sets
+    are ``T + {n+1}`` for the minimal sets T of the dual that are unauthorized.
     """
     if not is_quantum(structure):
         raise StructureError("purification requires a quantum access structure")
-    if is_self_dual(structure):
-        return structure
     n = structure.n
+    promoted = [t | 1 << n for t in _unauthorized_transversals(structure)]
+    if not promoted:
+        return structure
     if n + 1 > CAPACITY - 1:
         raise CapacityError(f"purification would exceed {CAPACITY - 1} players")
-    full = (1 << n) - 1
-    new_bit = 1 << n
-
-    def member(mask: int) -> bool:
-        inner = mask & full
-        if structure.mask_authorized(inner):
-            return True
-        if not mask & new_bit:
-            return False
-        return not structure.mask_authorized(full & ~inner)
-
-    return AccessStructure(n + 1, tuple(_minimal_members(n + 1, member)))
+    return _from_masks(n + 1, [m.bits for m in structure.minimal_sets] + promoted)
 
 
 @dataclass(frozen=True)

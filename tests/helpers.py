@@ -1,10 +1,19 @@
-"""Shared test utilities: random structures, known entropy points and
-the certificate of a plain LP."""
+"""Shared test utilities: random structures, known entropy points, the
+certificate of a plain LP and the 2^n enumerations behind `dual`,
+`is_self_dual` and `purify`."""
 
 from fractions import Fraction
 
 from qssbounds.prover import Certificate
-from qssbounds.structures import PlayerSet, StructureError, from_minimal_sets, is_quantum
+from qssbounds.structures import (
+    CAPACITY,
+    AccessStructure,
+    CapacityError,
+    PlayerSet,
+    StructureError,
+    from_minimal_sets,
+    is_quantum,
+)
 
 
 def random_structure(rng, n):
@@ -31,6 +40,66 @@ def random_quantum_structure(rng, n):
         s = random_structure(rng, n)
         if is_quantum(s):
             return s
+
+
+def _minimal_members(n, member):
+    """Minimal elements of a monotone family given by a mask predicate."""
+    out = []
+    for mask in range(1, 1 << n):
+        if not member(mask):
+            continue
+        m = mask
+        lowered = False
+        while m:
+            low = m & -m
+            if member(mask & ~low):
+                lowered = True
+                break
+            m &= m - 1
+        if not lowered:
+            out.append(PlayerSet(mask, n))
+    out.sort(key=PlayerSet.sort_key)
+    return out
+
+
+def reference_dual(structure):
+    """`dual` by enumerating the 2^n subsets and keeping the minimal members."""
+    n = structure.n
+    full = (1 << n) - 1
+
+    def member(mask):
+        return not structure.mask_authorized(full & ~mask)
+
+    return AccessStructure(n, tuple(_minimal_members(n, member)))
+
+
+def reference_is_self_dual(structure):
+    """`is_self_dual` by checking that one set of each complementary pair is authorized."""
+    full, auth = (1 << structure.n) - 1, structure.mask_authorized
+    return all(auth(m) != auth(full & ~m) for m in range(1 << (structure.n - 1)))
+
+
+def reference_purify(structure):
+    """`purify` by enumerating the 2^(n+1) subsets of the purified ground set."""
+    if not is_quantum(structure):
+        raise StructureError("purification requires a quantum access structure")
+    if reference_is_self_dual(structure):
+        return structure
+    n = structure.n
+    if n + 1 > CAPACITY - 1:
+        raise CapacityError(f"purification would exceed {CAPACITY - 1} players")
+    full = (1 << n) - 1
+    new_bit = 1 << n
+
+    def member(mask):
+        inner = mask & full
+        if structure.mask_authorized(inner):
+            return True
+        if not mask & new_bit:
+            return False
+        return not structure.mask_authorized(full & ~inner)
+
+    return AccessStructure(n + 1, tuple(_minimal_members(n + 1, member)))
 
 
 def plain_certificate(problem, solution):

@@ -54,6 +54,17 @@ HOSTILE_CERTIFICATES = {
     "float-mult": {"claimed_bound": "1/1", "entries": [{"id": "normalize", "mult": 2.5}]},
     "int-claimed-bound": {"claimed_bound": 1, "entries": []},
     "zero-denominator": {"claimed_bound": "1/0", "entries": []},
+    "plus-sign": {"claimed_bound": "+1/2", "entries": []},
+    "leading-space": {"claimed_bound": " 1/2", "entries": []},
+    "trailing-newline": {"claimed_bound": "1/2\n", "entries": []},
+    "underscore-digits": {
+        "claimed_bound": "1/1", "entries": [{"id": "normalize", "mult": "1_0/3"}],
+    },
+    "negative-denominator": {"claimed_bound": "1/-2", "entries": []},
+    # int() would read Arabic-Indic digits; the format is ASCII only
+    "arabic-indic-digits": {
+        "claimed_bound": "1/1", "entries": [{"id": "normalize", "mult": "١/٢"}],
+    },
 }
 
 
@@ -131,6 +142,39 @@ def test_format_text_is_never_ignored(capsys, tmp_path, command):
             assert out, argv
             with pytest.raises(ValueError):
                 json.loads(out)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_successive_runs_match_fresh_runs(capsys, tmp_path):
+    """Flags given to one `main` call do not carry over to the next."""
+    path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+    cert = str(tmp_path / "cert.json")
+    assert main(["bound", "--in", path, "--certificate", cert,
+                 "--out", str(tmp_path / "report.json")]) == 0
+    runs = [
+        ("verify-cert", "--system-from", path, "--cert", cert, "--format", "text"),
+        ("verify-cert", "--system-from", path, "--cert", cert),
+        ("bound", "--in", path, "--players", "1,2"),
+        ("bound", "--in", path),
+    ]
+
+    def outputs(argv):
+        code, out, err = run(capsys, *argv)
+        if argv[0] == "bound":
+            out = json.loads(out)
+            out["stats"].pop("millis")
+        return code, out, err
+
+    successive = [outputs(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(outputs(argv))
+    assert successive == fresh
+    assert len({json.dumps(o, sort_keys=True) for o in fresh}) == len(runs)
 
 
 class TestGen:

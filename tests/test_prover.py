@@ -98,6 +98,15 @@ class TestShareBound:
         with pytest.raises(StructureError):
             share_bound(GAMMA4, auto_purify=False)
 
+    def test_self_duality_is_refused_before_purification_capacity(self):
+        # purifying 15 players needs a 16th; without auto_purify the
+        # refusal names self-duality, not capacity
+        wide = from_minimal_sets(15, [[1, 2]])
+        with pytest.raises(StructureError, match="pure mode needs a self-dual structure"):
+            prover.prepare_structure(wide, force=True)
+        with pytest.raises(CapacityError, match="would exceed 15 players"):
+            prover.prepare_structure(wide, auto_purify=True, force=True)
+
     def test_limit_guard(self):
         big, _ = csirmaz(9)
         with pytest.raises(CapacityError):

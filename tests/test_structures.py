@@ -21,6 +21,8 @@ from qssbounds.structures import (
     theorem3_reference_bound,
 )
 
+from helpers import reference_dual, reference_is_self_dual, reference_purify
+
 GAMMA4 = [[1, 2], [1, 3], [2, 3, 4]]
 THRESHOLD23 = [[1, 2], [1, 3], [2, 3]]
 
@@ -423,3 +425,41 @@ class TestJson:
     def test_not_an_object(self, data):
         with pytest.raises(StructureError, match="^an access structure must be a JSON object$"):
             structure_from_dict(data)
+
+
+def assert_matches_enumeration(s):
+    """`dual`, `is_self_dual` and `purify` agree with the 2^n enumerations."""
+    assert dual(s) == reference_dual(s)
+    assert is_self_dual(s) == reference_is_self_dual(s)
+    if not is_quantum(s):
+        with pytest.raises(StructureError, match="requires a quantum"):
+            purify(s)
+        return
+    expected, got = reference_purify(s), purify(s)
+    assert got == expected
+    assert (got is s) == (expected is s)
+
+
+class TestAgainstEnumeration:
+    def test_every_antichain(self):
+        structures = [s for n in range(1, 4) for s in all_antichain_structures(n)]
+        assert len(structures) == 23
+        for s in structures:
+            assert_matches_enumeration(s)
+
+    @pytest.mark.parametrize("draw", [random_structure, random_quantum_structure])
+    def test_seeded_random(self, draw):
+        rng = random.Random(16)
+        structures = [draw(rng, rng.randint(1, 8)) for _ in range(200)]
+        for s in structures:
+            assert_matches_enumeration(s)
+        kinds = {(is_quantum(s), is_self_dual(s)) for s in structures}
+        assert {(True, True), (True, False)} <= kinds
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_csirmaz(self, n):
+        assert_matches_enumeration(csirmaz(n)[0])
+
+    def test_csirmaz14_purification(self):
+        s = csirmaz(14)[0]
+        assert purify(s) == reference_purify(s)
