@@ -34,7 +34,6 @@ from .prover import (
     cached_system,
     certificate_from_json_dict,
     lemma_suite,
-    prepare_structure,
     rat_str,
     share_bound,
     theorem3_chain,
@@ -336,14 +335,9 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    solved, _ = prepare_structure(
+    report = lemma_suite(
         _load_structure(args.infile),
         auto_purify=args.auto_purify,
-        max_elements=args.limit_elements,
-        force=args.force,
-    )
-    report = lemma_suite(
-        solved,
         ineq=args.ineq,
         max_elements=args.limit_elements,
         force=args.force,

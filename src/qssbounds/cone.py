@@ -44,10 +44,10 @@ accepted only if the printed id is the id it was given and the row is a
 member of the system's family (see :meth:`ConstraintSystem.row` for the
 rules).  So replaying a certificate costs its own entries and labels,
 not the 2^(2·elements) rows of the full family, and works on ground
-sets too large to generate.  The ordered list of
-every row (``constraints``, indexed by ``by_id`` and ``position``) is
-generated on first read, for the quotient, ``--dump-system`` and
-witness checks; ``len`` counts it from the family's closed form.
+sets too large to generate.  ``len`` and :meth:`ConstraintSystem.order_key`
+count rows and order ids in closed form, and the pure quotient is made
+from masks, so the ordered list of every row (``constraints``) is generated
+only for ``--dump-system``, witness checks and mixed-mode quotients.
 """
 
 from __future__ import annotations
@@ -319,8 +319,8 @@ class ConstraintSystem:
     Building a system makes no row.  :meth:`row` makes the one row an id
     names and keeps it in a memo that lives as long as the system;
     ``constraints`` generates the ordered list of every row on first read
-    and fills the memo with it, and ``by_id`` and ``position`` index it.
-    ``len`` is the family's closed-form size, so counting rows makes none.
+    and fills the memo with it, and ``by_id`` indexes it.  ``len`` and
+    :meth:`order_key` count rows and order ids in closed form, making none.
     """
 
     def __init__(self, structure: AccessStructure, *, pure: bool, ineq: str) -> None:
@@ -330,6 +330,7 @@ class ConstraintSystem:
         self.pure = pure
         self.ineq = ineq
         self._memo: dict[str, LinearConstraint] = {}
+        self._keys: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         n = self.ground.total
@@ -362,10 +363,30 @@ class ConstraintSystem:
         self.constraints  # generating the rows fills the memo with them
         return self._memo
 
-    @cached_property
-    def position(self) -> dict[str, int]:
-        """Each row id's index in ``constraints``, built on first use."""
-        return {c.id: i for i, c in enumerate(self.constraints)}
+    def order_key(self, rid: str) -> tuple[int, ...]:
+        """Sort key of ``rid`` in ``constraints`` order, made once per id from its row.
+
+        Families keep generation order; then elemental ``ssa:A;B|C`` sorts by
+        (A, B, -C), elemental ``wm:A;B|C`` by (C, -B), full ssa and wm rows by
+        (A ∪ C, B ∪ C) and any other row by its first term.
+        """
+        key = self._keys.get(rid)
+        if key is None:
+            family, terms = rid.partition(":")[0], self.row(rid).terms
+            rank = ("emptyset", "nonneg", "ssa", "wm", "normalize", "recover", "purity").index(
+                "recover" if family == "secrecy" else family
+            )
+            key = (rank, terms[0][0])
+            if family in ("ssa", "wm"):
+                x, y = (v for v, c in terms if c > 0)
+                if self.ineq == "full":
+                    key = (rank, x, y)
+                elif family == "ssa":
+                    key = (rank, x & ~y, y & ~x, -(x & y))
+                else:
+                    key = (rank, x & y, -max(x & ~y, y & ~x))
+            self._keys[rid] = key
+        return key
 
     def row(self, rid: str) -> LinearConstraint:
         """The row named ``rid``, made from the id alone; ``KeyError`` if none is.
@@ -446,37 +467,41 @@ class Quotient:
     In pure mode every feasible point has S(X) = S(F\\X), where F is the
     whole ground set, so every term S(X) with R in X is written as
     S(F\\X); S(F) becomes S(∅) and drops out with the other zero terms.
-    Rows that become ``0 = 0`` or ``0 >= c`` with ``c <= 0`` are dropped,
-    and a row repeated after mapping is kept once, under the first id
-    that produced it.  The variables left are the masks below R.  In
-    mixed mode the map is the identity and the rows are the system's
-    own.  A lifted quotient point satisfies every row of the system,
-    because each row there has the value of its mapped row here.  Terms
-    are sorted and R is the top bit, so only a row whose last term holds
-    R or whose first term is S(∅) changes under the map; the others are
-    kept as they are.
+    The variables left are the masks below R.  The rows, made from masks,
+    are the elemental rows mapped, less those that become ``0 = 0`` or
+    ``0 >= 0``, each repeat kept under its first id: ``nonneg:X`` for X
+    below R, ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K}
+    (rest = F\\{i,j}; K itself when rest is empty), no wm row, and the
+    scheme rows and ``normalize`` mapped.  Full pure rows are refused.  In
+    mixed mode the rows are the system's own.  A lifted quotient point
+    satisfies every row of the system, because each row there has the
+    value of its mapped row here.
     """
 
     def __init__(self, system: ConstraintSystem) -> None:
-        self.ground = system.ground
+        self.ground = ground = system.ground
         self.pure = system.pure
         if not self.pure:
             self.rows = system.constraints
-            self.var_count = self.ground.var_count
+            self.var_count = ground.var_count
             return
-        r = self.var_count = self.ground.reference_mask
-        rows = []
-        seen: set[tuple] = set()
-        for row in system.constraints:
-            terms = row.terms
-            if terms and (terms[-1][0] >= r or not terms[0][0]):
-                row = self.map_row(row)
-            if not row.terms and (row.rhs == 0 if row.rel == "=" else row.rhs <= 0):
-                continue
-            key = (row.terms, row.rel, row.rhs)
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
+        if system.ineq != "elemental":
+            raise StructureError("a pure quotient is built from the elemental rows only")
+        r = self.var_count = ground.reference_mask
+        labels = ground.labels
+        rows = [_nonneg_constraint(labels, x) for x in range(1, r)]
+        for ei in range(ground.total):
+            for ej in range(ei + 1, ground.total):
+                i_bit, j_bit = 1 << ei, 1 << ej
+                rest = ground.full_mask & ~(i_bit | j_bit)
+                for k in _submasks(rest):
+                    # K and rest\K give one row; the submasks holding the
+                    # top of rest come first and are the larger of a pair
+                    if k < rest & ~k:
+                        break
+                    row = _ssa_constraint(labels, i_bit | k, j_bit | k)
+                    rows.append(self.map_row(row) if j_bit | k >= r else row)
+        rows.extend(self.map_row(row) for row in qss_constraints(system.structure, ground))
         self.rows = tuple(rows)
 
     @cached_property
@@ -492,10 +517,7 @@ class Quotient:
         return sparse_form(*((full & ~v if v & r else v, c) for v, c in terms))
 
     def map_row(self, row: LinearConstraint) -> LinearConstraint:
-        terms = self.map_terms(row.terms)
-        if terms == row.terms:
-            return row
-        return LinearConstraint(row.id, terms, row.rel, row.rhs)
+        return row._replace(terms=self.map_terms(row.terms))
 
     def lift(self, primal) -> dict[int, Fraction]:
         """The system's point for a quotient primal: S(X) = S(F\\X) when R is in X."""

@@ -25,11 +25,13 @@ certificate for the full system, and a point satisfying them satisfies
 every full row.  In pure mode the quotient has one variable per
 complementary pair; its multipliers name original rows, and `_expand`
 turns them into a certificate on those rows plus the elemental wm rows
-:meth:`cone.Quotient.cancel` adds, so no new row is needed.  Quotient
-points lift back to points of the system.  In mixed mode the quotient
-is the system itself.  The ``ineq`` choice only names the row set that
-certificates are replayed on and witnesses are checked against, and
-both checks run before any result is returned.
+:meth:`cone.Quotient.cancel` adds, so no new row is needed, in the order
+of :meth:`cone.ConstraintSystem.order_key`.  Pure quotients are emitted
+from masks, so only a refutation witness reads a system's list of every
+row.  Quotient points lift back to points of the system.  In mixed mode
+the quotient is the system itself.  The ``ineq`` choice only names the
+row set that certificates are replayed on and witnesses are checked
+against, and both checks run before any result is returned.
 
 Every LP solves on the quotient's presolved state, a bound LP and a
 refutation witness with their own rows added (`Presolved.with_rows`).
@@ -406,7 +408,7 @@ def _expand(
     the certificate.  Weighted by them, those rows minus the objective
     leave what the quotient does not see, and the rows that
     :meth:`cone.Quotient.cancel` returns for it are added.  Entries come
-    out in the system's row order (its ``position`` index), then
+    out in the system's row order (its ``order_key``), then
     ``extra``'s.  In mixed mode nothing is left over, so the entries are
     the quotient's own.
     """
@@ -418,8 +420,7 @@ def _expand(
             add_scaled(left, (by_id.get(row.id) or system.row(row.id)).terms, u)
     add_scaled(left, objective, -den)
     add_scaled(mult, system.quotient.cancel(left).items(), 1)
-    position = system.position
-    ids = sorted((rid for rid in mult if rid in position), key=position.get)
+    ids = sorted((rid for rid in mult if rid not in by_id), key=system.order_key)
     ids += [row.id for row in extra if row.id in mult]
     return tuple((rid, Fraction(mult[rid], den)) for rid in ids)
 
@@ -710,28 +711,32 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
 def lemma_suite(
     structure: AccessStructure,
     *,
+    auto_purify: bool = False,
     ineq: str = "full",
     max_elements: int = DEFAULT_ELEMENT_LIMIT,
     force: bool = False,
 ) -> SuiteReport:
     """Check that every scheme relation is implied by the system.
 
-    Requires a quantum, self-dual structure (the relations are stated in
-    pure mode).  Expected outcome: every instance implied.
+    Requires a quantum structure, self-dual unless ``auto_purify`` is set
+    (the relations are stated in pure mode).  Expected outcome: every
+    instance implied.
     """
-    return _run_suite(structure, ineq, scheme_relation_instances, max_elements, force)
+    return _run_suite(structure, ineq, scheme_relation_instances, max_elements, force, auto_purify)
 
 
 def _run_suite(
     structure: AccessStructure, ineq: str,
     instances_of: Callable[[AccessStructure, GroundSet], Iterable[SuiteInstance]],
-    max_elements: int, force: bool,
+    max_elements: int, force: bool, auto_purify: bool = False,
 ) -> SuiteReport:
     """Check ``instances_of(structure, ground)`` in one session on the pure ``ineq`` rows.
 
-    The structure must pass `prepare_structure` as it is, in pure mode.
+    The structure is the one `prepare_structure` returns, in pure mode.
     """
-    prepare_structure(structure, max_elements=max_elements, force=force)
+    structure, _ = prepare_structure(
+        structure, auto_purify=auto_purify, max_elements=max_elements, force=force
+    )
     started = time.perf_counter()
     system = cached_system(structure, True, ineq)
     session = Session()

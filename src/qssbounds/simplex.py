@@ -105,13 +105,8 @@ class LinearConstraint(NamedTuple):
     def terms_dict(self) -> dict[int, int | Fraction]:
         return dict(self.terms)
 
-    def evaluate(self, point: list | dict) -> int | Fraction:
-        if isinstance(point, dict):
-            return sum(c * point.get(v, 0) for v, c in self.terms)
-        return sum(c * point[v] for v, c in self.terms)
-
-    def satisfied_by(self, point) -> bool:
-        val = self.evaluate(point)
+    def satisfied_by(self, point: dict) -> bool:
+        val = sum(c * point.get(v, 0) for v, c in self.terms)
         return val == self.rhs if self.rel == "=" else val >= self.rhs
 
 

@@ -128,12 +128,12 @@ class AccessStructure:
                 raise StructureError("minimal set declared on a different ground")
             if s.bits == 0:
                 raise StructureError("minimal sets must be nonempty")
-        for i, a in enumerate(self.minimal_sets):
-            for b in self.minimal_sets[i + 1:]:
-                if a.issubset(b) or b.issubset(a):
-                    raise StructureError(
-                        f"antichain violated: {a} and {b} are nested"
-                    )
+        bits = [s.bits for s in self.minimal_sets]
+        for i, a in enumerate(bits):
+            for b in bits[i + 1:]:
+                if not a & ~b or not b & ~a:
+                    a, b = self.minimal_sets[i], self.minimal_sets[bits.index(b, i + 1)]
+                    raise StructureError(f"antichain violated: {a} and {b} are nested")
         if list(self.minimal_sets) != sorted(self.minimal_sets, key=PlayerSet.sort_key):
             raise StructureError("minimal sets not in canonical order")
 

@@ -1,6 +1,6 @@
-"""Shared test utilities: random structures, known entropy points, the
-certificate of a plain LP and the 2^n enumerations behind `dual`,
-`is_self_dual` and `purify`."""
+"""Shared test utilities: every antichain and random structures, known
+entropy points, the certificate of a plain LP and the 2^n enumerations
+behind `dual`, `is_self_dual` and `purify`."""
 
 from fractions import Fraction
 
@@ -14,6 +14,27 @@ from qssbounds.structures import (
     from_minimal_sets,
     is_quantum,
 )
+
+
+def all_antichain_structures(n):
+    """Every access structure on n players (all antichains of nonempty sets)."""
+    masks = list(range(1, 1 << n))
+    found = []
+
+    def extend(prefix, start):
+        for idx in range(start, len(masks)):
+            m = masks[idx]
+            if any(p & m in (p, m) for p in prefix):
+                continue
+            cur = prefix + [m]
+            found.append(cur)
+            extend(cur, idx + 1)
+
+    extend([], 0)
+    return [
+        from_minimal_sets(n, [PlayerSet(m, n).players() for m in sets])
+        for sets in found
+    ]
 
 
 def random_structure(rng, n):

@@ -826,6 +826,16 @@ class TestLemmasCommand:
         code, _, _ = run(capsys, "lemmas", "--in", path, "--auto-purify", "--limit-elements", "4")
         assert code == 3
 
+    def test_auto_purify_prepares_the_structure_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = prover.is_quantum
+        monkeypatch.setattr(prover, "is_quantum", lambda s: calls.append(s) or original(s))
+        path = write_structure(tmp_path, "g4.json", 4, [[1, 2], [1, 3], [2, 3, 4]])
+        code, out, _ = run(capsys, "lemmas", "--in", path, "--auto-purify", "--ineq", "elemental")
+        assert code == 0
+        assert json.loads(out)["structure"]["n"] == 5
+        assert len(calls) == 1
+
 
 class TestChainCommand:
     @pytest.mark.parametrize(

@@ -10,27 +10,38 @@ from fractions import Fraction
 
 import pytest
 
-from qssbounds.cone import complement_chain, sparse_form
+from qssbounds import cone
+from qssbounds.cone import build_system, complement_chain, sparse_form
 from qssbounds.prover import (
     Certificate,
     Objective,
     _expand,
     cached_system,
     check_implied,
+    lemma_suite,
     objective_rows,
     scheme_relation_instances,
     share_bound,
+    theorem3_chain,
     verify_certificate,
 )
 from qssbounds.simplex import LPProblem, Presolved, Session, solve
-from qssbounds.structures import csirmaz, from_minimal_sets, is_self_dual, purify
+from qssbounds.structures import (
+    StructureError,
+    csirmaz,
+    from_minimal_sets,
+    is_quantum,
+    is_self_dual,
+    purify,
+)
 
-from helpers import plain_certificate, random_quantum_structure
+from helpers import all_antichain_structures, plain_certificate, random_quantum_structure
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
 GAMMA4_BAR = purify(GAMMA4)
 STAR3_BAR = purify(from_minimal_sets(3, [[1, 2], [1, 3]]))
+ONE_PLAYER = from_minimal_sets(1, [[1]])
 ONE = Fraction(1)
 
 
@@ -64,11 +75,9 @@ def replay_systems(structure, max_full=6):
     return [cached_system(structure, True, ineq) for ineq in ineqs]
 
 
-@pytest.mark.parametrize(
-    "structure", [THRESHOLD23, GAMMA4_BAR] + SEEDED[1:], ids=IDS[:2] + IDS[4:]
-)
-def test_quotient_keeps_each_mapped_row_once_under_its_first_id(structure):
-    system = cached_system(structure, True, "elemental")
+def assert_quotient_is_the_reference(structure):
+    """The quotient against mapping every row and keeping each once under its first id."""
+    system = build_system(structure, pure=True, ineq="elemental")
     quotient = system.quotient
     first = {}
     for row in system.constraints:
@@ -80,6 +89,68 @@ def test_quotient_keeps_each_mapped_row_once_under_its_first_id(structure):
     assert [row.id for row in quotient.rows] == list(first.values())
     assert [(row.terms, row.rel, row.rhs) for row in quotient.rows] == list(first)
     assert all(0 < v < quotient.var_count for row in quotient.rows for v, _ in row.terms)
+
+
+# one player: rest = F\{1,R} is empty, so ssa:1;R|∅ is its own partner
+# and is kept as 2 S(1) >= 0
+@pytest.mark.parametrize(
+    "structure", [ONE_PLAYER, THRESHOLD23, GAMMA4_BAR] + SEEDED[1:],
+    ids=["one-player"] + IDS[:2] + IDS[4:],
+)
+def test_quotient_keeps_each_mapped_row_once_under_its_first_id(structure):
+    assert_quotient_is_the_reference(structure)
+
+
+def small_pure_structures():
+    """Self-dual or purified quantum structures, each once.
+
+    Every quantum antichain on up to 4 players, 40 seeded ones on up to 5
+    players and the staircases on 4 to 6 players.
+    """
+    found = [s for n in range(1, 5) for s in all_antichain_structures(n) if is_quantum(s)]
+    rng = random.Random(40)
+    found += [random_quantum_structure(rng, rng.randint(2, 5)) for _ in range(40)]
+    found += [csirmaz(n)[0] for n in (4, 5, 6)]
+    return list(dict.fromkeys(s if is_self_dual(s) else purify(s) for s in found))
+
+
+def test_quotient_matches_the_reference_on_small_structures():
+    structures = small_pure_structures()
+    assert ONE_PLAYER in structures and len(structures) > 90
+    for structure in structures:
+        assert_quotient_is_the_reference(structure)
+
+
+def test_quotient_of_full_pure_rows_is_refused():
+    with pytest.raises(StructureError):
+        build_system(THRESHOLD23, pure=True, ineq="full").quotient
+
+
+@pytest.mark.parametrize(
+    "ineq,elements", [("elemental", e) for e in range(2, 9)] + [("full", e) for e in range(2, 6)]
+)
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_order_key_sorts_ids_into_generation_order(ineq, elements, pure):
+    # player 1 alone is authorized, so both recover and secrecy rows occur
+    system = build_system(from_minimal_sets(elements - 1, [[1]]), pure=pure, ineq=ineq)
+    ids = [c.id for c in system.constraints]
+    shuffled = random.Random(elements).sample(ids, len(ids))
+    assert sorted(shuffled, key=system.order_key) == ids
+    keys = [system.order_key(rid) for rid in ids]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_pure_solves_generate_no_row_list(monkeypatch):
+    # bounds, suites and chains solve on the quotient and replay by id
+    calls = []
+    original = cone.vn_inequalities
+    monkeypatch.setattr(cone, "vn_inequalities", lambda *a: calls.append(a) or original(*a))
+    cached_system.cache_clear()
+    for ineq in ("full", "elemental"):
+        share_bound(GAMMA4, auto_purify=True, ineq=ineq)
+    assert lemma_suite(GAMMA4_BAR).all_implied
+    assert theorem3_chain(4).all_implied
+    assert calls == []
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)

@@ -21,31 +21,15 @@ from qssbounds.structures import (
     theorem3_reference_bound,
 )
 
-from helpers import reference_dual, reference_is_self_dual, reference_purify
+from helpers import (
+    all_antichain_structures,
+    reference_dual,
+    reference_is_self_dual,
+    reference_purify,
+)
 
 GAMMA4 = [[1, 2], [1, 3], [2, 3, 4]]
 THRESHOLD23 = [[1, 2], [1, 3], [2, 3]]
-
-
-def all_antichain_structures(n):
-    """Every access structure on n players (all antichains of nonempty sets)."""
-    masks = list(range(1, 1 << n))
-    found = []
-
-    def extend(prefix, start):
-        for idx in range(start, len(masks)):
-            m = masks[idx]
-            if any(p & m in (p, m) for p in prefix):
-                continue
-            cur = prefix + [m]
-            found.append(cur)
-            extend(cur, idx + 1)
-
-    extend([], 0)
-    return [
-        from_minimal_sets(n, [PlayerSet(m, n).players() for m in sets])
-        for sets in found
-    ]
 
 
 def random_structure(rng, n):
@@ -115,12 +99,24 @@ class TestFromMinimalSets:
         assert a == b
 
     def test_antichain_violation(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as info:
             from_minimal_sets(2, [[1], [1, 2]])
+        assert str(info.value) == "antichain violated: (1) and (1,2) are nested"
+
+    @pytest.mark.parametrize(
+        "n,sets,message",
+        [(3, [[1], [2], [1, 3]], "(1) and (1,3)"),
+         (4, [[1, 2], [3], [2, 3, 4]], "(3) and (2,3,4)")],
+    )
+    def test_antichain_violation_names_the_first_nested_pair(self, n, sets, message):
+        with pytest.raises(StructureError) as info:
+            from_minimal_sets(n, sets)
+        assert str(info.value) == f"antichain violated: {message} are nested"
 
     def test_duplicate_sets_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as info:
             from_minimal_sets(3, [[1, 2], [2, 1]])
+        assert str(info.value) == "antichain violated: (1,2) and (1,2) are nested"
 
     def test_empty_collection(self):
         with pytest.raises(StructureError):
