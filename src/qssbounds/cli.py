@@ -46,10 +46,10 @@ from .structures import (
     csirmaz,
     dual,
     is_quantum,
-    is_self_dual,
     purify,
     structure_from_dict,
     structure_to_dict,
+    unauthorized_transversals,
 )
 
 EXIT_OK = 0
@@ -157,7 +157,8 @@ def cmd_check(args) -> int:
         _output(args, {"valid_antichain": False, "error": str(exc)},
                 f"valid antichain: no\nerror: {exc}\n")
         return EXIT_FAIL
-    quantum, self_dual = is_quantum(structure), is_self_dual(structure)
+    quantum = is_quantum(structure)
+    self_dual = quantum and not unauthorized_transversals(structure)
     report = {
         "n": structure.n,
         "minimal_sets": structure.minimal_player_lists(),

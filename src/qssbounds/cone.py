@@ -47,7 +47,9 @@ not the 2^(2·elements) rows of the full family, and works on ground
 sets too large to generate.  ``len`` and :meth:`ConstraintSystem.order_key`
 count rows and order ids in closed form, and the pure quotient is made
 from masks, so the ordered list of every row (``constraints``) is generated
-only for ``--dump-system``, witness checks and mixed-mode quotients.
+only for ``--dump-system``, witness checks and mixed-mode quotients.  The
+pure quotient of a self-dual structure also presolves its rows in closed
+form while it makes them (see :class:`Quotient`).
 """
 
 from __future__ import annotations
@@ -476,6 +478,19 @@ class Quotient:
     mixed mode the rows are the system's own.  A lifted quotient point
     satisfies every row of the system, because each row there has the
     value of its mapped row here.
+
+    ``presolved`` is the :class:`simplex.Presolved` state of ``rows``.  On
+    a self-dual structure (of each player set A and its complement P\\A in
+    the player set P exactly one is authorized; P always is) it is known
+    from the masks.  ``normalize`` pins S(P) = 1 (record 0); the scheme
+    row of each A below the top player's bit h pins S(P\\A) to S(A) - 1
+    when A is authorized and to S(A) + 1 when not (record A); the other
+    scheme rows reduce to 0 = 0.  A ``>=`` row then keeps its terms below
+    h, moves S(P) to the right-hand side and S(Y) for any other Y onto
+    S(P\\Y).  That reduction is made in the loop that makes the rows, and
+    the state built from it equals ``Presolved(rows)`` field for field.
+    Any other structure gets ``Presolved(rows)`` on first use, which in
+    pure mode finds the scheme rows contradictory.
     """
 
     def __init__(self, system: ConstraintSystem) -> None:
@@ -488,21 +503,79 @@ class Quotient:
         if system.ineq != "elemental":
             raise StructureError("a pure quotient is built from the elemental rows only")
         r = self.var_count = ground.reference_mask
+        p, full, h = r - 1, ground.full_mask, r >> 1
         labels = ground.labels
-        rows = [_nonneg_constraint(labels, x) for x in range(1, r)]
+        # normalize, then the scheme row of each player set A at index A
+        scheme = [self.map_row(row) for row in qss_constraints(system.structure, ground)]
+        # record 0 pins S(P) = 1; record A < h pins S(P\A) = S(A) - rest_rhs[A]
+        rest_rhs = [1] + [scheme[a].rhs - 1 for a in range(1, h)]
+        reduced = {}
+
+        def reduce(idx, terms):
+            """Substitute the records into ``terms >= 0``; keep the first of each result.
+
+            A row left with no term reads ``0 >= rhs``; on a self-dual
+            structure rhs <= 0, since a pure scheme satisfies every row.
+            """
+            kept, rhs, weights = {}, 0, {}
+            for y, c in reversed(terms):  # masks down, so records up
+                if y < h:
+                    kept[y] = kept.get(y, 0) + c
+                elif y == p:
+                    weights[0] = c
+                    rhs -= c
+                else:
+                    k = p ^ y
+                    weights[k] = -c
+                    kept[k] = kept.get(k, 0) + c
+                    rhs += c * rest_rhs[k]
+            items = tuple(sorted([t for t in kept.items() if t[1]]))
+            if items:
+                reduced.setdefault((items, rhs), (idx, weights))
+
+        rows = []
+        for x in range(1, r):
+            reduce(len(rows), ((x, ONE),))
+            rows.append(_nonneg_constraint(labels, x))
         for ei in range(ground.total):
             for ej in range(ei + 1, ground.total):
                 i_bit, j_bit = 1 << ei, 1 << ej
-                rest = ground.full_mask & ~(i_bit | j_bit)
+                pair = f"ssa:{labels[i_bit]};{labels[j_bit]}|"
+                rest = full & ~(i_bit | j_bit)
                 for k in _submasks(rest):
                     # K and rest\K give one row; the submasks holding the
                     # top of rest come first and are the larger of a pair
                     if k < rest & ~k:
                         break
-                    row = _ssa_constraint(labels, i_bit | k, j_bit | k)
-                    rows.append(self.map_row(row) if j_bit | k >= r else row)
-        rows.extend(self.map_row(row) for row in qss_constraints(system.structure, ground))
+                    x, y = i_bit | k, j_bit | k
+                    xy = x | y
+                    if k & r:  # all four sets hold R: complementing reverses their order
+                        terms = ((full ^ y, ONE), (full ^ x, ONE), (full ^ k, NEG_ONE))
+                        if xy != full:
+                            terms = ((full ^ xy, NEG_ONE),) + terms
+                    else:
+                        mapped = {}
+                        for v, c in ((k, NEG_ONE), (x, ONE), (y, ONE), (xy, NEG_ONE)):
+                            v = full ^ v if v & r else v
+                            mapped[v] = mapped.get(v, 0) + c
+                        mapped.pop(0, None)
+                        terms = tuple(sorted([t for t in mapped.items() if t[1]]))
+                    reduce(len(rows), terms)
+                    rows.append(LinearConstraint(pair + labels[k], terms, ">=", ZERO))
+        i_norm = len(rows)
+        rows.extend(scheme)
         self.rows = tuple(rows)
+        if all(scheme[a].rhs != scheme[p ^ a].rhs for a in range(1, h)):
+            # self-dual: the other scheme rows and recover:P reduce to 0 = 0
+            records = (
+                [p] + [p ^ a for a in range(1, h)],
+                [ONE] + [NEG_ONE] * (h - 1),
+                [{}] + [{a: ONE} for a in range(1, h)],
+                rest_rhs,
+                [{i_norm: ONE}] + [{i_norm: NEG_ONE, i_norm + a: ONE} for a in range(1, h)],
+            )
+            # an instance attribute, so the generic presolve below never runs
+            self.presolved = Presolved.from_reduction(self.rows, records, reduced)
 
     @cached_property
     def presolved(self) -> Presolved:

@@ -66,10 +66,11 @@ from .structures import (
     StructureError,
     csirmaz,
     is_quantum,
-    is_self_dual,
+    promote,
     purify,
     structure_to_dict,
     theorem3_reference_bound,
+    unauthorized_transversals,
 )
 
 ZERO = 0
@@ -274,9 +275,10 @@ def prepare_structure(
     if not is_quantum(structure):
         raise StructureError("proving requires a quantum access structure")
     solved = structure
-    if pure and auto_purify:
-        solved = purify(structure)
-    elif pure and not is_self_dual(structure):
+    unauthorized = unauthorized_transversals(structure) if pure else []
+    if auto_purify:
+        solved = promote(structure, unauthorized)
+    elif unauthorized:
         raise StructureError(
             "pure mode needs a self-dual structure; purify it first "
             "(auto_purify=True, --auto-purify)"

@@ -15,17 +15,21 @@ systems this package generates have far more rows than variables, so the
 pivoting works on the dual standard form (one nonnegative multiplier per
 row) after a presolve that eliminates equality rows by exact
 substitution.  The presolve depends only on the rows, so it is one
-:class:`Presolved` state built once per row tuple: the elimination
-records, the reduced and deduplicated inequality rows with the weights
-that lift their multipliers back, and those rows as integer-scaled dual
-columns and costs.  It reduces each objective and lifts each solution,
-and :meth:`Presolved.with_rows` derives the state of more ``>=`` rows
-from it with the same column builder.  A problem may carry the state of
-its rows (a constraint system keeps one for the rows it is solved on);
-otherwise :func:`solve` builds it.  The solver sees only the rows it is
-given and returns a value, a point and one multiplier per row: mapping
-a system onto its quotient, turning multipliers into a certificate and
-printing rationals are the caller's business.
+:class:`Presolved` state per row tuple: the elimination records, the
+reduced and deduplicated inequality rows with the weights that lift
+their multipliers back, and those rows as integer-scaled dual columns
+and costs.  The state reduces each objective and lifts each solution.
+``Presolved(rows)`` derives it from any rows;
+:meth:`Presolved.from_reduction` is handed the records and reduced rows
+by a caller that knows them in closed form (the pure quotient does);
+:meth:`Presolved.with_rows` derives the state of more ``>=`` rows from
+an existing one.  All three build the columns with the same code.  A
+problem may carry the state of its rows (a constraint system keeps one
+for the rows it is solved on); otherwise :func:`solve` builds it.  The
+solver sees only the rows it is given and returns a value, a point and
+one multiplier per row: mapping a system onto its quotient, turning
+multipliers into a certificate and printing rationals are the caller's
+business.
 
 The costs of the dual form come from the rows alone and an objective
 only sets its right-hand side, so an optimal basis for one objective
@@ -172,7 +176,7 @@ def add_scaled(acc: dict, terms, factor) -> None:
 
 
 class Presolved:
-    """Everything a solve derives from the rows alone, built once.
+    """Everything a solve derives from the rows alone, built once per row tuple.
 
     Each usable equality row, reduced by the records before it, becomes
     record ``k``: ``pivot_coefs[k] * x[pivot_vars[k]] + rests[k] . x =
@@ -198,27 +202,14 @@ class Presolved:
     ``infeasible`` records contradictory equalities or a row that reduces
     to ``0 >= rhs > 0``; every solve on the rows is then infeasible.
     Solves only read the state, so one state serves any number of
-    objectives, and :meth:`with_rows` derives the state of more ``>=``
-    rows from it with the code that builds this one's columns.
+    objectives.  ``__init__`` derives the records and the reduced rows,
+    :meth:`from_reduction` is handed them, and :meth:`with_rows` reduces
+    only the rows it adds; all three place the columns with
+    :meth:`_place`.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
-        self.rows = rows
-        self.pivot_vars: list[int] = []
-        self.pivot_coefs: list[int | Fraction] = []
-        self.rests: list[dict[int, int | Fraction]] = []
-        self.rest_rhs: list[int | Fraction] = []
-        self.combos: list[dict[int, int | Fraction]] = []
-        self.infeasible = False
-        self.row_index: list[int] = []
-        self.weights: list[dict[int, int | Fraction]] = []
-        self.rhs: list[int | Fraction] = []
-        self.var_pos: dict[int, int] = {}
-        self.cols: list[tuple[tuple[int, int], ...]] = []
-        self.scales: list[int] = []
-        self.costs: list[int] = []
-        self.cost_scale = 1
-
+        self._start(rows)
         for idx, row in enumerate(rows):
             if row.rel not in (">=", "="):
                 raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
@@ -240,6 +231,41 @@ class Presolved:
                 self.combos.append(combo)
         self._add_inequalities(rows, 0)
 
+    @classmethod
+    def from_reduction(cls, rows, records, reduced) -> Presolved:
+        """The state of ``rows`` from a reduction made outside, in closed form.
+
+        ``records`` holds the record fields ``(pivot_vars, pivot_coefs,
+        rests, rest_rhs, combos)``, and ``reduced`` maps the key ``(sorted
+        reduced terms, reduced rhs)`` of each ``>=`` row that keeps a term,
+        first occurrence first, to its ``(row index, weights)``.  Both must
+        be what ``Presolved(rows)`` derives from a feasible reduction; only
+        the columns are built here.
+        """
+        state = cls.__new__(cls)
+        state._start(rows)
+        state.pivot_vars, state.pivot_coefs, state.rests, state.rest_rhs, state.combos = records
+        state._place(reduced)
+        return state
+
+    def _start(self, rows: tuple[LinearConstraint, ...]) -> None:
+        """A state of ``rows`` with no record and no column yet."""
+        self.rows = rows
+        self.pivot_vars: list[int] = []
+        self.pivot_coefs: list[int | Fraction] = []
+        self.rests: list[dict[int, int | Fraction]] = []
+        self.rest_rhs: list[int | Fraction] = []
+        self.combos: list[dict[int, int | Fraction]] = []
+        self.infeasible = False
+        self.row_index: list[int] = []
+        self.weights: list[dict[int, int | Fraction]] = []
+        self.rhs: list[int | Fraction] = []
+        self.var_pos: dict[int, int] = {}
+        self.cols: list[tuple[tuple[int, int], ...]] = []
+        self.scales: list[int] = []
+        self.costs: list[int] = []
+        self.cost_scale = 1
+
     def with_rows(self, rows) -> Presolved:
         """The state of ``self.rows`` plus the ``>=`` rows ``rows``.
 
@@ -257,8 +283,8 @@ class Presolved:
         return Presolved(state.rows)
 
     def _add_inequalities(self, rows: tuple[LinearConstraint, ...], offset: int) -> bool:
-        """Add the ``>=`` rows of ``rows``, rows ``offset`` on, as columns in
-        new containers; False when a new variable sorts below a placed one.
+        """Reduce and deduplicate the ``>=`` rows of ``rows``, rows
+        ``offset`` on, and place them with :meth:`_place`.
         """
         reduced = {}
         for idx, row in enumerate(rows, offset):
@@ -271,6 +297,13 @@ class Presolved:
                 self.infeasible = rhs > 0
                 continue
             reduced.setdefault((tuple(sorted(terms.items())), rhs), (idx, weights))
+        return self._place(reduced)
+
+    def _place(self, reduced: dict) -> bool:
+        """Add the reduced rows ``{(terms, rhs): (row index, weights)}`` as
+        columns in new containers; False when a new variable sorts below a
+        placed one.
+        """
         pos = dict(self.var_pos)
         new_vars = sorted({v for items, _ in reduced for v, _ in items} - pos.keys())
         if new_vars and pos and new_vars[0] < max(pos):
@@ -281,8 +314,8 @@ class Presolved:
         # one on a new variable repeats no old column
         new, placed = {}, len(self.var_pos)
         for (items, rhs), (idx, weights) in reduced.items():
-            scale = _lcm_of_denominators(c for _, c in items)
-            col = tuple((pos[v], _scaled(c, scale)) for v, c in items)
+            scale = _lcm_of_denominators([c for _, c in items])
+            col = tuple([(pos[v], _scaled(c, scale)) for v, c in items])
             if col[-1][0] >= placed or (col, scale, rhs) not in zip(self.cols, self.scales, self.rhs):
                 new[col, scale, rhs] = (idx, weights)
         scaled_costs = [-rhs * scale for _, scale, rhs in new]
@@ -597,10 +630,7 @@ class Session:
 
 
 def _lcm_of_denominators(values) -> int:
-    scale = 1
-    for v in values:
-        scale = math.lcm(scale, v.denominator)
-    return scale
+    return math.lcm(*[v.denominator for v in values])
 
 
 def _scaled(value: Fraction, scale: int) -> int:

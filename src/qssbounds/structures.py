@@ -226,8 +226,14 @@ def is_quantum(structure: AccessStructure) -> bool:
     )
 
 
-def _unauthorized_transversals(structure: AccessStructure) -> list[int]:
-    """Minimal sets of the dual that are unauthorized in ``structure``."""
+def unauthorized_transversals(structure: AccessStructure) -> list[int]:
+    """Minimal sets of the dual that are unauthorized in ``structure``, as masks.
+
+    A quantum structure is self-dual exactly when there are none, and
+    :func:`promote` purifies it with them; a caller that has checked
+    :func:`is_quantum` uses these two instead of :func:`is_self_dual` and
+    :func:`purify`, which would check it again.
+    """
     auth = structure.mask_authorized
     return [t for t in _blocker(m.bits for m in structure.minimal_sets) if not auth(t)]
 
@@ -239,7 +245,7 @@ def is_self_dual(structure: AccessStructure) -> bool:
     dual lies inside it exactly when every minimal set of the dual is
     authorized; neither test builds the dual.
     """
-    return is_quantum(structure) and not _unauthorized_transversals(structure)
+    return is_quantum(structure) and not unauthorized_transversals(structure)
 
 
 def purify(structure: AccessStructure) -> AccessStructure:
@@ -256,8 +262,13 @@ def purify(structure: AccessStructure) -> AccessStructure:
     """
     if not is_quantum(structure):
         raise StructureError("purification requires a quantum access structure")
+    return promote(structure, unauthorized_transversals(structure))
+
+
+def promote(structure: AccessStructure, unauthorized: list[int]) -> AccessStructure:
+    """:func:`purify` of a quantum structure, given its :func:`unauthorized_transversals`."""
     n = structure.n
-    promoted = [t | 1 << n for t in _unauthorized_transversals(structure)]
+    promoted = [t | 1 << n for t in unauthorized]
     if not promoted:
         return structure
     if n + 1 > CAPACITY - 1:

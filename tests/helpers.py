@@ -1,9 +1,12 @@
 """Shared test utilities: every antichain and random structures, known
-entropy points, the certificate of a plain LP and the 2^n enumerations
-behind `dual`, `is_self_dual` and `purify`."""
+entropy points, the certificate of a plain LP, the 2^n enumerations
+behind `dual`, `is_self_dual` and `purify`, and a counter on the pair
+scan of `is_quantum`."""
 
+import sys
 from fractions import Fraction
 
+from qssbounds import structures
 from qssbounds.prover import Certificate
 from qssbounds.structures import (
     CAPACITY,
@@ -146,3 +149,19 @@ def qutrit_threshold_vector(ground):
         point[mask] = Fraction(1 if size in (1, 3) else 2)
         point[mask | r] = Fraction({1: 2, 2: 1, 3: 0}[size])
     return point
+
+
+def count_quantum_scans(monkeypatch):
+    """A list that records the structure of each run of `is_quantum`'s pair
+    scan, under every name the package's modules import it by."""
+    calls = []
+    original = structures.is_quantum
+
+    def counted(structure):
+        calls.append(structure)
+        return original(structure)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qssbounds" and vars(module).get("is_quantum") is original:
+            monkeypatch.setattr(module, "is_quantum", counted)
+    return calls

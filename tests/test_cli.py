@@ -10,6 +10,8 @@ from qssbounds import cli, prover
 from qssbounds.cli import main
 from qssbounds.simplex import LPSolution, SimplexError
 
+from helpers import count_quantum_scans
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -827,13 +829,44 @@ class TestLemmasCommand:
         assert code == 3
 
     def test_auto_purify_prepares_the_structure_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        original = prover.is_quantum
-        monkeypatch.setattr(prover, "is_quantum", lambda s: calls.append(s) or original(s))
+        calls = count_quantum_scans(monkeypatch)
         path = write_structure(tmp_path, "g4.json", 4, [[1, 2], [1, 3], [2, 3, 4]])
         code, out, _ = run(capsys, "lemmas", "--in", path, "--auto-purify", "--ineq", "elemental")
         assert code == 0
         assert json.loads(out)["structure"]["n"] == 5
+        assert len(calls) == 1
+
+
+class TestQuantumScan:
+    """Each command checks its input for disjoint authorized sets once."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check",),
+            ("purify",),
+            ("bound", "--auto-purify"),
+            ("lemmas", "--auto-purify", "--ineq", "elemental"),
+            ("verify-cert", "--auto-purify", "--cert", "{cert}"),
+        ],
+        ids=["check", "purify", "bound", "lemmas", "verify-cert"],
+    )
+    def test_one_scan_per_command(self, capsys, tmp_path, monkeypatch, argv):
+        path = write_structure(tmp_path, "g4.json", 4, [[1, 2], [1, 3], [2, 3, 4]])
+        cert = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "bound", "--in", path, "--auto-purify", "--certificate", str(cert))
+        assert code == 0
+        calls = count_quantum_scans(monkeypatch)
+        flag = "--system-from" if argv[0] == "verify-cert" else "--in"
+        argv = [a.format(cert=cert) for a in argv]
+        assert run(capsys, argv[0], flag, path, *argv[1:])[0] == 0
+        assert len(calls) == 1
+
+    def test_pure_mode_refuses_a_structure_not_self_dual(self, capsys, tmp_path, monkeypatch):
+        path = write_structure(tmp_path, "g4.json", 4, [[1, 2], [1, 3], [2, 3, 4]])
+        calls = count_quantum_scans(monkeypatch)
+        code, _, err = run(capsys, "bound", "--in", path)
+        assert code == 1 and "pure mode needs a self-dual structure" in err
         assert len(calls) == 1
 
 

@@ -374,19 +374,36 @@ class TestSharedPresolve:
             solution = self.both_ways(system.ground.var_count, objective, rows, presolved)
             assert (solution.status, solution.pivots) == ("infeasible", 0)
 
+    @staticmethod
+    def count_presolves(monkeypatch):
+        """Lists that record each state built by ``__init__`` and by ``from_reduction``."""
+        inits, closed = [], []
+        init, from_reduction = Presolved.__init__, Presolved.from_reduction.__func__
+
+        def counted_init(self, rows):
+            inits.append(len(rows))
+            init(self, rows)
+
+        def counted_closed(cls, rows, records, reduced):
+            closed.append(len(rows))
+            return from_reduction(cls, rows, records, reduced)
+
+        monkeypatch.setattr(Presolved, "__init__", counted_init)
+        monkeypatch.setattr(Presolved, "from_reduction", classmethod(counted_closed))
+        cached_system.cache_clear()
+        return inits, closed
+
     def test_chain_presolves_its_rows_once(self, monkeypatch):
         # the bound LP adds its objective links to the quotient's state
-        built = []
-        original = Presolved.__init__
-
-        def counted(self, rows):
-            built.append(len(rows))
-            original(self, rows)
-
-        monkeypatch.setattr(Presolved, "__init__", counted)
-        cached_system.cache_clear()
+        inits, closed = self.count_presolves(monkeypatch)
         assert theorem3_chain(4).all_implied
-        assert len(built) == 1
+        assert len(inits) + len(closed) == 1
+
+    @pytest.mark.parametrize("structure", [THRESHOLD23, GAMMA4_BAR], ids=["threshold23", "g4bar"])
+    def test_pure_self_dual_bound_presolves_in_closed_form(self, monkeypatch, structure):
+        inits, closed = self.count_presolves(monkeypatch)
+        share_bound(structure, ineq="elemental")
+        assert (inits, len(closed)) == ([], 1)
 
     def test_shared_state_lives_with_the_system(self):
         system = cached_system(THRESHOLD23, True, "elemental")

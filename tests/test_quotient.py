@@ -126,6 +126,59 @@ def test_quotient_of_full_pure_rows_is_refused():
         build_system(THRESHOLD23, pure=True, ineq="full").quotient
 
 
+def presolve_fields(state):
+    """Every field of a presolved state, with each dict as its list of items
+    and each number with its type, so order and int-ness are compared too."""
+    def plain(value):
+        if isinstance(value, dict):
+            return [(plain(k), plain(v)) for k, v in value.items()]
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        return value if isinstance(value, str) else (type(value).__name__, value)
+    return {name: plain(value) for name, value in vars(state).items()}
+
+
+def closed_form_structures():
+    """Self-dual structures on 1 and 2 players, the purified quantum ones on
+    3, seeded ones on 4 and 5 players (purified when not self-dual) and the
+    purified staircases on 4 to 6 players."""
+    small = [s for n in (1, 2) for s in all_antichain_structures(n) if is_self_dual(s)]
+    pool = [purify(s) for s in all_antichain_structures(3) if is_quantum(s)]
+    rng = random.Random(18)
+    seeded = [random_quantum_structure(rng, n) for n in (4, 5) for _ in range(4)]
+    seeded = [s if is_self_dual(s) else purify(s) for s in seeded]
+    return list(dict.fromkeys(small + pool + seeded + [purify(csirmaz(n)[0]) for n in (4, 5, 6)]))
+
+
+def test_closed_form_presolve_is_the_generic_presolve(monkeypatch):
+    structures = closed_form_structures()
+    assert ONE_PLAYER in structures and {s.n for s in structures} == {1, 2, 3, 4, 5, 6, 7}
+    generic = []
+    original = Presolved.__init__
+    monkeypatch.setattr(Presolved, "__init__", lambda *a: generic.append(a) or original(*a))
+    for structure in structures:
+        quotient = build_system(structure, pure=True, ineq="elemental").quotient
+        closed = quotient.presolved
+        assert generic == [], structure
+        assert presolve_fields(closed) == presolve_fields(Presolved(quotient.rows)), structure
+        generic.clear()
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [from_minimal_sets(3, [[1, 2], [1, 3]]), from_minimal_sets(2, [[1], [2]])],
+    ids=["quantum", "not-quantum"],
+)
+def test_presolve_of_a_structure_that_is_not_self_dual_is_generic(monkeypatch, structure):
+    # such a pure system is never solved by the prover; its scheme rows contradict
+    assert not is_self_dual(structure)
+    monkeypatch.setattr(Presolved, "from_reduction", None)
+    quotient = build_system(structure, pure=True, ineq="elemental").quotient
+    state = quotient.presolved
+    assert state.infeasible
+    assert presolve_fields(state) == presolve_fields(Presolved(quotient.rows))
+
+
 @pytest.mark.parametrize(
     "ineq,elements", [("elemental", e) for e in range(2, 9)] + [("full", e) for e in range(2, 6)]
 )
