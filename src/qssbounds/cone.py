@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .simplex import LinearConstraint, Presolved, add_scaled
+from .simplex import LinearConstraint, LPProblem, Presolved, add_scaled
 from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, StructureError
 
 ZERO = 0
@@ -479,23 +479,28 @@ class Quotient:
     satisfies every row of the system, because each row there has the
     value of its mapped row here.
 
-    ``presolved`` is the :class:`simplex.Presolved` state of ``rows``.  On
-    a self-dual structure (of each player set A and its complement P\\A in
-    the player set P exactly one is authorized; P always is) it is known
-    from the masks.  ``normalize`` pins S(P) = 1 (record 0); the scheme
-    row of each A below the top player's bit h pins S(P\\A) to S(A) - 1
-    when A is authorized and to S(A) + 1 when not (record A); the other
-    scheme rows reduce to 0 = 0.  A ``>=`` row then keeps its terms below
-    h, moves S(P) to the right-hand side and S(Y) for any other Y onto
-    S(P\\Y).  That reduction is made in the loop that makes the rows, and
-    the state built from it equals ``Presolved(rows)`` field for field.
-    Any other structure gets ``Presolved(rows)`` on first use, which in
-    pure mode finds the scheme rows contradictory.
+    :meth:`problem` makes every LP solved on the quotient.  One on
+    ``rows`` alone shares their :class:`simplex.Presolved` state
+    ``presolved``; one that adds ``>=`` rows (the links of a minmax
+    objective, a refutation's cutoff) gets a state built whole.  On a
+    self-dual structure (of each player set A and its complement P\\A in
+    the player set P exactly one is authorized; P always is) both are
+    known from the masks.  ``normalize`` pins S(P) = 1 (record 0); the
+    scheme row of each A below the top player's bit h pins S(P\\A) to
+    S(A) - 1 when A is authorized and to S(A) + 1 when not (record A);
+    the other scheme rows reduce to 0 = 0.  A ``>=`` row then keeps its
+    terms below h or outside the quotient, moves S(P) to the right-hand
+    side and S(Y) for any other Y onto S(P\\Y).  ``rows`` are reduced
+    once, when the quotient is built, and a problem's own rows when it is
+    made; each state equals ``Presolved`` of its rows field for field.
+    Any other structure, and an added row that reduces to ``0 >= rhs >
+    0``, gets the generic presolve.
     """
 
     def __init__(self, system: ConstraintSystem) -> None:
         self.ground = ground = system.ground
         self.pure = system.pure
+        self._records = None
         if not self.pure:
             self.rows = system.constraints
             self.var_count = ground.var_count
@@ -507,35 +512,8 @@ class Quotient:
         labels = ground.labels
         # normalize, then the scheme row of each player set A at index A
         scheme = [self.map_row(row) for row in qss_constraints(system.structure, ground)]
-        # record 0 pins S(P) = 1; record A < h pins S(P\A) = S(A) - rest_rhs[A]
-        rest_rhs = [1] + [scheme[a].rhs - 1 for a in range(1, h)]
-        reduced = {}
-
-        def reduce(idx, terms):
-            """Substitute the records into ``terms >= 0``; keep the first of each result.
-
-            A row left with no term reads ``0 >= rhs``; on a self-dual
-            structure rhs <= 0, since a pure scheme satisfies every row.
-            """
-            kept, rhs, weights = {}, 0, {}
-            for y, c in reversed(terms):  # masks down, so records up
-                if y < h:
-                    kept[y] = kept.get(y, 0) + c
-                elif y == p:
-                    weights[0] = c
-                    rhs -= c
-                else:
-                    k = p ^ y
-                    weights[k] = -c
-                    kept[k] = kept.get(k, 0) + c
-                    rhs += c * rest_rhs[k]
-            items = tuple(sorted([t for t in kept.items() if t[1]]))
-            if items:
-                reduced.setdefault((items, rhs), (idx, weights))
-
         rows = []
         for x in range(1, r):
-            reduce(len(rows), ((x, ONE),))
             rows.append(_nonneg_constraint(labels, x))
         for ei in range(ground.total):
             for ej in range(ei + 1, ground.total):
@@ -560,27 +538,87 @@ class Quotient:
                             mapped[v] = mapped.get(v, 0) + c
                         mapped.pop(0, None)
                         terms = tuple(sorted([t for t in mapped.items() if t[1]]))
-                    reduce(len(rows), terms)
                     rows.append(LinearConstraint(pair + labels[k], terms, ">=", ZERO))
         i_norm = len(rows)
         rows.extend(scheme)
         self.rows = tuple(rows)
-        if all(scheme[a].rhs != scheme[p ^ a].rhs for a in range(1, h)):
-            # self-dual: the other scheme rows and recover:P reduce to 0 = 0
-            records = (
-                [p] + [p ^ a for a in range(1, h)],
-                [ONE] + [NEG_ONE] * (h - 1),
-                [{}] + [{a: ONE} for a in range(1, h)],
-                rest_rhs,
-                [{i_norm: ONE}] + [{i_norm: NEG_ONE, i_norm + a: ONE} for a in range(1, h)],
-            )
-            # an instance attribute, so the generic presolve below never runs
-            self.presolved = Presolved.from_reduction(self.rows, records, reduced)
+        if any(scheme[a].rhs == scheme[p ^ a].rhs for a in range(1, h)):
+            return
+        # self-dual: the other scheme rows and recover:P reduce to 0 = 0;
+        # record 0 pins S(P) = 1, record A < h pins S(P\A) = S(A) - rest_rhs[A]
+        rest_rhs = [ONE] + [scheme[a].rhs - 1 for a in range(1, h)]
+        self._records = (
+            [p] + [p ^ a for a in range(1, h)],
+            [ONE] + [NEG_ONE] * (h - 1),
+            [{}] + [{a: ONE} for a in range(1, h)],
+            rest_rhs,
+            [{i_norm: ONE}] + [{i_norm: NEG_ONE, i_norm + a: ONE} for a in range(1, h)],
+        )
+        self._reduced = {}
+        self._reduce(rows[:i_norm], 0, self._reduced)
+
+    def _reduce(self, rows, start: int, reduced: dict) -> bool:
+        """Substitute the records into the ``>=`` rows ``rows``, numbered from
+        ``start``, keeping the first row of each result in ``reduced``.
+
+        A row left with no term reads ``0 >= rhs``: False when rhs > 0,
+        which no row of a self-dual structure has, else the row is dropped.
+        """
+        h, p, rest_rhs = self.var_count >> 1, self.var_count - 1, self._records[3]
+        for idx, (_, terms, _, rhs) in enumerate(rows, start):
+            kept, weights = {}, {}
+            for y, c in reversed(terms):  # masks down, so records up
+                if y < h or y > p:
+                    kept[y] = kept.get(y, 0) + c
+                elif y == p:
+                    weights[0] = c
+                    rhs -= c
+                else:
+                    k = p ^ y
+                    weights[k] = -c
+                    kept[k] = kept.get(k, 0) + c
+                    rhs += c * rest_rhs[k]
+            items = tuple(sorted([t for t in kept.items() if t[1]]))
+            if items:
+                reduced.setdefault((items, rhs), (idx, weights))
+            elif rhs > 0:
+                return False
+        return True
 
     @cached_property
     def presolved(self) -> Presolved:
-        """The rows' presolve, shared by every objective solved on ``rows``."""
-        return Presolved(self.rows)
+        """The presolve of ``rows``, shared by every problem without rows of its own."""
+        if self._records is None:
+            return Presolved(self.rows)
+        return Presolved.from_reduction(self.rows, self._records, self._reduced)
+
+    def problem(self, num_vars: int, form, extra=()) -> LPProblem:
+        """The LP that minimizes ``form`` over ``rows`` plus the ``>=`` rows ``extra``.
+
+        ``form`` and ``extra`` are on the system's variables and are
+        mapped here; ``num_vars`` counts those variables and any of the
+        problem's own, such as the t of a minmax objective.  Without
+        ``extra`` the problem shares ``presolved``; with it the problem
+        gets a state of its own, built whole.  ``ValueError`` for an
+        ``extra`` row that is not ``>=``.
+        """
+        objective = self.map_terms(form)
+        if not extra:
+            return LPProblem(num_vars, objective, self.rows, self.presolved)
+        if any(row.rel != ">=" for row in extra):
+            raise ValueError("a problem adds only >= rows")
+        added = tuple(self.map_row(row) for row in extra)
+        rows, state = self.rows + added, None
+        if self._records is not None:
+            reduced = dict(self._reduced)
+            # whole coefficients as ints, as Presolved.reduce_form divides them out
+            whole = [
+                (rid, [(v, c.numerator if c.denominator == 1 else c) for v, c in terms], rel, rhs)
+                for rid, terms, rel, rhs in added
+            ]
+            if self._reduce(whole, len(self.rows), reduced):
+                state = Presolved.from_reduction(rows, self._records, reduced)
+        return LPProblem(num_vars, objective, rows, state or Presolved(rows))
 
     def map_terms(self, terms) -> tuple[tuple[int, Fraction], ...]:
         """Sparse form of ``terms`` on the quotient's variables."""

@@ -33,8 +33,10 @@ the quotient is the system itself.  The ``ineq`` choice only names the
 row set that certificates are replayed on and witnesses are checked
 against, and both checks run before any result is returned.
 
-Every LP solves on the quotient's presolved state, a bound LP and a
-refutation witness with their own rows added (`Presolved.with_rows`).
+The quotient makes every LP solved here (:meth:`cone.Quotient.problem`):
+a check's target over the quotient's rows, on their shared presolved
+state, and a bound LP or a refutation witness over those rows plus its
+own ``>=`` rows, on a state built whole for it.
 The checks of one suite share one :class:`simplex.Session`: each target
 restarts from the optimal basis of the one before it.  The session is a
 local of the suite (or of one `check_implied` call) and dies with it;
@@ -67,7 +69,6 @@ from .structures import (
     csirmaz,
     is_quantum,
     promote,
-    purify,
     structure_to_dict,
     theorem3_reference_bound,
     unauthorized_transversals,
@@ -344,8 +345,7 @@ def share_bound(
     elemental = cached_system(solved, mode == "pure", "elemental")
     extra, form, num_vars = objective_rows(elemental, obj)
     quotient = elemental.quotient
-    state = quotient.presolved.with_rows(quotient.map_row(row) for row in extra)
-    problem = LPProblem(num_vars, quotient.map_terms(form), state.rows, state)
+    problem = quotient.problem(num_vars, form, extra)
     solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError(
@@ -435,7 +435,8 @@ def _csirmaz_k_of(structure: AccessStructure) -> int | None:
             return params.k
     if structure.n >= 5:
         ref, params = csirmaz(structure.n - 1)
-        if purify(ref) == structure:
+        # a staircase is quantum by construction, so no pair scan is needed
+        if promote(ref, unauthorized_transversals(ref)) == structure:
             return params.k
     return None
 
@@ -550,8 +551,7 @@ def _prove_direction(
     objective = tuple(sorted(form.items()))
     elemental = cached_system(system.structure, system.pure, "elemental")
     quotient = elemental.quotient
-    mapped = quotient.map_terms(objective)
-    problem = LPProblem(elemental.ground.var_count, mapped, quotient.rows, quotient.presolved)
+    problem = quotient.problem(elemental.ground.var_count, objective)
     solution = solve(problem, session)
     if solution.status == "optimal" and solution.value >= bound:
         cert = _certify(system, objective, elemental, (), objective, problem, solution, bound)
@@ -559,7 +559,7 @@ def _prove_direction(
     if solution.status == "optimal":
         witness = quotient.lift(solution.primal)
     elif solution.status == "unbounded":
-        witness = _witness_below(quotient, mapped, bound)
+        witness = _witness_below(quotient, objective, bound)
     else:
         raise ProverError("implication system is infeasible; cannot check targets")
     _validate_witness(system, witness)
@@ -571,8 +571,7 @@ def _witness_below(quotient: Quotient, objective, bound):
     cutoff = LinearConstraint(
         "cutoff", tuple((v, -c) for v, c in objective), ">=", -(bound - 1)
     )
-    state = quotient.presolved.with_rows((cutoff,))
-    solution = solve(LPProblem(quotient.ground.var_count, (), state.rows, state))
+    solution = solve(quotient.problem(quotient.ground.var_count, (), (cutoff,)))
     if solution.status != "optimal":
         raise ProverError("failed to materialize a refutation witness")
     return quotient.lift(solution.primal)
@@ -779,7 +778,7 @@ class ChainReport:
 def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteInstance]]:
     """Purified staircase structure plus the telescoping proof steps."""
     structure, params = csirmaz(n)
-    purified = purify(structure)
+    purified = promote(structure, unauthorized_transversals(structure))
     if purified is structure:
         raise StructureError("staircase structure is unexpectedly self-dual")
     k = params.k

@@ -19,17 +19,15 @@ substitution.  The presolve depends only on the rows, so it is one
 reduced and deduplicated inequality rows with the weights that lift
 their multipliers back, and those rows as integer-scaled dual columns
 and costs.  The state reduces each objective and lifts each solution.
-``Presolved(rows)`` derives it from any rows;
-:meth:`Presolved.from_reduction` is handed the records and reduced rows
-by a caller that knows them in closed form (the pure quotient does);
-:meth:`Presolved.with_rows` derives the state of more ``>=`` rows from
-an existing one.  All three build the columns with the same code.  A
-problem may carry the state of its rows (a constraint system keeps one
-for the rows it is solved on); otherwise :func:`solve` builds it.  The
-solver sees only the rows it is given and returns a value, a point and
-one multiplier per row: mapping a system onto its quotient, turning
-multipliers into a certificate and printing rationals are the caller's
-business.
+Each state is built whole, from every row of its LP: ``Presolved(rows)``
+derives it from any rows, and :meth:`Presolved.from_reduction` is
+handed the records and reduced rows by a caller that knows them in
+closed form (the pure quotient does).  A problem may carry the state of
+its rows (a quotient shares one between objectives); otherwise
+:func:`solve` builds it.  The solver sees only the rows it is given and
+returns a value, a point and one multiplier per row: mapping a system
+onto its quotient, turning multipliers into a certificate and printing
+rationals are the caller's business.
 
 The costs of the dual form come from the rows alone and an objective
 only sets its right-hand side, so an optimal basis for one objective
@@ -67,7 +65,6 @@ session.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -202,10 +199,10 @@ class Presolved:
     ``infeasible`` records contradictory equalities or a row that reduces
     to ``0 >= rhs > 0``; every solve on the rows is then infeasible.
     Solves only read the state, so one state serves any number of
-    objectives.  ``__init__`` derives the records and the reduced rows,
-    :meth:`from_reduction` is handed them, and :meth:`with_rows` reduces
-    only the rows it adds; all three place the columns with
-    :meth:`_place`.
+    objectives.  A state is built whole, from every row of its LP:
+    ``__init__`` derives the records and the reduced rows,
+    :meth:`from_reduction` is handed them, and both place the columns
+    with :meth:`_place`.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
@@ -229,7 +226,19 @@ class Presolved:
                 self.rests.append(terms)
                 self.rest_rhs.append(rhs)
                 self.combos.append(combo)
-        self._add_inequalities(rows, 0)
+        if self.infeasible:
+            return
+        reduced = {}
+        for idx, row in enumerate(rows):
+            if row.rel == "=":
+                continue
+            terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
+            if terms:
+                reduced.setdefault((tuple(sorted(terms.items())), rhs), (idx, weights))
+            elif rhs > 0:
+                self.infeasible = True
+                return
+        self._place(reduced)
 
     @classmethod
     def from_reduction(cls, rows, records, reduced) -> Presolved:
@@ -266,70 +275,21 @@ class Presolved:
         self.costs: list[int] = []
         self.cost_scale = 1
 
-    def with_rows(self, rows) -> Presolved:
-        """The state of ``self.rows`` plus the ``>=`` rows ``rows``.
-
-        Only the new rows are reduced and deduplicated; this state is left
-        as it was.  New variables take the positions after the old ones,
-        so one that sorts below a placed variable gets a full presolve.
-        """
-        rows = tuple(rows)
-        if any(row.rel != ">=" or not all(c for _, c in row.terms) for row in rows):
-            raise ValueError("with_rows adds only >= rows with nonzero coefficients")
-        state = copy.copy(self)
-        state.rows = self.rows + rows
-        if state._add_inequalities(rows, len(self.rows)):
-            return state
-        return Presolved(state.rows)
-
-    def _add_inequalities(self, rows: tuple[LinearConstraint, ...], offset: int) -> bool:
-        """Reduce and deduplicate the ``>=`` rows of ``rows``, rows
-        ``offset`` on, and place them with :meth:`_place`.
-        """
-        reduced = {}
-        for idx, row in enumerate(rows, offset):
-            if self.infeasible:
-                return True
-            if row.rel == "=":
-                continue
-            terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
-            if not terms:
-                self.infeasible = rhs > 0
-                continue
-            reduced.setdefault((tuple(sorted(terms.items())), rhs), (idx, weights))
-        return self._place(reduced)
-
-    def _place(self, reduced: dict) -> bool:
-        """Add the reduced rows ``{(terms, rhs): (row index, weights)}`` as
-        columns in new containers; False when a new variable sorts below a
-        placed one.
-        """
-        pos = dict(self.var_pos)
-        new_vars = sorted({v for items, _ in reduced for v, _ in items} - pos.keys())
-        if new_vars and pos and new_vars[0] < max(pos):
-            return False
-        for v in new_vars:
-            pos[v] = len(pos)
-        # a column with its scale and rhs determines its reduced row, and
-        # one on a new variable repeats no old column
-        new, placed = {}, len(self.var_pos)
-        for (items, rhs), (idx, weights) in reduced.items():
-            scale = _lcm_of_denominators([c for _, c in items])
-            col = tuple([(pos[v], _scaled(c, scale)) for v, c in items])
-            if col[-1][0] >= placed or (col, scale, rhs) not in zip(self.cols, self.scales, self.rhs):
-                new[col, scale, rhs] = (idx, weights)
-        scaled_costs = [-rhs * scale for _, scale, rhs in new]
-        cost_scale = math.lcm(self.cost_scale, _lcm_of_denominators(scaled_costs))
-        factor = cost_scale // self.cost_scale
-        self.var_pos = pos
-        self.row_index = self.row_index + [idx for idx, _ in new.values()]
-        self.weights = self.weights + [weights for _, weights in new.values()]
-        self.cols = self.cols + [col for col, _, _ in new]
-        self.scales = self.scales + [scale for _, scale, _ in new]
-        self.rhs = self.rhs + [rhs for _, _, rhs in new]
-        self.costs = [c * factor for c in self.costs] + [_scaled(c, cost_scale) for c in scaled_costs]
-        self.cost_scale = cost_scale
-        return True
+    def _place(self, reduced: dict) -> None:
+        """Make the reduced rows ``{(terms, rhs): (row index, weights)}`` the columns."""
+        variables = sorted({v for items, _ in reduced for v, _ in items})
+        self.var_pos = pos = {v: i for i, v in enumerate(variables)}
+        self.scales = [_lcm_of_denominators([c for _, c in items]) for items, _ in reduced]
+        self.cols = [
+            tuple([(pos[v], _scaled(c, scale)) for v, c in items])
+            for (items, _), scale in zip(reduced, self.scales)
+        ]
+        self.rhs = [rhs for _, rhs in reduced]
+        self.row_index = [idx for idx, _ in reduced.values()]
+        self.weights = [weights for _, weights in reduced.values()]
+        scaled_costs = [-rhs * scale for rhs, scale in zip(self.rhs, self.scales)]
+        self.cost_scale = _lcm_of_denominators(scaled_costs)
+        self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
 
     def reduce_form(self, terms, rhs) -> tuple[dict, int | Fraction, dict]:
         """Substitute every record into ``terms . x >= rhs``.

@@ -35,7 +35,12 @@ from qssbounds.structures import (
     purify,
 )
 
-from helpers import plain_certificate, qutrit_threshold_vector, random_quantum_structure
+from helpers import (
+    count_quantum_scans,
+    plain_certificate,
+    qutrit_threshold_vector,
+    random_quantum_structure,
+)
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
@@ -83,6 +88,15 @@ class TestShareBound:
     def test_non_csirmaz_has_no_reference(self):
         report = share_bound(THRESHOLD23)
         assert report.k is None and report.theorem3_bound is None
+
+    def test_five_players_scan_only_the_input(self, monkeypatch):
+        # the four-player staircase the input is compared with is quantum
+        # by construction
+        star = from_minimal_sets(5, [[1, 2], [1, 3], [1, 4], [1, 5]])
+        calls = count_quantum_scans(monkeypatch)
+        report = share_bound(star, auto_purify=True, ineq="elemental")
+        assert report.purified and report.k is None
+        assert calls == [star]
 
     def test_purify_then_bound_consistency(self):
         direct = share_bound(GAMMA4_BAR, players=[1, 2, 3, 4])
@@ -394,10 +408,26 @@ class TestSharedPresolve:
         return inits, closed
 
     def test_chain_presolves_its_rows_once(self, monkeypatch):
-        # the bound LP adds its objective links to the quotient's state
+        # one quotient reduces its rows once; the suite's shared state and
+        # the bound's whole state, with its objective links, are built from that
         inits, closed = self.count_presolves(monkeypatch)
         assert theorem3_chain(4).all_implied
-        assert len(inits) + len(closed) == 1
+        assert (inits, len(closed)) == ([], 2)
+
+    def test_refutation_cutoff_presolves_in_closed_form(self, monkeypatch):
+        # -S(1) has no minimum, so the witness comes from a cutoff row
+        inits, closed = self.count_presolves(monkeypatch)
+        system = cached_system(THRESHOLD23, True, "elemental")
+        witness = []
+        below = prover._witness_below
+        monkeypatch.setattr(
+            prover, "_witness_below", lambda *a: witness.append(a) or below(*a)
+        )
+        result = check_implied(system, {1: -ONE}, ">=", 0)
+        assert not result.implied and result.witness[1] > 0
+        assert len(witness) == 1
+        # the shared state for the target and the whole state with the cutoff
+        assert (inits, len(closed)) == ([], 2)
 
     @pytest.mark.parametrize("structure", [THRESHOLD23, GAMMA4_BAR], ids=["threshold23", "g4bar"])
     def test_pure_self_dual_bound_presolves_in_closed_form(self, monkeypatch, structure):
@@ -722,6 +752,12 @@ class TestChain:
             (0b00011, Fraction(1)), (0b00100, Fraction(1)), (0b00111, Fraction(-1)),
         )
         assert step0.rhs == 2
+
+    def test_chain_scans_only_the_structure_it_solves(self, monkeypatch):
+        # the staircases it generates are quantum by construction
+        calls = count_quantum_scans(monkeypatch)
+        assert theorem3_chain(4).all_implied
+        assert [s.n for s in calls] == [5, 5]
 
     def test_chain_n4(self):
         report = theorem3_chain(4)

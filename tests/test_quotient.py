@@ -25,7 +25,7 @@ from qssbounds.prover import (
     theorem3_chain,
     verify_certificate,
 )
-from qssbounds.simplex import LPProblem, Presolved, Session, solve
+from qssbounds.simplex import LinearConstraint, LPProblem, Presolved, Session, solve
 from qssbounds.structures import (
     StructureError,
     csirmaz,
@@ -150,6 +150,22 @@ def closed_form_structures():
     return list(dict.fromkeys(small + pool + seeded + [purify(csirmaz(n)[0]) for n in (4, 5, 6)]))
 
 
+def added_rows(system):
+    """Four sets of ``>=`` rows a problem may add, on the system's variables,
+    each with whether it makes the problem infeasible."""
+    quotient, ground = system.quotient, system.ground
+    p, r = ground.player_mask, ground.reference_mask
+    links, _, _ = objective_rows(system, Objective("minmax", tuple(range(1, ground.players + 1))))
+    # S(1) is pinned on one player and kept or substituted on more, and
+    # S(R,1) maps onto S(P\1)
+    cutoff = LinearConstraint(
+        "cutoff", ((1, Fraction(-3, 2)), (r | 1, Fraction(2))), ">=", Fraction(-7, 3)
+    )
+    repeat = [row for row in quotient.rows if row.rel == ">="][-1]._replace(id="repeat")
+    negative = LinearConstraint("negative", ((p, -1),), ">=", 0)  # -S(P) >= 0 reads 0 >= 1
+    return [(links, False), ((cutoff,), False), ((repeat,), False), ((negative,), True)]
+
+
 def test_closed_form_presolve_is_the_generic_presolve(monkeypatch):
     structures = closed_form_structures()
     assert ONE_PLAYER in structures and {s.n for s in structures} == {1, 2, 3, 4, 5, 6, 7}
@@ -157,11 +173,29 @@ def test_closed_form_presolve_is_the_generic_presolve(monkeypatch):
     original = Presolved.__init__
     monkeypatch.setattr(Presolved, "__init__", lambda *a: generic.append(a) or original(*a))
     for structure in structures:
-        quotient = build_system(structure, pure=True, ineq="elemental").quotient
+        system = build_system(structure, pure=True, ineq="elemental")
+        quotient = system.quotient
+        num_vars = system.ground.var_count + 1
+        for extra, infeasible in added_rows(system):
+            problem = quotient.problem(num_vars, (), extra)
+            assert len(generic) == infeasible, (structure, extra)
+            assert problem.rows == quotient.rows + tuple(quotient.map_row(row) for row in extra)
+            assert problem.presolved.infeasible == infeasible
+            reference = Presolved(problem.rows)
+            assert presolve_fields(problem.presolved) == presolve_fields(reference), structure
+            generic.clear()
         closed = quotient.presolved
         assert generic == [], structure
+        assert quotient.problem(num_vars, ()).presolved is closed
         assert presolve_fields(closed) == presolve_fields(Presolved(quotient.rows)), structure
         generic.clear()
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_a_problem_adds_only_inequalities(pure):
+    quotient = cached_system(THRESHOLD23, pure, "elemental").quotient
+    with pytest.raises(ValueError, match="only >= rows"):
+        quotient.problem(quotient.ground.var_count, (), (LinearConstraint("eq", ((1, 1),), "=", 0),))
 
 
 @pytest.mark.parametrize(

@@ -739,89 +739,3 @@ class TestSessions:
         assert (unbounded.status, unbounded.pivots) == ("unbounded", 0)
         assert session.tableau is kept
 
-
-class TestWithInequality:
-    """More ``>=`` rows on a presolved state equal presolving all the rows."""
-
-    FIELDS = ("row_index", "weights", "rhs", "var_pos", "cols", "scales", "costs",
-              "cost_scale", "infeasible", "pivot_vars", "combos")
-
-    BASE = (
-        ({0: Fraction(1)}, "=", 1),
-        ({1: Fraction(1), 2: Fraction(1)}, ">=", 2),
-        ({0: Fraction(1), 1: Fraction(-1)}, ">=", Fraction(1, 2)),
-        ({2: Fraction(1)}, ">=", 0),
-    )
-
-    @staticmethod
-    def grown_and_fresh(base_rows, extra):
-        base = make_problem(5, {}, base_rows)
-        state = Presolved(base.rows)
-        rows = tuple(
-            LinearConstraint(f"extra{i}", tuple(sorted(terms.items())), ">=", rhs)
-            for i, (terms, rhs) in enumerate(extra)
-        )
-        grown = state.with_rows(rows)
-        fresh = Presolved(base.rows + rows)
-        assert grown.rows == fresh.rows
-        assert grown.infeasible == fresh.infeasible
-        if not fresh.infeasible:
-            for name in TestWithInequality.FIELDS:
-                assert getattr(grown, name) == getattr(fresh, name), name
-        # the state grown from is left as it was
-        untouched = Presolved(base.rows)
-        assert state.rows == untouched.rows
-        for name in TestWithInequality.FIELDS:
-            assert getattr(state, name) == getattr(untouched, name), name
-        assert state.with_rows(()).rows == base.rows
-        objectives = (((1, Fraction(1)),), ((1, Fraction(1)), (2, Fraction(1))), ((4, 1),), ())
-        for objective in objectives:
-            assert solve(LPProblem(5, objective, grown.rows, grown)) == solve(
-                LPProblem(5, objective, fresh.rows, fresh)
-            )
-        return state, grown
-
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ({0: Fraction(-1), 2: Fraction(-1)}, Fraction(-7, 2)),  # new cost scale
-            ({1: Fraction(1, 3)}, 0),  # new column scale
-            ({0: Fraction(1)}, 5),  # reduces to 0 >= 5 - 1: infeasible
-            ({0: Fraction(1)}, -1),  # reduces to 0 >= -2: dropped
-            ({3: Fraction(1)}, 0),  # a variable no other row contains
-        ],
-        ids=["cost-scale", "column-scale", "empty-infeasible", "empty-dropped", "new-variable"],
-    )
-    def test_matches_a_fresh_presolve(self, extra):
-        self.grown_and_fresh(self.BASE, [extra])
-
-    # the objective links of a minmax bound: -x_i + t >= 0 with t a new
-    # largest variable, here x4
-    OBJLINK = [({1: Fraction(-1), 4: Fraction(1)}, 0), ({2: Fraction(-1), 4: Fraction(1)}, 0)]
-
-    @pytest.mark.parametrize("infeasible", [False, True], ids=["feasible", "empty-infeasible"])
-    def test_several_rows_match_a_fresh_presolve(self, infeasible):
-        extra = self.OBJLINK + [
-            ({0: Fraction(-1), 2: Fraction(-1)}, Fraction(-7, 2)),  # new cost scale
-            ({1: Fraction(1, 3), 4: Fraction(1)}, 0),  # new column scale
-            ({0: Fraction(1)}, -1),  # reduces to 0 >= -2: dropped
-            ({1: Fraction(1), 2: Fraction(1)}, 2),  # a row the state already has
-            ({1: Fraction(-1), 4: Fraction(1)}, 0),  # a row repeated among the new ones
-        ]
-        if infeasible:
-            extra.insert(3, ({0: Fraction(1)}, 5))  # reduces to 0 >= 5 - 1
-        state, grown = self.grown_and_fresh(self.BASE, extra)
-        # the old columns keep their positions and are shared, not rebuilt
-        assert all(a is b for a, b in zip(grown.cols, state.cols))
-
-    def test_variable_below_a_placed_one_gets_a_full_presolve(self):
-        # x3 is in no base row but sorts below x4, which has a position
-        base = self.BASE + (({4: Fraction(1)}, ">=", 0),)
-        state, grown = self.grown_and_fresh(base, self.OBJLINK[:1] + [({3: Fraction(1)}, 1)])
-        assert grown.var_pos == {1: 0, 2: 1, 3: 2, 4: 3}
-        assert grown.cols[0] is not state.cols[0]
-
-    def test_only_inequalities_are_added(self):
-        state = Presolved(make_problem(5, {}, self.BASE).rows)
-        with pytest.raises(ValueError, match="only >= rows"):
-            state.with_rows((LinearConstraint("eq", ((1, 1),), "=", 0),))
