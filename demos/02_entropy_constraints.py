@@ -23,7 +23,7 @@ print("== a few rows, straight from the dump ==")
 for line in system.dump().splitlines()[:4]:
     print("   ", line)
 for cid in ("ssa:1;2|∅", "recover:1,2", "secrecy:1", "normalize", "purity"):
-    c = system.by_id[cid]
+    c = system.row(cid)
     terms = " ".join(f"{coef}*S({system.ground.label(v)})" for v, coef in c.terms)
     print(f"    {c.id} : {terms} {c.rel} {c.rhs}")
 

@@ -190,15 +190,18 @@ def cmd_purify(args) -> int:
 def _bound_options(args) -> dict:
     """`share_bound`'s keywords from the flags of `bound` and `verify-cert`.
 
-    A bad ``--objective`` or ``--players`` is refused before any file is read.
+    A bad ``--objective`` or ``--players``, or ``--players`` with
+    ``single:<i>``, is refused before any file is read.
     """
     try:
         # any one player stands in for the structure's, which are not read yet
-        Objective.parse(args.objective, (1,))
+        objective = Objective.parse(args.objective, (1,))
     except StructureError as exc:
         raise UsageError(
             f"bad --objective {args.objective!r}; use minmax, minsum or single:<i>"
         ) from exc
+    if objective.kind == "single" and args.players is not None:
+        raise UsageError(f"--players does not apply to --objective {args.objective}")
     return {
         "auto_purify": args.auto_purify,
         "mode": args.mode,

@@ -14,11 +14,12 @@ zero.  Generators emit three kinds of material:
   S(R) = 1 that fixes the unit to the secret's entropy;
 * optionally, global purity S(players + R) = 0, which together with the
   triangle instances forces S(X) = S(complement) for every X
-  (Araki-Lieb).  Pure systems are therefore solved on their
-  :class:`Quotient`, with one variable per complementary pair.  The
-  quotient maps rows forward and, with :meth:`Quotient.cancel` and the
-  elemental wm rows of :func:`complement_chain`, carries a combination
-  of rows back onto the system's own rows.
+  (Araki-Lieb).  Every system is solved on its :class:`Quotient` of the
+  elemental rows, whatever its family, in pure mode with one variable
+  per complementary pair.  The quotient maps rows forward and, with
+  :meth:`Quotient.cancel` and the elemental wm rows of
+  :func:`complement_chain`, carries a combination of rows back onto
+  the system's own rows.
 
 Terms never mention the empty set (its entropy is identically zero); the
 single ``emptyset`` equality keeps the variable pinned for solvers.
@@ -45,11 +46,12 @@ member of the system's family (see :meth:`ConstraintSystem.row` for the
 rules).  So replaying a certificate costs its own entries and labels,
 not the 2^(2·elements) rows of the full family, and works on ground
 sets too large to generate.  ``len`` and :meth:`ConstraintSystem.order_key`
-count rows and order ids in closed form, and the pure quotient is made
-from masks, so the ordered list of every row (``constraints``) is generated
-only for ``--dump-system``, witness checks and mixed-mode quotients.  The
-pure quotient of a self-dual structure also presolves its rows in closed
-form while it makes them (see :class:`Quotient`).
+count rows and order elemental ids in closed form, and the pure quotient
+is made from masks, so the ordered list of every row (``constraints``) is
+generated only for ``--dump-system``, witness checks and, on elemental
+rows, mixed-mode quotients.  The pure quotient of a self-dual structure
+also presolves its rows in closed form while it makes them (see
+:class:`Quotient`).
 """
 
 from __future__ import annotations
@@ -321,8 +323,8 @@ class ConstraintSystem:
     Building a system makes no row.  :meth:`row` makes the one row an id
     names and keeps it in a memo that lives as long as the system;
     ``constraints`` generates the ordered list of every row on first read
-    and fills the memo with it, and ``by_id`` indexes it.  ``len`` and
-    :meth:`order_key` count rows and order ids in closed form, making none.
+    and fills the memo with it.  ``len`` and :meth:`order_key` count rows
+    and order ids in closed form, making none.
     """
 
     def __init__(self, structure: AccessStructure, *, pure: bool, ineq: str) -> None:
@@ -347,30 +349,29 @@ class ConstraintSystem:
 
     @cached_property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        """Every row, in generation order, generated on first read.
+        """Every row, in generation order, generated on first read."""
+        return self._generate(self.ineq)
 
-        The rows also replace the memo of :meth:`row`, which from then on
-        holds every row and parses only ids that name none.
+    def _generate(self, ineq: str) -> tuple[LinearConstraint, ...]:
+        """Every row on the ``ineq`` family in generation order.
+
+        The rows also fill the memo of :meth:`row`, which once it holds
+        every row parses only ids that name none.
         """
-        rows = vn_inequalities(self.ground, self.ineq)
+        rows = vn_inequalities(self.ground, ineq)
         rows.extend(qss_constraints(self.structure, self.ground))
         if self.pure:
             rows.append(purity_constraint(self.ground))
-        self._memo = {c.id: c for c in rows}
+        self._memo.update((c.id, c) for c in rows)
         return tuple(rows)
 
-    @cached_property
-    def by_id(self) -> dict[str, LinearConstraint]:
-        """Every row by id, in generation order, built on first use."""
-        self.constraints  # generating the rows fills the memo with them
-        return self._memo
-
     def order_key(self, rid: str) -> tuple[int, ...]:
-        """Sort key of ``rid`` in ``constraints`` order, made once per id from its row.
+        """Sort key of ``rid`` in elemental generation order, made once per id from its row.
 
-        Families keep generation order; then elemental ``ssa:A;B|C`` sorts by
-        (A, B, -C), elemental ``wm:A;B|C`` by (C, -B), full ssa and wm rows by
-        (A ∪ C, B ∪ C) and any other row by its first term.
+        Certificates name elemental rows only, whatever the family, so the
+        key is theirs: families keep generation order; then ``ssa:A;B|C``
+        sorts by (A, B, -C), ``wm:A;B|C`` by (C, -B) and any other row by
+        its first term.
         """
         key = self._keys.get(rid)
         if key is None:
@@ -381,9 +382,7 @@ class ConstraintSystem:
             key = (rank, terms[0][0])
             if family in ("ssa", "wm"):
                 x, y = (v for v, c in terms if c > 0)
-                if self.ineq == "full":
-                    key = (rank, x, y)
-                elif family == "ssa":
+                if family == "ssa":
                     key = (rank, x & ~y, y & ~x, -(x & y))
                 else:
                     key = (rank, x & y, -max(x & ~y, y & ~x))
@@ -445,7 +444,7 @@ class ConstraintSystem:
 
     @cached_property
     def quotient(self) -> Quotient:
-        """The rows every LP on this system is solved on, built on first use.
+        """The elemental quotient every LP on this system is solved on, built on first use.
 
         It lives as long as the system, so a cache that drops the system
         drops the quotient and its presolve too.
@@ -474,10 +473,10 @@ class Quotient:
     ``0 >= 0``, each repeat kept under its first id: ``nonneg:X`` for X
     below R, ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K}
     (rest = F\\{i,j}; K itself when rest is empty), no wm row, and the
-    scheme rows and ``normalize`` mapped.  Full pure rows are refused.  In
-    mixed mode the rows are the system's own.  A lifted quotient point
-    satisfies every row of the system, because each row there has the
-    value of its mapped row here.
+    scheme rows and ``normalize`` mapped.  In mixed mode the rows are the
+    elemental rows unmapped.  A lifted quotient point satisfies every
+    elemental row, which has the value of its mapped row here, and so
+    every row of either family, whose cones are the same.
 
     :meth:`problem` makes every LP solved on the quotient.  One on
     ``rows`` alone shares their :class:`simplex.Presolved` state
@@ -502,11 +501,10 @@ class Quotient:
         self.pure = system.pure
         self._records = None
         if not self.pure:
-            self.rows = system.constraints
+            elemental = system.ineq == "elemental"
+            self.rows = system.constraints if elemental else system._generate("elemental")
             self.var_count = ground.var_count
             return
-        if system.ineq != "elemental":
-            raise StructureError("a pure quotient is built from the elemental rows only")
         r = self.var_count = ground.reference_mask
         p, full, h = r - 1, ground.full_mask, r >> 1
         labels = ground.labels

@@ -2,7 +2,7 @@
 
 `share_bound` turns an access structure into the entropy constraint
 system, attaches an objective over selected share entropies and solves it
-exactly.  `bound_setup` turns its keywords into the structure, replay rows
+exactly.  `bound_setup` turns its keywords into the structure, system
 and objective, and the ``verify-cert`` command replays on those.
 
 This module owns the :class:`Certificate`: `_certify` builds it from a
@@ -18,29 +18,26 @@ entropies is a consequence of a system by minimizing its slack; the
 lemma and chain suites drive it, in one loop, over the scheme relations
 that every perfect realization must satisfy.
 
-Every LP here is solved on the :class:`cone.Quotient` of the elemental
-rows.  The elemental rows generate the same cone as the full rows and
-are a subset of them, id for id, so a certificate on them is also a
-certificate for the full system, and a point satisfying them satisfies
-every full row.  In pure mode the quotient has one variable per
-complementary pair; its multipliers name original rows, and `_expand`
-turns them into a certificate on those rows plus the elemental wm rows
-:meth:`cone.Quotient.cancel` adds, so no new row is needed, in the order
-of :meth:`cone.ConstraintSystem.order_key`.  Pure quotients are emitted
-from masks, so only a refutation witness reads a system's list of every
-row.  Quotient points lift back to points of the system.  In mixed mode
-the quotient is the system itself.  The ``ineq`` choice only names the
-row set that certificates are replayed on and witnesses are checked
-against, and both checks run before any result is returned.
+Every LP here is made by the quotient of the system it is given
+(:meth:`cone.Quotient.problem`), the quotient of the elemental rows
+whatever the family.  They generate the same cone as the full rows and
+are a subset of them, id for id, so a certificate on them is also one
+for the full system, and a point satisfying them satisfies every full
+row.  Quotient multipliers name original rows, and `_expand` turns them
+into a certificate on those rows plus the elemental wm rows
+:meth:`cone.Quotient.cancel` adds, in the order of
+:meth:`cone.ConstraintSystem.order_key`, reading rows from the memo that
+replay reads too.  The ``ineq`` choice only names the row set that
+certificates are replayed on and witnesses are checked against, and
+both checks run before any result is returned.
 
-The quotient makes every LP solved here (:meth:`cone.Quotient.problem`):
-a check's target over the quotient's rows, on their shared presolved
-state, and a bound LP or a refutation witness over those rows plus its
-own ``>=`` rows, on a state built whole for it.
-The checks of one suite share one :class:`simplex.Session`: each target
-restarts from the optimal basis of the one before it.  The session is a
-local of the suite (or of one `check_implied` call) and dies with it;
-bound LPs are solved cold.
+A check's target is solved over the quotient's rows, on their shared
+presolved state, and a bound LP or a refutation witness over those rows
+plus its own ``>=`` rows, on a state built whole for it.  The checks of
+one suite share one :class:`simplex.Session`: each target restarts from
+the optimal basis of the one before it.  The session is a local of the
+suite (or of one `check_implied` call) and dies with it; bound LPs are
+solved cold.
 """
 
 from __future__ import annotations
@@ -296,22 +293,25 @@ def bound_setup(
     structure: AccessStructure, *, auto_purify: bool, mode: str, ineq: str,
     objective: str | Objective, players: Iterable[int] | None, max_elements: int, force: bool,
 ) -> tuple[AccessStructure, bool, ConstraintSystem, Objective]:
-    """The structure, purified flag, replay rows and objective of a bound.
+    """The structure, purified flag, system and objective of a bound.
 
     Reads `share_bound`'s keywords; the objective is over every player of
-    the structure to solve unless ``players`` names some.
+    the structure to solve unless ``players`` names some, which
+    ``single:<i>`` refuses.
     """
     if mode not in ("pure", "mixed"):
         raise StructureError(f"unknown mode {mode!r}")
+    if players is not None and isinstance(objective, str) and objective.startswith("single:"):
+        raise StructureError("a single-share objective takes no player list")
     solved, purified = prepare_structure(
         structure, pure=mode == "pure", auto_purify=auto_purify,
         max_elements=max_elements, force=force,
     )
-    replay = cached_system(solved, mode == "pure", ineq)
+    system = cached_system(solved, mode == "pure", ineq)
     if isinstance(objective, str):
         selected = tuple(players) if players is not None else tuple(range(1, solved.n + 1))
         objective = Objective.parse(objective, selected)
-    return solved, purified, replay, objective
+    return solved, purified, system, objective
 
 
 def share_bound(
@@ -338,13 +338,12 @@ def share_bound(
     share of a dummy player, bounds no rate and raises ``ProverError``.
     """
     started = time.perf_counter()
-    solved, purified, replay, obj = bound_setup(
+    solved, purified, system, obj = bound_setup(
         structure, auto_purify=auto_purify, mode=mode, ineq=ineq, objective=objective,
         players=players, max_elements=max_elements, force=force,
     )
-    elemental = cached_system(solved, mode == "pure", "elemental")
-    extra, form, num_vars = objective_rows(elemental, obj)
-    quotient = elemental.quotient
+    extra, form, num_vars = objective_rows(system, obj)
+    quotient = system.quotient
     problem = quotient.problem(num_vars, form, extra)
     solution = solve(problem)
     if solution.status != "optimal":
@@ -357,7 +356,7 @@ def share_bound(
             f"the {obj.describe()} objective has LP value {rat_str(solution.value)}, "
             "which bounds no information rate"
         )
-    cert = _certify(replay, obj, elemental, extra, form, problem, solution, solution.value)
+    cert = _certify(system, obj, extra, form, problem, solution, solution.value)
 
     k = _csirmaz_k_of(structure)
     return BoundReport(
@@ -373,24 +372,24 @@ def share_bound(
         certificate=cert,
         rows=len(problem.rows),
         # the quotient's variables plus the objective's own (t for minmax)
-        cols=quotient.var_count + num_vars - elemental.ground.var_count,
+        cols=quotient.var_count + num_vars - system.ground.var_count,
         pivots=solution.pivots,
         millis=int((time.perf_counter() - started) * 1000),
     )
 
 
 def _certify(
-    replay: ConstraintSystem, objective, elemental: ConstraintSystem, extra, form,
+    system: ConstraintSystem, objective, extra, form,
     problem: LPProblem, solution: LPSolution, claimed: Fraction,
 ) -> Certificate:
-    """The certificate of ``form`` >= ``claimed`` from an optimal quotient LP.
+    """The certificate of ``form`` >= ``claimed`` from an optimal LP on ``system.quotient``.
 
     Its entries are `_expand`'s; ``ProverError`` if it does not replay on
-    ``replay`` against ``objective`` (an :class:`Objective` or ``form``).
+    ``system`` against ``objective`` (an :class:`Objective` or ``form``).
     """
-    entries = _expand(elemental, extra, problem.rows, *solution.multipliers, form)
+    entries = _expand(system, extra, problem.rows, *solution.multipliers, form)
     cert = Certificate(claimed, entries, form)
-    if not verify_certificate(replay, cert, objective=objective):
+    if not verify_certificate(system, cert, objective=objective):
         raise ProverError("emitted certificate failed independent replay")
     return cert
 
@@ -549,12 +548,11 @@ def _prove_direction(
 ):
     """Try to certify form . S >= bound; return (cert, witness, pivots)."""
     objective = tuple(sorted(form.items()))
-    elemental = cached_system(system.structure, system.pure, "elemental")
-    quotient = elemental.quotient
-    problem = quotient.problem(elemental.ground.var_count, objective)
+    quotient = system.quotient
+    problem = quotient.problem(system.ground.var_count, objective)
     solution = solve(problem, session)
     if solution.status == "optimal" and solution.value >= bound:
-        cert = _certify(system, objective, elemental, (), objective, problem, solution, bound)
+        cert = _certify(system, objective, (), objective, problem, solution, bound)
         return cert, None, solution.pivots
     if solution.status == "optimal":
         witness = quotient.lift(solution.primal)

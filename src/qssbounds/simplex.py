@@ -76,7 +76,7 @@ from typing import NamedTuple
 MAX_ITERATIONS = 2_000_000
 
 #: Consecutive degenerate dual pivots after which the dual Bland rule takes over.
-DEGENERATE_RUN = 50
+DEGENERATE_RUN = 500
 
 
 class SimplexError(RuntimeError):

@@ -401,6 +401,18 @@ class TestBound:
                 assert "Traceback" not in err
         assert not (batch / "a.report.json").exists()
 
+    def test_players_with_single_objective_is_usage_error(self, capsys, tmp_path):
+        # refused before any file is read: none of these paths exists
+        missing = str(tmp_path / "missing.json")
+        for argv in (
+            ("bound", "--in", missing),
+            ("bound", "--batch", str(tmp_path / "missing")),
+            ("verify-cert", "--system-from", missing, "--cert", missing),
+        ):
+            code, out, err = run(capsys, *argv, "--objective", "single:2", "--players", "1,3")
+            assert (code, out) == (2, ""), argv
+            assert err == "error: --players does not apply to --objective single:2\n", argv
+
     def test_bound_without_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound")
         assert code == 2

@@ -190,8 +190,8 @@ class TestPurity:
 
     def test_absent_in_mixed_mode(self):
         system = build_system(GAMMA4_BAR, pure=False)
-        assert "purity" not in system.by_id
-        assert "purity" in build_system(GAMMA4_BAR, pure=True).by_id
+        assert "purity" not in {c.id for c in system.constraints}
+        assert "purity" in {c.id for c in build_system(GAMMA4_BAR, pure=True).constraints}
 
 
 class TestMutualInformation:
@@ -347,7 +347,7 @@ class TestRowById:
             structure = mixed_structure(players)
             full = build_system(structure, pure=pure, ineq="full")
             elemental = build_system(structure, pure=pure, ineq="elemental")
-            members = set(elemental.by_id)
+            members = {c.id for c in elemental.constraints}
             probe = build_system(structure, pure=pure, ineq="elemental")
             for c in full.constraints:
                 if c.id in members:
@@ -366,7 +366,7 @@ class TestRowById:
         # family holds a row under that id, and then gives that row
         for pure in (True, False):
             system = build_system(GAMMA4_BAR, pure=pure, ineq=ineq)
-            members = system.by_id
+            members = {c.id: c for c in system.constraints}
             probe = build_system(GAMMA4_BAR, pure=pure, ineq=ineq)
             for c in system.constraints:
                 if c.family not in ("ssa", "wm"):
@@ -419,7 +419,7 @@ class TestRowById:
         assert system.row("secrecy:1").rhs == 0
         assert "constraints" not in vars(system)
         # once the list is generated the memo holds every row; the rest still parse and fail
-        generated = system.by_id["secrecy:1"]
+        generated = next(c for c in system.constraints if c.id == "secrecy:1")
         assert system.row("secrecy:1") is generated
         for rid in self.HOSTILE:
             with pytest.raises(KeyError):

@@ -147,6 +147,11 @@ class TestShareBound:
         with pytest.raises(StructureError, match=repr(spec)):
             share_bound(THRESHOLD23, objective=spec)
 
+    @pytest.mark.parametrize("players", [[1, 3], [2], []])
+    def test_single_objective_refuses_a_player_list(self, players):
+        with pytest.raises(StructureError, match="takes no player list"):
+            share_bound(THRESHOLD23, objective="single:2", players=players)
+
     def test_single_objective_takes_one_player(self):
         with pytest.raises(StructureError, match="exactly one player"):
             Objective("single", (1, 2))
@@ -307,6 +312,16 @@ class TestSuiteSessions:
         warm += sum(o.pivots for o in suite.outcomes)
         cold += cold_direction_pivots(GAMMA4_BAR, [o.instance for o in suite.outcomes])
         assert warm <= cold
+
+    def test_final_step_of_chain_7_pivots_no_more_than_cold(self):
+        # the dual Bland rule, once it took over after 50 degenerate
+        # pivots, made this warm solve 18206 pivots long against 846 cold
+        report = theorem3_chain(7)
+        assert report.all_implied
+        final = report.steps[-1]
+        assert final.instance.id == "final"
+        purified, _, _ = staircase_chain_instances(7)
+        assert final.pivots <= cold_direction_pivots(purified, [final.instance])
 
     @pytest.mark.parametrize(
         "run",
@@ -509,7 +524,7 @@ def reference_replay(system, cert, objective):
         extra, form, _ = objective_rows(system, objective)
     else:
         extra, form = (), tuple(objective)
-    rows = dict(system.by_id)
+    rows = {c.id: c for c in system.constraints}
     rows.update((row.id, row) for row in extra)
     combo, total = {}, Fraction(0)
     for rid, mult in cert.entries:
@@ -535,7 +550,7 @@ def replay_outcome(replay, system, cert, objective):
 def certificate_variants(system, cert):
     """The certificate and variants of it that replay must judge alike."""
     entries, claim = cert.entries, cert.claimed_bound
-    first = next(i for i, (rid, _) in enumerate(entries) if system.by_id[rid].rel == ">=")
+    first = next(i for i, (rid, _) in enumerate(entries) if system.row(rid).rel == ">=")
     rid, mult = entries[first]
     rest = entries[:first] + entries[first + 1:]
 

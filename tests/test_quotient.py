@@ -5,12 +5,13 @@ per complementary pair and its certificates are expanded back onto the
 elemental rows.  The plain LPs here are built in the tests themselves.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qssbounds import cone
+from qssbounds import cone, prover
 from qssbounds.cone import build_system, complement_chain, sparse_form
 from qssbounds.prover import (
     Certificate,
@@ -27,7 +28,6 @@ from qssbounds.prover import (
 )
 from qssbounds.simplex import LinearConstraint, LPProblem, Presolved, Session, solve
 from qssbounds.structures import (
-    StructureError,
     csirmaz,
     from_minimal_sets,
     is_quantum,
@@ -121,9 +121,13 @@ def test_quotient_matches_the_reference_on_small_structures():
         assert_quotient_is_the_reference(structure)
 
 
-def test_quotient_of_full_pure_rows_is_refused():
-    with pytest.raises(StructureError):
-        build_system(THRESHOLD23, pure=True, ineq="full").quotient
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_quotient_of_full_rows_is_the_elemental_quotient(pure):
+    for structure in (ONE_PLAYER, THRESHOLD23, GAMMA4_BAR):
+        full = build_system(structure, pure=pure, ineq="full").quotient
+        elemental = build_system(structure, pure=pure, ineq="elemental").quotient
+        assert full.rows == elemental.rows
+        assert presolve_fields(full.presolved) == presolve_fields(elemental.presolved)
 
 
 def presolve_fields(state):
@@ -218,9 +222,11 @@ def test_presolve_of_a_structure_that_is_not_self_dual_is_generic(monkeypatch, s
 )
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
 def test_order_key_sorts_ids_into_generation_order(ineq, elements, pure):
-    # player 1 alone is authorized, so both recover and secrecy rows occur
-    system = build_system(from_minimal_sets(elements - 1, [[1]]), pure=pure, ineq=ineq)
-    ids = [c.id for c in system.constraints]
+    # player 1 alone is authorized, so both recover and secrecy rows occur;
+    # certificates name elemental rows only, so either family orders those
+    structure = from_minimal_sets(elements - 1, [[1]])
+    system = build_system(structure, pure=pure, ineq=ineq)
+    ids = [c.id for c in build_system(structure, pure=pure, ineq="elemental").constraints]
     shuffled = random.Random(elements).sample(ids, len(ids))
     assert sorted(shuffled, key=system.order_key) == ids
     keys = [system.order_key(rid) for rid in ids]
@@ -326,10 +332,11 @@ class TestExpansion:
         elemental = cached_system(structure, True, "elemental")
         report = share_bound(structure, ineq="full")
         links = {f"objlink:{i}" for i in range(1, structure.n + 1)}
-        assert {rid for rid, _ in report.certificate.entries} <= set(elemental.by_id) | links
+        members = {c.id for c in elemental.constraints}
+        assert {rid for rid, _ in report.certificate.entries} <= members | links
         for inst in scheme_relation_instances(structure, elemental.ground):
             for cert in check_implied(elemental, dict(inst.terms), inst.rel, inst.rhs).certificates:
-                assert {rid for rid, _ in cert.entries} <= set(elemental.by_id)
+                assert {rid for rid, _ in cert.entries} <= members
 
     def test_chain_sums_to_the_complement_relation(self):
         elemental = cached_system(STAR3_BAR, True, "elemental")
@@ -340,7 +347,7 @@ class TestExpansion:
             assert len(chain) == y.bit_count()
             total = {}
             for row in chain:
-                assert elemental.by_id[row.id] == row
+                assert elemental.row(row.id) == row
                 assert (row.rel, row.rhs) == (">=", 0)
                 for v, c in row.terms:
                     total[v] = total.get(v, 0) + c
@@ -425,3 +432,56 @@ class TestCsirmazLadder:
         assert report.lp_value >= report.theorem3_bound == Fraction(7, 5)
         elemental = cached_system(report.structure, True, "elemental")
         assert verify_certificate(elemental, report.certificate, objective=report.objective)
+
+
+class TestOneSystemPerSolve:
+    """Every LP runs on the elemental quotient of the system it is given."""
+
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_full_and_elemental_solves_agree(self, structure, mode):
+        for objective in ("minmax", "minsum"):
+            full, elemental = (
+                share_bound(structure, mode=mode, ineq=ineq, objective=objective).to_json_dict()
+                for ineq in ("full", "elemental")
+            )
+            assert json.dumps(full["certificate"]) == json.dumps(elemental["certificate"])
+            for report, ineq in ((full, "full"), (elemental, "elemental")):
+                assert report.pop("ineq") == ineq
+                del report["stats"]["millis"]
+            assert full == elemental, objective
+        if mode == "pure":
+            full, elemental = (lemma_suite(structure, ineq=ineq) for ineq in ("full", "elemental"))
+            assert [(o.instance, o.implied, o.pivots) for o in full.outcomes] == [
+                (o.instance, o.implied, o.pivots) for o in elemental.outcomes
+            ]
+
+    def test_full_solves_build_one_system_and_parse_each_id_once(self, monkeypatch):
+        builds, parses, named = [], [], []
+        build, parse = prover.build_system, cone.ConstraintSystem._parse
+        verify = prover.verify_certificate
+
+        def counted_verify(system, cert, *, objective):
+            named.extend(rid for rid, _ in cert.entries if not rid.startswith("objlink:"))
+            return verify(system, cert, objective=objective)
+
+        def counted_build(*args, **kwargs):
+            builds.append(kwargs["ineq"])
+            return build(*args, **kwargs)
+
+        def counted_parse(system, rid):
+            parses.append(rid)
+            return parse(system, rid)
+
+        monkeypatch.setattr(prover, "build_system", counted_build)
+        monkeypatch.setattr(cone.ConstraintSystem, "_parse", counted_parse)
+        monkeypatch.setattr(prover, "verify_certificate", counted_verify)
+        runs = (lambda: share_bound(GAMMA4_BAR, ineq="full"), lambda: lemma_suite(THRESHOLD23))
+        for run in runs:
+            cached_system.cache_clear()
+            for seen in (builds, parses, named):
+                seen.clear()
+            run()
+            assert builds == ["full"]
+            # the rows of one memo serve the expansion and the replay
+            assert named and sorted(parses) == sorted(set(named))

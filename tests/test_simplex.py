@@ -657,7 +657,8 @@ def checked_duals(monkeypatch):
 class TestSessions:
     """Warm restarts in a session against cold solves on the same state."""
 
-    @pytest.mark.parametrize("degenerate_run", [simplex.DEGENERATE_RUN, 1, 0])
+    # 50 switches to the dual Bland rule on far shorter degenerate runs than the default
+    @pytest.mark.parametrize("degenerate_run", [simplex.DEGENERATE_RUN, 50, 1, 0])
     @pytest.mark.parametrize("shape", ["general", "degenerate", "lowrank", "infeasible"])
     def test_seeded_objectives_match_cold_solves(
         self, monkeypatch, checked_duals, shape, degenerate_run
