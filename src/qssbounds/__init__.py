@@ -17,7 +17,6 @@ from .structures import (
     csirmaz_k,
     dual,
     from_minimal_sets,
-    is_authorized,
     is_quantum,
     is_self_dual,
     purify,
@@ -30,7 +29,6 @@ from .cone import (
     GroundSet,
     LinearConstraint,
     build_system,
-    mutual_information_expr,
     purity_constraint,
     qss_constraints,
     vn_inequalities,

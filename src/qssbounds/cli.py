@@ -7,7 +7,8 @@ JSON (stable key order, rationals as "p/q" strings, no floats) or, under
 ``--format text``, a human-readable rendering that prints sets as (1,2)
 tuples and the purifying party as ``p``; ``bound --batch`` prints JSON only.
 ``bound`` and ``verify-cert`` read their shared flags into `share_bound`'s
-keywords, and refuse a bad one before any file is read.
+keywords, and refuse a bad one before any file is read.  Every command
+refuses an ``--out`` it cannot write before it does any work.
 
 Exit codes: 0 success / implied / verified; 1 a checked property fails
 or a certificate is rejected; 2 usage error or malformed input; 3
@@ -40,6 +41,7 @@ from .prover import (
     verify_certificate,
 )
 from .structures import (
+    CAPACITY,
     AccessStructure,
     CapacityError,
     StructureError,
@@ -193,15 +195,18 @@ def _bound_options(args) -> dict:
     A bad ``--objective`` or ``--players``, or ``--players`` with
     ``single:<i>``, is refused before any file is read.
     """
+    # one player stands in for the structure's and for the --players list,
+    # which are read later
     try:
-        # any one player stands in for the structure's, which are not read yet
-        objective = Objective.parse(args.objective, (1,))
+        Objective.parse(args.objective, None, 1)
     except StructureError as exc:
         raise UsageError(
             f"bad --objective {args.objective!r}; use minmax, minsum or single:<i>"
         ) from exc
-    if objective.kind == "single" and args.players is not None:
-        raise UsageError(f"--players does not apply to --objective {args.objective}")
+    try:
+        Objective.parse(args.objective, None if args.players is None else (1,), 1)
+    except StructureError as exc:
+        raise UsageError(f"--players does not apply to --objective {args.objective}") from exc
     return {
         "auto_purify": args.auto_purify,
         "mode": args.mode,
@@ -209,7 +214,6 @@ def _bound_options(args) -> dict:
         "objective": args.objective,
         "players": _parse_players(args.players),
         "max_elements": args.limit_elements,
-        "force": args.force,
     }
 
 
@@ -243,7 +247,7 @@ def cmd_bound(args) -> int:
         return _cmd_bound_batch(args, options)
     if not args.infile:
         raise UsageError("bound needs --in FILE (or --batch DIR)")
-    for path in (args.out, args.certificate, args.dump_system):
+    for path in (args.certificate, args.dump_system):
         _check_writable(path)
     report = share_bound(_load_structure(args.infile), **options)
     data = report.to_json_dict()
@@ -344,7 +348,6 @@ def cmd_lemmas(args) -> int:
         auto_purify=args.auto_purify,
         ineq=args.ineq,
         max_elements=args.limit_elements,
-        force=args.force,
     )
     failures = report.failures()
     _output(
@@ -358,12 +361,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    report = theorem3_chain(
-        args.n,
-        ineq=args.ineq,
-        max_elements=args.limit_elements,
-        force=args.force,
-    )
+    report = theorem3_chain(args.n, ineq=args.ineq, max_elements=args.limit_elements)
     data = report.to_json_dict()
     lines = [f"k = {report.k}, closed-form bound {data['theorem3_bound']}"]
     for step in report.steps:
@@ -383,7 +381,7 @@ def _add_common(
 ) -> None:
     """Add the shared flags a subcommand reads, and no others.
 
-    ``rows`` adds ``--ineq``, ``--limit-elements`` and ``--force``;
+    ``rows`` adds ``--ineq`` and ``--limit-elements``;
     ``objective`` adds ``--mode``, ``--objective`` and ``--players``;
     ``auto_purify`` adds ``--auto-purify``.  Argparse then rejects any
     flag the subcommand would ignore.
@@ -414,9 +412,9 @@ def _add_common(
             "--limit-elements",
             type=int,
             default=DEFAULT_ELEMENT_LIMIT,
-            help="largest allowed ground-set size without --force",
+            help="largest allowed ground-set size (players plus reference); "
+            f"{CAPACITY} admits every structure",
         )
-        parser.add_argument("--force", action="store_true", help="override the limit")
 
 
 @cache
@@ -489,6 +487,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not getattr(args, "batch", None):  # a batch's --out is a directory
+            _check_writable(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

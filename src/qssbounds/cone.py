@@ -62,7 +62,7 @@ from functools import cached_property
 from math import comb
 
 from .simplex import LinearConstraint, LPProblem, Presolved, add_scaled
-from .structures import CAPACITY, AccessStructure, CapacityError, PlayerSet, StructureError
+from .structures import CAPACITY, AccessStructure, CapacityError, StructureError
 
 ZERO = 0
 ONE = 1
@@ -308,15 +308,6 @@ def purity_constraint(ground: GroundSet) -> LinearConstraint:
     return LinearConstraint("purity", ((ground.full_mask, ONE),), "=", ZERO)
 
 
-def mutual_information_expr(a: PlayerSet, b: PlayerSet) -> dict[int, Fraction]:
-    """Sparse form of I(A:B) = S(A)+S(B)-S(A,B) for disjoint A, B."""
-    if a.n != b.n:
-        raise StructureError("operands live on different ground sets")
-    if a.bits & b.bits:
-        raise StructureError("mutual information needs disjoint arguments")
-    return dict(sparse_form((a.bits, ONE), (b.bits, ONE), (a.bits | b.bits, NEG_ONE)))
-
-
 class ConstraintSystem:
     """The rows of one structure, mode and inequality family, made on demand.
 
@@ -489,9 +480,9 @@ class Quotient:
     S(A) - 1 when A is authorized and to S(A) + 1 when not (record A);
     the other scheme rows reduce to 0 = 0.  A ``>=`` row then keeps its
     terms below h or outside the quotient, moves S(P) to the right-hand
-    side and S(Y) for any other Y onto S(P\\Y).  ``rows`` are reduced
-    once, when the quotient is built, and a problem's own rows when it is
-    made; each state equals ``Presolved`` of its rows field for field.
+    side and S(Y) for any other Y onto S(P\\Y).  The ``>=`` rows are
+    reduced where a state is built, so no reduction outlives its state;
+    each state equals ``Presolved`` of its rows field for field.
     Any other structure, and an added row that reduces to ``0 >= rhs >
     0``, gets the generic presolve.
     """
@@ -552,8 +543,7 @@ class Quotient:
             rest_rhs,
             [{i_norm: ONE}] + [{i_norm: NEG_ONE, i_norm + a: ONE} for a in range(1, h)],
         )
-        self._reduced = {}
-        self._reduce(rows[:i_norm], 0, self._reduced)
+        self._inequalities = i_norm
 
     def _reduce(self, rows, start: int, reduced: dict) -> bool:
         """Substitute the records into the ``>=`` rows ``rows``, numbered from
@@ -583,12 +573,19 @@ class Quotient:
                 return False
         return True
 
+    def _reduction(self, added=()) -> dict | None:
+        """The reduced ``>=`` rows of ``rows`` and then ``added``, as `_reduce`
+        keeps them; None when an added row reduces to ``0 >= rhs > 0``."""
+        reduced = {}
+        self._reduce(self.rows[:self._inequalities], 0, reduced)
+        return reduced if self._reduce(added, len(self.rows), reduced) else None
+
     @cached_property
     def presolved(self) -> Presolved:
         """The presolve of ``rows``, shared by every problem without rows of its own."""
         if self._records is None:
             return Presolved(self.rows)
-        return Presolved.from_reduction(self.rows, self._records, self._reduced)
+        return Presolved.from_reduction(self.rows, self._records, self._reduction())
 
     def problem(self, num_vars: int, form, extra=()) -> LPProblem:
         """The LP that minimizes ``form`` over ``rows`` plus the ``>=`` rows ``extra``.
@@ -608,13 +605,12 @@ class Quotient:
         added = tuple(self.map_row(row) for row in extra)
         rows, state = self.rows + added, None
         if self._records is not None:
-            reduced = dict(self._reduced)
             # whole coefficients as ints, as Presolved.reduce_form divides them out
-            whole = [
+            reduced = self._reduction([
                 (rid, [(v, c.numerator if c.denominator == 1 else c) for v, c in terms], rel, rhs)
                 for rid, terms, rel, rhs in added
-            ]
-            if self._reduce(whole, len(self.rows), reduced):
+            ])
+            if reduced is not None:
                 state = Presolved.from_reduction(rows, self._records, reduced)
         return LPProblem(num_vars, objective, rows, state or Presolved(rows))
 

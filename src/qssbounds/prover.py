@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .cone import (
     ConstraintSystem,
@@ -60,6 +60,7 @@ from .cone import (
 )
 from .simplex import LPProblem, LPSolution, Session, add_scaled, solve
 from .structures import (
+    CAPACITY,
     AccessStructure,
     CapacityError,
     StructureError,
@@ -75,8 +76,9 @@ ZERO = 0
 ONE = 1
 TWO = 2
 
-#: Ground-set sizes above this need force=True; exact pivoting on larger
-#: instances can take far longer than the defaults should.
+#: Ground-set sizes above this need a larger ``max_elements``
+#: (``--limit-elements``); exact pivoting on larger instances can take far
+#: longer than the defaults should.  ``CAPACITY`` admits every structure.
 DEFAULT_ELEMENT_LIMIT = 9
 
 
@@ -102,14 +104,17 @@ class Objective:
             raise StructureError(f"objective names a player twice: {self.players}")
 
     @classmethod
-    def parse(cls, spec: str, default_players: Sequence[int]) -> "Objective":
-        """``minmax`` or ``minsum`` over the players, or ``single:<i>`` in ASCII digits."""
+    def parse(cls, spec: str, players: Iterable[int] | None, n: int) -> "Objective":
+        """``minmax`` or ``minsum`` over ``players`` (all of 1..n when None),
+        or ``single:<i>`` in ASCII digits, which takes no player list."""
         if spec.startswith("single:"):
             player = spec.removeprefix("single:")
             if not (player.isascii() and player.isdigit()):
                 raise StructureError(f"bad objective {spec!r}; use single:<player>")
+            if players is not None:
+                raise StructureError("a single-share objective takes no player list")
             return cls("single", (int(player),))
-        return cls(spec, tuple(default_players))
+        return cls(spec, tuple(range(1, n + 1)) if players is None else tuple(players))
 
     def describe(self) -> str:
         if self.kind == "single":
@@ -262,13 +267,12 @@ def prepare_structure(
     pure: bool = True,
     auto_purify: bool = False,
     max_elements: int = DEFAULT_ELEMENT_LIMIT,
-    force: bool = False,
 ) -> tuple[AccessStructure, bool]:
     """The structure a solve runs on, and whether it had to be purified.
 
     Rejects structures that are not quantum, pure mode on a structure
     that is not self-dual unless ``auto_purify`` is set, and ground sets
-    (players plus reference) above ``max_elements`` unless ``force`` is.
+    (players plus reference) above ``max_elements``.
     """
     if not is_quantum(structure):
         raise StructureError("proving requires a quantum access structure")
@@ -281,37 +285,30 @@ def prepare_structure(
             "pure mode needs a self-dual structure; purify it first "
             "(auto_purify=True, --auto-purify)"
         )
-    if solved.n + 1 > max_elements and not force:
+    if solved.n + 1 > max_elements:
         raise CapacityError(
             f"{solved.n + 1} ground elements exceed the limit {max_elements}; "
-            "pass force=True (--force) for long runs"
+            f"raise max_elements (--limit-elements, up to {CAPACITY}) for long runs"
         )
     return solved, solved is not structure
 
 
 def bound_setup(
     structure: AccessStructure, *, auto_purify: bool, mode: str, ineq: str,
-    objective: str | Objective, players: Iterable[int] | None, max_elements: int, force: bool,
+    objective: str, players: Iterable[int] | None, max_elements: int,
 ) -> tuple[AccessStructure, bool, ConstraintSystem, Objective]:
     """The structure, purified flag, system and objective of a bound.
 
-    Reads `share_bound`'s keywords; the objective is over every player of
-    the structure to solve unless ``players`` names some, which
-    ``single:<i>`` refuses.
+    Reads `share_bound`'s keywords; `Objective.parse` reads the objective
+    over the players of the structure to solve.
     """
     if mode not in ("pure", "mixed"):
         raise StructureError(f"unknown mode {mode!r}")
-    if players is not None and isinstance(objective, str) and objective.startswith("single:"):
-        raise StructureError("a single-share objective takes no player list")
     solved, purified = prepare_structure(
-        structure, pure=mode == "pure", auto_purify=auto_purify,
-        max_elements=max_elements, force=force,
+        structure, pure=mode == "pure", auto_purify=auto_purify, max_elements=max_elements
     )
     system = cached_system(solved, mode == "pure", ineq)
-    if isinstance(objective, str):
-        selected = tuple(players) if players is not None else tuple(range(1, solved.n + 1))
-        objective = Objective.parse(objective, selected)
-    return solved, purified, system, objective
+    return solved, purified, system, Objective.parse(objective, players, solved.n)
 
 
 def share_bound(
@@ -320,10 +317,9 @@ def share_bound(
     auto_purify: bool = False,
     mode: str = "pure",
     ineq: str = "full",
-    objective: str | Objective = "minmax",
+    objective: str = "minmax",
     players: Iterable[int] | None = None,
     max_elements: int = DEFAULT_ELEMENT_LIMIT,
-    force: bool = False,
 ) -> BoundReport:
     """Exact lower bound on max share entropy, in units of the secret.
 
@@ -340,7 +336,7 @@ def share_bound(
     started = time.perf_counter()
     solved, purified, system, obj = bound_setup(
         structure, auto_purify=auto_purify, mode=mode, ineq=ineq, objective=objective,
-        players=players, max_elements=max_elements, force=force,
+        players=players, max_elements=max_elements,
     )
     extra, form, num_vars = objective_rows(system, obj)
     quotient = system.quotient
@@ -713,7 +709,6 @@ def lemma_suite(
     auto_purify: bool = False,
     ineq: str = "full",
     max_elements: int = DEFAULT_ELEMENT_LIMIT,
-    force: bool = False,
 ) -> SuiteReport:
     """Check that every scheme relation is implied by the system.
 
@@ -721,21 +716,19 @@ def lemma_suite(
     (the relations are stated in pure mode).  Expected outcome: every
     instance implied.
     """
-    return _run_suite(structure, ineq, scheme_relation_instances, max_elements, force, auto_purify)
+    return _run_suite(structure, ineq, scheme_relation_instances, max_elements, auto_purify)
 
 
 def _run_suite(
     structure: AccessStructure, ineq: str,
     instances_of: Callable[[AccessStructure, GroundSet], Iterable[SuiteInstance]],
-    max_elements: int, force: bool, auto_purify: bool = False,
+    max_elements: int, auto_purify: bool = False,
 ) -> SuiteReport:
     """Check ``instances_of(structure, ground)`` in one session on the pure ``ineq`` rows.
 
     The structure is the one `prepare_structure` returns, in pure mode.
     """
-    structure, _ = prepare_structure(
-        structure, auto_purify=auto_purify, max_elements=max_elements, force=force
-    )
+    structure, _ = prepare_structure(structure, auto_purify=auto_purify, max_elements=max_elements)
     started = time.perf_counter()
     system = cached_system(structure, True, ineq)
     session = Session()
@@ -825,7 +818,6 @@ def theorem3_chain(
     *,
     ineq: str = "full",
     max_elements: int = DEFAULT_ELEMENT_LIMIT,
-    force: bool = False,
 ) -> ChainReport:
     """Replay the telescoping share-size argument for the staircase family.
 
@@ -835,8 +827,8 @@ def theorem3_chain(
     the minmax bound and reports it next to the closed-form reference.
     """
     purified, k, instances = staircase_chain_instances(n)
-    suite = _run_suite(purified, ineq, lambda *_: instances, max_elements, force)
-    bound = share_bound(purified, ineq=ineq, max_elements=max_elements, force=force)
+    suite = _run_suite(purified, ineq, lambda *_: instances, max_elements)
+    bound = share_bound(purified, ineq=ineq, max_elements=max_elements)
     return ChainReport(
         n=n,
         k=k,

@@ -103,9 +103,6 @@ class LinearConstraint(NamedTuple):
     def family(self) -> str:
         return self.id.split(":", 1)[0]
 
-    def terms_dict(self) -> dict[int, int | Fraction]:
-        return dict(self.terms)
-
     def satisfied_by(self, point: dict) -> bool:
         val = sum(c * point.get(v, 0) for v, c in self.terms)
         return val == self.rhs if self.rel == "=" else val >= self.rhs

@@ -50,14 +50,6 @@ class PlayerSet:
             bits |= 1 << (p - 1)
         return cls(bits, n)
 
-    @classmethod
-    def empty(cls, n: int) -> "PlayerSet":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "PlayerSet":
-        return cls((1 << n) - 1, n)
-
     def players(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
 
@@ -77,26 +69,6 @@ class PlayerSet:
     def union(self, other: "PlayerSet") -> "PlayerSet":
         self._check_same_ground(other)
         return PlayerSet(self.bits | other.bits, self.n)
-
-    def intersection(self, other: "PlayerSet") -> "PlayerSet":
-        self._check_same_ground(other)
-        return PlayerSet(self.bits & other.bits, self.n)
-
-    def difference(self, other: "PlayerSet") -> "PlayerSet":
-        self._check_same_ground(other)
-        return PlayerSet(self.bits & ~other.bits, self.n)
-
-    def complement(self) -> "PlayerSet":
-        """Complement within the declared ground set {1..n}."""
-        return PlayerSet(~self.bits & ((1 << self.n) - 1), self.n)
-
-    def issubset(self, other: "PlayerSet") -> bool:
-        self._check_same_ground(other)
-        return not self.bits & ~other.bits
-
-    def isdisjoint(self, other: "PlayerSet") -> bool:
-        self._check_same_ground(other)
-        return not self.bits & other.bits
 
     def sort_key(self) -> tuple[int, int]:
         """Canonical order: cardinality ascending, bitmask value ascending."""
@@ -170,11 +142,6 @@ def from_minimal_sets(n: int, sets: Iterable[Iterable[int]]) -> AccessStructure:
             raise StructureError("authorized sets must be nonempty")
     members.sort(key=PlayerSet.sort_key)
     return AccessStructure(n, tuple(members))
-
-
-def is_authorized(structure: AccessStructure, subset: PlayerSet) -> bool:
-    """True iff ``subset`` contains a minimal set of ``structure``."""
-    return structure.is_authorized(subset)
 
 
 def _blocker(masks: Iterable[int]) -> list[int]:

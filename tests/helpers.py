@@ -50,7 +50,7 @@ def random_structure(rng, n):
         masks = [PlayerSet.from_players(n, s) for s in sets]
         keep = [
             a for a in masks
-            if not any(b.issubset(a) and b != a for b in masks)
+            if not any(not b.bits & ~a.bits and b != a for b in masks)
         ]
         uniq = {m.bits: m for m in keep}
         try:

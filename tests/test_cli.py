@@ -920,3 +920,43 @@ class TestChainCommand:
         assert [s["id"] for s in data["steps"]] == [
             "step:0", "step:1", "telescoped", "final",
         ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--in", "t.json"),
+        ("verify-cert", "--system-from", "t.json", "--cert", "c.json"),
+        ("lemmas", "--in", "t.json"),
+        ("chain", "--n", "4"),
+    ],
+    ids=["bound", "verify-cert", "lemmas", "chain"],
+)
+def test_force_is_not_a_flag(capsys, argv):
+    # --limit-elements is the only limit; 16 admits every structure
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,work",
+    [
+        (("lemmas", "--in", "{t}"), "lemma_suite"),
+        (("chain", "--n", "4"), "theorem3_chain"),
+        (("verify-cert", "--system-from", "{t}", "--cert", "{t}"), "bound_setup"),
+    ],
+    ids=["lemmas", "chain", "verify-cert"],
+)
+def test_out_in_missing_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, work):
+    path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *(a.format(t=path) for a in argv), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")

@@ -9,7 +9,6 @@ import pytest
 from qssbounds.cone import (
     GroundSet,
     build_system,
-    mutual_information_expr,
     purity_constraint,
     qss_constraints,
     vn_inequalities,
@@ -17,7 +16,6 @@ from qssbounds.cone import (
 from qssbounds.prover import Certificate, Objective, verify_certificate
 from qssbounds.structures import (
     CapacityError,
-    PlayerSet,
     StructureError,
     csirmaz,
     from_minimal_sets,
@@ -192,31 +190,6 @@ class TestPurity:
         system = build_system(GAMMA4_BAR, pure=False)
         assert "purity" not in {c.id for c in system.constraints}
         assert "purity" in {c.id for c in build_system(GAMMA4_BAR, pure=True).constraints}
-
-
-class TestMutualInformation:
-    def test_basic(self):
-        a = PlayerSet.from_players(4, [1])
-        r = PlayerSet.from_players(4, [4])  # reference modelled as element 4 here
-        expr = mutual_information_expr(a, r)
-        assert expr == {0b0001: 1, 0b1000: 1, 0b1001: -1}
-
-    def test_empty_argument_gives_zero_form(self):
-        a = PlayerSet.empty(4)
-        b = PlayerSet.from_players(4, [2])
-        assert mutual_information_expr(a, b) == {}
-
-    def test_three_term_expansion(self):
-        a = PlayerSet.from_players(6, [1, 2])
-        b = PlayerSet.from_players(6, [3])
-        expr = mutual_information_expr(a, b)
-        assert sorted(expr.values()) == [-1, 1, 1]
-
-    def test_rejects_overlap(self):
-        a = PlayerSet.from_players(3, [1, 2])
-        b = PlayerSet.from_players(3, [2])
-        with pytest.raises(StructureError):
-            mutual_information_expr(a, b)
 
 
 class TestSystem:

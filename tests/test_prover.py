@@ -26,6 +26,7 @@ from qssbounds.prover import (
 )
 from qssbounds.simplex import LinearConstraint, LPProblem, Presolved, solve
 from qssbounds.structures import (
+    CAPACITY,
     CapacityError,
     StructureError,
     csirmaz,
@@ -117,14 +118,21 @@ class TestShareBound:
         # refusal names self-duality, not capacity
         wide = from_minimal_sets(15, [[1, 2]])
         with pytest.raises(StructureError, match="pure mode needs a self-dual structure"):
-            prover.prepare_structure(wide, force=True)
+            prover.prepare_structure(wide, max_elements=CAPACITY)
         with pytest.raises(CapacityError, match="would exceed 15 players"):
-            prover.prepare_structure(wide, auto_purify=True, force=True)
+            prover.prepare_structure(wide, auto_purify=True, max_elements=CAPACITY)
 
     def test_limit_guard(self):
         big, _ = csirmaz(9)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="--limit-elements"):
             share_bound(big, auto_purify=True)
+
+    def test_capacity_limit_admits_every_structure(self):
+        # 15 players plus the reference fill the 16 ground elements
+        widest = from_minimal_sets(CAPACITY - 1, [[1]])
+        assert prover.prepare_structure(widest, max_elements=CAPACITY) == (widest, False)
+        with pytest.raises(CapacityError, match="16 ground elements exceed the limit 15"):
+            prover.prepare_structure(widest, max_elements=CAPACITY - 1)
 
     @pytest.mark.parametrize("ineq", ["full", "elemental"])
     @pytest.mark.parametrize("mode", ["pure", "mixed"])
@@ -139,8 +147,6 @@ class TestShareBound:
         report = share_bound(THRESHOLD23, objective="single:2")
         assert report.objective.kind == "single"
         assert report.lp_value == 1
-        given = share_bound(THRESHOLD23, objective=Objective("single", (2,)))
-        assert (given.objective, given.certificate) == (report.objective, report.certificate)
 
     @pytest.mark.parametrize("spec", ["single:x", "single:", "single:1.5", "median"])
     def test_malformed_single_objective_is_a_structure_error(self, spec):
@@ -151,6 +157,14 @@ class TestShareBound:
     def test_single_objective_refuses_a_player_list(self, players):
         with pytest.raises(StructureError, match="takes no player list"):
             share_bound(THRESHOLD23, objective="single:2", players=players)
+
+    def test_objective_parse_refuses_a_player_list_with_single(self):
+        assert Objective.parse("single:2", None, 3) == Objective("single", (2,))
+        assert Objective.parse("minsum", None, 3) == Objective("minsum", (1, 2, 3))
+        assert Objective.parse("minsum", (2,), 3) == Objective("minsum", (2,))
+        for players in ((1, 3), (2,), ()):
+            with pytest.raises(StructureError, match="takes no player list"):
+                Objective.parse("single:2", players, 3)
 
     def test_single_objective_takes_one_player(self):
         with pytest.raises(StructureError, match="exactly one player"):
@@ -842,5 +856,5 @@ class TestElementalSpansFullCone:
         full = cached_system(THRESHOLD23, True, "full")
         candidates = [c for c in full.constraints if c.family in ("ssa", "wm")]
         for c in rng.sample(candidates, 25):
-            res = check_implied(elemental, c.terms_dict(), ">=", c.rhs)
+            res = check_implied(elemental, dict(c.terms), ">=", c.rhs)
             assert res.implied, c.id
