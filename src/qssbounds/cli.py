@@ -137,7 +137,7 @@ def _parse_players(text: str | None) -> tuple[int, ...] | None:
     if not all(p.isascii() and p.isdigit() for p in tokens):
         raise UsageError(f"bad --players list {text!r}")
     try:
-        # the player rules of every objective that takes a list
+        # the player rules of every objective
         return Objective("minsum", tuple(int(p) for p in tokens)).players
     except StructureError as exc:
         raise UsageError(f"bad --players list {text!r}: {exc}") from exc
@@ -192,21 +192,14 @@ def cmd_purify(args) -> int:
 def _bound_options(args) -> dict:
     """`share_bound`'s keywords from the flags of `bound` and `verify-cert`.
 
-    A bad ``--objective`` or ``--players``, or ``--players`` with
-    ``single:<i>``, is refused before any file is read.
+    A bad ``--objective`` or ``--players`` is refused before any file is
+    read.
     """
-    # one player stands in for the structure's and for the --players list,
-    # which are read later
+    # one player stands in for the structure's, which is read later
     try:
         Objective.parse(args.objective, None, 1)
     except StructureError as exc:
-        raise UsageError(
-            f"bad --objective {args.objective!r}; use minmax, minsum or single:<i>"
-        ) from exc
-    try:
-        Objective.parse(args.objective, None if args.players is None else (1,), 1)
-    except StructureError as exc:
-        raise UsageError(f"--players does not apply to --objective {args.objective}") from exc
+        raise UsageError(f"bad --objective {args.objective!r}; use minmax or minsum") from exc
     return {
         "auto_purify": args.auto_purify,
         "mode": args.mode,
@@ -395,7 +388,7 @@ def _add_common(
         parser.add_argument(
             "--objective",
             default="minmax",
-            help="minmax | minsum | single:<i>",
+            help="minmax | minsum; minsum with --players i bounds share i alone",
         )
         parser.add_argument("--players", help="comma-separated share indices")
     if auto_purify:

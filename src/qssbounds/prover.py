@@ -88,42 +88,28 @@ class ProverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Objective:
-    """Share-entropy objective: minmax, minsum or a single share."""
+    """Share-entropy objective: minmax or minsum over the chosen players."""
 
     kind: str
     players: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("minmax", "minsum", "single"):
+        if self.kind not in ("minmax", "minsum"):
             raise StructureError(f"unknown objective kind {self.kind!r}")
         if not self.players:
             raise StructureError("objective needs at least one player")
-        if self.kind == "single" and len(self.players) != 1:
-            raise StructureError("single-share objective takes exactly one player")
         if len(set(self.players)) != len(self.players):
             raise StructureError(f"objective names a player twice: {self.players}")
 
     @classmethod
     def parse(cls, spec: str, players: Iterable[int] | None, n: int) -> "Objective":
-        """``minmax`` or ``minsum`` over ``players`` (all of 1..n when None),
-        or ``single:<i>`` in ASCII digits, which takes no player list."""
-        if spec.startswith("single:"):
-            player = spec.removeprefix("single:")
-            if not (player.isascii() and player.isdigit()):
-                raise StructureError(f"bad objective {spec!r}; use single:<player>")
-            if players is not None:
-                raise StructureError("a single-share objective takes no player list")
-            return cls("single", (int(player),))
+        """``minmax`` or ``minsum`` over ``players`` (all of 1..n when None)."""
         return cls(spec, tuple(range(1, n + 1)) if players is None else tuple(players))
 
     def describe(self) -> str:
-        if self.kind == "single":
-            return f"single share {self.players[0]}"
         return f"{self.kind} over players " + ",".join(map(str, self.players))
 
     def to_json_dict(self) -> dict:
-        if self.kind == "single":
-            return {"kind": "single", "player": self.players[0]}
         return {"kind": self.kind, "players": list(self.players)}
 
 

@@ -1,12 +1,12 @@
 """Shared test utilities: every antichain and random structures, known
 entropy points, the certificate of a plain LP, the 2^n enumerations
-behind `dual`, `is_self_dual` and `purify`, and a counter on the pair
-scan of `is_quantum`."""
+behind `dual`, `is_self_dual` and `purify`, a counter on the pair
+scan of `is_quantum`, and a certificate emitter that replay must reject."""
 
 import sys
 from fractions import Fraction
 
-from qssbounds import structures
+from qssbounds import prover, structures
 from qssbounds.prover import Certificate
 from qssbounds.structures import (
     CAPACITY,
@@ -165,3 +165,15 @@ def count_quantum_scans(monkeypatch):
         if name.split(".")[0] == "qssbounds" and vars(module).get("is_quantum") is original:
             monkeypatch.setattr(module, "is_quantum", counted)
     return calls
+
+
+def bump_first_multiplier(monkeypatch):
+    """Make `prover._expand` raise its first multiplier by 1, so that every
+    certificate it emits fails replay."""
+    real = prover._expand
+
+    def bumped(*args):
+        (rid, mult), *rest = real(*args)
+        return ((rid, mult + 1), *rest)
+
+    monkeypatch.setattr(prover, "_expand", bumped)

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from qssbounds import cli, prover
+from qssbounds import cli, prover, simplex
 from qssbounds.cli import main
 from qssbounds.simplex import LPSolution, SimplexError
 
-from helpers import count_quantum_scans
+from helpers import bump_first_multiplier, count_quantum_scans
 
 
 def run(capsys, *argv):
@@ -358,10 +358,11 @@ class TestBound:
     def test_zero_lp_value_fails_cleanly(self, capsys, tmp_path, flags):
         path = write_structure(tmp_path, "s.json", 4, [[2]])
         code, out, err = run(
-            capsys, "bound", "--in", path, "--objective", "single:1", "--auto-purify", *flags
+            capsys, "bound", "--in", path, "--objective", "minsum", "--players", "1",
+            "--auto-purify", *flags,
         )
         assert (code, out) == (1, "")
-        assert err.startswith("failed: the single share 1 objective has LP value 0/1")
+        assert err.startswith("failed: the minsum over players 1 objective has LP value 0/1")
 
     def test_bad_objective_is_usage_error(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
@@ -372,7 +373,7 @@ class TestBound:
             ("verify-cert", "--system-from", nonquantum, "--cert", str(tmp_path / "c.json")),
         ):
             # non-ASCII digits: "²" passes str.isdigit, and int() reads "١" as 1
-            for spec in ("median", "single:x", "single:", "single:²", "single:١"):
+            for spec in ("median", "single:2", "single:x", "single:", "single:²", "single:١"):
                 code, out, err = run(capsys, *argv, "--objective", spec)
                 assert (code, out) == (2, ""), (argv, spec)
                 assert err.startswith(f"error: bad --objective {spec!r}"), (argv, spec)
@@ -402,16 +403,28 @@ class TestBound:
         assert not (batch / "a.report.json").exists()
 
     def test_players_with_single_objective_is_usage_error(self, capsys, tmp_path):
-        # refused before any file is read: none of these paths exists
+        # single:<i> is gone, with or without --players; minsum --players i
+        # is its one spelling.  Refused before any file is read: none of
+        # these paths exists
         missing = str(tmp_path / "missing.json")
         for argv in (
             ("bound", "--in", missing),
             ("bound", "--batch", str(tmp_path / "missing")),
             ("verify-cert", "--system-from", missing, "--cert", missing),
         ):
-            code, out, err = run(capsys, *argv, "--objective", "single:2", "--players", "1,3")
-            assert (code, out) == (2, ""), argv
-            assert err == "error: --players does not apply to --objective single:2\n", argv
+            for players in ((), ("--players", "1,3")):
+                code, out, err = run(capsys, *argv, "--objective", "single:2", *players)
+                assert (code, out) == (2, ""), argv
+                assert err == "error: bad --objective 'single:2'; use minmax or minsum\n", argv
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--certificate", "--out"])
+    def test_output_that_fails_to_write_is_usage_error(self, capsys, tmp_path, flag):
+        # /dev/full opens, and every write to it fails
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        code, out, err = run(capsys, "bound", "--in", path, flag, "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write /dev/full: ")
 
     def test_bound_without_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound")
@@ -435,11 +448,11 @@ class TestBound:
 
     def test_text_report_of_a_single_share_and_a_staircase(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
-        code, out, _ = run(capsys, "bound", "--in", path, "--objective", "single:2",
-                           "--format", "text")
+        code, out, _ = run(capsys, "bound", "--in", path, "--objective", "minsum",
+                           "--players", "2", "--format", "text")
         assert code == 0
         assert out.splitlines()[2:5] == [
-            "objective: single share 2",
+            "objective: minsum over players 2",
             "largest share >= 1/1 * S(secret)",
             "information rate <= 1/1",
         ]
@@ -638,12 +651,41 @@ class TestSolverFailures:
         return LPSolution("infeasible", None, None, None, 0)
 
     def test_simplex_error_exits_1(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(prover, "solve", self.raise_simplex_error)
+        monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
         code, out, err = run(capsys, "bound", "--in", path)
         assert code == 1
         assert out == ""
         assert err == "failed: iteration limit exceeded\n"
+
+    def test_certificate_that_fails_replay_is_never_written(self, capsys, tmp_path, monkeypatch):
+        bump_first_multiplier(monkeypatch)
+        path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        report, cert = tmp_path / "r.json", tmp_path / "c.json"
+        code, out, err = run(capsys, "bound", "--in", path, "--out", str(report),
+                             "--certificate", str(cert))
+        assert (code, out) == (1, "")
+        assert err == "failed: emitted certificate failed independent replay\n"
+        assert not report.exists() and not cert.exists()
+
+    def test_batch_records_a_file_over_the_iteration_limit(self, capsys, tmp_path, monkeypatch):
+        # threshold(2,3) takes 8 pivots and the purified g4 45, so a limit
+        # of 10 pivots per phase stops only g4
+        monkeypatch.setattr(simplex, "MAX_ITERATIONS", 10)
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        write_structure(batch, "g4.json", 4, GAMMA4_SETS)
+        code, out, err = run(capsys, "bound", "--batch", str(batch), "--auto-purify",
+                             "--workers", "1")
+        assert code == 1
+        assert "Traceback" not in err
+        assert json.loads(out)["batch"] == [
+            {"file": "g4.json", "status": "error", "error": "iteration limit exceeded"},
+            {"file": "t.json", "status": "ok", "lp_value": "1/1", "report": "t.report.json"},
+        ]
+        assert json.loads((batch / "t.report.json").read_text())["lp_value"] == "1/1"
+        assert not (batch / "g4.report.json").exists()
 
     def test_prover_error_exits_1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(prover, "solve", self.return_infeasible)
@@ -819,7 +861,7 @@ class TestLemmasCommand:
 
 
     @pytest.mark.parametrize(
-        "flag", [["--mode", "mixed"], ["--objective", "single:9"], ["--players", "7"]]
+        "flag", [["--mode", "mixed"], ["--objective", "minsum"], ["--players", "7"]]
     )
     def test_flags_it_would_ignore_are_usage_errors(self, capsys, tmp_path, flag):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
@@ -885,7 +927,7 @@ class TestQuantumScan:
 class TestChainCommand:
     @pytest.mark.parametrize(
         "flag",
-        [["--mode", "mixed"], ["--objective", "single:9"], ["--players", "7"], ["--auto-purify"]],
+        [["--mode", "mixed"], ["--objective", "minsum"], ["--players", "7"], ["--auto-purify"]],
     )
     def test_flags_it_would_ignore_are_usage_errors(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

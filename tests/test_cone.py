@@ -429,7 +429,7 @@ class TestLazySystem:
             # counted from the closed form: the full family has about 4^16 / 2 rows
             assert len(system) > (10 ** 9 if ineq == "full" else 10 ** 5)
             single = Certificate(Fraction(0), (("nonneg:1", Fraction(1)),), ())
-            assert verify_certificate(system, single, objective=Objective("single", (1,)))
+            assert verify_certificate(system, single, objective=Objective("minsum", (1,)))
             # S(1,2) >= 1 from recover:1,2, normalize and nonneg:1,2,R
             r = 1 << 15
             entries = (("recover:1,2", Fraction(1)), ("normalize", Fraction(-1)),

@@ -37,6 +37,7 @@ from qssbounds.structures import (
 )
 
 from helpers import (
+    bump_first_multiplier,
     count_quantum_scans,
     plain_certificate,
     qutrit_threshold_vector,
@@ -140,35 +141,29 @@ class TestShareBound:
         # player 1 is a dummy, so its share can be empty: the LP value is
         # 0 and bounds no information rate
         dummy = from_minimal_sets(4, [[2]])
-        with pytest.raises(ProverError, match="the single share 1 objective"):
-            share_bound(dummy, auto_purify=True, mode=mode, ineq=ineq, objective="single:1")
+        with pytest.raises(ProverError, match="the minsum over players 1 objective"):
+            share_bound(dummy, auto_purify=True, mode=mode, ineq=ineq, objective="minsum",
+                        players=[1])
 
     def test_single_objective(self):
-        report = share_bound(THRESHOLD23, objective="single:2")
-        assert report.objective.kind == "single"
+        # minsum over one player bounds that share alone
+        report = share_bound(THRESHOLD23, objective="minsum", players=[2])
+        assert report.objective == Objective("minsum", (2,))
         assert report.lp_value == 1
 
-    @pytest.mark.parametrize("spec", ["single:x", "single:", "single:1.5", "median"])
+    @pytest.mark.parametrize("spec", ["single:x", "single:", "single:1.5", "single:2", "median"])
     def test_malformed_single_objective_is_a_structure_error(self, spec):
         with pytest.raises(StructureError, match=repr(spec)):
             share_bound(THRESHOLD23, objective=spec)
 
-    @pytest.mark.parametrize("players", [[1, 3], [2], []])
-    def test_single_objective_refuses_a_player_list(self, players):
-        with pytest.raises(StructureError, match="takes no player list"):
-            share_bound(THRESHOLD23, objective="single:2", players=players)
-
-    def test_objective_parse_refuses_a_player_list_with_single(self):
-        assert Objective.parse("single:2", None, 3) == Objective("single", (2,))
+    def test_objective_parse_defaults_to_every_player(self):
         assert Objective.parse("minsum", None, 3) == Objective("minsum", (1, 2, 3))
         assert Objective.parse("minsum", (2,), 3) == Objective("minsum", (2,))
-        for players in ((1, 3), (2,), ()):
-            with pytest.raises(StructureError, match="takes no player list"):
-                Objective.parse("single:2", players, 3)
 
-    def test_single_objective_takes_one_player(self):
-        with pytest.raises(StructureError, match="exactly one player"):
-            Objective("single", (1, 2))
+    def test_single_share_kind_is_gone(self):
+        # one share is minsum over that player, its only spelling
+        with pytest.raises(StructureError, match="unknown objective kind 'single'"):
+            Objective("single", (1,))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(StructureError, match="unknown mode 'median'"):
@@ -727,6 +722,35 @@ class TestCheckImplied:
                 if res.witness is not None:
                     assert all(c.satisfied_by(res.witness) for c in full.constraints)
         assert outcomes == {True, False}
+
+
+class TestFailureGates:
+    """Replay stands in front of every output, and a runaway solve stops."""
+
+    def test_bound_certificate_that_fails_replay_is_refused(self, monkeypatch):
+        bump_first_multiplier(monkeypatch)
+        with pytest.raises(ProverError, match="emitted certificate failed independent replay"):
+            share_bound(THRESHOLD23)
+
+    def test_check_certificate_that_fails_replay_is_refused(self, monkeypatch):
+        bump_first_multiplier(monkeypatch)
+        system = cached_system(THRESHOLD23, True, "full")
+        with pytest.raises(ProverError, match="emitted certificate failed independent replay"):
+            check_implied(system, {0b0001: ONE}, ">=", ONE)
+
+    def test_cold_solve_stops_at_the_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
+        with pytest.raises(simplex.SimplexError, match="iteration limit exceeded"):
+            share_bound(THRESHOLD23)
+
+    def test_warm_solve_stops_at_the_iteration_limit(self, monkeypatch):
+        system = cached_system(THRESHOLD23, True, "full")
+        session = simplex.Session()
+        assert check_implied(system, {0b0001: ONE}, ">=", ONE, session=session).implied
+        assert session.tableau is not None
+        monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
+        with pytest.raises(simplex.SimplexError, match="iteration limit exceeded"):
+            check_implied(system, {0b0011: ONE}, ">=", ONE, session=session)
 
 
 class TestSuites:

@@ -444,6 +444,11 @@ class TestPresolvedState:
             assert solution.status == "infeasible"
             assert solution == solve(LPProblem(2, objective, base.rows))
 
+    def test_unsupported_relation_refused(self):
+        row = LinearConstraint("r0", ((0, Fraction(1)),), "<=", Fraction(1))
+        with pytest.raises(ValueError, match="unsupported relation '<=' in row r0"):
+            Presolved((row,))
+
     @pytest.mark.parametrize(
         "rows",
         [
