@@ -8,7 +8,8 @@ JSON (stable key order, rationals as "p/q" strings, no floats) or, under
 tuples and the purifying party as ``p``; ``bound --batch`` prints JSON only.
 ``bound`` and ``verify-cert`` read their shared flags into `share_bound`'s
 keywords, and refuse a bad one before any file is read.  Every command
-refuses an ``--out`` it cannot write before it does any work.
+refuses an ``--out`` it cannot write before it does any work, and a
+``bound`` whose output fails to write removes the files it created.
 
 Exit codes: 0 success / implied / verified; 1 a checked property fails
 or a certificate is rejected; 2 usage error or malformed input; 3
@@ -18,6 +19,7 @@ capacity or element limit exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -90,16 +92,38 @@ def _check_writable(path: str | None) -> None:
         raise UsageError(f"cannot write {path}: no directory {parent}")
 
 
-def _dump_json(data: dict, out: str | None) -> None:
-    _emit(json.dumps(data, ensure_ascii=False, indent=2) + "\n", out)
+def _json_text(data: dict) -> str:
+    return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
+
+
+def _rendered(args, data: dict, text: str) -> str:
+    """``data`` as JSON, or ``text`` under ``--format text``."""
+    return text if args.format == "text" else _json_text(data)
 
 
 def _output(args, data: dict, text: str) -> None:
-    """Write ``data`` as JSON, or ``text`` under ``--format text``, to ``--out`` or stdout."""
-    if args.format == "text":
-        _emit(text, args.out)
-    else:
-        _dump_json(data, args.out)
+    """Write `_rendered` output to ``--out`` or stdout."""
+    _emit(_rendered(args, data, text), args.out)
+
+
+def _emit_all(writes: list[tuple[str | None, str]]) -> None:
+    """Write each ``(path, text)``, the files in order and stdout (path None) last.
+
+    If a write fails, every file these writes created is removed before
+    the error is raised; a path that held a file before is never removed.
+    """
+    existed = {path for path, _ in writes if path and os.path.lexists(path)}
+    written = []
+    try:
+        for path, text in sorted(writes, key=lambda w: w[0] is None):
+            written.append(path)
+            _emit(text, path)
+    except UsageError:
+        for path in written:
+            if path and path not in existed and os.path.lexists(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
 
 
 def _load_structure(path: str) -> AccessStructure:
@@ -192,14 +216,16 @@ def cmd_purify(args) -> int:
 def _bound_options(args) -> dict:
     """`share_bound`'s keywords from the flags of `bound` and `verify-cert`.
 
-    A bad ``--objective`` or ``--players`` is refused before any file is
-    read.
+    A bad ``--objective`` or ``--players``, and ``--auto-purify`` in mixed
+    mode, which never purifies, are refused before any file is read.
     """
     # one player stands in for the structure's, which is read later
     try:
         Objective.parse(args.objective, None, 1)
     except StructureError as exc:
         raise UsageError(f"bad --objective {args.objective!r}; use minmax or minsum") from exc
+    if args.auto_purify and args.mode == "mixed":
+        raise UsageError("--auto-purify applies to pure mode only; mixed mode never purifies")
     return {
         "auto_purify": args.auto_purify,
         "mode": args.mode,
@@ -240,16 +266,19 @@ def cmd_bound(args) -> int:
         return _cmd_bound_batch(args, options)
     if not args.infile:
         raise UsageError("bound needs --in FILE (or --batch DIR)")
+    if args.workers is not None:
+        raise UsageError("bound --workers needs --batch DIR")
     for path in (args.certificate, args.dump_system):
         _check_writable(path)
     report = share_bound(_load_structure(args.infile), **options)
     data = report.to_json_dict()
+    writes = [(args.out, _rendered(args, data, _bound_text(data, report.objective)))]
     if args.certificate:
-        _dump_json(data["certificate"], args.certificate)
+        writes.append((args.certificate, _json_text(data["certificate"])))
     if args.dump_system:
         system = cached_system(report.structure, report.mode == "pure", report.ineq)
-        _emit(system.dump() + "\n", args.dump_system)
-    _output(args, data, _bound_text(data, report.objective))
+        writes.append((args.dump_system, system.dump() + "\n"))
+    _emit_all(writes)
     return EXIT_OK
 
 
@@ -299,20 +328,21 @@ def _cmd_bound_batch(args, options: dict) -> int:
     if not os.path.isdir(out_dir):
         raise UsageError(f"cannot write reports to {out_dir}: not a directory")
     jobs = [(os.path.join(directory, name), options) for name in names]
-    workers = max(1, min(args.workers, len(jobs)))
+    workers = min(4, os.cpu_count() or 1) if args.workers is None else args.workers
+    workers = max(1, min(workers, len(jobs)))
     summary = []
     for path, status, payload in _batch_results(jobs, workers):
         name = os.path.basename(path)
         entry = {"file": name, "status": status}
         if status == "ok":
             report_path = os.path.join(out_dir, name[: -len(".json")] + ".report.json")
-            _dump_json(payload, report_path)
+            _emit(_json_text(payload), report_path)
             entry["lp_value"] = payload["lp_value"]
             entry["report"] = os.path.basename(report_path)
         else:
             entry["error"] = payload
         summary.append(entry)
-    _dump_json({"batch": summary}, None)
+    _emit(_json_text({"batch": summary}), None)
     return EXIT_OK if all(e["status"] == "ok" for e in summary) else EXIT_FAIL
 
 
@@ -447,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="prove a share-size lower bound")
     p.add_argument("--in", dest="infile")
     p.add_argument("--batch", help="directory of structure JSON files")
-    p.add_argument("--workers", type=int, default=min(4, os.cpu_count() or 1))
+    p.add_argument("--workers", type=int, help="--batch worker processes (default: up to 4)")
     p.add_argument("--certificate", help="also write the certificate JSON here")
     p.add_argument(
         "--dump-system",

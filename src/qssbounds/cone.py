@@ -64,10 +64,6 @@ from math import comb
 from .simplex import LinearConstraint, LPProblem, Presolved, add_scaled
 from .structures import CAPACITY, AccessStructure, CapacityError, StructureError
 
-ZERO = 0
-ONE = 1
-NEG_ONE = -1
-TWO = 2
 
 @dataclass(frozen=True)
 class GroundSet:
@@ -185,8 +181,8 @@ def _ssa_constraint(labels, x: int, y: int) -> LinearConstraint:
     """
     c = x & y
     ident = f"ssa:{labels[x & ~y]};{labels[y & ~x]}|{labels[c]}"
-    terms = ((x, ONE), (y, ONE), (x | y, NEG_ONE))
-    return LinearConstraint(ident, ((c, NEG_ONE),) + terms if c else terms, ">=", ZERO)
+    terms = ((x, 1), (y, 1), (x | y, -1))
+    return LinearConstraint(ident, ((c, -1),) + terms if c else terms, ">=", 0)
 
 
 def _wm_constraint(labels, x: int, y: int) -> LinearConstraint:
@@ -202,13 +198,13 @@ def _wm_constraint(labels, x: int, y: int) -> LinearConstraint:
         a, b = b, a
     lo, hi = (x, y) if x < y else (y, x)
     ident = f"wm:{labels[a]};{labels[b]}|{labels[x & y]}"
-    middle = ((b, NEG_ONE), (lo, ONE)) if b < lo else ((lo, ONE), (b, NEG_ONE))
-    terms = ((a, NEG_ONE),) + middle + ((hi, ONE),) if a else middle + ((hi, ONE),)
-    return LinearConstraint(ident, terms, ">=", ZERO)
+    middle = ((b, -1), (lo, 1)) if b < lo else ((lo, 1), (b, -1))
+    terms = ((a, -1),) + middle + ((hi, 1),) if a else middle + ((hi, 1),)
+    return LinearConstraint(ident, terms, ">=", 0)
 
 
 def _nonneg_constraint(labels, x: int) -> LinearConstraint:
-    return LinearConstraint(f"nonneg:{labels[x]}", ((x, ONE),), ">=", ZERO)
+    return LinearConstraint(f"nonneg:{labels[x]}", ((x, 1),), ">=", 0)
 
 
 def _scheme_constraint(structure: AccessStructure, labels, r: int, x: int) -> LinearConstraint:
@@ -217,17 +213,17 @@ def _scheme_constraint(structure: AccessStructure, labels, r: int, x: int) -> Li
     authorized = structure.mask_authorized(x)
     return LinearConstraint(
         f"{'recover' if authorized else 'secrecy'}:{labels[x]}",
-        ((x, ONE), (r, ONE), (x | r, NEG_ONE)),
+        ((x, 1), (r, 1), (x | r, -1)),
         "=",
-        TWO if authorized else ZERO,
+        2 if authorized else 0,
     )
 
 
 def _normalize_constraint(r: int) -> LinearConstraint:
-    return LinearConstraint("normalize", ((r, ONE),), "=", ONE)
+    return LinearConstraint("normalize", ((r, 1),), "=", 1)
 
 
-EMPTYSET = LinearConstraint("emptyset", ((0, ONE),), "=", ZERO)
+EMPTYSET = LinearConstraint("emptyset", ((0, 1),), "=", 0)
 
 
 def _check_mode(mode: str) -> None:
@@ -305,7 +301,7 @@ def qss_constraints(structure: AccessStructure, ground: GroundSet) -> list[Linea
 
 def purity_constraint(ground: GroundSet) -> LinearConstraint:
     """Global purity: S(all players and R) = 0."""
-    return LinearConstraint("purity", ((ground.full_mask, ONE),), "=", ZERO)
+    return LinearConstraint("purity", ((ground.full_mask, 1),), "=", 0)
 
 
 class ConstraintSystem:
@@ -517,17 +513,17 @@ class Quotient:
                     x, y = i_bit | k, j_bit | k
                     xy = x | y
                     if k & r:  # all four sets hold R: complementing reverses their order
-                        terms = ((full ^ y, ONE), (full ^ x, ONE), (full ^ k, NEG_ONE))
+                        terms = ((full ^ y, 1), (full ^ x, 1), (full ^ k, -1))
                         if xy != full:
-                            terms = ((full ^ xy, NEG_ONE),) + terms
+                            terms = ((full ^ xy, -1),) + terms
                     else:
                         mapped = {}
-                        for v, c in ((k, NEG_ONE), (x, ONE), (y, ONE), (xy, NEG_ONE)):
+                        for v, c in ((k, -1), (x, 1), (y, 1), (xy, -1)):
                             v = full ^ v if v & r else v
                             mapped[v] = mapped.get(v, 0) + c
                         mapped.pop(0, None)
                         terms = tuple(sorted([t for t in mapped.items() if t[1]]))
-                    rows.append(LinearConstraint(pair + labels[k], terms, ">=", ZERO))
+                    rows.append(LinearConstraint(pair + labels[k], terms, ">=", 0))
         i_norm = len(rows)
         rows.extend(scheme)
         self.rows = tuple(rows)
@@ -535,13 +531,13 @@ class Quotient:
             return
         # self-dual: the other scheme rows and recover:P reduce to 0 = 0;
         # record 0 pins S(P) = 1, record A < h pins S(P\A) = S(A) - rest_rhs[A]
-        rest_rhs = [ONE] + [scheme[a].rhs - 1 for a in range(1, h)]
+        rest_rhs = [1] + [scheme[a].rhs - 1 for a in range(1, h)]
         self._records = (
             [p] + [p ^ a for a in range(1, h)],
-            [ONE] + [NEG_ONE] * (h - 1),
-            [{}] + [{a: ONE} for a in range(1, h)],
+            [1] + [-1] * (h - 1),
+            [{}] + [{a: 1} for a in range(1, h)],
             rest_rhs,
-            [{i_norm: ONE}] + [{i_norm: NEG_ONE, i_norm + a: ONE} for a in range(1, h)],
+            [{i_norm: 1}] + [{i_norm: -1, i_norm + a: 1} for a in range(1, h)],
         )
         self._inequalities = i_norm
 

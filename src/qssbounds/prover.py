@@ -72,10 +72,6 @@ from .structures import (
     unauthorized_transversals,
 )
 
-ZERO = 0
-ONE = 1
-TWO = 2
-
 #: Ground-set sizes above this need a larger ``max_elements``
 #: (``--limit-elements``); exact pivoting on larger instances can take far
 #: longer than the defaults should.  ``CAPACITY`` admits every structure.
@@ -239,11 +235,11 @@ def objective_rows(
     if objective.kind == "minmax":
         t_var = ground.var_count
         extra = tuple(
-            LinearConstraint(f"objlink:{i}", ((1 << (i - 1), -ONE), (t_var, ONE)), ">=", ZERO)
+            LinearConstraint(f"objlink:{i}", ((1 << (i - 1), -1), (t_var, 1)), ">=", 0)
             for i in objective.players
         )
-        return extra, ((t_var, ONE),), ground.var_count + 1
-    form = sparse_form(*((1 << (i - 1), ONE) for i in objective.players))
+        return extra, ((t_var, 1),), ground.var_count + 1
+    form = sparse_form(*((1 << (i - 1), 1) for i in objective.players))
     return (), form, ground.var_count
 
 
@@ -286,10 +282,13 @@ def bound_setup(
     """The structure, purified flag, system and objective of a bound.
 
     Reads `share_bound`'s keywords; `Objective.parse` reads the objective
-    over the players of the structure to solve.
+    over the players of the structure to solve.  ``auto_purify`` is
+    refused in mixed mode, which never purifies.
     """
     if mode not in ("pure", "mixed"):
         raise StructureError(f"unknown mode {mode!r}")
+    if auto_purify and mode == "mixed":
+        raise StructureError("auto_purify applies to pure mode only; mixed mode never purifies")
     solved, purified = prepare_structure(
         structure, pure=mode == "pure", auto_purify=auto_purify, max_elements=max_elements
     )
@@ -629,44 +628,44 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
         abar = pmask & ~a
         lbl = ground.label(a)
         # S(A) = I(A:comp)/2 + 1, S(comp) = I(A:comp)/2, S(A) - S(comp) = 1
-        mutual = sparse_form((a, ONE), (abar, ONE), (pmask, -ONE))
+        mutual = sparse_form((a, 1), (abar, 1), (pmask, -1))
         instances.append(
             SuiteInstance(
                 f"joint1:{lbl}",
                 f"2*S({lbl}) - I({lbl}:complement) = 2",
-                sparse_form((a, TWO), *((m, -c) for m, c in mutual)),
+                sparse_form((a, 2), *((m, -c) for m, c in mutual)),
                 "=",
-                TWO,
+                2,
             )
         )
         instances.append(
             SuiteInstance(
                 f"joint2:{lbl}",
                 f"2*S(complement of {lbl}) - I({lbl}:complement) = 0",
-                sparse_form((abar, TWO), *((m, -c) for m, c in mutual)),
+                sparse_form((abar, 2), *((m, -c) for m, c in mutual)),
                 "=",
-                ZERO,
+                0,
             )
         )
         instances.append(
             SuiteInstance(
                 f"joint3:{lbl}",
                 f"S({lbl}) - S(complement) = 1",
-                sparse_form((a, ONE), (abar, -ONE)),
+                sparse_form((a, 1), (abar, -1)),
                 "=",
-                ONE,
+                1,
             )
         )
     for a in range(1, pmask + 1):
         lbl = ground.label(a)
         auth = structure.mask_authorized(a)
-        sign = -ONE if auth else ONE
+        sign = -1 if auth else 1
         word = "-" if auth else "+"
         instances.append(
             SuiteInstance(
                 f"withref:{lbl}",
                 f"S({lbl},R) = S({lbl}) {word} 1",
-                sparse_form((a | r, ONE), (a, -ONE)),
+                sparse_form((a | r, 1), (a, -1)),
                 "=",
                 sign,
             )
@@ -681,9 +680,9 @@ def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> 
                 SuiteInstance(
                     f"gap:{la};{lb}",
                     f"S({la})+S({lb}) >= S(union)+S(intersection)+2",
-                    sparse_form((a, ONE), (b, ONE), (a | b, -ONE), (meet, -ONE)),
+                    sparse_form((a, 1), (b, 1), (a | b, -1), (meet, -1)),
                     ">=",
-                    TWO,
+                    2,
                 )
             )
     return instances
@@ -758,45 +757,29 @@ def staircase_chain_instances(n: int) -> tuple[AccessStructure, int, list[SuiteI
     purified = promote(structure, unauthorized_transversals(structure))
     if purified is structure:
         raise StructureError("staircase structure is unexpectedly self-dual")
-    k = params.k
-    a0 = params.a_sets[0].bits
-    pmask = (1 << n) - 1
-    purifier_bit = 1 << (purified.n - 1)
-    count = 2 ** k - 1
-    instances = []
-    for i in range(count - 1):
-        bi = params.b_sets[i].bits
-        bj = params.b_sets[i + 1].bits
-        instances.append(
-            SuiteInstance(
-                f"step:{i}",
-                f"S(A,B_{i})+S(B_{i + 1}) >= S(A,B_{i + 1})+S(B_{i})+2",
-                sparse_form((a0 | bi, ONE), (bj, ONE), (a0 | bj, -ONE), (bi, -ONE)),
-                ">=",
-                TWO,
-            )
-        )
-    b_last = params.b_sets[-1].bits
-    instances.append(
+    a, chain = params.a_sets[0], params.b_sets  # A = {1..k}; B_0 = {} up to B
+    instances = [
         SuiteInstance(
-            "telescoped",
-            f"S(A)+S(B) >= S(A,B)+{(count - 1) * 2}",
-            sparse_form((a0, ONE), (b_last, ONE), (pmask, -ONE)),
+            f"step:{i}",
+            f"S(A,B_{i})+S(B_{i + 1}) >= S(A,B_{i + 1})+S(B_{i})+2",
+            sparse_form((a | bi, 1), (bj, 1), (a | bj, -1), (bi, -1)),
             ">=",
-            (count - 1) * 2,
+            2,
         )
-    )
-    final_rhs = 2 ** (k + 1) - 1
-    instances.append(
-        SuiteInstance(
-            "final",
-            f"2*S(A)+S(purifier) >= {final_rhs}",
-            sparse_form((a0, TWO), (purifier_bit, ONE)),
-            ">=",
-            final_rhs,
-        )
-    )
-    return purified, k, instances
+        for i, (bi, bj) in enumerate(zip(chain, chain[1:]))
+    ]
+    b, gap = chain[-1], 2 * (len(chain) - 1)
+    instances.append(SuiteInstance(
+        "telescoped", f"S(A)+S(B) >= S(A,B)+{gap}",
+        sparse_form((a, 1), (b, 1), (a | b, -1)), ">=", gap,
+    ))
+    final_rhs = 2 ** (params.k + 1) - 1
+    # the purifier is player n + 1
+    instances.append(SuiteInstance(
+        "final", f"2*S(A)+S(purifier) >= {final_rhs}",
+        sparse_form((a, 2), (1 << n, 1)), ">=", final_rhs,
+    ))
+    return purified, params.k, instances
 
 
 def theorem3_chain(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Hard cap on ground-set elements (players, purifier and reference system).
 CAPACITY = 16
@@ -53,22 +53,11 @@ class PlayerSet:
     def players(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.players())
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
     def __contains__(self, player: int) -> bool:
         return 1 <= player <= self.n and bool(self.bits >> (player - 1) & 1)
-
-    def _check_same_ground(self, other: "PlayerSet") -> None:
-        if self.n != other.n:
-            raise StructureError("operands live on different ground sets")
-
-    def union(self, other: "PlayerSet") -> "PlayerSet":
-        self._check_same_ground(other)
-        return PlayerSet(self.bits | other.bits, self.n)
 
     def sort_key(self) -> tuple[int, int]:
         """Canonical order: cardinality ascending, bitmask value ascending."""
@@ -245,7 +234,7 @@ def promote(structure: AccessStructure, unauthorized: list[int]) -> AccessStruct
 
 @dataclass(frozen=True)
 class CsirmazParams:
-    """Bookkeeping for a Csirmaz staircase structure.
+    """Bookkeeping for a Csirmaz staircase structure, sets as bitmasks.
 
     ``a_sets`` lists all 2^k subsets of A = {1..k} in decreasing
     cardinality (ties broken by ascending bitmask); ``b_sets`` is the
@@ -254,8 +243,8 @@ class CsirmazParams:
 
     n: int
     k: int
-    a_sets: tuple[PlayerSet, ...]
-    b_sets: tuple[PlayerSet, ...]
+    a_sets: tuple[int, ...]
+    b_sets: tuple[int, ...]
 
 
 def csirmaz_k(n: int) -> int:
@@ -277,21 +266,11 @@ def csirmaz(n: int) -> tuple[AccessStructure, CsirmazParams]:
     prefix chain of B ending with B itself.
     """
     k = csirmaz_k(n)
-    a_mask = (1 << k) - 1
-    a_subsets = sorted(
-        range(a_mask + 1), key=lambda m: (-m.bit_count(), m)
-    )
-    a_sets = tuple(PlayerSet(m, n) for m in a_subsets)
-
+    a_sets = tuple(sorted(range(1 << k), key=lambda m: (-m.bit_count(), m)))
     count = 2 ** k - 1  # minimal sets; b_sets has indices 0 .. 2^k - 2
-    b_masks = [0]
-    for i in range(1, count - 1):
-        b_masks.append(((1 << i) - 1) << k)
-    b_masks.append(((1 << (n - k)) - 1) << k)
-    b_sets = tuple(PlayerSet(m, n) for m in b_masks)
-
-    minimal = [a_sets[i].union(b_sets[i]) for i in range(count)]
-    structure = from_minimal_sets(n, [m.players() for m in minimal])
+    # B_i = {k+1..k+i} below the last index, which holds all of B
+    b_sets = tuple(((1 << i) - 1) << k for i in range(count - 1)) + (((1 << (n - k)) - 1) << k,)
+    structure = _from_masks(n, [a | b for a, b in zip(a_sets, b_sets)])
     return structure, CsirmazParams(n=n, k=k, a_sets=a_sets, b_sets=b_sets)
 
 

@@ -354,12 +354,13 @@ class TestBound:
         assert code == 3
         assert "limit" in err
 
-    @pytest.mark.parametrize("flags", [(), ("--mode", "mixed")], ids=["pure", "mixed"])
+    @pytest.mark.parametrize(
+        "flags", [("--auto-purify",), ("--mode", "mixed")], ids=["pure", "mixed"]
+    )
     def test_zero_lp_value_fails_cleanly(self, capsys, tmp_path, flags):
         path = write_structure(tmp_path, "s.json", 4, [[2]])
         code, out, err = run(
-            capsys, "bound", "--in", path, "--objective", "minsum", "--players", "1",
-            "--auto-purify", *flags,
+            capsys, "bound", "--in", path, "--objective", "minsum", "--players", "1", *flags
         )
         assert (code, out) == (1, "")
         assert err.startswith("failed: the minsum over players 1 objective has LP value 0/1")
@@ -418,13 +419,58 @@ class TestBound:
                 assert err == "error: bad --objective 'single:2'; use minmax or minsum\n", argv
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("flag", ["--certificate", "--out"])
+    @pytest.mark.parametrize("flag", ["--certificate", "--out", "--dump-system"])
     def test_output_that_fails_to_write_is_usage_error(self, capsys, tmp_path, flag):
-        # /dev/full opens, and every write to it fails
+        # /dev/full opens, and every write to it fails; the files this run
+        # created are removed, and paths that existed before it are kept
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        kept = tmp_path / "kept.json"
+        kept.write_text("{}")
         code, out, err = run(capsys, "bound", "--in", path, flag, "/dev/full")
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write /dev/full: ")
+        outputs = {"--out": "report.json", "--certificate": "cert.json",
+                   "--dump-system": "system.txt"}
+        for existing in (None, "--out", "--certificate", "--dump-system"):
+            if existing == flag:
+                continue
+            argv = ["bound", "--in", path, "--auto-purify", flag, "/dev/full"]
+            for other, name in outputs.items():
+                if other != flag:
+                    argv += [other, str(kept if other == existing else tmp_path / name)]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: cannot write /dev/full: "), argv
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "t.json"], argv
+        assert os.path.exists("/dev/full")
+
+    def test_workers_without_batch_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # refused before the input is read: it does not exist
+        read = []
+        monkeypatch.setattr(cli, "_load_structure", lambda path: read.append(path))
+        missing = str(tmp_path / "missing.json")
+        for workers in ("1", "4"):
+            code, out, err = run(capsys, "bound", "--in", missing, "--workers", workers)
+            assert (code, out) == (2, "")
+            assert err == "error: bound --workers needs --batch DIR\n"
+        assert read == []
+
+    def test_auto_purify_in_mixed_mode_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # mixed mode never purifies; refused before any file is read
+        read = []
+        monkeypatch.setattr(cli, "_load_structure", lambda path: read.append(path))
+        missing = str(tmp_path / "missing.json")
+        for argv in (
+            ("bound", "--in", missing),
+            ("bound", "--batch", str(tmp_path / "missing")),
+            ("verify-cert", "--system-from", missing, "--cert", missing),
+        ):
+            code, out, err = run(capsys, *argv, "--auto-purify", "--mode", "mixed")
+            assert (code, out) == (2, ""), argv
+            assert err == (
+                "error: --auto-purify applies to pure mode only; mixed mode never purifies\n"
+            ), argv
+        assert read == []
 
     def test_bound_without_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound")

@@ -75,6 +75,10 @@ class TestGroundSet:
         with pytest.raises(CapacityError):
             GroundSet(16)
 
+    def test_needs_a_player(self):
+        with pytest.raises(StructureError, match="a ground set needs at least one player"):
+            GroundSet(0)
+
 
 class TestVnInequalities:
     def test_full_counts_match_enumeration_formula(self):

@@ -114,6 +114,12 @@ class TestShareBound:
         with pytest.raises(StructureError):
             share_bound(GAMMA4, auto_purify=False)
 
+    def test_auto_purify_is_refused_in_mixed_mode(self):
+        # mixed mode never purifies, so the flag would be ignored
+        for structure in (GAMMA4, THRESHOLD23):
+            with pytest.raises(StructureError, match="auto_purify applies to pure mode only"):
+                share_bound(structure, auto_purify=True, mode="mixed")
+
     def test_self_duality_is_refused_before_purification_capacity(self):
         # purifying 15 players needs a 16th; without auto_purify the
         # refusal names self-duality, not capacity
@@ -142,8 +148,8 @@ class TestShareBound:
         # 0 and bounds no information rate
         dummy = from_minimal_sets(4, [[2]])
         with pytest.raises(ProverError, match="the minsum over players 1 objective"):
-            share_bound(dummy, auto_purify=True, mode=mode, ineq=ineq, objective="minsum",
-                        players=[1])
+            share_bound(dummy, auto_purify=mode == "pure", mode=mode, ineq=ineq,
+                        objective="minsum", players=[1])
 
     def test_single_objective(self):
         # minsum over one player bounds that share alone
@@ -621,7 +627,7 @@ class TestReplayGeneratesNoRows:
     @pytest.mark.parametrize("ineq", ["full", "elemental"])
     @pytest.mark.parametrize("mode", ["pure", "mixed"])
     def test_replay_never_calls_the_generators(self, monkeypatch, ineq, mode):
-        report = share_bound(GAMMA4, auto_purify=True, mode=mode, players=[1, 2, 3, 4])
+        report = share_bound(GAMMA4, auto_purify=mode == "pure", mode=mode, players=[1, 2, 3, 4])
         implied = check_implied(
             cached_system(GAMMA4_BAR, True, "elemental"),
             {0b00011: Fraction(1), 0b11100: Fraction(-1)}, "=", Fraction(1),
@@ -737,6 +743,15 @@ class TestFailureGates:
         system = cached_system(THRESHOLD23, True, "full")
         with pytest.raises(ProverError, match="emitted certificate failed independent replay"):
             check_implied(system, {0b0001: ONE}, ">=", ONE)
+
+    def test_pure_system_of_a_structure_not_self_dual_is_infeasible(self):
+        # a quantum structure that is not self-dual admits no pure scheme
+        star = from_minimal_sets(3, [[1, 2], [1, 3]])
+        assert is_quantum(star) and not is_self_dual(star)
+        for ineq in ("full", "elemental"):
+            system = cached_system(star, True, ineq)
+            with pytest.raises(ProverError, match="implication system is infeasible"):
+                check_implied(system, {0b0001: ONE}, ">=", ZERO)
 
     def test_cold_solve_stops_at_the_iteration_limit(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)

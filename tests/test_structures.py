@@ -65,11 +65,6 @@ class TestPlayerSet:
         assert len(s) == 3
         assert 3 in s and 2 not in s
 
-    def test_set_algebra(self):
-        a = PlayerSet.from_players(4, [1, 2])
-        b = PlayerSet.from_players(4, [2, 3])
-        assert a.union(b).players() == (1, 2, 3)
-
     def test_out_of_range_bits(self):
         with pytest.raises(StructureError):
             PlayerSet(0b10000, 4)
@@ -153,6 +148,11 @@ class TestIsAuthorized:
         for sets, n in [(GAMMA4, 4), (THRESHOLD23, 3), ([[1]], 1)]:
             g = from_minimal_sets(n, sets)
             assert not g.is_authorized(PlayerSet(0, n))
+
+    def test_subset_of_another_ground_is_refused(self):
+        g = from_minimal_sets(4, GAMMA4)
+        with pytest.raises(StructureError, match="subset declared on a different ground"):
+            g.is_authorized(PlayerSet.from_players(5, [1, 2]))
 
 
 class TestDual:
@@ -357,21 +357,25 @@ class TestCsirmaz:
         assert is_quantum(s)
 
         a, b = params.a_sets, params.b_sets
+        assert all(isinstance(m, int) for m in a + b)
         assert len(a) == 2 ** k
-        assert a[0].players() == tuple(range(1, k + 1))
+        assert PlayerSet(a[0], n).players() == tuple(range(1, k + 1))
         assert len(b) == count
-        assert b[0].bits == 0
-        assert b[-1].players() == tuple(range(k + 1, n + 1))
-        sizes = [len(x) for x in a]
+        assert b[0] == 0
+        assert PlayerSet(b[-1], n).players() == tuple(range(k + 1, n + 1))
+        sizes = [x.bit_count() for x in a]
         assert sizes == sorted(sizes, reverse=True)
         for i in range(count):
             for j in range(i + 1, count):
-                assert a[i].bits & ~a[j].bits  # A_i not within A_j for i < j
-                assert not b[i].bits & ~b[j].bits
+                assert a[i] & ~a[j]  # A_i not within A_j for i < j
+                assert not b[i] & ~b[j]
                 if i > 0:
                     assert b[i] != b[j]
         for i in range(1, count - 1):
-            assert b[i].players() == tuple(range(k + 1, k + 1 + i))
+            assert PlayerSet(b[i], n).players() == tuple(range(k + 1, k + 1 + i))
+        assert [m.bits for m in s.minimal_sets] == sorted(
+            (a[i] | b[i] for i in range(count)), key=lambda m: (m.bit_count(), m)
+        )
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_staircase_intermediate_sets_unauthorized(self, n):
@@ -380,8 +384,8 @@ class TestCsirmaz:
         count = 2 ** params.k - 1
         for i in range(count):
             for j in range(i + 1, count):
-                x = params.a_sets[j].union(params.b_sets[i])
-                assert not s.is_authorized(x)
+                x = params.a_sets[j] | params.b_sets[i]
+                assert not s.mask_authorized(x)
 
 
 class TestReferenceBound:
