@@ -314,6 +314,8 @@ def _batch_results(jobs: list[tuple[str, dict]], workers: int):
 
 
 def _cmd_bound_batch(args, options: dict) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"bound --workers needs at least 1 worker, not {args.workers}")
     directory = args.batch
     try:
         names = sorted(
@@ -329,7 +331,7 @@ def _cmd_bound_batch(args, options: dict) -> int:
         raise UsageError(f"cannot write reports to {out_dir}: not a directory")
     jobs = [(os.path.join(directory, name), options) for name in names]
     workers = min(4, os.cpu_count() or 1) if args.workers is None else args.workers
-    workers = max(1, min(workers, len(jobs)))
+    workers = min(workers, len(jobs))
     summary = []
     for path, status, payload in _batch_results(jobs, workers):
         name = os.path.basename(path)
@@ -434,9 +436,11 @@ def _add_common(
         parser.add_argument(
             "--limit-elements",
             type=int,
+            choices=range(2, CAPACITY + 1),
             default=DEFAULT_ELEMENT_LIMIT,
-            help="largest allowed ground-set size (players plus reference); "
-            f"{CAPACITY} admits every structure",
+            metavar="N",
+            help="largest allowed ground-set size (players plus reference), "
+            f"2 to {CAPACITY}; {CAPACITY} admits every structure",
         )
 
 

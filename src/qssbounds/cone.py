@@ -1,9 +1,10 @@
 """Linear constraint systems over subset-entropy variables.
 
 The ground set holds the m players of an access structure plus one
-reference system R (bit m).  Every subset X of the ground set gets one
-variable S(X), indexed by its bitmask, with S of the empty set pinned to
-zero.  Generators emit three kinds of material:
+reference system R (bit m).  Every nonempty subset X of the ground set
+gets one variable S(X), indexed by its bitmask; S(∅) is zero by
+definition, so mask 0 is no variable and no row names it.  Generators
+emit three kinds of material:
 
 * universal entropy inequalities: nonnegativity, strong subadditivity
   (equivalently submodularity) and the weak-monotonicity / triangle
@@ -16,13 +17,12 @@ zero.  Generators emit three kinds of material:
   triangle instances forces S(X) = S(complement) for every X
   (Araki-Lieb).  Every system is solved on its :class:`Quotient` of the
   elemental rows, whatever its family, in pure mode with one variable
-  per complementary pair.  The quotient maps rows forward and, with
+  per complementary pair.  The quotient alone decides the LP's
+  variables and its presolve: it maps rows forward and, with
   :meth:`Quotient.cancel` and the elemental wm rows of
   :func:`complement_chain`, carries a combination of rows back onto
   the system's own rows.
 
-Terms never mention the empty set (its entropy is identically zero); the
-single ``emptyset`` equality keeps the variable pinned for solvers.
 Generation is deterministic: identical input yields an identical list.
 Rows leave their generators final, with sorted nonzero terms, and are
 unique by construction, so nothing deduplicates them: ssa and wm rows
@@ -37,8 +37,8 @@ quotient's merged terms stay ints, so no row arithmetic needs
 A :class:`ConstraintSystem` is addressed by row id and makes no row
 until one is asked for.  Each id names its row: ``nonneg:X``,
 ``ssa:A;B|C``, ``wm:A;B|C``, ``recover:X``, ``secrecy:X``,
-``normalize``, ``purity`` and ``emptyset``, with labels such as
-``1,3,R`` and ``∅`` from the one printer ``GroundSet.labels``.
+``normalize`` and ``purity``, with labels such as ``1,3,R`` and ``∅``
+from the one printer ``GroundSet.labels``.
 :meth:`ConstraintSystem.row` parses an id into masks and builds that one
 row with the generators' own builders, which print the id again; it is
 accepted only if the printed id is the id it was given and the row is a
@@ -223,9 +223,6 @@ def _normalize_constraint(r: int) -> LinearConstraint:
     return LinearConstraint("normalize", ((r, 1),), "=", 1)
 
 
-EMPTYSET = LinearConstraint("emptyset", ((0, 1),), "=", 0)
-
-
 def _check_mode(mode: str) -> None:
     if mode not in ("full", "elemental"):
         raise StructureError(f"unknown inequality mode {mode!r}")
@@ -247,9 +244,7 @@ def vn_inequalities(ground: GroundSet, mode: str = "full") -> list[LinearConstra
     _check_mode(mode)
     # every label is printed; a list of them indexes faster than the printer
     labels = [ground.labels[mask] for mask in range(ground.var_count)]
-    out = [EMPTYSET]
-    for mask in range(1, ground.var_count):
-        out.append(_nonneg_constraint(labels, mask))
+    out = [_nonneg_constraint(labels, mask) for mask in range(1, ground.var_count)]
     if mode == "full":
         masks = range(1, ground.var_count)
         for x in masks:
@@ -331,8 +326,8 @@ class ConstraintSystem:
         else:
             ssa = comb(n, 2) << (n - 2)
             wm = n << (n - 2)
-        # nonneg and emptyset, then normalize and recover/secrecy, then purity
-        return (1 << n) + ssa + wm + (1 << self.ground.players) + self.pure
+        # nonneg, then normalize and recover/secrecy, then purity
+        return (1 << n) - 1 + ssa + wm + (1 << self.ground.players) + self.pure
 
     @cached_property
     def constraints(self) -> tuple[LinearConstraint, ...]:
@@ -363,7 +358,7 @@ class ConstraintSystem:
         key = self._keys.get(rid)
         if key is None:
             family, terms = rid.partition(":")[0], self.row(rid).terms
-            rank = ("emptyset", "nonneg", "ssa", "wm", "normalize", "recover", "purity").index(
+            rank = ("nonneg", "ssa", "wm", "normalize", "recover", "purity").index(
                 "recover" if family == "secrecy" else family
             )
             key = (rank, terms[0][0])
@@ -392,7 +387,7 @@ class ConstraintSystem:
           |C| = 1 with A ∪ B ∪ C the whole ground set;
         * ``nonneg:X`` for nonempty X; ``recover:X`` or ``secrecy:X`` for
           a nonempty player set X, as the structure authorizes X or not;
-        * ``emptyset``, ``normalize``, and ``purity`` in pure mode only.
+        * ``normalize``, and ``purity`` in pure mode only.
         """
         row = self._memo.get(rid)
         if row is None:
@@ -423,8 +418,6 @@ class ConstraintSystem:
             return _nonneg_constraint(labels, x)
         if family in ("recover", "secrecy") and x and x <= ground.player_mask:
             return _scheme_constraint(self.structure, labels, ground.reference_mask, x)
-        if family == "emptyset":
-            return EMPTYSET
         if family == "normalize":
             return _normalize_constraint(ground.reference_mask)
         return purity_constraint(ground) if family == "purity" and self.pure else None
@@ -452,41 +445,45 @@ class ConstraintSystem:
 class Quotient:
     """A system's rows with one variable per complementary pair.
 
-    In pure mode every feasible point has S(X) = S(F\\X), where F is the
-    whole ground set, so every term S(X) with R in X is written as
-    S(F\\X); S(F) becomes S(∅) and drops out with the other zero terms.
-    The variables left are the masks below R.  The rows, made from masks,
-    are the elemental rows mapped, less those that become ``0 = 0`` or
-    ``0 >= 0``, each repeat kept under its first id: ``nonneg:X`` for X
-    below R, ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K}
-    (rest = F\\{i,j}; K itself when rest is empty), no wm row, and the
-    scheme rows and ``normalize`` mapped.  In mixed mode the rows are the
-    elemental rows unmapped.  A lifted quotient point satisfies every
-    elemental row, which has the value of its mapped row here, and so
-    every row of either family, whose cones are the same.
+    The quotient alone decides the variables of every LP solved on a
+    system and how that LP is presolved.  In pure mode every feasible
+    point has S(X) = S(F\\X), where F is the whole ground set, so every
+    term S(X) with R in X is written as S(F\\X); S(F) becomes S(∅) and
+    drops out with the other zero terms.  The variables left are the
+    masks below R.  The rows, made from masks, are the elemental rows
+    mapped, less those that become ``0 = 0`` or ``0 >= 0``, each repeat
+    kept under its first id: ``nonneg:X`` for X below R, ``ssa:i;j|K``
+    for the larger K of each pair {K, rest\\K} (rest = F\\{i,j}; K itself
+    when rest is empty), no wm row, and the scheme rows and ``normalize``
+    mapped.  In mixed mode the rows are the elemental rows unmapped.  A
+    lifted quotient point satisfies every elemental row, which has the
+    value of its mapped row here, and so every row of either family,
+    whose cones are the same.
 
     :meth:`problem` makes every LP solved on the quotient.  One on
     ``rows`` alone shares their :class:`simplex.Presolved` state
     ``presolved``; one that adds ``>=`` rows (the links of a minmax
-    objective, a refutation's cutoff) gets a state built whole.  On a
+    objective, a refutation's cutoff) gets a state built whole.  Mixed
+    mode derives each state with ``Presolved(rows)``.  Pure mode needs a
     self-dual structure (of each player set A and its complement P\\A in
-    the player set P exactly one is authorized; P always is) both are
-    known from the masks.  ``normalize`` pins S(P) = 1 (record 0); the
-    scheme row of each A below the top player's bit h pins S(P\\A) to
-    S(A) - 1 when A is authorized and to S(A) + 1 when not (record A);
-    the other scheme rows reduce to 0 = 0.  A ``>=`` row then keeps its
-    terms below h or outside the quotient, moves S(P) to the right-hand
-    side and S(Y) for any other Y onto S(P\\Y).  The ``>=`` rows are
-    reduced where a state is built, so no reduction outlives its state;
-    each state equals ``Presolved`` of its rows field for field.
-    Any other structure, and an added row that reduces to ``0 >= rhs >
-    0``, gets the generic presolve.
+    the player set P exactly one is authorized; P always is), and
+    ``StructureError`` refuses any other: its scheme rows contradict
+    purity.  Then every state is known from the masks.  ``normalize``
+    pins S(P) = 1 (record 0); the scheme row of each A below the top
+    player's bit h pins S(P\\A) to S(A) - 1 when A is authorized and to
+    S(A) + 1 when not (record A); the other scheme rows reduce to 0 = 0.
+    A ``>=`` row then keeps its terms below h or outside the quotient,
+    moves S(P) to the right-hand side and S(Y) for any other Y onto
+    S(P\\Y).  The ``>=`` rows are reduced where a state is built, so no
+    reduction outlives its state; each state, an infeasible one
+    included, equals ``Presolved`` of its rows field for field.
     """
 
     def __init__(self, system: ConstraintSystem) -> None:
         self.ground = ground = system.ground
         self.pure = system.pure
-        self._records = None
+        # the mask whose sets map onto their complements: none in mixed mode
+        self._folded = ground.reference_mask if self.pure else 0
         if not self.pure:
             elemental = system.ineq == "elemental"
             self.rows = system.constraints if elemental else system._generate("elemental")
@@ -497,9 +494,11 @@ class Quotient:
         labels = ground.labels
         # normalize, then the scheme row of each player set A at index A
         scheme = [self.map_row(row) for row in qss_constraints(system.structure, ground)]
-        rows = []
-        for x in range(1, r):
-            rows.append(_nonneg_constraint(labels, x))
+        if any(scheme[a].rhs == scheme[p ^ a].rhs for a in range(1, h)):
+            raise StructureError(
+                "a pure quotient needs a self-dual structure; its scheme rows contradict purity"
+            )
+        rows = [_nonneg_constraint(labels, x) for x in range(1, r)]
         for ei in range(ground.total):
             for ej in range(ei + 1, ground.total):
                 i_bit, j_bit = 1 << ei, 1 << ej
@@ -524,13 +523,11 @@ class Quotient:
                         mapped.pop(0, None)
                         terms = tuple(sorted([t for t in mapped.items() if t[1]]))
                     rows.append(LinearConstraint(pair + labels[k], terms, ">=", 0))
-        i_norm = len(rows)
+        i_norm = self._inequalities = len(rows)
         rows.extend(scheme)
         self.rows = tuple(rows)
-        if any(scheme[a].rhs == scheme[p ^ a].rhs for a in range(1, h)):
-            return
-        # self-dual: the other scheme rows and recover:P reduce to 0 = 0;
-        # record 0 pins S(P) = 1, record A < h pins S(P\A) = S(A) - rest_rhs[A]
+        # the other scheme rows and recover:P reduce to 0 = 0; record 0
+        # pins S(P) = 1, record A < h pins S(P\A) = S(A) - rest_rhs[A]
         rest_rhs = [1] + [scheme[a].rhs - 1 for a in range(1, h)]
         self._records = (
             [p] + [p ^ a for a in range(1, h)],
@@ -539,14 +536,13 @@ class Quotient:
             rest_rhs,
             [{i_norm: 1}] + [{i_norm: -1, i_norm + a: 1} for a in range(1, h)],
         )
-        self._inequalities = i_norm
 
     def _reduce(self, rows, start: int, reduced: dict) -> bool:
         """Substitute the records into the ``>=`` rows ``rows``, numbered from
         ``start``, keeping the first row of each result in ``reduced``.
 
         A row left with no term reads ``0 >= rhs``: False when rhs > 0,
-        which no row of a self-dual structure has, else the row is dropped.
+        which only an added row can read, else the row is dropped.
         """
         h, p, rest_rhs = self.var_count >> 1, self.var_count - 1, self._records[3]
         for idx, (_, terms, _, rhs) in enumerate(rows, start):
@@ -569,19 +565,29 @@ class Quotient:
                 return False
         return True
 
-    def _reduction(self, added=()) -> dict | None:
-        """The reduced ``>=`` rows of ``rows`` and then ``added``, as `_reduce`
-        keeps them; None when an added row reduces to ``0 >= rhs > 0``."""
+    def _state(self, rows, added=()) -> Presolved:
+        """The presolve of ``rows``, which are ``self.rows`` then the mapped ``added``.
+
+        Mixed mode derives it; pure mode reduces the ``>=`` rows in closed
+        form and hands them to ``Presolved.from_reduction``, with None
+        when an added row reduces to ``0 >= rhs > 0``.
+        """
+        if not self.pure:
+            return Presolved(rows)
         reduced = {}
         self._reduce(self.rows[:self._inequalities], 0, reduced)
-        return reduced if self._reduce(added, len(self.rows), reduced) else None
+        # whole coefficients as ints, as Presolved.reduce_form divides them out
+        added = [
+            (rid, [(v, c.numerator if c.denominator == 1 else c) for v, c in terms], rel, rhs)
+            for rid, terms, rel, rhs in added
+        ]
+        feasible = self._reduce(added, len(self.rows), reduced)
+        return Presolved.from_reduction(rows, self._records, reduced if feasible else None)
 
     @cached_property
     def presolved(self) -> Presolved:
         """The presolve of ``rows``, shared by every problem without rows of its own."""
-        if self._records is None:
-            return Presolved(self.rows)
-        return Presolved.from_reduction(self.rows, self._records, self._reduction())
+        return self._state(self.rows)
 
     def problem(self, num_vars: int, form, extra=()) -> LPProblem:
         """The LP that minimizes ``form`` over ``rows`` plus the ``>=`` rows ``extra``.
@@ -599,22 +605,12 @@ class Quotient:
         if any(row.rel != ">=" for row in extra):
             raise ValueError("a problem adds only >= rows")
         added = tuple(self.map_row(row) for row in extra)
-        rows, state = self.rows + added, None
-        if self._records is not None:
-            # whole coefficients as ints, as Presolved.reduce_form divides them out
-            reduced = self._reduction([
-                (rid, [(v, c.numerator if c.denominator == 1 else c) for v, c in terms], rel, rhs)
-                for rid, terms, rel, rhs in added
-            ])
-            if reduced is not None:
-                state = Presolved.from_reduction(rows, self._records, reduced)
-        return LPProblem(num_vars, objective, rows, state or Presolved(rows))
+        rows = self.rows + added
+        return LPProblem(num_vars, objective, rows, self._state(rows, added))
 
     def map_terms(self, terms) -> tuple[tuple[int, Fraction], ...]:
         """Sparse form of ``terms`` on the quotient's variables."""
-        if not self.pure:
-            return tuple(terms)
-        r, full = self.ground.reference_mask, self.ground.full_mask
+        r, full = self._folded, self.ground.full_mask
         return sparse_form(*((full & ~v if v & r else v, c) for v, c in terms))
 
     def map_row(self, row: LinearConstraint) -> LinearConstraint:
@@ -622,8 +618,7 @@ class Quotient:
 
     def lift(self, primal) -> dict[int, Fraction]:
         """The system's point for a quotient primal: S(X) = S(F\\X) when R is in X."""
-        r = self.ground.reference_mask if self.pure else 0
-        full = self.ground.full_mask
+        r, full = self._folded, self.ground.full_mask
         return {v: primal[full & ~v if v & r else v] for v in range(self.ground.var_count)}
 
     def cancel(self, residual: dict[int, int]) -> dict[str, int]:
@@ -631,16 +626,15 @@ class Quotient:
 
         ``residual`` is a combination of the system's rows minus a form,
         with weights that make it vanish on the quotient: c * (S(X) -
-        S(F\\X)) on complementary pairs, plus terms on S(F) and S(∅).
-        Each pair is cancelled by |c| times the :func:`complement_chain`
-        of X when c < 0, or of F\\X when c > 0, which adds |c| * S(F) and
-        nothing to the right-hand side; ``purity`` absorbs the S(F) total
-        and ``emptyset`` the term on S(∅).  In mixed mode the residual is
-        empty, and so is the result.
+        S(F\\X)) on complementary pairs, plus a term on S(F).  Each pair
+        is cancelled by |c| times the :func:`complement_chain` of X when
+        c < 0, or of F\\X when c > 0, which adds |c| * S(F) and nothing to
+        the right-hand side; ``purity`` absorbs the S(F) total.  In mixed
+        mode the residual is empty, and so is the result.
         """
         ground = self.ground
         full, r = ground.full_mask, ground.reference_mask
-        mult = {"purity": -residual.get(full, 0), "emptyset": -residual.get(0, 0)}
+        mult = {"purity": -residual.get(full, 0)}
         for v, c in residual.items():
             if v & r and v != full:
                 for row in complement_chain(ground, v if c < 0 else full & ~v):

@@ -497,16 +497,16 @@ def check_implied(
     rows of the system's structure reaches the right-hand side (both
     directions for an equality); returns the dual certificates, replayed
     on the system's rows, or a feasible entropy vector refuting the
-    target, checked against every one of them.  The solves run in
-    ``session``, or in one opened here.
+    target, checked against every one of them.  ``terms`` is taken in
+    sparse form, so a term on S(∅), which is zero, drops out.  The solves
+    run in ``session``, or in one opened here.
     """
     if rel not in (">=", "="):
         raise StructureError(f"unsupported target relation {rel!r}")
-    base = dict(terms)
-    base = {v: c for v, c in base.items() if c}
-    directions = [(base, Fraction(rhs))]
+    target = sparse_form(*(terms.items() if isinstance(terms, dict) else terms))
+    directions = [(target, Fraction(rhs))]
     if rel == "=":
-        directions.append(({v: -c for v, c in base.items()}, -Fraction(rhs)))
+        directions.append((tuple((v, -c) for v, c in target), -Fraction(rhs)))
 
     if session is None:
         session = Session()
@@ -521,14 +521,8 @@ def check_implied(
     return CheckResult(True, tuple(certificates), None, pivots)
 
 
-def _prove_direction(
-    system: ConstraintSystem,
-    form: dict[int, Fraction],
-    bound: Fraction,
-    session: Session,
-):
-    """Try to certify form . S >= bound; return (cert, witness, pivots)."""
-    objective = tuple(sorted(form.items()))
+def _prove_direction(system: ConstraintSystem, objective, bound: Fraction, session: Session):
+    """Try to certify the sparse form objective . S >= bound; return (cert, witness, pivots)."""
     quotient = system.quotient
     problem = quotient.problem(system.ground.var_count, objective)
     solution = solve(problem, session)
@@ -719,7 +713,7 @@ def _run_suite(
     session = Session()
     outcomes = []
     for inst in instances_of(structure, system.ground):
-        res = check_implied(system, dict(inst.terms), inst.rel, inst.rhs, session=session)
+        res = check_implied(system, inst.terms, inst.rel, inst.rhs, session=session)
         outcomes.append(SuiteOutcome(inst, res.implied, res.pivots))
     millis = int((time.perf_counter() - started) * 1000)
     return SuiteReport(structure, ineq, tuple(outcomes), millis)

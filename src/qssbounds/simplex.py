@@ -244,14 +244,18 @@ class Presolved:
         ``records`` holds the record fields ``(pivot_vars, pivot_coefs,
         rests, rest_rhs, combos)``, and ``reduced`` maps the key ``(sorted
         reduced terms, reduced rhs)`` of each ``>=`` row that keeps a term,
-        first occurrence first, to its ``(row index, weights)``.  Both must
-        be what ``Presolved(rows)`` derives from a feasible reduction; only
-        the columns are built here.
+        first occurrence first, to its ``(row index, weights)``, or is None
+        when a ``>=`` row reduces to ``0 >= rhs > 0``.  Both must be what
+        ``Presolved(rows)`` derives from consistent equalities; only the
+        columns are built here, and none for an infeasible state.
         """
         state = cls.__new__(cls)
         state._start(rows)
         state.pivot_vars, state.pivot_coefs, state.rests, state.rest_rhs, state.combos = records
-        state._place(reduced)
+        if reduced is None:
+            state.infeasible = True
+        else:
+            state._place(reduced)
         return state
 
     def _start(self, rows: tuple[LinearConstraint, ...]) -> None:

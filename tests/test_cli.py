@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from qssbounds import cli, prover, simplex
-from qssbounds.cli import main
+from qssbounds.cli import build_parser, main
 from qssbounds.simplex import LPSolution, SimplexError
+from qssbounds.structures import CAPACITY
 
 from helpers import bump_first_multiplier, count_quantum_scans
 
@@ -455,6 +456,23 @@ class TestBound:
             assert err == "error: bound --workers needs --batch DIR\n"
         assert read == []
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_batch_with_fewer_than_one_worker_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, workers
+    ):
+        # refused before the directory is listed or any input is read
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        listed = []
+        monkeypatch.setattr(cli.os, "listdir", lambda path: listed.append(path) or [])
+        code, out, err = run(capsys, "bound", "--batch", str(batch), "--auto-purify",
+                             "--workers", workers)
+        assert (code, out, listed) == (2, "", [])
+        assert err == f"error: bound --workers needs at least 1 worker, not {workers}\n"
+        monkeypatch.undo()
+        assert sorted(p.name for p in batch.iterdir()) == ["a.json"]
+
     def test_auto_purify_in_mixed_mode_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # mixed mode never purifies; refused before any file is read
         read = []
@@ -483,7 +501,7 @@ class TestBound:
         code, _, _ = run(capsys, "bound", "--in", path, "--dump-system", str(dump))
         assert code == 0
         lines = dump.read_text().splitlines()
-        assert lines[0] == "emptyset : 1*S(∅) = 0"
+        assert lines[0] == "nonneg:1 : 1*S(1) >= 0"
         assert any(line.startswith("purity : ") for line in lines)
 
     def test_text_report(self, capsys, tmp_path):
@@ -1026,6 +1044,30 @@ def test_force_is_not_a_flag(capsys, argv):
         main([*argv, "--force"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--in", "missing.json"),
+        ("verify-cert", "--system-from", "missing.json", "--cert", "missing.json"),
+        ("lemmas", "--in", "missing.json"),
+        ("chain", "--n", "4"),
+    ],
+    ids=["bound", "verify-cert", "lemmas", "chain"],
+)
+def test_limit_elements_outside_two_to_capacity_is_usage_error(capsys, monkeypatch, argv):
+    # a ground set has 2 to CAPACITY elements; refused before any file is read or work done
+    monkeypatch.setattr(cli, "_load_structure", lambda path: pytest.fail("read " + path))
+    monkeypatch.setattr(cli, "theorem3_chain", lambda *a, **k: pytest.fail("chain ran"))
+    for limit in ("-5", "0", "1", str(CAPACITY + 1), "99"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--limit-elements", limit])
+        assert exc.value.code == 2
+        assert "--limit-elements" in capsys.readouterr().err
+    for limit in (2, CAPACITY):
+        args = build_parser().parse_args([*argv, "--limit-elements", str(limit)])
+        assert args.limit_elements == limit
 
 
 @pytest.mark.parametrize(

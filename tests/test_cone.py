@@ -89,7 +89,7 @@ class TestVnInequalities:
             by_family = {}
             for c in cons:
                 by_family.setdefault(c.family, []).append(c)
-            assert len(by_family["emptyset"]) == 1
+            assert "emptyset" not in by_family  # S(∅) is zero, no variable
             assert len(by_family["nonneg"]) == 2 ** g - 1
             assert len(by_family["ssa"]) == incomparable_pairs(g)
             assert len(by_family["wm"]) == overlapping_pairs(g)
@@ -200,7 +200,7 @@ class TestSystem:
     def test_contains_required_rows_once(self):
         system = build_system(THRESHOLD23)
         ids = [c.id for c in system.constraints]
-        assert ids.count("emptyset") == 1
+        assert "emptyset" not in ids
         assert ids.count("normalize") == 1
         assert ids.count("purity") == 1
 
@@ -221,7 +221,7 @@ class TestSystem:
     def test_dump_format(self):
         system = build_system(THRESHOLD23, pure=True, ineq="elemental")
         lines = system.dump().splitlines()
-        assert lines[0] == "emptyset : 1*S(∅) = 0"
+        assert lines[0] == "nonneg:1 : 1*S(1) >= 0"
         assert any(line.startswith("nonneg:1,2,R : 1*S(1,2,R) >= 0") for line in lines)
         assert any(" >= " in line for line in lines)
 
@@ -278,7 +278,7 @@ class TestRowsUniqueByConstruction:
         for c in system.constraints:
             masks = [v for v, _ in c.terms]
             assert masks == sorted(set(masks)), c.id
-            assert all(masks) or c.id == "emptyset", c.id
+            assert all(masks), c.id
             assert all(coef for _, coef in c.terms), c.id
 
 
@@ -379,7 +379,7 @@ class TestRowById:
         # scheme rows under the wrong family for threshold(2,3)
         "recover:1", "secrecy:1,2", "recover:1,2,3,R",
         # ids no family has
-        "unknown:nonneg:1", "unknown:", "", "emptyset:", "normalize:R", "purity:1",
+        "unknown:nonneg:1", "unknown:", "", "emptyset", "emptyset:", "normalize:R", "purity:1",
         "nonneg", "NONNEG:1", "objlink:1",
     ]
 

@@ -465,6 +465,14 @@ class TestSharedPresolve:
         share_bound(structure, ineq="elemental")
         assert (inits, len(closed)) == ([], 1)
 
+    def test_mixed_solves_derive_every_state(self, monkeypatch):
+        # the bound's state with its links, a check's shared state and its cutoff's
+        inits, closed = self.count_presolves(monkeypatch)
+        share_bound(THRESHOLD23, mode="mixed", ineq="elemental")
+        system = cached_system(THRESHOLD23, False, "elemental")
+        assert not check_implied(system, {1: -ONE}, ">=", 0).implied
+        assert (len(inits), closed) == (3, [])
+
     def test_shared_state_lives_with_the_system(self):
         system = cached_system(THRESHOLD23, True, "elemental")
         assert system.quotient is system.quotient
@@ -744,14 +752,14 @@ class TestFailureGates:
         with pytest.raises(ProverError, match="emitted certificate failed independent replay"):
             check_implied(system, {0b0001: ONE}, ">=", ONE)
 
-    def test_pure_system_of_a_structure_not_self_dual_is_infeasible(self):
-        # a quantum structure that is not self-dual admits no pure scheme
-        star = from_minimal_sets(3, [[1, 2], [1, 3]])
-        assert is_quantum(star) and not is_self_dual(star)
+    def test_mixed_system_of_a_structure_not_quantum_is_infeasible(self):
+        # shares 1 and 2 would each recover the secret alone: no scheme does
+        clones = from_minimal_sets(2, [[1], [2]])
+        assert not is_quantum(clones)
         for ineq in ("full", "elemental"):
-            system = cached_system(star, True, ineq)
+            system = cached_system(clones, False, ineq)
             with pytest.raises(ProverError, match="implication system is infeasible"):
-                check_implied(system, {0b0001: ONE}, ">=", ZERO)
+                check_implied(system, {0b01: ONE}, ">=", ZERO)
 
     def test_cold_solve_stops_at_the_iteration_limit(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)

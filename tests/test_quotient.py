@@ -28,6 +28,7 @@ from qssbounds.prover import (
 )
 from qssbounds.simplex import LinearConstraint, LPProblem, Presolved, Session, solve
 from qssbounds.structures import (
+    StructureError,
     csirmaz,
     from_minimal_sets,
     is_quantum,
@@ -171,6 +172,7 @@ def added_rows(system):
 
 
 def test_closed_form_presolve_is_the_generic_presolve(monkeypatch):
+    # pure mode builds every state in closed form, an infeasible one too
     structures = closed_form_structures()
     assert ONE_PLAYER in structures and {s.n for s in structures} == {1, 2, 3, 4, 5, 6, 7}
     generic = []
@@ -182,7 +184,7 @@ def test_closed_form_presolve_is_the_generic_presolve(monkeypatch):
         num_vars = system.ground.var_count + 1
         for extra, infeasible in added_rows(system):
             problem = quotient.problem(num_vars, (), extra)
-            assert len(generic) == infeasible, (structure, extra)
+            assert generic == [], (structure, extra)
             assert problem.rows == quotient.rows + tuple(quotient.map_row(row) for row in extra)
             assert problem.presolved.infeasible == infeasible
             reference = Presolved(problem.rows)
@@ -207,14 +209,14 @@ def test_a_problem_adds_only_inequalities(pure):
     [from_minimal_sets(3, [[1, 2], [1, 3]]), from_minimal_sets(2, [[1], [2]])],
     ids=["quantum", "not-quantum"],
 )
-def test_presolve_of_a_structure_that_is_not_self_dual_is_generic(monkeypatch, structure):
-    # such a pure system is never solved by the prover; its scheme rows contradict
+def test_pure_quotient_of_a_structure_that_is_not_self_dual_is_refused(structure):
+    # its scheme rows contradict purity, so the refusal drops no feasible LP
     assert not is_self_dual(structure)
-    monkeypatch.setattr(Presolved, "from_reduction", None)
-    quotient = build_system(structure, pure=True, ineq="elemental").quotient
-    state = quotient.presolved
-    assert state.infeasible
-    assert presolve_fields(state) == presolve_fields(Presolved(quotient.rows))
+    system = build_system(structure, pure=True, ineq="elemental")
+    with pytest.raises(StructureError, match="pure quotient needs a self-dual structure"):
+        system.quotient
+    plain = LPProblem(system.ground.var_count, (), system.constraints)
+    assert solve(plain).status == "infeasible"
 
 
 @pytest.mark.parametrize(
@@ -391,12 +393,17 @@ class TestExpansion:
         cert = Certificate(report.lp_value, entries, report.certificate.objective)
         assert not verify_certificate(elemental, cert, objective=report.objective)
 
-    def test_target_term_on_the_empty_set_goes_to_emptyset(self):
-        # S(∅) drops out of the quotient; its term is carried by `emptyset`
-        system = cached_system(THRESHOLD23, True, "full")
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_target_term_on_the_empty_set_drops_out(self, pure):
+        # S(∅) is zero and no variable: S(1) + 5*S(∅) >= 1 is proved as S(1) >= 1
+        system = cached_system(THRESHOLD23, pure, "full")
         result = check_implied(system, {0b0001: ONE, 0: Fraction(5)}, ">=", ONE)
         assert result.implied
-        assert dict(result.certificates[0].entries)["emptyset"] == 5
+        (cert,) = result.certificates
+        assert cert.objective == ((0b0001, ONE),)
+        (plain,) = check_implied(system, {0b0001: ONE}, ">=", ONE).certificates
+        assert cert.entries == plain.entries
+        assert verify_certificate(system, cert, objective=((0b0001, ONE),))
 
     @pytest.mark.parametrize(
         "structure", [GAMMA4, THRESHOLD23, STAR3_BAR], ids=["g4", "threshold23", "star3"]
