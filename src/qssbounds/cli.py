@@ -32,6 +32,7 @@ from .simplex import SimplexError
 from .prover import (
     DEFAULT_ELEMENT_LIMIT,
     Objective,
+    ObjectivePlayerError,
     ProverError,
     bound_setup,
     cached_system,
@@ -167,6 +168,15 @@ def _parse_players(text: str | None) -> tuple[int, ...] | None:
         raise UsageError(f"bad --players list {text!r}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _players_of_the_structure(args):
+    """Refuse an objective player above the structure's as a bad ``--players``."""
+    try:
+        yield
+    except ObjectivePlayerError as exc:
+        raise UsageError(f"bad --players list {args.players!r}: {exc}") from exc
+
+
 def cmd_gen(args) -> int:
     if args.family != "csirmaz":
         raise UsageError(f"unknown family {args.family!r}; available: csirmaz")
@@ -217,7 +227,8 @@ def _bound_options(args) -> dict:
     """`share_bound`'s keywords from the flags of `bound` and `verify-cert`.
 
     A bad ``--objective`` or ``--players``, and ``--auto-purify`` in mixed
-    mode, which never purifies, are refused before any file is read.
+    mode, which never purifies, are refused before any file is read; a
+    player above the structure's is refused once it is read.
     """
     # one player stands in for the structure's, which is read later
     try:
@@ -270,7 +281,9 @@ def cmd_bound(args) -> int:
         raise UsageError("bound --workers needs --batch DIR")
     for path in (args.certificate, args.dump_system):
         _check_writable(path)
-    report = share_bound(_load_structure(args.infile), **options)
+    structure = _load_structure(args.infile)
+    with _players_of_the_structure(args):
+        report = share_bound(structure, **options)
     data = report.to_json_dict()
     writes = [(args.out, _rendered(args, data, _bound_text(data, report.objective)))]
     if args.certificate:
@@ -358,7 +371,8 @@ def cmd_verify_cert(args) -> int:
         raise UsageError(f"cannot read certificate {args.cert}: {exc}") from exc
     _, _, system, objective = bound_setup(structure, **options)
     try:
-        ok = verify_certificate(system, cert, objective=objective)
+        with _players_of_the_structure(args):
+            ok = verify_certificate(system, cert, objective=objective)
         key, value = "claimed_bound", rat_str(cert.claimed_bound)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         ok, key, value = False, "error", exc.args[0]

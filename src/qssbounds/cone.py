@@ -16,12 +16,13 @@ emit three kinds of material:
 * optionally, global purity S(players + R) = 0, which together with the
   triangle instances forces S(X) = S(complement) for every X
   (Araki-Lieb).  Every system is solved on its :class:`Quotient` of the
-  elemental rows, whatever its family, in pure mode with one variable
-  per complementary pair.  The quotient alone decides the LP's
-  variables and its presolve: it maps rows forward and, with
+  elemental rows, whatever its family.  The quotient alone decides the
+  LP's variables: it folds every equality (purity, the scheme rows and
+  normalization) into one table from each mask to a free variable plus
+  a constant, so the LP has ``>=`` rows only, and with
   :meth:`Quotient.cancel` and the elemental wm rows of
-  :func:`complement_chain`, carries a combination of rows back onto
-  the system's own rows.
+  :func:`complement_chain` it carries a combination of folded rows
+  back onto the system's own rows.
 
 Generation is deterministic: identical input yields an identical list.
 Rows leave their generators final, with sorted nonzero terms, and are
@@ -49,9 +50,7 @@ sets too large to generate.  ``len`` and :meth:`ConstraintSystem.order_key`
 count rows and order elemental ids in closed form, and the pure quotient
 is made from masks, so the ordered list of every row (``constraints``) is
 generated only for ``--dump-system``, witness checks and, on elemental
-rows, mixed-mode quotients.  The pure quotient of a self-dual structure
-also presolves its rows in closed form while it makes them (see
-:class:`Quotient`).
+rows, mixed-mode quotients.
 """
 
 from __future__ import annotations
@@ -443,62 +442,72 @@ class ConstraintSystem:
 
 
 class Quotient:
-    """A system's rows with one variable per complementary pair.
+    """A system's ``>=`` rows on the variables its equalities leave free.
 
     The quotient alone decides the variables of every LP solved on a
-    system and how that LP is presolved.  In pure mode every feasible
-    point has S(X) = S(F\\X), where F is the whole ground set, so every
-    term S(X) with R in X is written as S(F\\X); S(F) becomes S(∅) and
-    drops out with the other zero terms.  The variables left are the
-    masks below R.  The rows, made from masks, are the elemental rows
-    mapped, less those that become ``0 = 0`` or ``0 >= 0``, each repeat
-    kept under its first id: ``nonneg:X`` for X below R, ``ssa:i;j|K``
-    for the larger K of each pair {K, rest\\K} (rest = F\\{i,j}; K itself
-    when rest is empty), no wm row, and the scheme rows and ``normalize``
-    mapped.  In mixed mode the rows are the elemental rows unmapped.  A
-    lifted quotient point satisfies every elemental row, which has the
-    value of its mapped row here, and so every row of either family,
-    whose cones are the same.
+    system, and it owns every equality: no LP it makes has an ``=`` row.
+    Each equality pins one variable to another plus a constant, and one
+    table maps each mask to that ``(mask, constant)`` pair.  With
+    shift(A) = -1 for an authorized player set A and +1 for any other
+    (∅ included), the scheme rows and ``normalize`` read S(A ∪ R) =
+    S(A) + shift(A), so S(R) = 1.
 
-    :meth:`problem` makes every LP solved on the quotient.  One on
-    ``rows`` alone shares their :class:`simplex.Presolved` state
-    ``presolved``; one that adds ``>=`` rows (the links of a minmax
-    objective, a refutation's cutoff) gets a state built whole.  Mixed
-    mode derives each state with ``Presolved(rows)``.  Pure mode needs a
-    self-dual structure (of each player set A and its complement P\\A in
-    the player set P exactly one is authorized; P always is), and
-    ``StructureError`` refuses any other: its scheme rows contradict
-    purity.  Then every state is known from the masks.  ``normalize``
-    pins S(P) = 1 (record 0); the scheme row of each A below the top
-    player's bit h pins S(P\\A) to S(A) - 1 when A is authorized and to
-    S(A) + 1 when not (record A); the other scheme rows reduce to 0 = 0.
-    A ``>=`` row then keeps its terms below h or outside the quotient,
-    moves S(P) to the right-hand side and S(Y) for any other Y onto
-    S(P\\Y).  The ``>=`` rows are reduced where a state is built, so no
-    reduction outlives its state; each state, an infeasible one
-    included, equals ``Presolved`` of its rows field for field.
+    * Mixed mode maps every S(A ∪ R) onto S(A) + shift(A); the variables
+      are the nonempty player sets.
+    * Pure mode first writes S(X) as S(F\\X) for every X that holds R,
+      where F is the whole ground set (S(F) becomes S(∅), which is
+      zero); then S(Y) becomes S(P\\Y) + shift(P\\Y) for every player
+      set Y that holds the top player h, so S(P) = 1.  The variables are
+      the nonempty masks below h.  A pure quotient needs a self-dual
+      structure (of each player set A and its complement P\\A exactly
+      one is authorized), and ``StructureError`` refuses any other: its
+      scheme rows contradict purity.
+
+    Either way the variables are the masks 1 to ``var_count``.  The rows
+    are the elemental ``>=`` rows folded, each ``(terms, rhs)`` kept
+    once under its first id.  A row that folds to ``0 >= c`` is dropped
+    when c <= 0 and kept when c > 0, so the LP comes out infeasible.
+    Pure mode makes them from masks: ``nonneg:X`` for X below R, and
+    ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K} (rest =
+    F\\{i,j}; K itself when rest is empty), which fold alike; the wm
+    rows fold to rows it already has or to ``0 >= c`` with c <= 0.
+    Mixed mode folds the elemental rows in generation order.
+    :meth:`lift` reads the table to give a point its pinned entries back,
+    and :meth:`cancel` carries a combination of folded rows back onto the
+    system's own rows.  A lifted quotient point satisfies every elemental
+    row, which has the value of its folded row here, and so every row of
+    either family, whose cones are the same.
     """
 
     def __init__(self, system: ConstraintSystem) -> None:
         self.ground = ground = system.ground
         self.pure = system.pure
-        # the mask whose sets map onto their complements: none in mixed mode
-        self._folded = ground.reference_mask if self.pure else 0
+        r, p, full = ground.reference_mask, ground.player_mask, ground.full_mask
+        authorized = system.structure.mask_authorized
+        shift = [1] + [-1 if authorized(a) else 1 for a in range(1, r)]
         if not self.pure:
+            self.var_count = p
+            self._table = [(x, 0) for x in range(r)] + [(a, shift[a]) for a in range(r)]
             elemental = system.ineq == "elemental"
-            self.rows = system.constraints if elemental else system._generate("elemental")
-            self.var_count = ground.var_count
+            rows = system.constraints if elemental else system._generate("elemental")
+            self.rows = self._folded_rows(row for row in rows if row.rel == ">=")
             return
-        r = self.var_count = ground.reference_mask
-        p, full, h = r - 1, ground.full_mask, r >> 1
-        labels = ground.labels
-        # normalize, then the scheme row of each player set A at index A
-        scheme = [self.map_row(row) for row in qss_constraints(system.structure, ground)]
-        if any(scheme[a].rhs == scheme[p ^ a].rhs for a in range(1, h)):
+        h = r >> 1
+        if any(shift[a] == shift[p ^ a] for a in range(1, h)):
             raise StructureError(
                 "a pure quotient needs a self-dual structure; its scheme rows contradict purity"
             )
-        rows = [_nonneg_constraint(labels, x) for x in range(1, r)]
+        self.var_count = h - 1
+        players = [(y, 0) for y in range(h)] + [(p ^ y, shift[p ^ y]) for y in range(h, r)]
+        self._table = players + [players[full ^ x] for x in range(r, full + 1)]
+        self.rows = self._folded_rows(self._pure_rows())
+
+    def _pure_rows(self):
+        """The elemental rows that pure mode folds, made from masks."""
+        ground = self.ground
+        labels, full = ground.labels, ground.full_mask
+        for x in range(1, ground.reference_mask):
+            yield _nonneg_constraint(labels, x)
         for ei in range(ground.total):
             for ej in range(ei + 1, ground.total):
                 i_bit, j_bit = 1 << ei, 1 << ej
@@ -510,136 +519,112 @@ class Quotient:
                     if k < rest & ~k:
                         break
                     x, y = i_bit | k, j_bit | k
-                    xy = x | y
-                    if k & r:  # all four sets hold R: complementing reverses their order
-                        terms = ((full ^ y, 1), (full ^ x, 1), (full ^ k, -1))
-                        if xy != full:
-                            terms = ((full ^ xy, -1),) + terms
-                    else:
-                        mapped = {}
-                        for v, c in ((k, -1), (x, 1), (y, 1), (xy, -1)):
-                            v = full ^ v if v & r else v
-                            mapped[v] = mapped.get(v, 0) + c
-                        mapped.pop(0, None)
-                        terms = tuple(sorted([t for t in mapped.items() if t[1]]))
-                    rows.append(LinearConstraint(pair + labels[k], terms, ">=", 0))
-        i_norm = self._inequalities = len(rows)
-        rows.extend(scheme)
-        self.rows = tuple(rows)
-        # the other scheme rows and recover:P reduce to 0 = 0; record 0
-        # pins S(P) = 1, record A < h pins S(P\A) = S(A) - rest_rhs[A]
-        rest_rhs = [1] + [scheme[a].rhs - 1 for a in range(1, h)]
-        self._records = (
-            [p] + [p ^ a for a in range(1, h)],
-            [1] + [-1] * (h - 1),
-            [{}] + [{a: 1} for a in range(1, h)],
-            rest_rhs,
-            [{i_norm: 1}] + [{i_norm: -1, i_norm + a: 1} for a in range(1, h)],
-        )
+                    terms = ((k, -1), (x, 1), (y, 1), (x | y, -1))
+                    yield LinearConstraint(pair + labels[k], terms, ">=", 0)
 
-    def _reduce(self, rows, start: int, reduced: dict) -> bool:
-        """Substitute the records into the ``>=`` rows ``rows``, numbered from
-        ``start``, keeping the first row of each result in ``reduced``.
-
-        A row left with no term reads ``0 >= rhs``: False when rhs > 0,
-        which only an added row can read, else the row is dropped.
-        """
-        h, p, rest_rhs = self.var_count >> 1, self.var_count - 1, self._records[3]
-        for idx, (_, terms, _, rhs) in enumerate(rows, start):
-            kept, weights = {}, {}
-            for y, c in reversed(terms):  # masks down, so records up
-                if y < h or y > p:
-                    kept[y] = kept.get(y, 0) + c
-                elif y == p:
-                    weights[0] = c
-                    rhs -= c
-                else:
-                    k = p ^ y
-                    weights[k] = -c
-                    kept[k] = kept.get(k, 0) + c
-                    rhs += c * rest_rhs[k]
-            items = tuple(sorted([t for t in kept.items() if t[1]]))
-            if items:
-                reduced.setdefault((items, rhs), (idx, weights))
-            elif rhs > 0:
-                return False
-        return True
-
-    def _state(self, rows, added=()) -> Presolved:
-        """The presolve of ``rows``, which are ``self.rows`` then the mapped ``added``.
-
-        Mixed mode derives it; pure mode reduces the ``>=`` rows in closed
-        form and hands them to ``Presolved.from_reduction``, with None
-        when an added row reduces to ``0 >= rhs > 0``.
-        """
-        if not self.pure:
-            return Presolved(rows)
-        reduced = {}
-        self._reduce(self.rows[:self._inequalities], 0, reduced)
-        # whole coefficients as ints, as Presolved.reduce_form divides them out
-        added = [
-            (rid, [(v, c.numerator if c.denominator == 1 else c) for v, c in terms], rel, rhs)
-            for rid, terms, rel, rhs in added
-        ]
-        feasible = self._reduce(added, len(self.rows), reduced)
-        return Presolved.from_reduction(rows, self._records, reduced if feasible else None)
+    def _folded_rows(self, rows) -> tuple[LinearConstraint, ...]:
+        """``rows`` folded, each ``(terms, rhs)`` once under its first id."""
+        kept = {}
+        for rid, terms, rel, rhs in rows:
+            terms, constant = self.fold(terms)
+            rhs -= constant
+            if (terms or rhs > 0) and (terms, rhs) not in kept:
+                kept[terms, rhs] = LinearConstraint(rid, terms, rel, rhs)
+        return tuple(kept.values())
 
     @cached_property
     def presolved(self) -> Presolved:
         """The presolve of ``rows``, shared by every problem without rows of its own."""
-        return self._state(self.rows)
+        return Presolved(self.rows)
 
-    def problem(self, num_vars: int, form, extra=()) -> LPProblem:
-        """The LP that minimizes ``form`` over ``rows`` plus the ``>=`` rows ``extra``.
+    def problem(self, num_vars: int, form, extra=()) -> tuple[LPProblem, int | Fraction]:
+        """The LP that minimizes ``form`` over ``rows`` plus the ``>=`` rows ``extra``,
+        and the constant ``form`` folds to, which the LP's optimum leaves out.
 
         ``form`` and ``extra`` are on the system's variables and are
-        mapped here; ``num_vars`` counts those variables and any of the
-        problem's own, such as the t of a minmax objective.  Without
-        ``extra`` the problem shares ``presolved``; with it the problem
-        gets a state of its own, built whole.  ``ValueError`` for an
-        ``extra`` row that is not ``>=``.
+        folded here; ``num_vars`` counts those variables and any of the
+        problem's own, such as the t of a minmax objective, which map to
+        themselves.  Without ``extra`` the problem shares ``presolved``;
+        with it the problem gets a state of its own.  ``ValueError`` for
+        an ``extra`` row that is not ``>=``.
         """
-        objective = self.map_terms(form)
+        objective, constant = self.fold(form)
         if not extra:
-            return LPProblem(num_vars, objective, self.rows, self.presolved)
+            return LPProblem(num_vars, objective, self.rows, self.presolved), constant
         if any(row.rel != ">=" for row in extra):
             raise ValueError("a problem adds only >= rows")
-        added = tuple(self.map_row(row) for row in extra)
-        rows = self.rows + added
-        return LPProblem(num_vars, objective, rows, self._state(rows, added))
+        added = []
+        for rid, terms, rel, rhs in extra:
+            terms, offset = self.fold(terms)
+            added.append(LinearConstraint(rid, terms, rel, rhs - offset))
+        rows = self.rows + tuple(added)
+        return LPProblem(num_vars, objective, rows, Presolved(rows)), constant
 
-    def map_terms(self, terms) -> tuple[tuple[int, Fraction], ...]:
-        """Sparse form of ``terms`` on the quotient's variables."""
-        r, full = self._folded, self.ground.full_mask
-        return sparse_form(*((full & ~v if v & r else v, c) for v, c in terms))
+    def fold(self, terms) -> tuple[tuple[tuple[int, int | Fraction], ...], int | Fraction]:
+        """``terms`` on the quotient's variables: their sparse form and constant.
 
-    def map_row(self, row: LinearConstraint) -> LinearConstraint:
-        return row._replace(terms=self.map_terms(row.terms))
+        The system's form ``terms`` equals the sparse form plus the
+        constant at every point that satisfies the equalities; a
+        variable outside the ground set's masks, such as a minmax t,
+        maps to itself.
+        """
+        table, size = self._table, len(self._table)
+        acc, constant = {}, 0
+        for v, c in terms:
+            if v < size:
+                v, shift = table[v]
+                if shift:
+                    constant += c * shift
+            acc[v] = acc.get(v, 0) + c
+        acc.pop(0, None)
+        return tuple(sorted([t for t in acc.items() if t[1]])), constant
 
     def lift(self, primal) -> dict[int, Fraction]:
-        """The system's point for a quotient primal: S(X) = S(F\\X) when R is in X."""
-        r, full = self._folded, self.ground.full_mask
-        return {v: primal[full & ~v if v & r else v] for v in range(self.ground.var_count)}
+        """The system's point for a quotient primal, pinned entries included."""
+        return {v: primal[m] + shift for v, (m, shift) in enumerate(self._table)}
 
     def cancel(self, residual: dict[int, int]) -> dict[str, int]:
         """Multipliers on the system's rows that add up to ``-residual``.
 
         ``residual`` is a combination of the system's rows minus a form,
-        with weights that make it vanish on the quotient: c * (S(X) -
-        S(F\\X)) on complementary pairs, plus a term on S(F).  Each pair
-        is cancelled by |c| times the :func:`complement_chain` of X when
-        c < 0, or of F\\X when c > 0, which adds |c| * S(F) and nothing to
-        the right-hand side; ``purity`` absorbs the S(F) total.  In mixed
-        mode the residual is empty, and so is the result.
+        with weights that make it fold to zero.  In three steps:
+
+        1. each variable the scheme row of A pins (S(A ∪ R) in mixed
+           mode, S(P\\A) in pure mode once each S(X) with R in X is
+           written as S(F\\X)) is cancelled by its coefficient times that
+           ``recover:A`` or ``secrecy:A`` row, which adds the same
+           coefficient to S(A) and S(R);
+        2. ``normalize`` takes the S(R) total, S(R) + S(P) in pure mode;
+        3. in pure mode, c * (S(X) - S(F\\X)) is left on complementary
+           pairs, plus a term on S(F).  Each pair is cancelled by |c|
+           times the :func:`complement_chain` of X when c < 0, or of
+           F\\X when c > 0, which adds |c| * S(F) and nothing to the
+           right-hand side; ``purity`` absorbs the S(F) total.
+
+        Each equality pins a variable of its own, so no other multipliers
+        on the equalities cancel ``residual``.
         """
         ground = self.ground
-        full, r = ground.full_mask, ground.reference_mask
-        mult = {"purity": -residual.get(full, 0)}
-        for v, c in residual.items():
-            if v & r and v != full:
-                for row in complement_chain(ground, v if c < 0 else full & ~v):
-                    mult[row.id] = mult.get(row.id, 0) + abs(c)
-                mult["purity"] -= abs(c)
+        full, r, p, labels = ground.full_mask, ground.reference_mask, ground.player_mask, ground.labels
+        left, mult, folded = dict(residual), {}, {}
+        add_scaled(folded, ((full ^ v if self.pure and v & r else v, c) for v, c in residual.items()), 1)
+        for v, c in folded.items():
+            # the table maps the variable that the scheme row of A pins to
+            # (A, shift(A)), and the one normalize pins to (∅, 1)
+            a, shift = self._table[v]
+            if shift and a:
+                mult[f"{'recover' if shift < 0 else 'secrecy'}:{labels[a]}"] = c
+                add_scaled(left, ((a, 1), (r, 1), (a | r, -1)), c)
+        total = left.get(r, 0) + (left.get(p, 0) if self.pure else 0)
+        mult["normalize"] = -total
+        add_scaled(left, ((r, 1),), -total)
+        if self.pure:
+            mult["purity"] = -left.get(full, 0)
+            for v, c in left.items():
+                if v & r and v != full:
+                    for row in complement_chain(ground, v if c < 0 else full & ~v):
+                        mult[row.id] = mult.get(row.id, 0) + abs(c)
+                    mult["purity"] -= abs(c)
         return {rid: u for rid, u in mult.items() if u}
 
 

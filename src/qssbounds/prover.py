@@ -23,8 +23,11 @@ Every LP here is made by the quotient of the system it is given
 whatever the family.  They generate the same cone as the full rows and
 are a subset of them, id for id, so a certificate on them is also one
 for the full system, and a point satisfying them satisfies every full
-row.  Quotient multipliers name original rows, and `_expand` turns them
-into a certificate on those rows plus the elemental wm rows
+row.  The quotient folds every equality into its variables, so each LP
+has ``>=`` rows only, and its objective may fold to a constant, which
+is added to the optimum before it is claimed or compared.  Quotient
+multipliers name original rows, and `_expand` turns them into a
+certificate on those rows plus the equalities and elemental wm rows
 :meth:`cone.Quotient.cancel` adds, in the order of
 :meth:`cone.ConstraintSystem.order_key`, reading rows from the memo that
 replay reads too.  The ``ineq`` choice only names the row set that
@@ -33,7 +36,7 @@ both checks run before any result is returned.
 
 A check's target is solved over the quotient's rows, on their shared
 presolved state, and a bound LP or a refutation witness over those rows
-plus its own ``>=`` rows, on a state built whole for it.  The checks of
+plus its own ``>=`` rows, on a state of its own.  The checks of
 one suite share one :class:`simplex.Session`: each target restarts from
 the optimal basis of the one before it.  The session is a local of the
 suite (or of one `check_implied` call) and dies with it; bound LPs are
@@ -82,6 +85,10 @@ class ProverError(RuntimeError):
     """A solve that must succeed came back without an optimum."""
 
 
+class ObjectivePlayerError(StructureError):
+    """An objective names a player that the structure does not have."""
+
+
 @dataclass(frozen=True)
 class Objective:
     """Share-entropy objective: minmax or minsum over the chosen players."""
@@ -96,6 +103,8 @@ class Objective:
             raise StructureError("objective needs at least one player")
         if len(set(self.players)) != len(self.players):
             raise StructureError(f"objective names a player twice: {self.players}")
+        if min(self.players) < 1:
+            raise ObjectivePlayerError(f"objective player {min(self.players)} is below 1")
 
     @classmethod
     def parse(cls, spec: str, players: Iterable[int] | None, n: int) -> "Objective":
@@ -230,8 +239,8 @@ def objective_rows(
     """Extra linking rows, minimized form and variable count for a bound LP."""
     ground = system.ground
     for p in objective.players:
-        if not 1 <= p <= ground.players:
-            raise StructureError(f"objective player {p} outside 1..{ground.players}")
+        if p > ground.players:
+            raise ObjectivePlayerError(f"objective player {p} outside 1..{ground.players}")
     if objective.kind == "minmax":
         t_var = ground.var_count
         extra = tuple(
@@ -315,8 +324,10 @@ def share_bound(
     reciprocal as an upper bound on the information rate, and a
     certificate on the original rows that has been replayed on the
     ``ineq`` rows before returning.  ``rows`` and ``cols`` give the size
-    of the quotient LP.  An objective whose LP value is 0, such as the
-    share of a dummy player, bounds no rate and raises ``ProverError``.
+    of the quotient LP: its ``>=`` rows, and the quotient's variables
+    plus the objective's own.  An objective whose LP value is 0, such as
+    the share of a dummy player, bounds no rate and raises
+    ``ProverError``.
     """
     started = time.perf_counter()
     solved, purified, system, obj = bound_setup(
@@ -325,19 +336,20 @@ def share_bound(
     )
     extra, form, num_vars = objective_rows(system, obj)
     quotient = system.quotient
-    problem = quotient.problem(num_vars, form, extra)
+    problem, constant = quotient.problem(num_vars, form, extra)
     solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError(
             f"bound solve ended {solution.status}; the scheme constraints "
             "should always admit a bounded optimum"
         )
-    if solution.value <= 0:
+    value = solution.value + constant
+    if value <= 0:
         raise ProverError(
-            f"the {obj.describe()} objective has LP value {rat_str(solution.value)}, "
+            f"the {obj.describe()} objective has LP value {rat_str(value)}, "
             "which bounds no information rate"
         )
-    cert = _certify(system, obj, extra, form, problem, solution, solution.value)
+    cert = _certify(system, obj, extra, form, problem, solution, value)
 
     k = _csirmaz_k_of(structure)
     return BoundReport(
@@ -348,8 +360,8 @@ def share_bound(
         mode=mode,
         ineq=ineq,
         objective=obj,
-        lp_value=solution.value,
-        rate_upper_bound=1 / solution.value,
+        lp_value=value,
+        rate_upper_bound=1 / value,
         certificate=cert,
         rows=len(problem.rows),
         # the quotient's variables plus the objective's own (t for minmax)
@@ -391,8 +403,7 @@ def _expand(
     leave what the quotient does not see, and the rows that
     :meth:`cone.Quotient.cancel` returns for it are added.  Entries come
     out in the system's row order (its ``order_key``), then
-    ``extra``'s.  In mixed mode nothing is left over, so the entries are
-    the quotient's own.
+    ``extra``'s.
     """
     by_id = {row.id: row for row in extra}
     mult, left = {}, {}  # left is den times the weighted rows minus the objective
@@ -524,9 +535,9 @@ def check_implied(
 def _prove_direction(system: ConstraintSystem, objective, bound: Fraction, session: Session):
     """Try to certify the sparse form objective . S >= bound; return (cert, witness, pivots)."""
     quotient = system.quotient
-    problem = quotient.problem(system.ground.var_count, objective)
+    problem, constant = quotient.problem(system.ground.var_count, objective)
     solution = solve(problem, session)
-    if solution.status == "optimal" and solution.value >= bound:
+    if solution.status == "optimal" and solution.value + constant >= bound:
         cert = _certify(system, objective, (), objective, problem, solution, bound)
         return cert, None, solution.pivots
     if solution.status == "optimal":
@@ -544,7 +555,8 @@ def _witness_below(quotient: Quotient, objective, bound):
     cutoff = LinearConstraint(
         "cutoff", tuple((v, -c) for v, c in objective), ">=", -(bound - 1)
     )
-    solution = solve(quotient.problem(quotient.ground.var_count, (), (cutoff,)))
+    problem, _ = quotient.problem(quotient.ground.var_count, (), (cutoff,))
+    solution = solve(problem)
     if solution.status != "optimal":
         raise ProverError("failed to materialize a refutation witness")
     return quotient.lift(solution.primal)

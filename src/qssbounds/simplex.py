@@ -19,11 +19,10 @@ substitution.  The presolve depends only on the rows, so it is one
 reduced and deduplicated inequality rows with the weights that lift
 their multipliers back, and those rows as integer-scaled dual columns
 and costs.  The state reduces each objective and lifts each solution.
-Each state is built whole, from every row of its LP: ``Presolved(rows)``
-derives it from any rows, and :meth:`Presolved.from_reduction` is
-handed the records and reduced rows by a caller that knows them in
-closed form (the pure quotient does).  A problem may carry the state of
-its rows (a quotient shares one between objectives); otherwise
+``Presolved(rows)`` builds each state whole, from every row of its LP;
+the LPs of the package's quotients have no equality row, so there it
+only deduplicates and places the columns.  A problem may carry the
+state of its rows (a quotient shares one between objectives); otherwise
 :func:`solve` builds it.  The solver sees only the rows it is given and
 returns a value, a point and one multiplier per row: mapping a system
 onto its quotient, turning multipliers into a certificate and printing
@@ -196,14 +195,25 @@ class Presolved:
     ``infeasible`` records contradictory equalities or a row that reduces
     to ``0 >= rhs > 0``; every solve on the rows is then infeasible.
     Solves only read the state, so one state serves any number of
-    objectives.  A state is built whole, from every row of its LP:
-    ``__init__`` derives the records and the reduced rows,
-    :meth:`from_reduction` is handed them, and both place the columns
-    with :meth:`_place`.
+    objectives.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
-        self._start(rows)
+        self.rows = rows
+        self.pivot_vars: list[int] = []
+        self.pivot_coefs: list[int | Fraction] = []
+        self.rests: list[dict[int, int | Fraction]] = []
+        self.rest_rhs: list[int | Fraction] = []
+        self.combos: list[dict[int, int | Fraction]] = []
+        self.infeasible = False
+        self.row_index: list[int] = []
+        self.weights: list[dict[int, int | Fraction]] = []
+        self.rhs: list[int | Fraction] = []
+        self.var_pos: dict[int, int] = {}
+        self.cols: list[tuple[tuple[int, int], ...]] = []
+        self.scales: list[int] = []
+        self.costs: list[int] = []
+        self.cost_scale = 1
         for idx, row in enumerate(rows):
             if row.rel not in (">=", "="):
                 raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
@@ -225,7 +235,7 @@ class Presolved:
                 self.combos.append(combo)
         if self.infeasible:
             return
-        reduced = {}
+        reduced = {}  # (sorted terms, rhs) -> (row index, weights), first row first
         for idx, row in enumerate(rows):
             if row.rel == "=":
                 continue
@@ -235,49 +245,6 @@ class Presolved:
             elif rhs > 0:
                 self.infeasible = True
                 return
-        self._place(reduced)
-
-    @classmethod
-    def from_reduction(cls, rows, records, reduced) -> Presolved:
-        """The state of ``rows`` from a reduction made outside, in closed form.
-
-        ``records`` holds the record fields ``(pivot_vars, pivot_coefs,
-        rests, rest_rhs, combos)``, and ``reduced`` maps the key ``(sorted
-        reduced terms, reduced rhs)`` of each ``>=`` row that keeps a term,
-        first occurrence first, to its ``(row index, weights)``, or is None
-        when a ``>=`` row reduces to ``0 >= rhs > 0``.  Both must be what
-        ``Presolved(rows)`` derives from consistent equalities; only the
-        columns are built here, and none for an infeasible state.
-        """
-        state = cls.__new__(cls)
-        state._start(rows)
-        state.pivot_vars, state.pivot_coefs, state.rests, state.rest_rhs, state.combos = records
-        if reduced is None:
-            state.infeasible = True
-        else:
-            state._place(reduced)
-        return state
-
-    def _start(self, rows: tuple[LinearConstraint, ...]) -> None:
-        """A state of ``rows`` with no record and no column yet."""
-        self.rows = rows
-        self.pivot_vars: list[int] = []
-        self.pivot_coefs: list[int | Fraction] = []
-        self.rests: list[dict[int, int | Fraction]] = []
-        self.rest_rhs: list[int | Fraction] = []
-        self.combos: list[dict[int, int | Fraction]] = []
-        self.infeasible = False
-        self.row_index: list[int] = []
-        self.weights: list[dict[int, int | Fraction]] = []
-        self.rhs: list[int | Fraction] = []
-        self.var_pos: dict[int, int] = {}
-        self.cols: list[tuple[tuple[int, int], ...]] = []
-        self.scales: list[int] = []
-        self.costs: list[int] = []
-        self.cost_scale = 1
-
-    def _place(self, reduced: dict) -> None:
-        """Make the reduced rows ``{(terms, rhs): (row index, weights)}`` the columns."""
         variables = sorted({v for items, _ in reduced for v, _ in items})
         self.var_pos = pos = {v: i for i, v in enumerate(variables)}
         self.scales = [_lcm_of_denominators([c for _, c in items]) for items, _ in reduced]

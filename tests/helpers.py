@@ -1,12 +1,14 @@
 """Shared test utilities: every antichain and random structures, known
-entropy points, the certificate of a plain LP, the 2^n enumerations
-behind `dual`, `is_self_dual` and `purify`, a counter on the pair
-scan of `is_quantum`, and a certificate emitter that replay must reject."""
+entropy points, the certificate of a plain LP, the LP with equality rows
+that a quotient folds, the 2^n enumerations behind `dual`,
+`is_self_dual` and `purify`, a counter on the pair scan of `is_quantum`,
+and a certificate emitter that replay must reject."""
 
 import sys
 from fractions import Fraction
 
 from qssbounds import prover, structures
+from qssbounds.cone import build_system, sparse_form
 from qssbounds.prover import Certificate
 from qssbounds.structures import (
     CAPACITY,
@@ -137,6 +139,28 @@ def plain_certificate(problem, solution):
     duals, den = solution.multipliers
     entries = tuple((row.id, Fraction(u, den)) for row, u in zip(problem.rows, duals) if u)
     return Certificate(solution.value, entries, problem.objective)
+
+
+def equality_lp_rows(system, extra=()):
+    """The rows of an LP on ``system`` with its equalities kept as rows.
+
+    The elemental rows, and then ``extra``, with each S(X) that holds R
+    written as S(F\\X) in pure mode (S(F) drops out) and each ``(terms,
+    rel, rhs)`` kept once under its first id; a row that maps to
+    ``0 = 0`` or ``0 >= 0`` is dropped.  Solving them leaves the
+    elimination of the equalities to `Presolved`, the generic presolve.
+    """
+    ground = system.ground
+    full, r = ground.full_mask, ground.reference_mask
+    elemental = build_system(system.structure, pure=system.pure, ineq="elemental").constraints
+    first = {}
+    for row in elemental + tuple(extra):
+        terms = row.terms
+        if system.pure:
+            terms = sparse_form(*((full ^ v if v & r else v, c) for v, c in terms))
+        if terms or row.rhs:
+            first.setdefault((terms, row.rel, row.rhs), row._replace(terms=terms))
+    return tuple(first.values())
 
 
 def qutrit_threshold_vector(ground):

@@ -404,6 +404,57 @@ class TestBound:
                 assert "Traceback" not in err
         assert not (batch / "a.report.json").exists()
 
+    def test_player_zero_is_usage_error_before_any_file_is_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        for argv in (
+            ("bound", "--in", missing),
+            ("bound", "--batch", str(tmp_path / "missing")),
+            ("verify-cert", "--system-from", missing, "--cert", missing),
+        ):
+            for players in ("0", "2,0"):
+                code, out, err = run(capsys, *argv, "--players", players)
+                assert (code, out) == (2, ""), (argv, players)
+                assert err == (
+                    f"error: bad --players list {players!r}: objective player 0 is below 1\n"
+                ), argv
+
+    def test_player_above_the_structure_is_usage_error(self, capsys, tmp_path):
+        # checked once the structure is read: --auto-purify adds player 5 to g4
+        t23 = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
+        g4 = write_structure(tmp_path, "g4.json", 4, GAMMA4_SETS)
+        cert = tmp_path / "cert.json"
+        assert run(capsys, "bound", "--in", t23, "--certificate", str(cert))[0] == 0
+        for argv, players, n in (
+            (("bound", "--in", t23), "9", 3),
+            (("bound", "--in", t23, "--mode", "mixed"), "1,4", 3),
+            (("bound", "--in", g4, "--auto-purify"), "6", 5),
+            (("bound", "--in", g4, "--mode", "mixed"), "5", 4),
+            (("verify-cert", "--system-from", t23, "--cert", str(cert)), "4", 3),
+        ):
+            code, out, err = run(capsys, *argv, "--players", players)
+            assert (code, out) == (2, ""), argv
+            top = max(map(int, players.split(",")))
+            assert err == (
+                f"error: bad --players list {players!r}: objective player {top} outside 1..{n}\n"
+            ), argv
+        code, out, _ = run(capsys, "bound", "--in", g4, "--auto-purify", "--objective", "minsum",
+                           "--players", "5")
+        assert code == 0 and json.loads(out)["lp_value"] == "1/1"
+
+    def test_batch_records_a_player_above_the_structure(self, capsys, tmp_path):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_structure(batch, "a.json", 3, [[1, 2], [1, 3], [2, 3]])
+        write_structure(batch, "b.json", 4, GAMMA4_SETS)
+        code, out, err = run(capsys, "bound", "--batch", str(batch), "--auto-purify",
+                             "--players", "5", "--workers", "1")
+        assert (code, err) == (1, "")
+        a, b = json.loads(out)["batch"]
+        assert a == {"file": "a.json", "status": "error",
+                     "error": "objective player 5 outside 1..3"}
+        assert b["status"] == "ok" and (batch / "b.report.json").exists()
+        assert not (batch / "a.report.json").exists()
+
     def test_players_with_single_objective_is_usage_error(self, capsys, tmp_path):
         # single:<i> is gone, with or without --players; minsum --players i
         # is its one spelling.  Refused before any file is read: none of
@@ -532,7 +583,7 @@ class TestBound:
             "information rate <= 3/5",
             "closed-form reference (k=2): 7/5",
         ]
-        assert lines[-1].startswith("lp: 188 rows, 33 cols, 45 pivots, ")
+        assert lines[-1].startswith("lp: 91 rows, 16 cols, 45 pivots, ")
 
     def test_bound_deterministic_apart_from_timing(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])

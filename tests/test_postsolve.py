@@ -150,8 +150,8 @@ def quotient_lps(structure):
     for inst in scheme_relation_instances(structure, elemental.ground):
         for sign in (1, -1):
             objective = tuple(sorted((v, sign * c) for v, c in inst.terms))
-            mapped = quotient.map_terms(objective)
-            yield LPProblem(elemental.ground.var_count, mapped, quotient.rows)
+            folded, _ = quotient.fold(objective)
+            yield LPProblem(elemental.ground.var_count, folded, quotient.rows)
 
 
 def assert_same_as_reference(problem):

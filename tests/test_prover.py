@@ -209,8 +209,12 @@ class TestShareBound:
             "objective", "lp_value", "rate_upper_bound", "certificate", "stats",
         ]
         assert data["lp_value"] == "1/1"
-        # the quotient LP: one variable per complementary pair, plus t
-        assert data["stats"]["rows"] > 0 and data["stats"]["cols"] == 9
+        # the quotient LP: S(1), S(2) and S(1,2) are the unknowns the
+        # equalities leave free, plus t
+        assert (data["stats"]["rows"], data["stats"]["cols"]) == (15, 4)
+        mixed = share_bound(THRESHOLD23, mode="mixed").to_json_dict()["stats"]
+        # the seven player sets, plus t
+        assert (mixed["rows"], mixed["cols"]) == (35, 8)
         assert all(
             isinstance(e["mult"], str) and "/" in e["mult"]
             for e in data["certificate"]["entries"]
@@ -301,7 +305,7 @@ def cold_direction_pivots(structure, instances):
     for inst in instances:
         signs = (1, -1) if inst.rel == "=" else (1,)
         for sign in signs:
-            objective = quotient.map_terms(sorted((v, sign * c) for v, c in inst.terms))
+            objective, _ = quotient.fold(sorted((v, sign * c) for v, c in inst.terms))
             problem = LPProblem(
                 elemental.ground.var_count, objective, quotient.rows, quotient.presolved
             )
@@ -391,7 +395,7 @@ class TestSharedPresolve:
         statuses = set()
         for inst in scheme_relation_instances(structure, system.ground):
             for sign in (1, -1):
-                objective = quotient.map_terms((v, sign * c) for v, c in inst.terms)
+                objective, _ = quotient.fold((v, sign * c) for v, c in inst.terms)
                 solution = self.both_ways(
                     system.ground.var_count, objective, quotient.rows, quotient.presolved
                 )
@@ -420,33 +424,33 @@ class TestSharedPresolve:
 
     @staticmethod
     def count_presolves(monkeypatch):
-        """Lists that record each state built by ``__init__`` and by ``from_reduction``."""
-        inits, closed = [], []
-        init, from_reduction = Presolved.__init__, Presolved.from_reduction.__func__
+        """A list that records the rows of each state ``Presolved`` builds."""
+        states = []
+        init = Presolved.__init__
 
         def counted_init(self, rows):
-            inits.append(len(rows))
+            states.append(rows)
             init(self, rows)
 
-        def counted_closed(cls, rows, records, reduced):
-            closed.append(len(rows))
-            return from_reduction(cls, rows, records, reduced)
-
         monkeypatch.setattr(Presolved, "__init__", counted_init)
-        monkeypatch.setattr(Presolved, "from_reduction", classmethod(counted_closed))
         cached_system.cache_clear()
-        return inits, closed
+        return states
+
+    @staticmethod
+    def relations(states):
+        return {row.rel for rows in states for row in rows}
 
     def test_chain_presolves_its_rows_once(self, monkeypatch):
-        # one quotient reduces its rows once; the suite's shared state and
-        # the bound's whole state, with its objective links, are built from that
-        inits, closed = self.count_presolves(monkeypatch)
+        # one quotient folds its rows once; the suite's shared state and
+        # the bound's state, with its objective links, are built from them
+        states = self.count_presolves(monkeypatch)
         assert theorem3_chain(4).all_implied
-        assert (inits, len(closed)) == ([], 2)
+        assert len(states) == 2 and self.relations(states) == {">="}
 
     def test_refutation_cutoff_presolves_in_closed_form(self, monkeypatch):
-        # -S(1) has no minimum, so the witness comes from a cutoff row
-        inits, closed = self.count_presolves(monkeypatch)
+        # -S(1) has no minimum, so the witness comes from a cutoff row; the
+        # quotient's table folds every equality, so no state gets one
+        states = self.count_presolves(monkeypatch)
         system = cached_system(THRESHOLD23, True, "elemental")
         witness = []
         below = prover._witness_below
@@ -456,22 +460,45 @@ class TestSharedPresolve:
         result = check_implied(system, {1: -ONE}, ">=", 0)
         assert not result.implied and result.witness[1] > 0
         assert len(witness) == 1
-        # the shared state for the target and the whole state with the cutoff
-        assert (inits, len(closed)) == ([], 2)
+        # the shared state for the target and the state with the cutoff
+        assert len(states) == 2 and self.relations(states) == {">="}
 
     @pytest.mark.parametrize("structure", [THRESHOLD23, GAMMA4_BAR], ids=["threshold23", "g4bar"])
     def test_pure_self_dual_bound_presolves_in_closed_form(self, monkeypatch, structure):
-        inits, closed = self.count_presolves(monkeypatch)
+        states = self.count_presolves(monkeypatch)
         share_bound(structure, ineq="elemental")
-        assert (inits, len(closed)) == ([], 1)
+        assert len(states) == 1 and self.relations(states) == {">="}
 
     def test_mixed_solves_derive_every_state(self, monkeypatch):
         # the bound's state with its links, a check's shared state and its cutoff's
-        inits, closed = self.count_presolves(monkeypatch)
+        states = self.count_presolves(monkeypatch)
         share_bound(THRESHOLD23, mode="mixed", ineq="elemental")
         system = cached_system(THRESHOLD23, False, "elemental")
         assert not check_implied(system, {1: -ONE}, ">=", 0).implied
-        assert (len(inits), closed) == (3, [])
+        assert len(states) == 3 and self.relations(states) == {">="}
+
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_no_prover_lp_has_an_equality_row(self, monkeypatch, mode):
+        # bounds with and without objective links, implied checks in both
+        # directions, an optimal refutation and one through a cutoff row
+        states = self.count_presolves(monkeypatch)
+        solved = []
+        original = prover.solve
+        monkeypatch.setattr(
+            prover, "solve", lambda problem, *a: solved.append(problem) or original(problem, *a)
+        )
+        structure = GAMMA4_BAR if mode == "pure" else GAMMA4
+        for objective in ("minmax", "minsum"):
+            share_bound(structure, mode=mode, ineq="elemental", objective=objective)
+        system = cached_system(structure, mode == "pure", "elemental")
+        for inst in scheme_relation_instances(structure, system.ground)[:6]:
+            check_implied(system, inst.terms, inst.rel, inst.rhs)
+        assert not check_implied(system, {1: ONE}, ">=", 2).implied
+        assert not check_implied(system, {1: -ONE}, ">=", 0).implied
+        assert len(solved) > 10 and all(problem.presolved for problem in solved)
+        assert set(states) == {problem.rows for problem in solved}
+        assert self.relations(states) == {">="}
+        assert all(not problem.presolved.pivot_vars for problem in solved)
 
     def test_shared_state_lives_with_the_system(self):
         system = cached_system(THRESHOLD23, True, "elemental")

@@ -1,8 +1,10 @@
-"""The pure-mode complement quotient against the plain LP it replaces.
+"""The quotient against the plain LP it replaces.
 
-Pure rows force S(X) = S(F\\X), so every LP is solved with one variable
-per complementary pair and its certificates are expanded back onto the
-elemental rows.  The plain LPs here are built in the tests themselves.
+The equalities pin variables (S(X) = S(F\\X) in pure mode, and S(A ∪ R)
+= S(A) -/+ 1 in both modes), so every LP is solved on the variables they
+leave free, with no equality row, and its certificates are expanded back
+onto the elemental rows.  The plain LPs here are built in the tests
+themselves or by `helpers.equality_lp_rows`.
 """
 
 import json
@@ -36,7 +38,12 @@ from qssbounds.structures import (
     purify,
 )
 
-from helpers import all_antichain_structures, plain_certificate, random_quantum_structure
+from helpers import (
+    all_antichain_structures,
+    equality_lp_rows,
+    plain_certificate,
+    random_quantum_structure,
+)
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4 = from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])
@@ -44,6 +51,8 @@ GAMMA4_BAR = purify(GAMMA4)
 STAR3_BAR = purify(from_minimal_sets(3, [[1, 2], [1, 3]]))
 ONE_PLAYER = from_minimal_sets(1, [[1]])
 ONE = Fraction(1)
+# the families of the equalities that the quotient folds into its variables
+EQUALITIES = ("normalize", "recover", "secrecy", "purity")
 
 
 def seeded_structure(rng, elements):
@@ -76,24 +85,27 @@ def replay_systems(structure, max_full=6):
     return [cached_system(structure, True, ineq) for ineq in ineqs]
 
 
-def assert_quotient_is_the_reference(structure):
-    """The quotient against mapping every row and keeping each once under its first id."""
-    system = build_system(structure, pure=True, ineq="elemental")
+def assert_quotient_is_the_reference(structure, pure=True):
+    """The quotient's rows against the generic presolve of the LP with
+    equality rows: its reduced rows in order, each under the id of the
+    first row that reduces to it."""
+    system = build_system(structure, pure=pure, ineq="elemental")
     quotient = system.quotient
-    first = {}
-    for row in system.constraints:
-        mapped = quotient.map_row(row)
-        if mapped.terms:
-            first.setdefault((mapped.terms, mapped.rel, mapped.rhs), row.id)
-        else:  # e.g. purity, and the triangles S(i)+S(F) >= S(F\i)
-            assert mapped.rhs == 0, row.id
-    assert [row.id for row in quotient.rows] == list(first.values())
-    assert [(row.terms, row.rel, row.rhs) for row in quotient.rows] == list(first)
-    assert all(0 < v < quotient.var_count for row in quotient.rows for v, _ in row.terms)
+    rows = equality_lp_rows(system)
+    state = Presolved(rows)
+    assert not state.infeasible
+    reduced = []
+    for idx, rhs in zip(state.row_index, state.rhs):
+        terms, _, _ = state.reduce_form(rows[idx].terms, rows[idx].rhs)
+        reduced.append((rows[idx].id, tuple(sorted(terms.items())), rhs))
+    assert [(row.id, row.terms, row.rhs) for row in quotient.rows] == reduced
+    assert {row.rel for row in quotient.rows} <= {">="}
+    used = {v for row in quotient.rows for v, _ in row.terms}
+    assert used == set(range(1, quotient.var_count + 1))
 
 
-# one player: rest = F\{1,R} is empty, so ssa:1;R|∅ is its own partner
-# and is kept as 2 S(1) >= 0
+# one player: S(1) = 1, so no variable is left and every row folds to
+# 0 >= c with c <= 0
 @pytest.mark.parametrize(
     "structure", [ONE_PLAYER, THRESHOLD23, GAMMA4_BAR] + SEEDED[1:],
     ids=["one-player"] + IDS[:2] + IDS[4:],
@@ -120,6 +132,12 @@ def test_quotient_matches_the_reference_on_small_structures():
     assert ONE_PLAYER in structures and len(structures) > 90
     for structure in structures:
         assert_quotient_is_the_reference(structure)
+
+
+def test_mixed_quotient_matches_the_reference_on_small_structures():
+    structures = [s for n in range(1, 4) for s in all_antichain_structures(n) if is_quantum(s)]
+    for structure in structures + [GAMMA4, GAMMA4_BAR]:
+        assert_quotient_is_the_reference(structure, pure=False)
 
 
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
@@ -157,44 +175,48 @@ def closed_form_structures():
 
 def added_rows(system):
     """Four sets of ``>=`` rows a problem may add, on the system's variables,
-    each with whether it makes the problem infeasible."""
-    quotient, ground = system.quotient, system.ground
+    each with whether it makes the pure problem infeasible."""
+    ground = system.ground
     p, r = ground.player_mask, ground.reference_mask
     links, _, _ = objective_rows(system, Objective("minmax", tuple(range(1, ground.players + 1))))
-    # S(1) is pinned on one player and kept or substituted on more, and
-    # S(R,1) maps onto S(P\1)
+    # S(1) is pinned on one player and free on more, and S(R,1) folds
+    # onto S(1) -/+ 1 in mixed mode and onto S(P\1) in pure mode
     cutoff = LinearConstraint(
         "cutoff", ((1, Fraction(-3, 2)), (r | 1, Fraction(2))), ">=", Fraction(-7, 3)
     )
-    repeat = [row for row in quotient.rows if row.rel == ">="][-1]._replace(id="repeat")
+    repeat = system.row("nonneg:1")._replace(id="repeat")
     negative = LinearConstraint("negative", ((p, -1),), ">=", 0)  # -S(P) >= 0 reads 0 >= 1
     return [(links, False), ((cutoff,), False), ((repeat,), False), ((negative,), True)]
 
 
-def test_closed_form_presolve_is_the_generic_presolve(monkeypatch):
-    # pure mode builds every state in closed form, an infeasible one too
+PRESOLVE_FIELDS = ("cols", "costs", "scales", "cost_scale", "var_pos", "rhs", "infeasible")
+
+
+def test_closed_form_presolve_is_the_generic_presolve():
+    # the quotient folds the equalities in closed form; every state, an
+    # infeasible one too, is then the generic presolve of the LP that keeps
+    # them as rows, less the records
     structures = closed_form_structures()
     assert ONE_PLAYER in structures and {s.n for s in structures} == {1, 2, 3, 4, 5, 6, 7}
-    generic = []
-    original = Presolved.__init__
-    monkeypatch.setattr(Presolved, "__init__", lambda *a: generic.append(a) or original(*a))
     for structure in structures:
-        system = build_system(structure, pure=True, ineq="elemental")
-        quotient = system.quotient
-        num_vars = system.ground.var_count + 1
-        for extra, infeasible in added_rows(system):
-            problem = quotient.problem(num_vars, (), extra)
-            assert generic == [], (structure, extra)
-            assert problem.rows == quotient.rows + tuple(quotient.map_row(row) for row in extra)
-            assert problem.presolved.infeasible == infeasible
-            reference = Presolved(problem.rows)
-            assert presolve_fields(problem.presolved) == presolve_fields(reference), structure
-            generic.clear()
-        closed = quotient.presolved
-        assert generic == [], structure
-        assert quotient.problem(num_vars, ()).presolved is closed
-        assert presolve_fields(closed) == presolve_fields(Presolved(quotient.rows)), structure
-        generic.clear()
+        for pure in (True, False):
+            system = build_system(structure, pure=pure, ineq="elemental")
+            quotient = system.quotient
+            num_vars = system.ground.var_count + 1
+            for extra, infeasible in [((), False)] + added_rows(system):
+                problem, _ = quotient.problem(num_vars, (), extra)
+                state = problem.presolved
+                rows = equality_lp_rows(system, extra)
+                reference = Presolved(rows)
+                assert {row.rel for row in problem.rows} <= {">="} and not state.pivot_vars
+                got = [getattr(state, name) for name in PRESOLVE_FIELDS]
+                assert got == [getattr(reference, name) for name in PRESOLVE_FIELDS], structure
+                assert [problem.rows[i].id for i in state.row_index] == [
+                    rows[i].id for i in reference.row_index
+                ]
+                if pure:
+                    assert state.infeasible == infeasible
+            assert quotient.problem(num_vars, ())[0].presolved is quotient.presolved
 
 
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
@@ -268,9 +290,10 @@ def test_every_lemma_target_matches_the_plain_lp(structure):
         for terms, bound in ((form, inst.rhs), (negated, -inst.rhs)):
             objective = tuple(sorted(terms.items()))
             plain = solve(LPProblem(num_vars, objective, elemental.constraints, plain_state))
-            mapped = quotient.map_terms(objective)
-            reduced = solve(LPProblem(num_vars, mapped, quotient.rows, quotient.presolved))
-            assert (reduced.status, reduced.value) == (plain.status, plain.value), inst.id
+            folded, constant = quotient.fold(objective)
+            reduced = solve(LPProblem(num_vars, folded, quotient.rows, quotient.presolved))
+            value = None if reduced.value is None else reduced.value + constant
+            assert (reduced.status, value) == (plain.status, plain.value), inst.id
             statuses.add(plain.status)
             result = check_implied(elemental, terms, ">=", bound)
             assert result.implied == (plain.status == "optimal" and plain.value >= bound)
@@ -295,9 +318,8 @@ def test_session_solves_match_cold_solves(structure):
     for inst in scheme_relation_instances(structure, elemental.ground):
         for sign in (1, -1):
             objective = tuple(sorted((v, sign * c) for v, c in inst.terms))
-            problem = LPProblem(
-                elemental.ground.var_count, quotient.map_terms(objective), quotient.rows, state
-            )
+            folded, constant = quotient.fold(objective)
+            problem = LPProblem(elemental.ground.var_count, folded, quotient.rows, state)
             warm = solve(problem, session)
             cold = solve(problem)
             assert (warm.status, warm.value) == (cold.status, cold.value), inst.id
@@ -306,11 +328,39 @@ def test_session_solves_match_cold_solves(structure):
             if warm.status != "optimal":
                 continue
             entries = _expand(elemental, (), problem.rows, *warm.multipliers, objective)
-            cert = Certificate(warm.value, entries, objective)
+            cert = Certificate(warm.value + constant, entries, objective)
             for system in systems:
                 assert verify_certificate(system, cert, objective=objective), inst.id
     assert statuses == {"optimal", "unbounded"}
     assert warm_pivots > 0
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_forms_that_fold_to_a_constant(pure):
+    # S(R) = 1 in both modes and S(P) = 1 in pure mode, where the top
+    # player's share folds to S(P\top) plus a constant; in mixed mode
+    # S(P) is an unknown whose least value is 1 on threshold(2,3)
+    structure = GAMMA4_BAR if pure else THRESHOLD23
+    system = cached_system(structure, pure, "elemental")
+    ground = system.ground
+    p, r, top = ground.player_mask, ground.reference_mask, 1 << (structure.n - 1)
+    assert system.quotient.fold(((r, ONE),)) == ((), 1)
+    assert (system.quotient.fold(((p, ONE),)) == ((), 1)) == pure
+    assert (system.quotient.fold(((top, ONE),))[1] != 0) == pure
+    report = share_bound(structure, mode="pure" if pure else "mixed", ineq="elemental",
+                         objective="minsum", players=[structure.n])
+    plain = solve(LPProblem(ground.var_count, ((top, ONE),), system.constraints))
+    assert report.lp_value == plain.value
+    for replay in (system, cached_system(structure, pure, "full")):
+        assert verify_certificate(replay, report.certificate, objective=report.objective)
+    for mask in (p, r):
+        result = check_implied(system, {mask: ONE}, ">=", ONE)
+        assert result.implied
+        (cert,) = result.certificates
+        assert verify_certificate(system, cert, objective=((mask, ONE),))
+        result = check_implied(system, {mask: ONE}, ">=", 2)
+        assert not result.implied and result.witness[mask] == 1
+        assert all(row.satisfied_by(result.witness) for row in system.constraints)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)
@@ -364,12 +414,12 @@ class TestExpansion:
         quotient = elemental.quotient
         objective = Objective("minmax", (1, 2, 3, 4, 5))
         extra, form, num_vars = objective_rows(elemental, objective)
-        problem = LPProblem(num_vars, form, quotient.rows + extra)
+        problem, _ = quotient.problem(num_vars, form, extra)
         found = dict(plain_certificate(problem, solve(problem)).entries)
         report = share_bound(GAMMA4_BAR, ineq="elemental")
         added = [
             rid for rid, mult in report.certificate.entries
-            if rid != "purity" and found.get(rid) != mult
+            if rid.partition(":")[0] not in EQUALITIES and found.get(rid) != mult
         ]
         return elemental, report, added
 
@@ -384,14 +434,32 @@ class TestExpansion:
 
     @pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)])
     def test_changed_purity_multiplier_is_rejected(self, delta):
+        # and a changed normalize, recover or secrecy multiplier: the bounds
+        # on g4bar and, in mixed mode, on g4, and S(R) >= 1 in both modes
         elemental, report, _ = self.expanded_g4bar()
-        entries = tuple(
-            (rid, mult + delta if rid == "purity" else mult)
-            for rid, mult in report.certificate.entries
-        )
-        assert "purity" in dict(report.certificate.entries)
-        cert = Certificate(report.lp_value, entries, report.certificate.objective)
-        assert not verify_certificate(elemental, cert, objective=report.objective)
+        mixed = cached_system(GAMMA4, False, "elemental")
+        mixed_report = share_bound(GAMMA4, mode="mixed", ineq="elemental")
+        cases = [
+            (elemental, report.certificate, report.objective),
+            (mixed, mixed_report.certificate, mixed_report.objective),
+        ]
+        for system in (elemental, mixed):
+            r = system.ground.reference_mask
+            (cert,) = check_implied(system, {r: ONE}, ">=", ONE).certificates
+            cases.append((system, cert, ((r, ONE),)))
+        families = set()
+        for system, cert, objective in cases:
+            assert verify_certificate(system, cert, objective=objective)
+            for rid, _ in cert.entries:
+                if rid.partition(":")[0] not in EQUALITIES:
+                    continue
+                families.add(rid.partition(":")[0])
+                entries = tuple(
+                    (other, mult + delta if other == rid else mult) for other, mult in cert.entries
+                )
+                changed = Certificate(cert.claimed_bound, entries, cert.objective)
+                assert not verify_certificate(system, changed, objective=objective), rid
+        assert families == set(EQUALITIES)
 
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
     def test_target_term_on_the_empty_set_drops_out(self, pure):
@@ -409,16 +477,30 @@ class TestExpansion:
         "structure", [GAMMA4, THRESHOLD23, STAR3_BAR], ids=["g4", "threshold23", "star3"]
     )
     def test_mixed_mode_quotient_is_the_identity(self, structure):
+        # on the player sets, the variables it keeps; it folds S(A ∪ R),
+        # which the scheme rows and normalize pin, onto S(A) -/+ 1
         system = cached_system(structure, False, "elemental")
-        assert system.quotient.rows is system.constraints
+        quotient, r = system.quotient, system.ground.reference_mask
+        assert quotient.var_count == r - 1
+        for v in range(1, 2 * r):
+            a = v & ~r
+            if v < r:
+                assert quotient.fold(((v, ONE),)) == (((v, ONE),), 0)
+            else:
+                shift = -1 if structure.mask_authorized(a) else 1
+                assert quotient.fold(((v, ONE),)) == (((a, ONE),) if a else (), shift)
+        # its LP is the presolve of the plain one, which keeps the
+        # equalities as rows: same pivots, and the same certificate
         objective = Objective("minmax", tuple(range(1, structure.n + 1)))
         extra, form, num_vars = objective_rows(system, objective)
-        problem = LPProblem(num_vars, form, system.constraints + extra)
+        rows = system.constraints + extra
+        state = Presolved(rows)
+        problem = LPProblem(num_vars, form, rows, state)
         plain = solve(problem)
         report = share_bound(structure, mode="mixed", ineq="elemental")
         assert (report.lp_value, report.pivots) == (plain.value, plain.pivots)
         assert report.certificate.entries == plain_certificate(problem, plain).entries
-        assert (report.rows, report.cols) == (len(problem.rows), num_vars)
+        assert (report.rows, report.cols) == (len(state.cols), len(state.var_pos))
 
 
 class TestCsirmazLadder:
@@ -426,15 +508,16 @@ class TestCsirmazLadder:
 
     @pytest.mark.parametrize(
         "n,value,rows,cols",
-        [(5, Fraction(7, 4), 469, 65), (6, Fraction(9, 5), 1158, 129),
-         (7, Fraction(11, 6), 2823, 257)],
+        [(5, Fraction(7, 4), 221, 32), (6, Fraction(9, 5), 532, 64),
+         (7, Fraction(11, 6), 1276, 128)],
     )
     def test_bound(self, n, value, rows, cols):
         structure, _ = csirmaz(n)
         report = share_bound(structure, auto_purify=True, ineq="elemental")
         assert report.structure.n + 1 == n + 2
         assert report.lp_value == value
-        # the quotient LP: half the variables, rows deduplicated after mapping
+        # the quotient LP: the player sets below the top player, plus t,
+        # and the rows deduplicated after folding
         assert (report.rows, report.cols) == (rows, cols)
         assert report.lp_value >= report.theorem3_bound == Fraction(7, 5)
         elemental = cached_system(report.structure, True, "elemental")
