@@ -545,14 +545,12 @@ class Quotient:
         folded here; ``num_vars`` counts those variables and any of the
         problem's own, such as the t of a minmax objective, which map to
         themselves.  Without ``extra`` the problem shares ``presolved``;
-        with it the problem gets a state of its own.  ``ValueError`` for
-        an ``extra`` row that is not ``>=``.
+        with it the problem gets a state of its own, which refuses an
+        ``extra`` row that is not ``>=`` with ``ValueError``.
         """
         objective, constant = self.fold(form)
         if not extra:
             return LPProblem(num_vars, objective, self.rows, self.presolved), constant
-        if any(row.rel != ">=" for row in extra):
-            raise ValueError("a problem adds only >= rows")
         added = []
         for rid, terms, rel, rhs in extra:
             terms, offset = self.fold(terms)

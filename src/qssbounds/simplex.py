@@ -1,27 +1,24 @@
 """Exact rational linear programming with verifiable duals.
 
 Problems are minimizations of a sparse rational form over free variables
-subject to ``>=`` and ``=`` rows.  There is no floating point anywhere
-in the solve path, so optima such as 3/2 are proved rather than
-approximated.  A row is a :class:`LinearConstraint` named tuple whose
-numbers are ``int`` or ``Fraction``.  The rows this package generates
-are all ints, and the presolve and the post-solve stay in ints wherever
-the values are whole: a ``Fraction`` appears only where a division does
-not come out even; every sparse row update goes through
-:func:`add_scaled`.
+subject to ``>=`` rows; a row of any other relation is refused.
+Equalities are eliminated before the solve: for the prover,
+``cone.Quotient`` folds every one (purity, the scheme rows,
+``normalize``) into its variables, and for the raw LPs of the tests the
+reference elimination in ``tests/helpers.py`` folds them and lifts the
+solution back.  There is no floating point anywhere in the solve path,
+so optima such as 3/2 are proved rather than approximated.  A row is a
+:class:`LinearConstraint` named tuple whose numbers are ``int`` or
+``Fraction``.  The rows this package generates are all ints, and the
+post-solve stays in ints: the optimum is the one ``Fraction`` a solve
+builds; every sparse row update goes through :func:`add_scaled`.
 
 The solver is a two-phase simplex with Bland's anti-cycling rule.  The
 systems this package generates have far more rows than variables, so the
 pivoting works on the dual standard form (one nonnegative multiplier per
-row) after a presolve that eliminates equality rows by exact
-substitution.  The presolve depends only on the rows, so it is one
-:class:`Presolved` state per row tuple: the elimination records, the
-reduced and deduplicated inequality rows with the weights that lift
-their multipliers back, and those rows as integer-scaled dual columns
-and costs.  The state reduces each objective and lifts each solution.
-``Presolved(rows)`` builds each state whole, from every row of its LP;
-the LPs of the package's quotients have no equality row, so there it
-only deduplicates and places the columns.  A problem may carry the
+row).  That form depends only on the rows, so it is one
+:class:`Presolved` state per row tuple: the checked and deduplicated
+rows as integer-scaled dual columns and costs.  A problem may carry the
 state of its rows (a quotient shares one between objectives); otherwise
 :func:`solve` builds it.  The solver sees only the rows it is given and
 returns a value, a point and one multiplier per row: mapping a system
@@ -51,15 +48,14 @@ is always exact, and the pivot element w_r becomes the new D (all signs
 are flipped when it is negative, so D stays positive).  Every quantity
 the pivot rule compares is the exact one times a positive factor, so
 the pivot sequence is the one a rational basis inverse would make.
-The primal point and the per-row multipliers of the *original* problem
-are lifted as integers over one positive denominator each, and checked
-in integers against every original row (feasibility, sign conditions,
-the dual combination and a zero duality gap) before an optimal status
-is returned; ``Fraction`` tuples are built only when read.  Identical
-problems solved cold produce identical pivot sequences and identical
-solutions, whether or not their presolved state was shared; solved in a
-session, the same holds for the same sequence of objectives on a fresh
-session.
+The primal point and the per-row multipliers are read off the tableau
+as integers over one positive denominator each, and checked in integers
+against every row (feasibility, sign conditions, the dual combination
+and a zero duality gap) before an optimal status is returned;
+``Fraction`` tuples are built only when read.  Identical problems
+solved cold produce identical pivot sequences and identical solutions,
+whether or not their presolved state was shared; solved in a session,
+the same holds for the same sequence of objectives on a fresh session.
 """
 
 from __future__ import annotations
@@ -77,6 +73,9 @@ MAX_ITERATIONS = 2_000_000
 #: Consecutive degenerate dual pivots after which the dual Bland rule takes over.
 DEGENERATE_RUN = 500
 
+# what the variable indices of a row and of an objective must be
+_INCREASING = "nonnegative and strictly increasing"
+
 
 class SimplexError(RuntimeError):
     """Internal solver invariant violation; indicates a bug, not bad input."""
@@ -88,9 +87,11 @@ class LinearConstraint(NamedTuple):
     ``terms`` pairs variable indices with nonzero coefficients in
     increasing index order.  Coefficients and ``rhs`` are ``int`` or
     ``Fraction``; every row this package generates is integral and
-    holds plain ints.  ``id`` is unique within a problem and starts
-    with the row's family, as in ``ssa:1;2|3``, so certificates that
-    name rows stay meaningful after deduplication.
+    holds plain ints.  ``rel`` is ``>=`` or ``=``: the solver takes
+    ``>=`` rows only, and certificate replay reads both.  ``id`` is
+    unique within a problem and starts with the row's family, as in
+    ``ssa:1;2|3``, so certificates that name rows stay meaningful after
+    deduplication.
     """
 
     id: str
@@ -109,10 +110,13 @@ class LinearConstraint(NamedTuple):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """Minimize ``objective . x`` over free x subject to the rows.
+    """Minimize ``objective . x`` over free x subject to the ``>=`` rows.
 
-    ``presolved`` may carry the :class:`Presolved` state of exactly this
-    ``rows`` tuple, to share it with other objectives on the same rows.
+    The objective pairs variable indices with coefficients in increasing
+    index order, as a row's ``terms`` do, and every index is below
+    ``num_vars``.  ``presolved`` may carry the :class:`Presolved` state
+    of exactly this ``rows`` tuple, to share it with other objectives on
+    the same rows.
     """
 
     num_vars: int
@@ -149,12 +153,6 @@ def _fractions(scaled: tuple[tuple[int, ...], int] | None) -> tuple[Fraction, ..
     return None if scaled is None else tuple(Fraction(n, scaled[1]) for n in scaled[0])
 
 
-def _exact_div(a, b):
-    """``a / b`` as an ``int`` when it is whole, else a ``Fraction`` (never a float)."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
-
-
 def add_scaled(acc: dict, terms, factor) -> None:
     """``acc += factor * terms`` for ``(key, coefficient)`` pairs.
 
@@ -171,136 +169,50 @@ def add_scaled(acc: dict, terms, factor) -> None:
 class Presolved:
     """Everything a solve derives from the rows alone, built once per row tuple.
 
-    Each usable equality row, reduced by the records before it, becomes
-    record ``k``: ``pivot_coefs[k] * x[pivot_vars[k]] + rests[k] . x =
-    rest_rhs[k]``, pinning its highest-index variable, and ``combos[k]``
-    is that record as a combination of original equality rows (row index
-    -> weight).  :meth:`reduce_form` substitutes the records into any
-    form and returns the record weights it used, so multipliers of the
-    reduced problem lift to exact multipliers on the original equality
-    rows (:meth:`equality_duals`) and a reduced point lifts to the
-    original variables (:meth:`lift_primal`), both in integers over a
-    common denominator, which a pivot coefficient that does not divide
-    rescales.
-
-    The inequality rows are reduced by the records, and duplicates and
-    rows that reduce to ``0 >= rhs`` with ``rhs <= 0`` are dropped.  Per
-    reduced row, ``row_index``, ``weights`` and ``rhs`` keep its original
-    row, the record weights that lift its multiplier and its reduced
-    right-hand side.  ``var_pos`` numbers the variables the reduced rows
-    contain, in increasing order.  Reduced row ``j`` times ``scales[j]``
-    (the lcm of its denominators) is the integer dual column ``cols[j]``
-    over those positions, with cost ``costs[j] = -rhs[j] * scales[j] *
-    cost_scale``; positive column scalings change no pivot.
-    ``infeasible`` records contradictory equalities or a row that reduces
-    to ``0 >= rhs > 0``; every solve on the rows is then infeasible.
-    Solves only read the state, so one state serves any number of
-    objectives.
+    Every row must be a ``>=`` row whose variables are nonnegative and
+    strictly increasing, with no zero coefficient; anything else is a
+    ``ValueError``.  Duplicate rows and rows ``0 >= rhs`` with ``rhs <=
+    0`` are dropped.  Per kept row, ``row_index`` and ``rhs`` keep its
+    index in ``rows`` and its right-hand side.  ``var_pos`` numbers the
+    variables the kept rows contain, in increasing order.  Kept row ``j``
+    times ``scales[j]`` (the lcm of its denominators) is the integer dual
+    column ``cols[j]`` over those positions, with cost ``costs[j] =
+    -rhs[j] * scales[j] * cost_scale``; positive column scalings change
+    no pivot.  ``infeasible`` records a row ``0 >= rhs`` with ``rhs >
+    0``; every solve on the rows is then infeasible.  Solves only read
+    the state, so one state serves any number of objectives.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
         self.rows = rows
-        self.pivot_vars: list[int] = []
-        self.pivot_coefs: list[int | Fraction] = []
-        self.rests: list[dict[int, int | Fraction]] = []
-        self.rest_rhs: list[int | Fraction] = []
-        self.combos: list[dict[int, int | Fraction]] = []
         self.infeasible = False
-        self.row_index: list[int] = []
-        self.weights: list[dict[int, int | Fraction]] = []
-        self.rhs: list[int | Fraction] = []
-        self.var_pos: dict[int, int] = {}
-        self.cols: list[tuple[tuple[int, int], ...]] = []
-        self.scales: list[int] = []
-        self.costs: list[int] = []
-        self.cost_scale = 1
-        for idx, row in enumerate(rows):
-            if row.rel not in (">=", "="):
-                raise ValueError(f"unsupported relation {row.rel!r} in row {row.id}")
-            if not all(c for _, c in row.terms):
-                raise ValueError(f"zero coefficient in row {row.id}")
-            if row.rel == "=" and not self.infeasible:
-                terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
-                if not terms:
-                    # 0 = rhs contradicts; 0 = 0 is redundant
-                    self.infeasible = bool(rhs)
-                    continue
-                combo = self.equality_duals({k: -t for k, t in weights.items()})
-                combo[idx] = 1
-                pivot = max(terms)
-                self.pivot_vars.append(pivot)
-                self.pivot_coefs.append(terms.pop(pivot))
-                self.rests.append(terms)
-                self.rest_rhs.append(rhs)
-                self.combos.append(combo)
-        if self.infeasible:
-            return
-        reduced = {}  # (sorted terms, rhs) -> (row index, weights), first row first
-        for idx, row in enumerate(rows):
-            if row.rel == "=":
-                continue
-            terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
+        kept = {}  # (terms, rhs) -> row index, first row first
+        for idx, (rid, terms, rel, rhs) in enumerate(rows):
+            if rel != ">=":
+                raise ValueError(f"unsupported relation {rel!r} in row {rid}")
+            prev = -1
+            for v, c in terms:
+                if not c:
+                    raise ValueError(f"zero coefficient in row {rid}")
+                if v <= prev:
+                    raise ValueError(f"variables of row {rid} are not {_INCREASING}")
+                prev = v
             if terms:
-                reduced.setdefault((tuple(sorted(terms.items())), rhs), (idx, weights))
+                kept.setdefault((terms, rhs), idx)
             elif rhs > 0:
                 self.infeasible = True
-                return
-        variables = sorted({v for items, _ in reduced for v, _ in items})
+        variables = sorted({v for terms, _ in kept for v, _ in terms})
         self.var_pos = pos = {v: i for i, v in enumerate(variables)}
-        self.scales = [_lcm_of_denominators([c for _, c in items]) for items, _ in reduced]
+        self.scales = [_lcm_of_denominators([c for _, c in terms]) for terms, _ in kept]
         self.cols = [
-            tuple([(pos[v], _scaled(c, scale)) for v, c in items])
-            for (items, _), scale in zip(reduced, self.scales)
+            tuple([(pos[v], _scaled(c, scale)) for v, c in terms])
+            for (terms, _), scale in zip(kept, self.scales)
         ]
-        self.rhs = [rhs for _, rhs in reduced]
-        self.row_index = [idx for idx, _ in reduced.values()]
-        self.weights = [weights for _, weights in reduced.values()]
+        self.rhs = [rhs for _, rhs in kept]
+        self.row_index = list(kept.values())
         scaled_costs = [-rhs * scale for rhs, scale in zip(self.rhs, self.scales)]
         self.cost_scale = _lcm_of_denominators(scaled_costs)
         self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
-
-    def reduce_form(self, terms, rhs) -> tuple[dict, int | Fraction, dict]:
-        """Substitute every record into ``terms . x >= rhs``.
-
-        ``terms`` is a mapping or ``(variable, coefficient)`` pairs.
-        Returns the reduced terms, the reduced rhs and the sparse weight
-        vector (record index -> weight) that was subtracted.
-        """
-        terms = dict(terms)
-        weights = {}
-        for k, pivot in enumerate(self.pivot_vars):
-            coef = terms.pop(pivot, 0)
-            if not coef:
-                continue
-            t = weights[k] = _exact_div(coef, self.pivot_coefs[k])
-            add_scaled(terms, self.rests[k].items(), -t)
-            rhs = rhs - t * self.rest_rhs[k]
-        return terms, rhs, weights
-
-    def lift_primal(self, reduced: dict, den: int, num_vars: int) -> tuple[list[int], int]:
-        """The original point of ``reduced / den``, as ``(numerators, denominator)``."""
-        x = [0] * num_vars
-        for v, val in reduced.items():
-            x[v] = val
-        for k in range(len(self.pivot_vars) - 1, -1, -1):
-            acc = self.rest_rhs[k] * den
-            for v, c in self.rests[k].items():
-                if x[v]:
-                    acc -= c * x[v]
-            t = _exact_div(acc, self.pivot_coefs[k])
-            if type(t) is not int:
-                x = [a * t.denominator for a in x]
-                den *= t.denominator
-                t = t.numerator
-            x[self.pivot_vars[k]] = t
-        return x, den
-
-    def equality_duals(self, alpha: dict) -> dict:
-        """Multipliers on original equality rows from record weights."""
-        lam = {}
-        for k, a in alpha.items():
-            add_scaled(lam, self.combos[k].items(), a)
-        return lam
 
 
 class _Tableau:
@@ -310,7 +222,7 @@ class _Tableau:
     sparse.  Artificial variables open phase 1; Bland's rule (lowest
     eligible column index enters, lowest basis id leaves on ties) makes
     every run deterministic and cycle-free.  The columns are the dual
-    columns of a :class:`Presolved` state and ``d`` the reduced objective,
+    columns of a :class:`Presolved` state and ``d`` the objective,
     so a positive phase 1 value means the dual is infeasible and an
     unbounded phase 2 means the primal is.
 
@@ -571,32 +483,42 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
 
     Statuses are ``optimal`` (with a strong-duality-checked solution),
     ``infeasible`` and ``unbounded``; arithmetic is exact, so there are
-    no tolerance failures.  The problem's ``presolved`` state is used
-    when present and must have been built from ``problem.rows`` itself;
-    otherwise the state is built here.  With a ``session`` the solve
-    restarts from the session's basis when it has one, which must be a
-    basis on the same state, and leaves its own dual-feasible basis there.
+    no tolerance failures.  Every row must be a ``>=`` row (see
+    :class:`Presolved`), the objective's variables must be nonnegative
+    and strictly increasing, and every variable must be below
+    ``num_vars``; anything else is a ``ValueError``.  The problem's
+    ``presolved`` state is used when present and must have been built
+    from ``problem.rows`` itself; otherwise the state is built here.
+    With a ``session`` the solve restarts from the session's basis when
+    it has one, which must be a basis on the same state, and leaves its
+    own dual-feasible basis there.
     """
     state = problem.presolved
     if state is None:
         state = Presolved(problem.rows)
     elif state.rows is not problem.rows:
         raise ValueError("presolved state was built from a different row tuple")
+    prev = -1
+    for v, _ in problem.objective:
+        if v <= prev:
+            raise ValueError(f"variables of the objective are not {_INCREASING}")
+        prev = v
+    top = max(prev, next(reversed(state.var_pos), -1))
+    if top >= problem.num_vars:
+        raise ValueError(f"variable {top} is not below num_vars {problem.num_vars}")
     tableau = session.tableau if session is not None else None
     if tableau is not None and tableau.state is not state:
         raise ValueError("session holds a basis of a different presolved state")
     if state.infeasible:
         return LPSolution("infeasible", None, None, None, 0)
 
-    red_obj, neg_offset, alpha = state.reduce_form(problem.objective, 0)
-    # reduce_form treats the constant like a rhs: c.x = red.x - neg_offset
-
-    if any(c and v not in state.var_pos for v, c in red_obj.items()):
-        # the objective keeps a variable no reduced row contains: its dual
-        # equation has no column, so the dual has no feasible point
+    objective = dict(problem.objective)
+    if any(c and v not in state.var_pos for v, c in objective.items()):
+        # the objective has a variable no row contains: its dual equation
+        # has no column, so the dual has no feasible point
         return _infeasible_or_unbounded(problem, state, 0, session)
 
-    rhs = [red_obj.get(v, 0) for v in state.var_pos]
+    rhs = [objective.get(v, 0) for v in state.var_pos]
     if tableau is not None:
         tableau.restart(rhs)
         if tableau.dual_run() != "optimal":
@@ -614,24 +536,13 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
             session.tableau = tableau
     row_duals, dual_den = tableau.solution()
     mult, primal_den = tableau.multipliers()
-    reduced_primal = {v: mult[i] for v, i in state.var_pos.items() if mult[i]}
-    rhs_total = sum(u * state.rhs[j] for j, u in row_duals.items())
-    value = Fraction(rhs_total - neg_offset * dual_den, dual_den)
-    x, primal_den = state.lift_primal(reduced_primal, primal_den, problem.num_vars)
-
-    # dual_den times alpha: the objective's record weights less the row duals'
-    alpha = {k: a * dual_den for k, a in alpha.items()}
+    x = [0] * problem.num_vars
+    for v, i in state.var_pos.items():
+        x[v] = mult[i]
+    value = Fraction(sum(u * state.rhs[j] for j, u in row_duals.items()), dual_den)
     duals = [0] * len(problem.rows)
-    for j in sorted(row_duals):
-        duals[state.row_index[j]] = row_duals[j]
-        add_scaled(alpha, state.weights[j].items(), -row_duals[j])
-    lam = state.equality_duals(alpha)
-    scale = _lcm_of_denominators(lam.values())
-    if scale != 1:  # a record weight whose division did not come out even
-        duals = [u * scale for u in duals]
-        dual_den *= scale
-    for j, u in lam.items():
-        duals[j] = _scaled(u, scale)
+    for j, u in row_duals.items():
+        duals[state.row_index[j]] = u
 
     _verify_optimal(problem, x, primal_den, duals, dual_den, value)
     point, multipliers = (tuple(x), primal_den), (tuple(duals), dual_den)
@@ -658,23 +569,20 @@ def _verify_optimal(
 ) -> None:
     """Exact post-checks against every row of the problem.
 
-    Primal feasibility, nonnegative multipliers on inequalities, a dual
-    combination equal to the objective, and a zero duality gap, for the
-    point ``x / x_den`` and multipliers ``duals / dual_den`` (ints over
-    positive denominators), with every sum in ints on integral rows.
+    Primal feasibility, nonnegative multipliers, a dual combination
+    equal to the objective, and a zero duality gap, for the point ``x /
+    x_den`` and multipliers ``duals / dual_den`` (ints over positive
+    denominators), with every sum in ints on integral rows.
     """
     combo, rhs_total = {}, 0
-    for (rid, terms, rel, rhs), u in zip(problem.rows, duals):
+    for (rid, terms, _, rhs), u in zip(problem.rows, duals):
         lhs = 0
         for v, c in terms:
             lhs += c * x[v]
-        if rel == "=":
-            if lhs != rhs * x_den:
-                raise SimplexError(f"primal violates equality {rid}")
-        elif lhs < rhs * x_den:
+        if lhs < rhs * x_den:
             raise SimplexError(f"primal violates inequality {rid}")
         if u:
-            if u < 0 and rel != "=":
+            if u < 0:
                 raise SimplexError(f"negative multiplier on inequality {rid}")
             rhs_total += u * rhs
             add_scaled(combo, terms, u)

@@ -1,9 +1,12 @@
 """The integer post-solve against the ``Fraction`` post-solve it replaced.
 
-``reference_post_solve`` keeps the old path: the tableau's results turned
-into ``Fraction`` values, back-substituted term by term, and checked by
-the old ``_verify_optimal`` over the lcm of their denominators.  Both
-paths start from the same cold tableau, so every number must agree.
+The integer post-solve is :func:`simplex.solve` on ``>=`` rows, and
+``helpers.solve_with_equalities`` on rows with equalities, which lifts
+the solve of the folded LP back onto them.  ``reference_post_solve``
+keeps the old path: the tableau's results turned into ``Fraction``
+values, back-substituted term by term, and checked by the old
+``_verify_optimal`` over the lcm of their denominators.  Both paths
+start from the same cold tableau, so every number must agree.
 """
 
 import random
@@ -13,32 +16,32 @@ import pytest
 
 from qssbounds import simplex
 from qssbounds.prover import cached_system, scheme_relation_instances
-from qssbounds.simplex import (
-    LinearConstraint,
-    LPProblem,
-    Presolved,
-    SimplexError,
-    solve,
-)
+from qssbounds.simplex import LinearConstraint, LPProblem, SimplexError, solve
 from qssbounds.structures import from_minimal_sets, purify
 
-from helpers import plain_certificate
+from helpers import (
+    Elimination,
+    exact_div,
+    plain_certificate,
+    solve_with_equalities,
+    verify_optimal,
+)
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 GAMMA4_BAR = purify(from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]]))
 
 
-def reference_lift(state, reduced, num_vars):
-    """The old ``Presolved.lift_primal``: back-substitution in ``Fraction`` values."""
+def reference_lift(elimination, reduced, num_vars):
+    """The old ``lift_primal``: back-substitution in ``Fraction`` values."""
     x = [0] * num_vars
     for v, val in reduced.items():
         x[v] = val
-    for k in range(len(state.pivot_vars) - 1, -1, -1):
-        acc = state.rest_rhs[k]
-        for v, c in state.rests[k].items():
+    for k in range(len(elimination.pivot_vars) - 1, -1, -1):
+        acc = elimination.rest_rhs[k]
+        for v, c in elimination.rests[k].items():
             if x[v]:
                 acc -= c * x[v]
-        x[state.pivot_vars[k]] = simplex._exact_div(acc, state.pivot_coefs[k])
+        x[elimination.pivot_vars[k]] = exact_div(acc, elimination.pivot_coefs[k])
     return x
 
 
@@ -74,11 +77,12 @@ def reference_verify(problem, x, duals, value):
 def reference_post_solve(problem):
     """Value, primal, duals and the tableau's primal denominator, the old way.
 
-    Runs the cold two-phase solve of :func:`simplex.solve` on a fresh
-    state, then the old post-solve on its tableau.
+    Runs the cold two-phase solve of :func:`simplex.solve` on the state
+    of a fresh elimination, then the old post-solve on its tableau.
     """
-    state = Presolved(problem.rows)
-    red_obj, neg_offset, alpha = state.reduce_form(problem.objective, 0)
+    elimination = Elimination(problem.rows)
+    state = elimination.presolved
+    red_obj, neg_offset, alpha = elimination.reduce_form(problem.objective, 0)
     tableau = simplex._Tableau(state, [red_obj.get(v, 0) for v in state.var_pos])
     assert tableau.run(1) == "optimal"
     tableau.drive_out_artificials()
@@ -88,12 +92,13 @@ def reference_post_solve(problem):
     row_duals = {j: Fraction(a, u_den) for j, a in u.items()}
     reduced = {v: Fraction(y[i], y_den) for v, i in state.var_pos.items() if y[i]}
     value = Fraction(-neg_offset + sum(a * state.rhs[j] for j, a in row_duals.items()))
-    x = reference_lift(state, reduced, problem.num_vars)
+    x = reference_lift(elimination, reduced, problem.num_vars)
     duals = [0] * len(problem.rows)
     for j in sorted(row_duals):
-        duals[state.row_index[j]] = row_duals[j]
-        simplex.add_scaled(alpha, state.weights[j].items(), -row_duals[j])
-    for j, lam in state.equality_duals(alpha).items():
+        k = state.row_index[j]  # its folded row
+        duals[elimination.origin[k]] = row_duals[j]
+        simplex.add_scaled(alpha, elimination.weights[k].items(), -row_duals[j])
+    for j, lam in elimination.equality_duals(alpha).items():
         duals[j] = lam
     reference_verify(problem, x, duals, value)
     return value, tuple(x), tuple(duals), y_den
@@ -156,8 +161,10 @@ def quotient_lps(structure):
 
 def assert_same_as_reference(problem):
     """The new solve equals the old post-solve; returns it and the tableau's primal denominator."""
-    solution = solve(problem)
+    solution = solve_with_equalities(problem)
     assert solution.status == "optimal"
+    if all(row.rel == ">=" for row in problem.rows):
+        assert solve(problem) == solution
     value, primal, duals, tableau_den = reference_post_solve(problem)
     assert solution.value == value and type(solution.value) is Fraction
     assert solution.primal == primal and solution.duals == duals
@@ -218,7 +225,7 @@ class TestAgainstTheFractionPostSolve:
             problem = random_lp(rng, family)
             solution, tableau_den = assert_same_as_reference(problem)
             rescaled += solution.point[1] != tableau_den
-            records += len(Presolved(problem.rows).pivot_vars)
+            records += len(Elimination(problem.rows).pivot_vars)
         assert records > 0
         if family == "evenpivot":
             assert rescaled > 0  # the odd-remainder branch of lift_primal ran
@@ -251,10 +258,12 @@ class TestAgainstTheFractionPostSolve:
         seen = []
         for _ in range(30):
             problem = random_lp(rng, family)
-            for tampered, args, message in tamper_cases(problem, solve(problem)):
+            for tampered, args, message in tamper_cases(problem, solve_with_equalities(problem)):
                 x, x_den, duals, dual_den, value = args
+                # simplex checks >= rows only, the reference equalities too
+                equalities = any(row.rel == "=" for row in tampered.rows)
                 with pytest.raises(SimplexError, match=message):
-                    simplex._verify_optimal(tampered, *args)
+                    (verify_optimal if equalities else simplex._verify_optimal)(tampered, *args)
                 with pytest.raises(SimplexError, match=message):
                     reference_verify(
                         tampered,

@@ -37,11 +37,13 @@ from qssbounds.structures import (
 )
 
 from helpers import (
+    Elimination,
     bump_first_multiplier,
     count_quantum_scans,
     plain_certificate,
     qutrit_threshold_vector,
     random_quantum_structure,
+    solve_with_equalities,
 )
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
@@ -252,7 +254,7 @@ class TestPinnedPivotSequence:
         objective = Objective("minmax", tuple(range(1, structure.n + 1)))
         extra, form, num_vars = objective_rows(system, objective)
         problem = LPProblem(num_vars, form, system.constraints + extra)
-        solution = solve(problem)
+        solution = solve_with_equalities(problem)
         assert solution.pivots == case["pivots"]
         assert solution.value == Fraction(case["lp_value"])
         assert entry_strings(plain_certificate(problem, solution)) == case["entries"]
@@ -416,10 +418,12 @@ class TestSharedPresolve:
         r = system.ground.reference_mask
         renormalize = LinearConstraint("renormalize", ((r, ONE),), "=", Fraction(2))
         rows = system.constraints + (renormalize,)
-        presolved = Presolved(rows)
-        assert presolved.infeasible
+        elimination = Elimination(rows)
+        assert elimination.infeasible
         for objective in (((1, ONE),), ((1, -ONE),)):
-            solution = self.both_ways(system.ground.var_count, objective, rows, presolved)
+            problem = LPProblem(system.ground.var_count, objective, rows)
+            solution = solve_with_equalities(problem, elimination=elimination)
+            assert solution == solve_with_equalities(problem)
             assert (solution.status, solution.pivots) == ("infeasible", 0)
 
     @staticmethod
@@ -498,7 +502,6 @@ class TestSharedPresolve:
         assert len(solved) > 10 and all(problem.presolved for problem in solved)
         assert set(states) == {problem.rows for problem in solved}
         assert self.relations(states) == {">="}
-        assert all(not problem.presolved.pivot_vars for problem in solved)
 
     def test_shared_state_lives_with_the_system(self):
         system = cached_system(THRESHOLD23, True, "elemental")

@@ -4,7 +4,8 @@ The equalities pin variables (S(X) = S(F\\X) in pure mode, and S(A ∪ R)
 = S(A) -/+ 1 in both modes), so every LP is solved on the variables they
 leave free, with no equality row, and its certificates are expanded back
 onto the elemental rows.  The plain LPs here are built in the tests
-themselves or by `helpers.equality_lp_rows`.
+themselves or by `helpers.equality_lp_rows`, and solved by the reference
+`helpers.solve_with_equalities`, since `simplex` takes ``>=`` rows only.
 """
 
 import json
@@ -28,7 +29,7 @@ from qssbounds.prover import (
     theorem3_chain,
     verify_certificate,
 )
-from qssbounds.simplex import LinearConstraint, LPProblem, Presolved, Session, solve
+from qssbounds.simplex import LinearConstraint, LPProblem, Session, solve
 from qssbounds.structures import (
     StructureError,
     csirmaz,
@@ -39,10 +40,12 @@ from qssbounds.structures import (
 )
 
 from helpers import (
+    Elimination,
     all_antichain_structures,
     equality_lp_rows,
     plain_certificate,
     random_quantum_structure,
+    solve_with_equalities,
 )
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
@@ -86,19 +89,15 @@ def replay_systems(structure, max_full=6):
 
 
 def assert_quotient_is_the_reference(structure, pure=True):
-    """The quotient's rows against the generic presolve of the LP with
-    equality rows: its reduced rows in order, each under the id of the
-    first row that reduces to it."""
+    """The quotient's rows against the reference elimination of the LP
+    with equality rows: its folded rows that the presolve keeps, in
+    order, each under the id of the first row that folds to it."""
     system = build_system(structure, pure=pure, ineq="elemental")
     quotient = system.quotient
-    rows = equality_lp_rows(system)
-    state = Presolved(rows)
-    assert not state.infeasible
-    reduced = []
-    for idx, rhs in zip(state.row_index, state.rhs):
-        terms, _, _ = state.reduce_form(rows[idx].terms, rows[idx].rhs)
-        reduced.append((rows[idx].id, tuple(sorted(terms.items())), rhs))
-    assert [(row.id, row.terms, row.rhs) for row in quotient.rows] == reduced
+    elimination = Elimination(equality_lp_rows(system))
+    assert not elimination.infeasible and not elimination.presolved.infeasible
+    folded = [elimination.folded[k] for k in elimination.presolved.row_index]
+    assert quotient.rows == tuple(folded)
     assert {row.rel for row in quotient.rows} <= {">="}
     used = {v for row in quotient.rows for v, _ in row.terms}
     assert used == set(range(1, quotient.var_count + 1))
@@ -194,8 +193,8 @@ PRESOLVE_FIELDS = ("cols", "costs", "scales", "cost_scale", "var_pos", "rhs", "i
 
 def test_closed_form_presolve_is_the_generic_presolve():
     # the quotient folds the equalities in closed form; every state, an
-    # infeasible one too, is then the generic presolve of the LP that keeps
-    # them as rows, less the records
+    # infeasible one too, is then the presolve of the reference elimination
+    # of the LP that keeps them as rows
     structures = closed_form_structures()
     assert ONE_PLAYER in structures and {s.n for s in structures} == {1, 2, 3, 4, 5, 6, 7}
     for structure in structures:
@@ -206,13 +205,13 @@ def test_closed_form_presolve_is_the_generic_presolve():
             for extra, infeasible in [((), False)] + added_rows(system):
                 problem, _ = quotient.problem(num_vars, (), extra)
                 state = problem.presolved
-                rows = equality_lp_rows(system, extra)
-                reference = Presolved(rows)
-                assert {row.rel for row in problem.rows} <= {">="} and not state.pivot_vars
+                elimination = Elimination(equality_lp_rows(system, extra))
+                reference = elimination.presolved
+                assert {row.rel for row in problem.rows} <= {">="}
                 got = [getattr(state, name) for name in PRESOLVE_FIELDS]
                 assert got == [getattr(reference, name) for name in PRESOLVE_FIELDS], structure
                 assert [problem.rows[i].id for i in state.row_index] == [
-                    rows[i].id for i in reference.row_index
+                    elimination.folded[i].id for i in reference.row_index
                 ]
                 if pure:
                     assert state.infeasible == infeasible
@@ -222,7 +221,7 @@ def test_closed_form_presolve_is_the_generic_presolve():
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
 def test_a_problem_adds_only_inequalities(pure):
     quotient = cached_system(THRESHOLD23, pure, "elemental").quotient
-    with pytest.raises(ValueError, match="only >= rows"):
+    with pytest.raises(ValueError, match="unsupported relation '=' in row eq"):
         quotient.problem(quotient.ground.var_count, (), (LinearConstraint("eq", ((1, 1),), "=", 0),))
 
 
@@ -238,7 +237,7 @@ def test_pure_quotient_of_a_structure_that_is_not_self_dual_is_refused(structure
     with pytest.raises(StructureError, match="pure quotient needs a self-dual structure"):
         system.quotient
     plain = LPProblem(system.ground.var_count, (), system.constraints)
-    assert solve(plain).status == "infeasible"
+    assert solve_with_equalities(plain).status == "infeasible"
 
 
 @pytest.mark.parametrize(
@@ -274,7 +273,7 @@ def test_pure_solves_generate_no_row_list(monkeypatch):
 def test_every_lemma_target_matches_the_plain_lp(structure):
     elemental = cached_system(structure, True, "elemental")
     quotient = elemental.quotient
-    plain_state = Presolved(elemental.constraints)
+    elimination = Elimination(elemental.constraints)
     systems = replay_systems(structure)
     # a witness that satisfies the elemental rows satisfies the full ones;
     # checking them too costs seconds from 6 elements on
@@ -289,7 +288,9 @@ def test_every_lemma_target_matches_the_plain_lp(structure):
         negated = {v: -c for v, c in form.items()}
         for terms, bound in ((form, inst.rhs), (negated, -inst.rhs)):
             objective = tuple(sorted(terms.items()))
-            plain = solve(LPProblem(num_vars, objective, elemental.constraints, plain_state))
+            plain = solve_with_equalities(
+                LPProblem(num_vars, objective, elemental.constraints), elimination=elimination
+            )
             folded, constant = quotient.fold(objective)
             reduced = solve(LPProblem(num_vars, folded, quotient.rows, quotient.presolved))
             value = None if reduced.value is None else reduced.value + constant
@@ -349,7 +350,7 @@ def test_forms_that_fold_to_a_constant(pure):
     assert (system.quotient.fold(((top, ONE),))[1] != 0) == pure
     report = share_bound(structure, mode="pure" if pure else "mixed", ineq="elemental",
                          objective="minsum", players=[structure.n])
-    plain = solve(LPProblem(ground.var_count, ((top, ONE),), system.constraints))
+    plain = solve_with_equalities(LPProblem(ground.var_count, ((top, ONE),), system.constraints))
     assert report.lp_value == plain.value
     for replay in (system, cached_system(structure, pure, "full")):
         assert verify_certificate(replay, report.certificate, objective=report.objective)
@@ -368,7 +369,7 @@ def test_minmax_bound_matches_the_plain_lp(structure):
     elemental = cached_system(structure, True, "elemental")
     objective = Objective("minmax", tuple(range(1, structure.n + 1)))
     extra, form, num_vars = objective_rows(elemental, objective)
-    plain = solve(LPProblem(num_vars, form, elemental.constraints + extra))
+    plain = solve_with_equalities(LPProblem(num_vars, form, elemental.constraints + extra))
     report = share_bound(structure, ineq="elemental")
     assert plain.status == "optimal"
     assert report.lp_value == plain.value
@@ -489,14 +490,15 @@ class TestExpansion:
             else:
                 shift = -1 if structure.mask_authorized(a) else 1
                 assert quotient.fold(((v, ONE),)) == (((a, ONE),) if a else (), shift)
-        # its LP is the presolve of the plain one, which keeps the
-        # equalities as rows: same pivots, and the same certificate
+        # its LP is the reference elimination of the plain one, which keeps
+        # the equalities as rows: same pivots, and the same certificate
         objective = Objective("minmax", tuple(range(1, structure.n + 1)))
         extra, form, num_vars = objective_rows(system, objective)
         rows = system.constraints + extra
-        state = Presolved(rows)
-        problem = LPProblem(num_vars, form, rows, state)
-        plain = solve(problem)
+        elimination = Elimination(rows)
+        state = elimination.presolved
+        problem = LPProblem(num_vars, form, rows)
+        plain = solve_with_equalities(problem, elimination=elimination)
         report = share_bound(structure, mode="mixed", ineq="elemental")
         assert (report.lp_value, report.pivots) == (plain.value, plain.pivots)
         assert report.certificate.entries == plain_certificate(problem, plain).entries

@@ -14,7 +14,7 @@ from qssbounds.simplex import (
     solve,
 )
 
-from helpers import plain_certificate
+from helpers import Elimination, plain_certificate, solve_with_equalities, verify_optimal
 
 
 def make_problem(num_vars, objective, rows):
@@ -53,7 +53,7 @@ class TestSmallSolves:
                 ({0: Fraction(1), 1: Fraction(1)}, "=", 3),
             ],
         )
-        s = solve(p)
+        s = solve_with_equalities(p)
         assert s.status == "optimal"
         assert s.value == 3
         assert s.primal[0] + s.primal[1] == 3
@@ -72,7 +72,7 @@ class TestSmallSolves:
             {0: Fraction(1)},
             [({0: Fraction(1)}, "=", 1), ({0: Fraction(1)}, "=", 2)],
         )
-        assert solve(p).status == "infeasible"
+        assert solve_with_equalities(p).status == "infeasible"
 
     def test_unbounded(self):
         p = make_problem(1, {0: Fraction(1)}, [({0: Fraction(-1)}, ">=", -5)])
@@ -84,7 +84,7 @@ class TestSmallSolves:
 
     def test_free_variables_take_negative_values(self):
         p = make_problem(1, {0: Fraction(1)}, [({0: Fraction(1)}, "=", -7)])
-        s = solve(p)
+        s = solve_with_equalities(p)
         assert s.status == "optimal"
         assert s.primal == (Fraction(-7),)
 
@@ -100,7 +100,7 @@ class TestSmallSolves:
                 ({x: Fraction(1), y: Fraction(1)}, "=", 3),
             ],
         )
-        s = solve(p)
+        s = solve_with_equalities(p)
         assert s.status == "optimal"
         assert s.value == Fraction(3, 2)
 
@@ -127,7 +127,7 @@ class TestSmallSolves:
                 ({0: Fraction(1)}, ">=", 0),
             ],
         )
-        s = solve(p)
+        s = solve_with_equalities(p)
         assert s.status == "optimal"
         assert s.value == 0
 
@@ -186,10 +186,10 @@ class TestSolutionQuality:
             ({0: Fraction(1), 1: Fraction(-1)}, ">=", 0),
             ({1: Fraction(1)}, "=", 1),
         ]
-        base = solve(make_problem(2, {0: Fraction(1)}, rows))
+        base = solve_with_equalities(make_problem(2, {0: Fraction(1)}, rows))
         for factor in (Fraction(2), Fraction(1, 3), Fraction(7, 5)):
             scaled_rows = [(t, rel, Fraction(r) * factor) for t, rel, r in rows]
-            scaled = solve(make_problem(2, {0: Fraction(1)}, scaled_rows))
+            scaled = solve_with_equalities(make_problem(2, {0: Fraction(1)}, scaled_rows))
             assert scaled.value == base.value * factor
 
     @pytest.mark.parametrize(
@@ -233,7 +233,7 @@ class TestSolutionQuality:
             objective = {v: number(3) for v in range(n)}
             objective = {v: c for v, c in objective.items() if c}
             p = make_problem(n, objective, rows)
-            s = solve(p)
+            s = solve_with_equalities(p)
 
             c = [float(objective.get(v, 0)) for v in range(n)]
             a_ub, b_ub, a_eq, b_eq = [], [], [], []
@@ -267,8 +267,8 @@ class TestSolutionQuality:
 
 class TestIntegerKernel:
     def test_negative_pivot_while_driving_out_artificials(self, monkeypatch):
-        # Presolve substitutes x1 = 1, which leaves no objective weight on
-        # x0.  The artificial of x0 ends phase 1 basic at zero and is
+        # The elimination substitutes x1 = 1, which leaves no objective
+        # weight on x0.  The artificial of x0 ends phase 1 basic at zero and is
         # driven out onto -2*x0 >= 0, a negative pivot element; phase 2
         # then pivots -2*x0 >= 2 in, and its ratio test is only right if
         # the common denominator was kept positive.
@@ -289,7 +289,7 @@ class TestIntegerKernel:
                 ({0: Fraction(-2)}, ">=", 2),
             ],
         )
-        s = solve(p)
+        s = solve_with_equalities(p)
         assert pivot_elements[0] < 0 and len(pivot_elements) == 2
         assert s.status == "optimal"
         assert s.value == 1
@@ -314,11 +314,11 @@ class TestIntegerKernel:
         assert s.primal == (Fraction(66, 175), Fraction(3, 175))
 
 
-def verify_fractions(problem, x, duals, value):
-    """``_verify_optimal`` on ``Fraction`` vectors, each over the lcm of its denominators."""
+def verify_fractions(check, problem, x, duals, value):
+    """``check`` on ``Fraction`` vectors, each over the lcm of its denominators."""
     x_den = math.lcm(*(v.denominator for v in x))
     dual_den = math.lcm(*(u.denominator for u in duals))
-    simplex._verify_optimal(
+    check(
         problem,
         [v.numerator * (x_den // v.denominator) for v in x],
         x_den,
@@ -329,12 +329,14 @@ def verify_fractions(problem, x, duals, value):
 
 
 class TestVerifyOptimal:
-    """``_verify_optimal`` rejects every kind of wrong optimum.
+    """``_verify_optimal`` and the reference check reject every kind of wrong optimum.
 
     The rows have fractional coefficients and right-hand sides, so the
     integer evaluation must bring each row over its own denominator.  The
     optimum of the two inequalities is (66/175, 3/175) with duals
     (1/2, 1/3); the equality holds there and carries a zero multiplier.
+    ``_verify_optimal`` checks the inequalities, and the reference
+    ``helpers.verify_optimal`` all three rows.
     """
 
     ROWS = [
@@ -350,10 +352,22 @@ class TestVerifyOptimal:
         duals = [Fraction(1, 2), Fraction(1, 3), Fraction(0)]
         return problem, x, duals, Fraction(41, 210)
 
+    @staticmethod
+    def checks(problem, duals, *, on_the_equality=False):
+        """Each check with the problem and multipliers it sees; a defect
+        on the equality row is the reference's alone."""
+        inequalities = LPProblem(problem.num_vars, problem.objective, problem.rows[:2])
+        reference = [(verify_optimal, problem, duals)]
+        if on_the_equality:
+            return reference
+        return [(simplex._verify_optimal, inequalities, duals[:2])] + reference
+
     def test_true_optimum_passes(self):
         problem, x, duals, value = self.optimum()
-        verify_fractions(problem, x, duals, value)
-        assert solve(problem).value == value
+        (_, inequalities, _), _ = cases = self.checks(problem, duals)
+        for check, checked, multipliers in cases:
+            verify_fractions(check, checked, x, multipliers, value)
+        assert solve(inequalities).value == solve_with_equalities(problem).value == value
 
     @pytest.mark.parametrize(
         "shift,message",
@@ -365,26 +379,98 @@ class TestVerifyOptimal:
     def test_wrong_primal_point(self, shift, message):
         problem, x, duals, value = self.optimum()
         x[0] += shift
-        with pytest.raises(SimplexError, match=message):
-            verify_fractions(problem, x, duals, value)
+        for check, checked, multipliers in self.checks(problem, duals, on_the_equality=shift > 0):
+            with pytest.raises(SimplexError, match=message):
+                verify_fractions(check, checked, x, multipliers, value)
 
     def test_negative_inequality_multiplier(self):
         problem, x, duals, value = self.optimum()
         duals[1] = Fraction(-1, 3)
-        with pytest.raises(SimplexError, match="negative multiplier on inequality r1"):
-            verify_fractions(problem, x, duals, value)
+        for check, checked, multipliers in self.checks(problem, duals):
+            with pytest.raises(SimplexError, match="negative multiplier on inequality r1"):
+                verify_fractions(check, checked, x, multipliers, value)
 
     @pytest.mark.parametrize("row,delta", [(1, Fraction(1, 100)), (2, Fraction(-1, 7))])
     def test_dual_combination_misses_objective(self, row, delta):
         problem, x, duals, value = self.optimum()
         duals[row] += delta
-        with pytest.raises(SimplexError, match="does not reproduce the objective"):
-            verify_fractions(problem, x, duals, value)
+        for check, checked, multipliers in self.checks(problem, duals, on_the_equality=row == 2):
+            with pytest.raises(SimplexError, match="does not reproduce the objective"):
+                verify_fractions(check, checked, x, multipliers, value)
 
     def test_nonzero_gap(self):
         problem, x, duals, value = self.optimum()
-        with pytest.raises(SimplexError, match="duality gap"):
-            verify_fractions(problem, x, duals, value + Fraction(1, 1000))
+        for check, checked, multipliers in self.checks(problem, duals):
+            with pytest.raises(SimplexError, match="duality gap"):
+                verify_fractions(check, checked, x, multipliers, value + Fraction(1, 1000))
+
+
+ROW = LinearConstraint("a", ((0, 1),), ">=", 1)
+ZERO_TERM = {0: Fraction(1), 1: Fraction(0)}
+MALFORMED = [
+    pytest.param(
+        make_problem(2, {0: Fraction(1)}, [(ZERO_TERM, "=", 1), ({1: Fraction(1)}, ">=", 0)]),
+        "zero coefficient in row r0",
+        id="with-inequality",
+    ),
+    pytest.param(
+        make_problem(2, {0: Fraction(1)}, [(ZERO_TERM, "=", 1)]),
+        "zero coefficient in row r0",
+        id="equality-alone",
+    ),
+    pytest.param(
+        make_problem(2, {0: Fraction(1)}, [(ZERO_TERM, ">=", 1)]),
+        "zero coefficient in row r0",
+        id="inequality-alone",
+    ),
+    # read as a dict the objective is x0, summed it is 2*x0
+    pytest.param(
+        LPProblem(1, ((0, 1), (0, 1)), (ROW,)),
+        "variables of the objective are not nonnegative and strictly increasing",
+        id="objective-repeats",
+    ),
+    pytest.param(
+        LPProblem(2, ((1, 1), (0, 1)), (ROW,)),
+        "variables of the objective are not",
+        id="objective-unsorted",
+    ),
+    pytest.param(
+        LPProblem(2, ((0, 1),), (ROW._replace(terms=((0, 1), (0, 1))),)),
+        "variables of row a are not nonnegative and strictly increasing",
+        id="row-repeats",
+    ),
+    pytest.param(
+        LPProblem(2, ((0, 1),), (ROW._replace(terms=((1, 1), (0, 1))),)),
+        "variables of row a are not",
+        id="row-unsorted",
+    ),
+    pytest.param(
+        LPProblem(1, ((0, 1),), (ROW._replace(terms=((-1, 1), (0, 1))),)),
+        "variables of row a are not",
+        id="row-negative",
+    ),
+    pytest.param(
+        LPProblem(1, ((-1, 1),), (ROW,)),
+        "variables of the objective are not",
+        id="objective-negative",
+    ),
+    pytest.param(
+        LPProblem(1, ((0, 1),), (ROW._replace(terms=((0, 1), (1, 1))),)),
+        "variable 1 is not below num_vars 1",
+        id="row-above-num-vars",
+    ),
+    pytest.param(
+        LPProblem(1, ((1, 1),), (ROW,)),
+        "variable 1 is not below num_vars 1",
+        id="objective-above-num-vars",
+    ),
+    # a row 0 >= 1 leaves the state infeasible, and the check still runs
+    pytest.param(
+        LPProblem(1, ((0, 1),), (ROW._replace(terms=()), ROW._replace(id="b", terms=((3, 1),)))),
+        "variable 3 is not below num_vars 1",
+        id="infeasible-state-above-num-vars",
+    ),
+]
 
 
 class TestPresolvedState:
@@ -408,12 +494,14 @@ class TestPresolvedState:
             ({1: Fraction(1)}, "=", 1),
         ]
         base = make_problem(2, {}, rows)
-        state = Presolved(base.rows)
+        elimination = Elimination(base.rows)
         for objective in ({0: Fraction(1)}, {0: Fraction(2), 1: Fraction(1)},
                           {0: Fraction(-1)}, {1: Fraction(3)}, {}):
             fresh = make_problem(2, objective, rows)
-            shared = LPProblem(2, fresh.objective, base.rows, state)
-            assert solve(shared) == solve(fresh)
+            shared = LPProblem(2, fresh.objective, base.rows)
+            assert solve_with_equalities(shared, elimination=elimination) == (
+                solve_with_equalities(fresh)
+            )
 
     def test_objective_variable_below_the_row_variables(self):
         # x0 is in no row, so a nonzero objective weight on it leaves the
@@ -445,24 +533,26 @@ class TestPresolvedState:
             assert solution == solve(LPProblem(2, objective, base.rows))
 
     def test_unsupported_relation_refused(self):
-        row = LinearConstraint("r0", ((0, Fraction(1)),), "<=", Fraction(1))
-        with pytest.raises(ValueError, match="unsupported relation '<=' in row r0"):
-            Presolved((row,))
+        for rel in ("<=", "="):
+            row = LinearConstraint("r0", ((0, Fraction(1)),), rel, Fraction(1))
+            with pytest.raises(ValueError, match=f"unsupported relation '{rel}' in row r0"):
+                Presolved((row,))
+            with pytest.raises(ValueError, match=f"unsupported relation '{rel}' in row r0"):
+                solve(LPProblem(1, ((0, Fraction(1)),), (row,)))
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [({0: Fraction(1), 1: Fraction(0)}, "=", 1), ({1: Fraction(1)}, ">=", 0)],
-            [({0: Fraction(1), 1: Fraction(0)}, "=", 1)],
-        ],
-        ids=["with-inequality", "equality-alone"],
-    )
-    def test_zero_coefficient_refused(self, rows):
-        # make_problem keeps the zero term: x0 + 0*x1 = 1
-        problem = make_problem(2, {0: Fraction(1)}, rows)
-        assert problem.rows[0].terms == ((0, Fraction(1)), (1, Fraction(0)))
-        with pytest.raises(ValueError, match="zero coefficient in row r0"):
-            solve(problem)
+    @pytest.mark.parametrize("problem,message", MALFORMED)
+    def test_zero_coefficient_refused(self, problem, message):
+        # the reference refuses a zero term in an equality, as Presolved
+        # does in an inequality; solve refuses indices that are out of
+        # order, negative or not below num_vars
+        if "zero" in message:
+            # make_problem keeps the zero term: x0 + 0*x1
+            assert problem.rows[0].terms == ((0, Fraction(1)), (1, Fraction(0)))
+        with pytest.raises(ValueError, match=message):
+            if any(row.rel == "=" for row in problem.rows):
+                solve_with_equalities(problem)
+            else:
+                solve(problem)
 
 
 class TestCertificates:
@@ -529,7 +619,7 @@ class TestIntegerRows:
     """Integral rows are solved in ints, and a division never gives a float."""
 
     def test_uneven_pivot_division_gives_a_fraction(self):
-        presolve = Presolved((LinearConstraint("e", ((1, 2),), "=", 1),))  # 2*x1 = 1
+        presolve = Elimination((LinearConstraint("e", ((1, 2),), "=", 1),))  # 2*x1 = 1
         assert not presolve.infeasible and presolve.pivot_vars == [1]
         terms, rhs, weights = presolve.reduce_form({0: 1, 1: 1}, 0)
         assert (terms, rhs, weights) == ({0: 1}, Fraction(-1, 2), {0: Fraction(1, 2)})
@@ -540,7 +630,7 @@ class TestIntegerRows:
         assert [Fraction(v, den) for v in x] == [0, Fraction(1, 2)]
 
     def test_even_pivot_division_stays_int(self):
-        presolve = Presolved((LinearConstraint("e", ((0, 2), (1, 2)), "=", 4),))  # 2*x0 + 2*x1 = 4
+        presolve = Elimination((LinearConstraint("e", ((0, 2), (1, 2)), "=", 4),))  # 2*x0 + 2*x1 = 4
         assert not presolve.infeasible and presolve.pivot_vars == [1]
         terms, rhs, weights = presolve.reduce_form({1: 4}, 0)
         assert (terms, rhs, weights) == ({0: -4}, -8, {0: 2})
@@ -559,12 +649,12 @@ class TestIntegerRows:
 
     def test_solve_with_a_pivot_coefficient_of_two(self):
         p = int_problem(2, {0: 1, 1: 1}, [({1: 2}, "=", 1), ({0: 1}, ">=", 0)])
-        s = solve(p)
+        s = solve_with_equalities(p)
         assert s.status == "optimal"
         assert s.value == Fraction(1, 2) and type(s.value) is Fraction
         assert s.primal == (0, Fraction(1, 2)) and type(s.primal[1]) is Fraction
         assert s.duals == (Fraction(1, 2), 1)
-        assert s == solve(as_fractions(p))
+        assert s == solve_with_equalities(as_fractions(p))
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_seeded_int_lps_match_their_fraction_copies(self, seed):
@@ -582,17 +672,17 @@ class TestIntegerRows:
                 continue
             objective = {v: rng.choice((-2, -1, 1, 2)) for v in range(n) if rng.random() < 0.7}
             p = int_problem(n, objective, rows)
-            s = solve(p)
+            s = solve_with_equalities(p)
             statuses.add(s.status)
             assert all(type(v) in (int, Fraction) for v in exact_numbers(s))
-            assert s == solve(as_fractions(p))
+            assert s == solve_with_equalities(as_fractions(p))
             if s.status == "optimal":
                 assert type(s.value) is Fraction
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def random_session_lp(rng, shape):
-    """Rows, a presolved state and many objectives on them.
+    """The number of variables, rows, their elimination and many objectives on them.
 
     Shapes: ``degenerate`` rows are mostly tight at a seeded integer
     point and often repeated; ``lowrank`` rows span fewer directions
@@ -637,7 +727,7 @@ def random_session_lp(rng, shape):
         else:
             objective = {v: Fraction(rng.randint(-3, 3)) for v in range(n)}
         objectives.append(tuple(sorted((v, Fraction(c)) for v, c in objective.items() if c)))
-    return base.rows, Presolved(base.rows), objectives
+    return n, base.rows, Elimination(base.rows), objectives
 
 
 @pytest.fixture
@@ -673,14 +763,13 @@ class TestSessions:
         rng = random.Random(f"{shape}-{degenerate_run}")
         statuses, warm_pivots, artificial_kept, optimal = set(), 0, False, 0
         for _ in range(40):
-            rows, state, objectives = random_session_lp(rng, shape)
-            num_vars = max((v for r in rows for v, _ in r.terms), default=0) + 1
+            num_vars, rows, elimination, objectives = random_session_lp(rng, shape)
             session = simplex.Session()
             for objective in objectives:
-                problem = LPProblem(num_vars, objective, rows, state)
+                problem = LPProblem(num_vars, objective, rows)
                 warm_start = session.tableau is not None
-                warm = solve(problem, session)
-                cold = solve(problem)
+                warm = solve_with_equalities(problem, session, elimination)
+                cold = solve_with_equalities(problem, elimination=elimination)
                 assert (warm.status, warm.value) == (cold.status, cold.value), objective
                 optimal += 2 * (warm.status == "optimal")
                 statuses.add(warm.status)
