@@ -37,10 +37,10 @@ both checks run before any result is returned.
 A check's target is solved over the quotient's rows, on their shared
 presolved state, and a bound LP or a refutation witness over those rows
 plus its own ``>=`` rows, on a state of its own.  The checks of
-one suite share one :class:`simplex.Session`: each target restarts from
-the optimal basis of the one before it.  The session is a local of the
-suite (or of one `check_implied` call) and dies with it; bound LPs are
-solved cold.
+one suite share one :class:`simplex.Session`: its zero phase runs once,
+and each target restarts from the basis of the one before it.  The
+session is a local of the suite (or of one `check_implied` call) and
+dies with it; a bound LP runs in a fresh session of its own.
 """
 
 from __future__ import annotations

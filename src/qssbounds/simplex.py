@@ -13,10 +13,9 @@ so optima such as 3/2 are proved rather than approximated.  A row is a
 post-solve stays in ints: the optimum is the one ``Fraction`` a solve
 builds; every sparse row update goes through :func:`add_scaled`.
 
-The solver is a two-phase simplex with Bland's anti-cycling rule.  The
-systems this package generates have far more rows than variables, so the
-pivoting works on the dual standard form (one nonnegative multiplier per
-row).  That form depends only on the rows, so it is one
+The systems this package generates have far more rows than variables,
+so the simplex pivots on the dual standard form (one nonnegative
+multiplier per row).  That form depends only on the rows, so it is one
 :class:`Presolved` state per row tuple: the checked and deduplicated
 rows as integer-scaled dual columns and costs.  A problem may carry the
 state of its rows (a quotient shares one between objectives); otherwise
@@ -26,19 +25,19 @@ onto its quotient, turning multipliers into a certificate and printing
 rationals are the caller's business.
 
 The costs of the dual form come from the rows alone and an objective
-only sets its right-hand side, so an optimal basis for one objective
-stays dual-feasible for every other objective on the same state.  A
-:class:`Session`, which the caller opens and passes to :func:`solve`
-with each problem, keeps that basis and nothing else: the next
-objective on the same state restarts from it and runs a dual simplex
-(dual steepest edge, falling back to the dual Bland rule after a run of
-degenerate pivots) instead of two phases from an all-artificial basis.
-Without a session every solve is cold.
+only sets its right-hand side, so a dual-feasible basis for one
+objective is dual-feasible for every other on the same state.  Every
+solve runs in a :class:`Session`, the caller's or a fresh one, so a
+cold solve is a fresh session's first objective.  A session finds its
+basis once, with the zero objective: Bland's rule with the real costs,
+from unit columns (such as the ``nonneg`` rows of the prover's LPs) or
+artificials, where every pivot is degenerate.  Every objective then
+restarts from that basis and runs a dual simplex (dual steepest edge,
+falling back to the dual Bland rule after a run of degenerate pivots).
 
-Every status comes out of the same tableau on the same state.  An
-unbounded dual means an infeasible primal.  An infeasible dual leaves
-the primal infeasible or unbounded, and it is unbounded exactly when the
-same rows with the zero objective solve to optimal.
+Every status comes out of that one tableau.  An unbounded zero phase is
+a Farkas ray: the rows are infeasible.  Otherwise they are feasible, and
+an objective is unbounded exactly when its dual is infeasible.
 
 The pivoting kernel is fraction-free: columns, right-hand side and
 costs are scaled to integers, and the basis inverse is an integer
@@ -54,8 +53,8 @@ against every row (feasibility, sign conditions, the dual combination
 and a zero duality gap) before an optimal status is returned;
 ``Fraction`` tuples are built only when read.  Identical problems
 solved cold produce identical pivot sequences and identical solutions,
-whether or not their presolved state was shared; solved in a session,
-the same holds for the same sequence of objectives on a fresh session.
+whether or not their presolved state was shared, and so does the same
+sequence of objectives on a fresh session.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 
-#: Pivots one phase of a tableau may make before the solve is abandoned.
+#: Pivots one run of a tableau (the zero phase, or one dual run) may make
+#: before the solve is abandoned.
 MAX_ITERATIONS = 2_000_000
 
 #: Consecutive degenerate dual pivots after which the dual Bland rule takes over.
@@ -219,52 +219,57 @@ class _Tableau:
     """Revised simplex on equality standard form, fraction-free.
 
     minimize cost . u  subject to  M u = d, u >= 0, where columns are
-    sparse.  Artificial variables open phase 1; Bland's rule (lowest
-    eligible column index enters, lowest basis id leaves on ties) makes
-    every run deterministic and cycle-free.  The columns are the dual
-    columns of a :class:`Presolved` state and ``d`` the objective,
-    so a positive phase 1 value means the dual is infeasible and an
-    unbounded phase 2 means the primal is.
+    sparse.  The columns are the dual columns of a :class:`Presolved`
+    state and ``d`` the objective, so an unbounded dual means an
+    infeasible primal and an infeasible dual one that is infeasible or
+    unbounded.
+
+    A tableau starts at ``d = 0``, where every basis is primal-feasible:
+    equation ``v`` on the lowest-index column equal to ``e_v``, or on its
+    artificial, so ``q = I``, ``den = 1`` and ``x = 0``.
+    :meth:`drive_out_artificials` and Bland's rule (:meth:`run`; lowest
+    eligible column index enters, lowest basis id leaves on ties) follow,
+    with degenerate pivots only.  ``unbounded`` there is a ray ``u >= 0``
+    with ``M u = 0`` and negative cost, so the rows are infeasible;
+    ``optimal`` leaves a basis dual-feasible for every ``d``
+    (``feasible`` records which).  :meth:`restart` then takes an
+    objective's ``d`` and :meth:`dual_run` re-optimises.
 
     All pivoting is in integers, on the state's shared columns and costs
     and with ``d`` scaled by the lcm of its denominators.  The basis
     inverse is ``q / den`` and the basic values are ``x / den`` over one
-    common denominator ``den`` (the basis determinant up to sign).  An
-    equation with a negative ``d`` entry gets the artificial column
-    ``-e_v`` instead of ``e_v``, so the start is ``q = diag(sign)`` and
-    ``x = |d|``; that is the same as negating the equation, without
-    touching the shared columns.  A pivot on ``w_r`` applies the Bareiss
-    update ``q'[i] = (w_r*q[i] - w_i*q[r]) // den`` (and the same to
-    ``x``), a division that is always exact, and ``w_r`` becomes the new
-    denominator; a negative ``w_r`` (while driving out artificials, and on
-    every dual pivot) and the pivot row are negated first, so ``den``
-    stays positive.  Pricing uses the integer duals ``y = c_B q``, kept on
-    the tableau: :meth:`run` computes them for its phase and each pivot of
-    :meth:`run` and :meth:`dual_run` moves them by one rank-one step, so
-    after phase 2 they stay current (:meth:`restart` changes neither ``q``
-    nor ``y``) and :meth:`dual_run` and :meth:`multipliers` read them as
-    they are.  Values, ratios and reduced costs are the exact ones times
-    positive factors, so the pivot sequence is the one an explicit
-    rational basis inverse would make; the results stay integers over a
-    common denominator.  After phase 2 the basis is
-    dual-feasible for every ``d``: :meth:`restart` takes a new one and
-    :meth:`dual_run` re-optimises from there.
+    common denominator ``den`` (the basis determinant up to sign).  A
+    pivot on ``w_r`` applies the Bareiss update ``q'[i] = (w_r*q[i] -
+    w_i*q[r]) // den`` (and the same to ``x``), a division that is always
+    exact, and ``w_r`` becomes the new denominator; a negative ``w_r``
+    (while driving out artificials, and on every dual pivot) and the
+    pivot row are negated first, so ``den`` stays positive.  Pricing uses
+    the integer duals ``y = c_B q``, kept on the tableau: :meth:`run`
+    computes them and each pivot of :meth:`run` and :meth:`dual_run`
+    moves them by one rank-one step, so they stay current
+    (:meth:`restart` changes neither ``q`` nor ``y``) and :meth:`dual_run`
+    and :meth:`multipliers` read them as they are.  Values, ratios and
+    reduced costs are the exact ones times positive factors, so the pivot
+    sequence is the one an explicit rational basis inverse would make;
+    the results stay integers over a common denominator.  ``pivots``
+    counts the pivots since :func:`solve` last read it.
     """
 
-    def __init__(self, state: Presolved, rhs: list[Fraction]) -> None:
+    def __init__(self, state: Presolved) -> None:
         self.state = state
-        self.m = m = len(rhs)
-        self.n = len(state.cols)
-        self.rhs_scale = _lcm_of_denominators(rhs)
-        self.x = [_scaled(r, self.rhs_scale) for r in rhs]
-        self.q = [[0] * m for _ in range(m)]
-        for v in range(m):
-            sign = -1 if self.x[v] < 0 else 1
-            self.q[v][v] = sign
-            self.x[v] *= sign
+        self.m = m = len(state.var_pos)
+        self.n = n = len(state.cols)
+        unit = {}
+        for j, col in enumerate(state.cols):
+            if len(col) == 1 and col[0][1] == 1:
+                unit.setdefault(col[0][0], j)
+        self.basis = [unit.get(v, n + v) for v in range(m)]  # n + v: artificial
+        self.x = [0] * m
+        self.q = [[int(i == v) for i in range(m)] for v in range(m)]
         self.den = 1
-        self.basis = [self.n + v for v in range(m)]  # artificial ids
         self.pivots = 0
+        self.drive_out_artificials()
+        self.feasible = self.run() == "optimal"
 
     def _column(self, j: int) -> list[int]:
         """``den`` times the entering column in basis coordinates."""
@@ -273,22 +278,19 @@ class _Tableau:
             w = [a + c * row[v] for a, row in zip(w, self.q)]
         return w
 
-    def _duals(self, phase: int) -> list[int]:
+    def _duals(self) -> list[int]:
         """``y = c_B q``: ``den`` times the simplex multipliers."""
         y = [0] * self.m
         for i, b in enumerate(self.basis):
-            if phase == 1:
-                cb = 1 if b >= self.n else 0
-            else:
-                cb = 0 if b >= self.n else self.state.costs[b]
+            cb = 0 if b >= self.n else self.state.costs[b]
             if cb:
                 y = [a + cb * qv for a, qv in zip(y, self.q[i])]
         return y
 
-    def run(self, phase: int) -> str:
-        """Pivot until optimal or unbounded; returns the stop reason."""
+    def run(self) -> str:
+        """Pivot by Bland's rule until optimal or unbounded; returns the stop reason."""
         cols, costs = self.state.cols, self.state.costs
-        self.y = y = self._duals(phase)
+        self.y = y = self._duals()
         in_basis = set(self.basis)
         for _ in range(MAX_ITERATIONS):
             den = self.den
@@ -296,7 +298,7 @@ class _Tableau:
             for j in range(self.n):  # artificials never re-enter
                 if j in in_basis:
                     continue
-                red = den * costs[j] if phase == 2 else 0
+                red = den * costs[j]
                 for v, c in cols[j]:
                     red -= y[v] * c
                 if red < 0:
@@ -356,10 +358,9 @@ class _Tableau:
         self.rhs_scale = _lcm_of_denominators(rhs)
         d = [(v, _scaled(r, self.rhs_scale)) for v, r in enumerate(rhs) if r]
         self.x = [sum(row[v] * dv for v, dv in d) for row in self.q]
-        self.pivots = 0
 
     def dual_run(self) -> str:
-        """Dual simplex from a dual-feasible phase-2 basis.
+        """Dual simplex from the zero phase's dual-feasible basis.
 
         Returns ``optimal`` once every basic value is nonnegative, or
         ``infeasible`` when ``M u = d, u >= 0`` has no solution: a basic
@@ -424,10 +425,11 @@ class _Tableau:
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued basic artificials onto real columns.
 
-        Must run between the phases: a later pivot may not move an
-        artificial away from zero.  Rows where every real column has a
-        zero entry are redundant equations; their artificial stays basic
-        at zero and no ratio test can ever touch the row again.  The
+        Runs at ``d = 0``, before :meth:`run`.  Rows where every real
+        column has a zero entry are redundant equations; their artificial
+        stays basic and no ratio test can ever touch the row again, so
+        :meth:`dual_run` reads a nonzero value there after a
+        :meth:`restart` as a ``d`` outside the columns' span.  The
         pivot element here may be negative; :meth:`_pivot` then flips
         the signs so the common denominator stays positive.
         """
@@ -435,8 +437,6 @@ class _Tableau:
         for i in range(self.m):
             if self.basis[i] < self.n:
                 continue
-            if self.x[i] != 0:
-                raise SimplexError("positive artificial after phase 1")
             row = self.q[i]
             for j in range(self.n):
                 if j in in_basis:
@@ -452,17 +452,18 @@ class _Tableau:
         return u, self.den * self.rhs_scale
 
     def multipliers(self) -> tuple[list[int], int]:
-        """Row multipliers -pi of the equations (phase 2), over their denominator."""
+        """Row multipliers -pi of the equations, over their denominator."""
         return [-y for y in self.y], self.den * self.state.cost_scale
 
 
 class Session:
-    """A warm-start basis for successive objectives on one presolved state.
+    """The zero phase's basis, shared by successive objectives on one state.
 
     The caller opens a session and passes it to :func:`solve` with each
-    problem; the first optimal solve leaves its dual-feasible tableau
-    here, and the session then refuses a problem on any other state.  It
-    keeps nothing else and lives as long as the caller holds it.
+    problem (a solve without one opens its own).  The first solve that
+    builds a tableau leaves it here, and the session then refuses a
+    problem on any other state.  It keeps nothing else and lives as long
+    as the caller holds it.
     """
 
     def __init__(self) -> None:
@@ -489,9 +490,11 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
     ``num_vars``; anything else is a ``ValueError``.  The problem's
     ``presolved`` state is used when present and must have been built
     from ``problem.rows`` itself; otherwise the state is built here.
-    With a ``session`` the solve restarts from the session's basis when
-    it has one, which must be a basis on the same state, and leaves its
-    own dual-feasible basis there.
+    The solve runs in ``session``, or in a fresh session when there is
+    none: a session without a tableau gets one (the zero phase runs, and
+    its pivots count in this solve), and one with a tableau must hold a
+    basis of the same state.  The objective then restarts from that
+    basis and runs the dual simplex.
     """
     state = problem.presolved
     if state is None:
@@ -506,34 +509,29 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
     top = max(prev, next(reversed(state.var_pos), -1))
     if top >= problem.num_vars:
         raise ValueError(f"variable {top} is not below num_vars {problem.num_vars}")
-    tableau = session.tableau if session is not None else None
-    if tableau is not None and tableau.state is not state:
+    if session is None:
+        session = Session()
+    elif session.tableau is not None and session.tableau.state is not state:
         raise ValueError("session holds a basis of a different presolved state")
     if state.infeasible:
         return LPSolution("infeasible", None, None, None, 0)
 
+    if session.tableau is None:
+        session.tableau = _Tableau(state)
+    tableau = session.tableau
     objective = dict(problem.objective)
-    if any(c and v not in state.var_pos for v, c in objective.items()):
+    if not tableau.feasible:
+        status = "infeasible"
+    elif any(c and v not in state.var_pos for v, c in objective.items()):
         # the objective has a variable no row contains: its dual equation
         # has no column, so the dual has no feasible point
-        return _infeasible_or_unbounded(problem, state, 0, session)
-
-    rhs = [objective.get(v, 0) for v in state.var_pos]
-    if tableau is not None:
-        tableau.restart(rhs)
-        if tableau.dual_run() != "optimal":
-            return _infeasible_or_unbounded(problem, state, tableau.pivots, session)
+        status = "unbounded"
     else:
-        tableau = _Tableau(state, rhs)
-        if tableau.run(1) != "optimal":
-            raise SimplexError("phase 1 cannot be unbounded")
-        if any(xi for xi, b in zip(tableau.x, tableau.basis) if b >= tableau.n):
-            return _infeasible_or_unbounded(problem, state, tableau.pivots, session)
-        tableau.drive_out_artificials()
-        if tableau.run(2) == "unbounded":
-            return LPSolution("infeasible", None, None, None, tableau.pivots)
-        if session is not None:
-            session.tableau = tableau
+        tableau.restart([objective.get(v, 0) for v in state.var_pos])
+        status = "unbounded" if tableau.dual_run() == "infeasible" else "optimal"
+    pivots, tableau.pivots = tableau.pivots, 0
+    if status != "optimal":
+        return LPSolution(status, None, None, None, pivots)
     row_duals, dual_den = tableau.solution()
     mult, primal_den = tableau.multipliers()
     x = [0] * problem.num_vars
@@ -546,22 +544,7 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
 
     _verify_optimal(problem, x, primal_den, duals, dual_den, value)
     point, multipliers = (tuple(x), primal_den), (tuple(duals), dual_den)
-    return LPSolution("optimal", value, point, multipliers, tableau.pivots)
-
-
-def _infeasible_or_unbounded(
-    problem: LPProblem, state: Presolved, pivots: int, session: Session | None
-) -> LPSolution:
-    """Infeasible or unbounded, for a problem whose dual is infeasible.
-
-    It is unbounded exactly when the rows have a feasible point, that is
-    when the zero objective, whose dual is feasible at ``u = 0``, solves
-    to a verified optimum on the same state (in the same session, where
-    a dual-feasible basis is already optimal for it).
-    """
-    feasibility = solve(LPProblem(problem.num_vars, (), problem.rows, state), session)
-    status = "unbounded" if feasibility.status == "optimal" else "infeasible"
-    return LPSolution(status, None, None, None, pivots + feasibility.pivots)
+    return LPSolution("optimal", value, point, multipliers, pivots)
 
 
 def _verify_optimal(

@@ -1,7 +1,8 @@
 """Shared test utilities: every antichain and random structures, known
 entropy points, the certificate of a plain LP, the LP with equality rows
-that a quotient folds and the reference solve of such an LP, the 2^n
-enumerations behind `dual`, `is_self_dual` and `purify`, a counter on
+that a quotient folds and the reference solve of such an LP, seeded
+optimal LPs, a two-phase Bland solve as the reference for `solve`, the
+2^n enumerations behind `dual`, `is_self_dual` and `purify`, a counter on
 the pair scan of `is_quantum`, and a certificate emitter that replay
 must reject."""
 
@@ -9,7 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
-from qssbounds import prover, structures
+from qssbounds import prover, simplex, structures
 from qssbounds.cone import build_system, sparse_form
 from qssbounds.prover import Certificate
 from qssbounds.simplex import (
@@ -361,6 +362,161 @@ def verify_optimal(problem, x, x_den, duals, dual_den, value):
     p, q = value.numerator, value.denominator
     if primal_value * q != p * x_den or rhs_total * q != p * dual_den:
         raise SimplexError("duality gap is not zero")
+
+
+def random_lp(rng, family):
+    """A feasible LP with a bounded objective, from one family.
+
+    ``integral`` rows hold ints, ``fraction`` rows ``Fraction``
+    coefficients and right-hand sides; ``degenerate`` rows are mostly
+    tight at one point and often repeated; ``equalities`` rows are mostly
+    equalities; ``evenpivot`` equalities give their highest variable, the
+    one the presolve pins, the coefficient 2.  Every row holds at a
+    seeded point, and the objective is a combination of the rows with
+    nonnegative weights on the inequalities, so the LP is optimal.
+    """
+    n = rng.randint(2, 6)
+    coefs = (-2, -1, 1, 2)
+    if family == "fraction":
+        coefs += (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+        point = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+    else:
+        point = [rng.randint(-3, 3) for _ in range(n)]
+    share = {"equalities": 0.6, "evenpivot": 0.5}.get(family, 0.2)
+    rows = []
+    for _ in range(rng.randint(2, 10)):
+        terms = {v: rng.choice(coefs) for v in range(n) if rng.random() < 0.6}
+        if not terms:
+            continue
+        rel = "=" if rng.random() < share else ">="
+        if rel == "=" and family == "evenpivot":
+            terms = {v: rng.choice((-1, 1)) for v in terms}
+            terms[max(terms)] = 2
+        tight = rel == "=" or family == "degenerate" and rng.random() < 0.8
+        rhs = sum(c * point[v] for v, c in terms.items()) - (0 if tight else rng.randint(0, 2))
+        rows.append((terms, rel, rhs))
+        if family == "degenerate" and rng.random() < 0.3:
+            rows.append((dict(terms), rel, rhs))
+    objective = {}
+    for terms, rel, _ in rows:
+        weight = rng.randint(-2, 2) if rel == "=" else rng.randint(0, 2)
+        add_scaled(objective, terms.items(), weight)
+    lp_rows = tuple(
+        LinearConstraint(f"r{i}", tuple(sorted(terms.items())), rel, rhs)
+        for i, (terms, rel, rhs) in enumerate(rows)
+    )
+    return LPProblem(n, tuple(sorted(objective.items())), lp_rows)
+
+
+class TwoPhaseTableau(simplex._Tableau):
+    """The tableau of a two-phase Bland solve.
+
+    It starts on the all-artificial basis of ``M u = d`` for the
+    objective's ``d``.  An equation with a negative ``d`` entry gets the
+    artificial column ``-e_v`` instead of ``e_v``, so the start is ``q =
+    diag(sign)`` and ``x = |d|``: the same as negating the equation,
+    without touching the shared columns.  :meth:`phase1` prices the
+    artificials at cost 1 and the real columns at 0; phase 2 is the
+    tableau's own Bland :meth:`run` with the real costs.
+    """
+
+    def __init__(self, state, rhs):
+        self.state = state
+        self.m = m = len(rhs)
+        self.n = len(state.cols)
+        self.rhs_scale = simplex._lcm_of_denominators(rhs)
+        self.x = [simplex._scaled(r, self.rhs_scale) for r in rhs]
+        self.q = [[0] * m for _ in range(m)]
+        for v in range(m):
+            sign = -1 if self.x[v] < 0 else 1
+            self.q[v][v] = sign
+            self.x[v] *= sign
+        self.den = 1
+        self.basis = [self.n + v for v in range(m)]  # artificial ids
+        self.pivots = 0
+
+    def phase1(self):
+        """Bland's rule on the phase-1 costs until they are optimal."""
+        cols = self.state.cols
+        y = [0] * self.m
+        for i, b in enumerate(self.basis):
+            if b >= self.n:
+                y = [a + qv for a, qv in zip(y, self.q[i])]
+        in_basis = set(self.basis)
+        for _ in range(simplex.MAX_ITERATIONS):
+            den = self.den
+            entering = -1
+            for j in range(self.n):  # artificials never re-enter
+                if j in in_basis:
+                    continue
+                red = 0
+                for v, c in cols[j]:
+                    red -= y[v] * c
+                if red < 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return
+            w = self._column(entering)
+            x, basis = self.x, self.basis
+            leave = -1
+            for i in range(self.m):
+                if w[i] > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs, rhs = x[i] * w[leave], x[leave] * w[i]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                raise SimplexError("phase 1 cannot be unbounded")
+            wr = w[leave]
+            y = [(wr * a + red * b) // den for a, b in zip(y, self.q[leave])]
+            in_basis.discard(basis[leave])
+            in_basis.add(entering)
+            self._pivot(entering, leave, w)
+        raise SimplexError("iteration limit exceeded")
+
+
+def two_phase_solve(problem):
+    """Two-phase Bland solve, the reference that `simplex.solve` is compared against.
+
+    ``problem`` has ``>=`` rows only, and its ``presolved`` state is
+    used when present.  A dual that keeps a positive artificial after
+    phase 1, or has no column for an objective variable, leaves the LP
+    infeasible or unbounded: unbounded exactly when the zero objective
+    solves to optimal on the same state.  An unbounded phase 2 means an
+    infeasible LP.  An optimum is checked by :func:`verify_optimal`.
+    Pivots count both phases and the zero-objective solve.
+    """
+    state = problem.presolved or Presolved(problem.rows)
+    if state.infeasible:
+        return LPSolution("infeasible", None, None, None, 0)
+    objective = dict(problem.objective)
+    pivots = 0
+    if all(not c or v in state.var_pos for v, c in objective.items()):
+        tableau = TwoPhaseTableau(state, [objective.get(v, 0) for v in state.var_pos])
+        tableau.phase1()
+        pivots = tableau.pivots
+        if not any(xi for xi, b in zip(tableau.x, tableau.basis) if b >= tableau.n):
+            tableau.drive_out_artificials()
+            if tableau.run() == "unbounded":
+                return LPSolution("infeasible", None, None, None, tableau.pivots)
+            row_duals, dual_den = tableau.solution()
+            mult, x_den = tableau.multipliers()
+            x = [0] * problem.num_vars
+            for v, i in state.var_pos.items():
+                x[v] = mult[i]
+            value = Fraction(sum(u * state.rhs[j] for j, u in row_duals.items()), dual_den)
+            duals = [0] * len(problem.rows)
+            for j, u in row_duals.items():
+                duals[state.row_index[j]] = u
+            verify_optimal(problem, x, x_den, duals, dual_den, value)
+            point, multipliers = (tuple(x), x_den), (tuple(duals), dual_den)
+            return LPSolution("optimal", value, point, multipliers, tableau.pivots)
+    feasibility = two_phase_solve(LPProblem(problem.num_vars, (), problem.rows, state))
+    status = "unbounded" if feasibility.status == "optimal" else "infeasible"
+    return LPSolution(status, None, None, None, pivots + feasibility.pivots)
 
 
 def qutrit_threshold_vector(ground):

@@ -583,7 +583,7 @@ class TestBound:
             "information rate <= 3/5",
             "closed-form reference (k=2): 7/5",
         ]
-        assert lines[-1].startswith("lp: 91 rows, 16 cols, 45 pivots, ")
+        assert lines[-1].startswith("lp: 91 rows, 16 cols, 32 pivots, ")
 
     def test_bound_deterministic_apart_from_timing(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
@@ -784,8 +784,8 @@ class TestSolverFailures:
         assert not report.exists() and not cert.exists()
 
     def test_batch_records_a_file_over_the_iteration_limit(self, capsys, tmp_path, monkeypatch):
-        # threshold(2,3) takes 8 pivots and the purified g4 45, so a limit
-        # of 10 pivots per phase stops only g4
+        # threshold(2,3) takes 5 pivots and the purified g4 32, so a limit
+        # of 10 pivots per run (the zero phase, then the dual run) stops only g4
         monkeypatch.setattr(simplex, "MAX_ITERATIONS", 10)
         batch = tmp_path / "batch"
         batch.mkdir()

@@ -23,6 +23,7 @@ from helpers import (
     Elimination,
     exact_div,
     plain_certificate,
+    random_lp,
     solve_with_equalities,
     verify_optimal,
 )
@@ -77,16 +78,17 @@ def reference_verify(problem, x, duals, value):
 def reference_post_solve(problem):
     """Value, primal, duals and the tableau's primal denominator, the old way.
 
-    Runs the cold two-phase solve of :func:`simplex.solve` on the state
-    of a fresh elimination, then the old post-solve on its tableau.
+    Runs the steps of a cold :func:`simplex.solve` on the state of a
+    fresh elimination (a new tableau's zero phase, then ``restart`` and
+    the dual run), then the old post-solve on its tableau.
     """
     elimination = Elimination(problem.rows)
     state = elimination.presolved
     red_obj, neg_offset, alpha = elimination.reduce_form(problem.objective, 0)
-    tableau = simplex._Tableau(state, [red_obj.get(v, 0) for v in state.var_pos])
-    assert tableau.run(1) == "optimal"
-    tableau.drive_out_artificials()
-    assert tableau.run(2) == "optimal"
+    tableau = simplex._Tableau(state)
+    assert tableau.feasible
+    tableau.restart([red_obj.get(v, 0) for v in state.var_pos])
+    assert tableau.dual_run() == "optimal"
     u, u_den = tableau.solution()
     y, y_den = tableau.multipliers()
     row_duals = {j: Fraction(a, u_den) for j, a in u.items()}
@@ -102,50 +104,6 @@ def reference_post_solve(problem):
         duals[j] = lam
     reference_verify(problem, x, duals, value)
     return value, tuple(x), tuple(duals), y_den
-
-
-def random_lp(rng, family):
-    """A feasible LP with a bounded objective, from one family.
-
-    ``integral`` rows hold ints, ``fraction`` rows ``Fraction``
-    coefficients and right-hand sides; ``degenerate`` rows are mostly
-    tight at one point and often repeated; ``equalities`` rows are mostly
-    equalities; ``evenpivot`` equalities give their highest variable, the
-    one the presolve pins, the coefficient 2.  Every row holds at a
-    seeded point, and the objective is a combination of the rows with
-    nonnegative weights on the inequalities, so the LP is optimal.
-    """
-    n = rng.randint(2, 6)
-    coefs = (-2, -1, 1, 2)
-    if family == "fraction":
-        coefs += (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
-        point = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
-    else:
-        point = [rng.randint(-3, 3) for _ in range(n)]
-    share = {"equalities": 0.6, "evenpivot": 0.5}.get(family, 0.2)
-    rows = []
-    for _ in range(rng.randint(2, 10)):
-        terms = {v: rng.choice(coefs) for v in range(n) if rng.random() < 0.6}
-        if not terms:
-            continue
-        rel = "=" if rng.random() < share else ">="
-        if rel == "=" and family == "evenpivot":
-            terms = {v: rng.choice((-1, 1)) for v in terms}
-            terms[max(terms)] = 2
-        tight = rel == "=" or family == "degenerate" and rng.random() < 0.8
-        rhs = sum(c * point[v] for v, c in terms.items()) - (0 if tight else rng.randint(0, 2))
-        rows.append((terms, rel, rhs))
-        if family == "degenerate" and rng.random() < 0.3:
-            rows.append((dict(terms), rel, rhs))
-    objective = {}
-    for terms, rel, _ in rows:
-        weight = rng.randint(-2, 2) if rel == "=" else rng.randint(0, 2)
-        simplex.add_scaled(objective, terms.items(), weight)
-    lp_rows = tuple(
-        LinearConstraint(f"r{i}", tuple(sorted(terms.items())), rel, rhs)
-        for i, (terms, rel, rhs) in enumerate(rows)
-    )
-    return LPProblem(n, tuple(sorted(objective.items())), lp_rows)
 
 
 def quotient_lps(structure):
@@ -303,8 +261,7 @@ def test_integral_solve_builds_only_the_value_fraction(monkeypatch, warm):
         before = CountingFraction.made
         solution = solve(problem, session)
         if solution.status != "optimal":
-            # the feasibility solve builds the zero objective's value
-            assert CountingFraction.made - before <= 1
+            assert CountingFraction.made == before
             continue
         optimal += 1
         assert CountingFraction.made - before == 1 and type(solution.value) is CountingFraction

@@ -237,14 +237,18 @@ def entry_strings(cert):
 
 
 class TestPinnedPivotSequence:
-    """Exact solves pinned to the pivot sequence of the Fraction kernel.
+    """Exact solves pinned to the pivot sequence of the solver's one route.
 
-    ``data/pinned_solves.json`` was recorded with the basis inverse held
-    as ``Fraction`` entries.  Any exact kernel that keeps Bland's rule
-    (lowest eligible column enters, lowest basis id leaves on ties) makes
-    the same pivots, so it must reproduce the pivot counts, the values
-    and every certificate entry exactly.  Each pinned LP is the minmax
-    bound LP over all players on the named row set, solved directly.
+    Every solve, cold or in a session, finds its session's basis with the
+    zero objective (Bland's rule from the unit columns, every pivot
+    degenerate) and then solves each objective by the dual simplex
+    (dual steepest edge, then the dual Bland rule after a degenerate
+    run).  The route is deterministic, so any exact kernel that keeps
+    those rules and their tie-breaks makes the same pivots and must
+    reproduce the pivot counts, the values and every certificate entry
+    of ``data/pinned_solves.json`` exactly.  Each pinned LP in
+    ``bounds`` is the minmax bound LP over all players on the named row
+    set, solved directly.
     """
 
     @pytest.mark.parametrize("case", PINNED["bounds"], ids=lambda c: c["name"])
@@ -291,12 +295,12 @@ class TestPinnedPivotSequence:
         assert got == PINNED["lemmas_threshold23"][ineq]
 
     def test_lemma_suite_g4bar_elemental_total(self):
-        # 136 targets, 150 pivots in total in one session on the complement
-        # quotient (9610 solved cold there, 22977 on the plain elemental rows)
+        # 136 targets, 135 pivots in total in one session on the complement
+        # quotient (6339 when each direction is solved cold there)
         report = lemma_suite(GAMMA4_BAR, ineq="elemental")
         assert len(report.outcomes) == 136
         assert report.all_implied
-        assert sum(o.pivots for o in report.outcomes) == 150
+        assert sum(o.pivots for o in report.outcomes) == 135
 
 
 def cold_direction_pivots(structure, instances):
@@ -402,8 +406,8 @@ class TestSharedPresolve:
                     system.ground.var_count, objective, quotient.rows, quotient.presolved
                 )
                 statuses.add(solution.status)
-        # a reversed ">=" target is unbounded, which also runs the
-        # zero-objective feasibility solve on the shared state
+        # a reversed ">=" target is unbounded: its dual run fails after a
+        # zero phase that found the rows feasible
         assert statuses == {"optimal", "unbounded"}
 
     def test_objective_on_a_variable_no_row_contains(self):

@@ -508,6 +508,10 @@ class TestExpansion:
 class TestCsirmazLadder:
     """Exact, replayed bounds on the purified staircase structures."""
 
+    # the cold route's pivots, zero phase and dual run together: a pivot
+    # regression fails here with no timing
+    PIVOTS = {5: 77, 6: 181, 7: 592}
+
     @pytest.mark.parametrize(
         "n,value,rows,cols",
         [(5, Fraction(7, 4), 221, 32), (6, Fraction(9, 5), 532, 64),
@@ -521,6 +525,7 @@ class TestCsirmazLadder:
         # the quotient LP: the player sets below the top player, plus t,
         # and the rows deduplicated after folding
         assert (report.rows, report.cols) == (rows, cols)
+        assert report.pivots == self.PIVOTS[n]
         assert report.lp_value >= report.theorem3_bound == Fraction(7, 5)
         elemental = cached_system(report.structure, True, "elemental")
         assert verify_certificate(elemental, report.certificate, objective=report.objective)

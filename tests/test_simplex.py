@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qssbounds import simplex
-from qssbounds.prover import rat_str
+from qssbounds.prover import bound_setup, objective_rows, rat_str
 from qssbounds.simplex import (
     LinearConstraint,
     LPProblem,
@@ -13,8 +13,17 @@ from qssbounds.simplex import (
     SimplexError,
     solve,
 )
+from qssbounds.structures import is_quantum
 
-from helpers import Elimination, plain_certificate, solve_with_equalities, verify_optimal
+from helpers import (
+    Elimination,
+    all_antichain_structures,
+    plain_certificate,
+    random_lp,
+    solve_with_equalities,
+    two_phase_solve,
+    verify_optimal,
+)
 
 
 def make_problem(num_vars, objective, rows):
@@ -268,10 +277,11 @@ class TestSolutionQuality:
 class TestIntegerKernel:
     def test_negative_pivot_while_driving_out_artificials(self, monkeypatch):
         # The elimination substitutes x1 = 1, which leaves no objective
-        # weight on x0.  The artificial of x0 ends phase 1 basic at zero and is
-        # driven out onto -2*x0 >= 0, a negative pivot element; phase 2
-        # then pivots -2*x0 >= 2 in, and its ratio test is only right if
-        # the common denominator was kept positive.
+        # weight on x0.  No row is x0 >= 0, so the equation of x0 starts on
+        # its artificial, which is driven out onto -2*x0 >= 0, a negative
+        # pivot element; the zero phase then pivots -2*x0 >= 2 in, and its
+        # ratio test is only right if the common denominator was kept
+        # positive.
         pivot_elements = []
         pivot = simplex._Tableau._pivot
 
@@ -523,8 +533,8 @@ class TestPresolvedState:
             assert solution == solve(LPProblem(3, objective, base.rows))
 
     def test_infeasible_inequalities_with_an_objective_variable_outside_them(self):
-        # x1 is in no row, so the dual is infeasible before any pivot, and
-        # the zero-objective solve on the same state finds no primal point
+        # x1 is in no row, so the dual has no feasible point, and the zero
+        # phase of the state finds no primal point either
         base = make_problem(2, {}, [({0: Fraction(1)}, ">=", 1), ({0: Fraction(-1)}, ">=", 0)])
         state = Presolved(base.rows)
         for objective in (((1, Fraction(1)),), ((0, Fraction(1)), (1, Fraction(-1)))):
@@ -741,7 +751,7 @@ def checked_duals(monkeypatch):
     original = simplex._Tableau.multipliers
 
     def multipliers(self):
-        assert self.y == self._duals(2)
+        assert self.y == self._duals()
         reads.append(self.pivots)
         return original(self)
 
@@ -771,6 +781,11 @@ class TestSessions:
                 warm = solve_with_equalities(problem, session, elimination)
                 cold = solve_with_equalities(problem, elimination=elimination)
                 assert (warm.status, warm.value) == (cold.status, cold.value), objective
+                if not warm_start:
+                    # a cold solve is a fresh session's first objective
+                    assert (warm.pivots, warm.point, warm.multipliers) == (
+                        cold.pivots, cold.point, cold.multipliers
+                    )
                 optimal += 2 * (warm.status == "optimal")
                 statuses.add(warm.status)
                 if warm_start:
@@ -781,7 +796,7 @@ class TestSessions:
                 if tableau is not None:
                     artificial_kept |= any(b >= tableau.n for b in tableau.basis)
                     # kept current through every warm pivot, whatever the status
-                    assert tableau.y == tableau._duals(2)
+                    assert tableau.y == tableau._duals()
         expected = {
             "general": {"optimal", "unbounded"},
             "degenerate": {"optimal", "unbounded"},
@@ -822,7 +837,8 @@ class TestSessions:
 
     def test_unbounded_objective_keeps_the_basis(self):
         # the second objective leaves the dual infeasible from the warm
-        # basis; the feasibility solve in the same session needs no pivot
+        # basis, and the zero phase already showed the rows feasible, so
+        # the LP is unbounded with no second solve and no pivot
         rows = [({0: Fraction(1)}, ">=", 1), ({0: Fraction(1), 1: Fraction(1)}, ">=", 0)]
         base = make_problem(2, {}, rows)
         state = Presolved(base.rows)
@@ -834,3 +850,83 @@ class TestSessions:
         assert (unbounded.status, unbounded.pivots) == ("unbounded", 0)
         assert session.tableau is kept
 
+
+
+def seeded_lps():
+    """``(num_vars, rows, objectives)`` of the seeded families of this module
+    and of ``test_postsolve.py``: optimal LPs with and without equalities,
+    degenerate, low-rank (redundant equations) and infeasible rows, and
+    random objectives, often unbounded."""
+    for family in ("integral", "fraction", "degenerate", "equalities", "evenpivot"):
+        rng = random.Random(f"two-phase-{family}")
+        for _ in range(40):
+            problem = random_lp(rng, family)
+            yield problem.num_vars, problem.rows, [problem.objective]
+    for shape in ("general", "degenerate", "lowrank", "infeasible"):
+        rng = random.Random(f"two-phase-{shape}")
+        for _ in range(20):
+            num_vars, rows, _, objectives = random_session_lp(rng, shape)
+            yield num_vars, rows, objectives
+
+
+class TestAgainstTwoPhaseBland:
+    """A cold solve against the two-phase Bland solve of ``helpers``.
+
+    The two take different paths, so only statuses and values must
+    agree, and every optimum of either must pass the reference
+    ``verify_optimal``.  Both solve the same ``>=`` LPs: raw rows with
+    equalities are folded by ``Elimination`` first.
+    """
+
+    @staticmethod
+    def compare(problem):
+        session = simplex.Session()
+        route, reference = solve(problem, session), two_phase_solve(problem)
+        assert (route.status, route.value) == (reference.status, reference.value)
+        for solution in (route, reference):
+            if solution.status == "optimal":
+                verify_optimal(problem, *solution.point, *solution.multipliers, solution.value)
+        return route.status, session.tableau
+
+    def test_seeded_lps(self):
+        statuses, outside, redundant = set(), set(), 0
+        for num_vars, rows, objectives in seeded_lps():
+            elimination = Elimination(rows)
+            if elimination.infeasible:
+                continue
+            for objective in objectives:
+                terms, _, _ = elimination.reduce_form(objective, 0)
+                folded = tuple(sorted(terms.items()))
+                problem = LPProblem(num_vars, folded, elimination.folded, elimination.presolved)
+                status, tableau = self.compare(problem)
+                statuses.add(status)
+                if tableau is not None:
+                    redundant += any(b >= tableau.n for b in tableau.basis)
+                # the same objective plus a variable that no row contains
+                wider = LPProblem(
+                    num_vars + 1, folded + ((num_vars, 1),), elimination.folded,
+                    elimination.presolved,
+                )
+                outside.add(self.compare(wider)[0])
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert outside == {"infeasible", "unbounded"}
+        assert redundant > 0
+
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_quotient_lps_of_every_small_quantum_structure(self, mode):
+        solved = 0
+        for n in range(1, 5):
+            for structure in all_antichain_structures(n):
+                if not is_quantum(structure):
+                    continue
+                for objective in ("minmax", "minsum"):
+                    _, _, system, obj = bound_setup(
+                        structure, auto_purify=mode == "pure", mode=mode, ineq="elemental",
+                        objective=objective, players=None, max_elements=16,
+                    )
+                    extra, form, num_vars = objective_rows(system, obj)
+                    problem, _ = system.quotient.problem(num_vars, form, extra)
+                    assert self.compare(problem)[0] == "optimal"
+                    solved += 1
+        # 1, 3, 11 and 80 quantum antichains on 1..4 players, two objectives each
+        assert solved == 2 * (1 + 3 + 11 + 80)
