@@ -177,9 +177,16 @@ def _players_of_the_structure(args):
         raise UsageError(f"bad --players list {args.players!r}: {exc}") from exc
 
 
+def _check_staircase_n(n: int) -> None:
+    """Refuse a staircase player count below 4 before any work."""
+    if n < 4:
+        raise UsageError(f"--n {n}: the staircase family needs at least 4 players")
+
+
 def cmd_gen(args) -> int:
     if args.family != "csirmaz":
         raise UsageError(f"unknown family {args.family!r}; available: csirmaz")
+    _check_staircase_n(args.n)
     structure, params = csirmaz(args.n)
     data = {**structure_to_dict(structure), "k": params.k}
     _output(args, data, _structure_text(structure) + f"k: {params.k}\n")
@@ -400,6 +407,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    _check_staircase_n(args.n)
     report = theorem3_chain(args.n, ineq=args.ineq, max_elements=args.limit_elements)
     data = report.to_json_dict()
     lines = [f"k = {report.k}, closed-form bound {data['theorem3_bound']}"]

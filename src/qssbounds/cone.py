@@ -48,9 +48,9 @@ rules).  So replaying a certificate costs its own entries and labels,
 not the 2^(2·elements) rows of the full family, and works on ground
 sets too large to generate.  ``len`` and :meth:`ConstraintSystem.order_key`
 count rows and order elemental ids in closed form, and the pure quotient
-is made from masks, so the ordered list of every row (``constraints``) is
-generated only for ``--dump-system``, witness checks and, on elemental
-rows, mixed-mode quotients.
+is made from masks and the mixed one from the elemental ``>=`` rows
+alone, so the ordered list of every row (``constraints``) is generated
+only for ``--dump-system`` and witness checks.
 """
 
 from __future__ import annotations
@@ -330,16 +330,12 @@ class ConstraintSystem:
 
     @cached_property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        """Every row, in generation order, generated on first read."""
-        return self._generate(self.ineq)
-
-    def _generate(self, ineq: str) -> tuple[LinearConstraint, ...]:
-        """Every row on the ``ineq`` family in generation order.
+        """Every row, in generation order, generated on first read.
 
         The rows also fill the memo of :meth:`row`, which once it holds
         every row parses only ids that name none.
         """
-        rows = vn_inequalities(self.ground, ineq)
+        rows = vn_inequalities(self.ground, self.ineq)
         rows.extend(qss_constraints(self.structure, self.ground))
         if self.pure:
             rows.append(purity_constraint(self.ground))
@@ -471,7 +467,8 @@ class Quotient:
     ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K} (rest =
     F\\{i,j}; K itself when rest is empty), which fold alike; the wm
     rows fold to rows it already has or to ``0 >= c`` with c <= 0.
-    Mixed mode folds the elemental rows in generation order.
+    Mixed mode folds :func:`vn_inequalities`' elemental rows in
+    generation order, without the system's row list.
     :meth:`lift` reads the table to give a point its pinned entries back,
     and :meth:`cancel` carries a combination of folded rows back onto the
     system's own rows.  A lifted quotient point satisfies every elemental
@@ -488,9 +485,7 @@ class Quotient:
         if not self.pure:
             self.var_count = p
             self._table = [(x, 0) for x in range(r)] + [(a, shift[a]) for a in range(r)]
-            elemental = system.ineq == "elemental"
-            rows = system.constraints if elemental else system._generate("elemental")
-            self.rows = self._folded_rows(row for row in rows if row.rel == ">=")
+            self.rows = self._folded_rows(vn_inequalities(ground, "elemental"))
             return
         h = r >> 1
         if any(shift[a] == shift[p ^ a] for a in range(1, h)):
@@ -546,7 +541,7 @@ class Quotient:
         problem's own, such as the t of a minmax objective, which map to
         themselves.  Without ``extra`` the problem shares ``presolved``;
         with it the problem gets a state of its own, which refuses an
-        ``extra`` row that is not ``>=`` with ``ValueError``.
+        ``extra`` row that is not a ``>=`` row of ints with ``ValueError``.
         """
         objective, constant = self.fold(form)
         if not extra:

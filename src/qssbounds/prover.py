@@ -509,12 +509,17 @@ def check_implied(
     directions for an equality); returns the dual certificates, replayed
     on the system's rows, or a feasible entropy vector refuting the
     target, checked against every one of them.  ``terms`` is taken in
-    sparse form, so a term on S(∅), which is zero, drops out.  The solves
-    run in ``session``, or in one opened here.
+    sparse form, so a term on S(∅), which is zero, drops out, and a mask
+    outside the ground set's is a ``StructureError`` before any solve.
+    The solves run in ``session``, or in one opened here.
     """
     if rel not in (">=", "="):
         raise StructureError(f"unsupported target relation {rel!r}")
     target = sparse_form(*(terms.items() if isinstance(terms, dict) else terms))
+    full = system.ground.full_mask
+    for v, _ in target:
+        if not 0 <= v <= full:
+            raise StructureError(f"target mask {v} is outside 0..{full}")
     directions = [(target, Fraction(rhs))]
     if rel == "=":
         directions.append((tuple((v, -c) for v, c in target), -Fraction(rhs)))
@@ -552,8 +557,11 @@ def _prove_direction(system: ConstraintSystem, objective, bound: Fraction, sessi
 
 def _witness_below(quotient: Quotient, objective, bound):
     """Feasible point with objective value strictly below the bound."""
+    # -objective >= 1 - bound, times the lcm of its denominators: simplex takes ints
+    rhs = 1 - bound
+    scale = math.lcm(rhs.denominator, *[c.denominator for _, c in objective])
     cutoff = LinearConstraint(
-        "cutoff", tuple((v, -c) for v, c in objective), ">=", -(bound - 1)
+        "cutoff", tuple((v, int(-c * scale)) for v, c in objective), ">=", int(rhs * scale)
     )
     problem, _ = quotient.problem(quotient.ground.var_count, (), (cutoff,))
     solution = solve(problem)

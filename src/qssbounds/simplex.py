@@ -8,17 +8,17 @@ Equalities are eliminated before the solve: for the prover,
 reference elimination in ``tests/helpers.py`` folds them and lifts the
 solution back.  There is no floating point anywhere in the solve path,
 so optima such as 3/2 are proved rather than approximated.  A row is a
-:class:`LinearConstraint` named tuple whose numbers are ``int`` or
-``Fraction``.  The rows this package generates are all ints, and the
-post-solve stays in ints: the optimum is the one ``Fraction`` a solve
-builds; every sparse row update goes through :func:`add_scaled`.
+:class:`LinearConstraint` named tuple of ints (:class:`Presolved`
+refuses any other number), and only the objective may be rational.
+The post-solve stays in ints: the optimum is the one ``Fraction`` a
+solve builds; every sparse row update goes through :func:`add_scaled`.
 
 The systems this package generates have far more rows than variables,
 so the simplex pivots on the dual standard form (one nonnegative
 multiplier per row).  That form depends only on the rows, so it is one
 :class:`Presolved` state per row tuple: the checked and deduplicated
-rows as integer-scaled dual columns and costs.  A problem may carry the
-state of its rows (a quotient shares one between objectives); otherwise
+rows as dual columns and costs.  A problem may carry the state of its
+rows (a quotient shares one between objectives); otherwise
 :func:`solve` builds it.  The solver sees only the rows it is given and
 returns a value, a point and one multiplier per row: mapping a system
 onto its quotient, turning multipliers into a certificate and printing
@@ -39,9 +39,9 @@ Every status comes out of that one tableau.  An unbounded zero phase is
 a Farkas ray: the rows are infeasible.  Otherwise they are feasible, and
 an objective is unbounded exactly when its dual is infeasible.
 
-The pivoting kernel is fraction-free: columns, right-hand side and
-costs are scaled to integers, and the basis inverse is an integer
-matrix Q over one positive common denominator D.  A pivot updates them
+The pivoting kernel is fraction-free: the columns and costs are the
+rows' ints, the objective is scaled to integers, and the basis inverse
+is an integer matrix Q over one positive common denominator D.  A pivot updates them
 by the Bareiss rule, Q'[i] = (w_r*Q[i] - w_i*Q[r]) // D, whose division
 is always exact, and the pivot element w_r becomes the new D (all signs
 are flipped when it is negative, so D stays positive).  Every quantity
@@ -82,22 +82,21 @@ class SimplexError(RuntimeError):
 
 
 class LinearConstraint(NamedTuple):
-    """Sparse rational row ``terms . x rel rhs``.
+    """Sparse row ``terms . x rel rhs``.
 
     ``terms`` pairs variable indices with nonzero coefficients in
-    increasing index order.  Coefficients and ``rhs`` are ``int`` or
-    ``Fraction``; every row this package generates is integral and
-    holds plain ints.  ``rel`` is ``>=`` or ``=``: the solver takes
-    ``>=`` rows only, and certificate replay reads both.  ``id`` is
+    increasing index order.  ``rel`` is ``>=`` or ``=``: the solver
+    takes ``>=`` rows of ints only, and certificate replay reads both.
+    Every row this package generates holds plain ints.  ``id`` is
     unique within a problem and starts with the row's family, as in
     ``ssa:1;2|3``, so certificates that name rows stay meaningful after
     deduplication.
     """
 
     id: str
-    terms: tuple[tuple[int, int | Fraction], ...]
+    terms: tuple[tuple[int, int], ...]
     rel: str  # ">=" or "="
-    rhs: int | Fraction
+    rhs: int
 
     @property
     def family(self) -> str:
@@ -170,17 +169,17 @@ class Presolved:
     """Everything a solve derives from the rows alone, built once per row tuple.
 
     Every row must be a ``>=`` row whose variables are nonnegative and
-    strictly increasing, with no zero coefficient; anything else is a
-    ``ValueError``.  Duplicate rows and rows ``0 >= rhs`` with ``rhs <=
-    0`` are dropped.  Per kept row, ``row_index`` and ``rhs`` keep its
-    index in ``rows`` and its right-hand side.  ``var_pos`` numbers the
-    variables the kept rows contain, in increasing order.  Kept row ``j``
-    times ``scales[j]`` (the lcm of its denominators) is the integer dual
-    column ``cols[j]`` over those positions, with cost ``costs[j] =
-    -rhs[j] * scales[j] * cost_scale``; positive column scalings change
-    no pivot.  ``infeasible`` records a row ``0 >= rhs`` with ``rhs >
-    0``; every solve on the rows is then infeasible.  Solves only read
-    the state, so one state serves any number of objectives.
+    strictly increasing, with no zero coefficient, and whose coefficients
+    and right-hand side are ``int`` (not ``Fraction``, ``float`` or
+    ``bool``); anything else is a ``ValueError`` that names the row.
+    Duplicate rows and rows ``0 >= rhs`` with ``rhs <= 0`` are dropped.
+    Per kept row, ``row_index`` keeps its index in ``rows``.  ``var_pos``
+    numbers the variables the kept rows contain, in increasing order.
+    Kept row ``j`` is the dual column ``cols[j]`` over those positions,
+    its coefficients as they are, with cost ``costs[j] = -rhs``.
+    ``infeasible`` records a row ``0 >= rhs`` with ``rhs > 0``; every
+    solve on the rows is then infeasible.  Solves only read the state,
+    so one state serves any number of objectives.
     """
 
     def __init__(self, rows: tuple[LinearConstraint, ...]) -> None:
@@ -190,8 +189,12 @@ class Presolved:
         for idx, (rid, terms, rel, rhs) in enumerate(rows):
             if rel != ">=":
                 raise ValueError(f"unsupported relation {rel!r} in row {rid}")
+            if type(rhs) is not int:
+                raise ValueError(f"right-hand side {rhs!r} of row {rid} is not an int")
             prev = -1
             for v, c in terms:
+                if type(c) is not int:
+                    raise ValueError(f"coefficient {c!r} in row {rid} is not an int")
                 if not c:
                     raise ValueError(f"zero coefficient in row {rid}")
                 if v <= prev:
@@ -203,16 +206,9 @@ class Presolved:
                 self.infeasible = True
         variables = sorted({v for terms, _ in kept for v, _ in terms})
         self.var_pos = pos = {v: i for i, v in enumerate(variables)}
-        self.scales = [_lcm_of_denominators([c for _, c in terms]) for terms, _ in kept]
-        self.cols = [
-            tuple([(pos[v], _scaled(c, scale)) for v, c in terms])
-            for (terms, _), scale in zip(kept, self.scales)
-        ]
-        self.rhs = [rhs for _, rhs in kept]
+        self.cols = [tuple([(pos[v], c) for v, c in terms]) for terms, _ in kept]
+        self.costs = [-rhs for _, rhs in kept]
         self.row_index = list(kept.values())
-        scaled_costs = [-rhs * scale for rhs, scale in zip(self.rhs, self.scales)]
-        self.cost_scale = _lcm_of_denominators(scaled_costs)
-        self.costs = [_scaled(c, self.cost_scale) for c in scaled_costs]
 
 
 class _Tableau:
@@ -353,10 +349,10 @@ class _Tableau:
         self.basis[leave] = entering
         self.pivots += 1
 
-    def restart(self, rhs: list[Fraction]) -> None:
-        """Keep the basis and recompute the basic values for a new ``d``."""
-        self.rhs_scale = _lcm_of_denominators(rhs)
-        d = [(v, _scaled(r, self.rhs_scale)) for v, r in enumerate(rhs) if r]
+    def restart(self, rhs: list[int | Fraction]) -> None:
+        """Keep the basis and recompute the basic values for a new rational ``d``."""
+        self.rhs_scale = scale = math.lcm(*[r.denominator for r in rhs])
+        d = [(v, r.numerator * (scale // r.denominator)) for v, r in enumerate(rhs) if r]
         self.x = [sum(row[v] * dv for v, dv in d) for row in self.q]
 
     def dual_run(self) -> str:
@@ -448,12 +444,12 @@ class _Tableau:
 
     def solution(self) -> tuple[dict[int, int], int]:
         """Nonzero basic ``u`` by column, as numerators over their denominator."""
-        u = {b: xi * self.state.scales[b] for b, xi in zip(self.basis, self.x) if xi and b < self.n}
+        u = {b: xi for b, xi in zip(self.basis, self.x) if xi and b < self.n}
         return u, self.den * self.rhs_scale
 
     def multipliers(self) -> tuple[list[int], int]:
         """Row multipliers -pi of the equations, over their denominator."""
-        return [-y for y in self.y], self.den * self.state.cost_scale
+        return [-y for y in self.y], self.den
 
 
 class Session:
@@ -468,15 +464,6 @@ class Session:
 
     def __init__(self) -> None:
         self.tableau: _Tableau | None = None
-
-
-def _lcm_of_denominators(values) -> int:
-    return math.lcm(*[v.denominator for v in values])
-
-
-def _scaled(value: Fraction, scale: int) -> int:
-    """``value * scale`` for a multiple ``scale`` of its denominator."""
-    return value.numerator * (scale // value.denominator)
 
 
 def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
@@ -537,7 +524,7 @@ def solve(problem: LPProblem, session: Session | None = None) -> LPSolution:
     x = [0] * problem.num_vars
     for v, i in state.var_pos.items():
         x[v] = mult[i]
-    value = Fraction(sum(u * state.rhs[j] for j, u in row_duals.items()), dual_den)
+    value = Fraction(-sum(u * state.costs[j] for j, u in row_duals.items()), dual_den)
     duals = [0] * len(problem.rows)
     for j, u in row_duals.items():
         duals[state.row_index[j]] = u
@@ -555,7 +542,7 @@ def _verify_optimal(
     Primal feasibility, nonnegative multipliers, a dual combination
     equal to the objective, and a zero duality gap, for the point ``x /
     x_den`` and multipliers ``duals / dual_den`` (ints over positive
-    denominators), with every sum in ints on integral rows.
+    denominators), with every sum in ints.
     """
     combo, rhs_total = {}, 0
     for (rid, terms, _, rhs), u in zip(problem.rows, duals):

@@ -175,6 +175,21 @@ def equality_lp_rows(system, extra=()):
     return tuple(first.values())
 
 
+def whole(value):
+    """``value`` as an ``int`` when it is whole, else as it is.
+
+    The tests' LP builders pass every integral number through it, so
+    their rows are int rows wherever the numbers allow.
+    """
+    return int(value) if value == int(value) else value
+
+
+def scaled_to_ints(values):
+    """``values`` times the lcm of their denominators, as ints, and that lcm."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def exact_div(a, b):
     """``a / b`` as an ``int`` when it is whole, else a ``Fraction`` (never a float)."""
     q, r = divmod(a, b)
@@ -198,13 +213,15 @@ class Elimination:
     variables (:meth:`lift_primal`), both in integers over a common
     denominator, which a pivot coefficient that does not divide rescales.
 
-    Each ``>=`` row, reduced by the records, is a row of ``folded`` under
-    its own id, in row order; ``origin`` and ``weights`` keep its index
-    in ``rows`` and the record weights that lift its multiplier.
-    ``presolved`` is the state of ``folded``, which drops duplicates
-    under their first id and rows that fold to ``0 >= rhs`` with ``rhs
-    <= 0``.  ``infeasible`` records contradictory equalities; there is
-    then no folded LP.
+    Each ``>=`` row, reduced by the records and multiplied by
+    ``scales[j]``, the lcm of its denominators, is the int row ``j`` of
+    ``folded`` under its own id, in row order, since `simplex` takes int
+    rows only; ``origin`` and ``weights`` keep its index in ``rows`` and
+    the record weights that lift its multiplier, which is ``scales[j]``
+    times the folded row's.  ``presolved`` is the state of ``folded``,
+    which drops duplicates under their first id and rows that fold to
+    ``0 >= rhs`` with ``rhs <= 0``.  ``infeasible`` records
+    contradictory equalities; there is then no folded LP.
     """
 
     def __init__(self, rows):
@@ -232,13 +249,16 @@ class Elimination:
                 self.combos.append(combo)
         if self.infeasible:
             return
-        folded, self.origin, self.weights = [], [], []
+        folded, self.origin, self.weights, self.scales = [], [], [], []
         for idx, row in enumerate(rows):
             if row.rel == ">=":
                 terms, rhs, weights = self.reduce_form(row.terms, row.rhs)
-                folded.append(LinearConstraint(row.id, tuple(sorted(terms.items())), ">=", rhs))
+                variables, coefs = zip(*sorted(terms.items())) if terms else ((), ())
+                (rhs, *coefs), scale = scaled_to_ints([rhs, *coefs])
+                folded.append(LinearConstraint(row.id, tuple(zip(variables, coefs)), ">=", rhs))
                 self.origin.append(idx)
                 self.weights.append(weights)
+                self.scales.append(scale)
         self.folded = tuple(folded)
         self.presolved = Presolved(self.folded)
 
@@ -291,8 +311,9 @@ def solve_with_equalities(problem, session=None, elimination=None):
 
     Solves the folded LP of ``elimination`` (built here from
     ``problem.rows`` when not given) in ``session``, lifts its point and
-    multipliers back onto the original rows and checks them against
-    every original row with :func:`verify_optimal`.  Pivots and statuses
+    multipliers (each folded row's times its scale) back onto the
+    original rows and checks them against every original row with
+    :func:`verify_optimal`.  Pivots and statuses
     are those of the folded LP.
     """
     if elimination is None:
@@ -320,6 +341,7 @@ def solve_with_equalities(problem, session=None, elimination=None):
     duals = [0] * len(problem.rows)
     for j, u in enumerate(folded_duals):
         if u:
+            u *= elimination.scales[j]
             duals[elimination.origin[j]] = u
             add_scaled(alpha, elimination.weights[j].items(), -u)
     lam = elimination.equality_duals(alpha)
@@ -368,10 +390,11 @@ def random_lp(rng, family):
     """A feasible LP with a bounded objective, from one family.
 
     ``integral`` rows hold ints, ``fraction`` rows ``Fraction``
-    coefficients and right-hand sides; ``degenerate`` rows are mostly
-    tight at one point and often repeated; ``equalities`` rows are mostly
-    equalities; ``evenpivot`` equalities give their highest variable, the
-    one the presolve pins, the coefficient 2.  Every row holds at a
+    coefficients and right-hand sides (ints where they are whole);
+    ``degenerate`` rows are mostly tight at one point and often
+    repeated; ``equalities`` rows are mostly equalities; ``evenpivot``
+    equalities give their highest variable, the one the presolve pins,
+    the coefficient 2.  Every row holds at a
     seeded point, and the objective is a combination of the rows with
     nonnegative weights on the inequalities, so the LP is optimal.
     """
@@ -402,7 +425,8 @@ def random_lp(rng, family):
         weight = rng.randint(-2, 2) if rel == "=" else rng.randint(0, 2)
         add_scaled(objective, terms.items(), weight)
     lp_rows = tuple(
-        LinearConstraint(f"r{i}", tuple(sorted(terms.items())), rel, rhs)
+        LinearConstraint(f"r{i}", tuple(sorted((v, whole(c)) for v, c in terms.items())), rel,
+                         whole(rhs))
         for i, (terms, rel, rhs) in enumerate(rows)
     )
     return LPProblem(n, tuple(sorted(objective.items())), lp_rows)
@@ -424,8 +448,7 @@ class TwoPhaseTableau(simplex._Tableau):
         self.state = state
         self.m = m = len(rhs)
         self.n = len(state.cols)
-        self.rhs_scale = simplex._lcm_of_denominators(rhs)
-        self.x = [simplex._scaled(r, self.rhs_scale) for r in rhs]
+        self.x, self.rhs_scale = scaled_to_ints(rhs)
         self.q = [[0] * m for _ in range(m)]
         for v in range(m):
             sign = -1 if self.x[v] < 0 else 1
@@ -507,7 +530,7 @@ def two_phase_solve(problem):
             x = [0] * problem.num_vars
             for v, i in state.var_pos.items():
                 x[v] = mult[i]
-            value = Fraction(sum(u * state.rhs[j] for j, u in row_duals.items()), dual_den)
+            value = Fraction(-sum(u * state.costs[j] for j, u in row_duals.items()), dual_den)
             duals = [0] * len(problem.rows)
             for j, u in row_duals.items():
                 duals[state.row_index[j]] = u

@@ -198,8 +198,10 @@ class TestGen:
         assert "family" in err
 
     def test_small_n_fails(self, capsys):
-        code, _, _ = run(capsys, "gen", "csirmaz", "--n", "3")
-        assert code == 1
+        # malformed input: a usage error, like every other bad flag value
+        code, out, err = run(capsys, "gen", "csirmaz", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: --n 3: the staircase family needs at least 4 players\n"
 
 
 class TestCheck:
@@ -1049,6 +1051,13 @@ class TestChainCommand:
             main(["chain", "--n", "4", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["3", "0", "-2"])
+    def test_small_n_is_a_usage_error_before_any_work(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(cli, "theorem3_chain", lambda *a, **k: pytest.fail("chain ran"))
+        code, out, err = run(capsys, "chain", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n {n}: the staircase family needs at least 4 players\n"
 
     def test_limit_flags_apply(self, capsys):
         code, _, err = run(capsys, "chain", "--n", "4", "--limit-elements", "5")

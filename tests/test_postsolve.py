@@ -1,8 +1,9 @@
 """The integer post-solve against the ``Fraction`` post-solve it replaced.
 
-The integer post-solve is :func:`simplex.solve` on ``>=`` rows, and
-``helpers.solve_with_equalities`` on rows with equalities, which lifts
-the solve of the folded LP back onto them.  ``reference_post_solve``
+The integer post-solve is :func:`simplex.solve` on ``>=`` rows of
+ints, and ``helpers.solve_with_equalities`` on rows with equalities or
+``Fraction`` numbers, which lifts the solve of the folded int LP back
+onto them.  ``reference_post_solve``
 keeps the old path: the tableau's results turned into ``Fraction``
 values, back-substituted term by term, and checked by the old
 ``_verify_optimal`` over the lcm of their denominators.  Both paths
@@ -24,6 +25,7 @@ from helpers import (
     exact_div,
     plain_certificate,
     random_lp,
+    scaled_to_ints,
     solve_with_equalities,
     verify_optimal,
 )
@@ -48,8 +50,7 @@ def reference_lift(elimination, reduced, num_vars):
 
 def reference_verify(problem, x, duals, value):
     """The old ``_verify_optimal``, over the lcm of the point's denominators."""
-    scale = simplex._lcm_of_denominators(x)
-    xs = [simplex._scaled(v, scale) for v in x]
+    xs, scale = scaled_to_ints(x)
     for row, u in zip(problem.rows, duals):
         lhs = sum(c * xs[v] for v, c in row.terms)
         target = row.rhs * scale
@@ -61,13 +62,12 @@ def reference_verify(problem, x, duals, value):
         if u < 0 and row.rel != "=":
             raise SimplexError(f"negative multiplier on inequality {row.id}")
     # the old weighted_sum: every multiplier over the lcm of their denominators
-    dual_scale = simplex._lcm_of_denominators(u for u in duals if u)
+    used = [(u, row) for u, row in zip(duals, problem.rows) if u]
+    weights, dual_scale = scaled_to_ints([u for u, _ in used])
     combo, rhs_total = {}, 0
-    for u, row in zip(duals, problem.rows):
-        if u:
-            w = simplex._scaled(u, dual_scale)
-            rhs_total += w * row.rhs
-            simplex.add_scaled(combo, row.terms, w)
+    for w, (_, row) in zip(weights, used):
+        rhs_total += w * row.rhs
+        simplex.add_scaled(combo, row.terms, w)
     if combo != {v: c * dual_scale for v, c in problem.objective if c}:
         raise SimplexError("dual combination does not reproduce the objective")
     primal_value = sum(c * x[v] for v, c in problem.objective)
@@ -93,13 +93,14 @@ def reference_post_solve(problem):
     y, y_den = tableau.multipliers()
     row_duals = {j: Fraction(a, u_den) for j, a in u.items()}
     reduced = {v: Fraction(y[i], y_den) for v, i in state.var_pos.items() if y[i]}
-    value = Fraction(-neg_offset + sum(a * state.rhs[j] for j, a in row_duals.items()))
+    value = Fraction(-neg_offset - sum(a * state.costs[j] for j, a in row_duals.items()))
     x = reference_lift(elimination, reduced, problem.num_vars)
     duals = [0] * len(problem.rows)
     for j in sorted(row_duals):
-        k = state.row_index[j]  # its folded row
-        duals[elimination.origin[k]] = row_duals[j]
-        simplex.add_scaled(alpha, elimination.weights[k].items(), -row_duals[j])
+        k = state.row_index[j]  # its folded row, the original times scales[k]
+        u = row_duals[j] * elimination.scales[k]
+        duals[elimination.origin[k]] = u
+        simplex.add_scaled(alpha, elimination.weights[k].items(), -u)
     for j, lam in elimination.equality_duals(alpha).items():
         duals[j] = lam
     reference_verify(problem, x, duals, value)
@@ -122,7 +123,12 @@ def assert_same_as_reference(problem):
     solution = solve_with_equalities(problem)
     assert solution.status == "optimal"
     if all(row.rel == ">=" for row in problem.rows):
-        assert solve(problem) == solution
+        if all(type(c) is int for row in problem.rows for _, c in row.terms + ((0, row.rhs),)):
+            assert solve(problem) == solution
+        else:
+            # simplex takes int rows only; the reference scales them
+            with pytest.raises(ValueError, match="is not an int"):
+                solve(problem)
     value, primal, duals, tableau_den = reference_post_solve(problem)
     assert solution.value == value and type(solution.value) is Fraction
     assert solution.primal == primal and solution.duals == duals

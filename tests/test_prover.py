@@ -743,6 +743,37 @@ class TestCheckImplied:
         with pytest.raises(StructureError, match="unsupported target relation '<='"):
             check_implied(system, {0b0001: Fraction(1)}, "<=", Fraction(1))
 
+    @pytest.mark.parametrize("mask", [-1, 16, 99], ids=["negative", "var-count", "99"])
+    def test_mask_outside_the_ground_set_refused_before_any_solve(self, monkeypatch, mask):
+        # 16 is threshold(2,3)'s var_count, one past its full mask
+        system = cached_system(THRESHOLD23, True, "full")
+        assert system.ground.var_count == 16
+        monkeypatch.setattr(prover, "solve", lambda *a: pytest.fail("solved"))
+        with pytest.raises(StructureError, match=f"target mask {mask} is outside 0..15"):
+            check_implied(system, {mask: 1}, ">=", 0)
+
+    def test_fractional_target_refuted_through_the_cutoff_row(self, monkeypatch):
+        # -S(1)/2 is unbounded below, so the witness comes from the cutoff
+        # row, scaled to ints: -S(1)/2 <= 1/3 - 1 reads 3 S(1) >= 4
+        system = cached_system(THRESHOLD23, True, "full")
+        cutoffs = []
+        original = prover._witness_below
+        monkeypatch.setattr(
+            prover, "_witness_below", lambda *a: cutoffs.append(a) or original(*a)
+        )
+        res = check_implied(system, {1: Fraction(-1, 2)}, ">=", Fraction(1, 3))
+        assert not res.implied and len(cutoffs) == 1
+        assert Fraction(-1, 2) * res.witness[1] == Fraction(-2, 3)
+        assert all(c.satisfied_by(res.witness) for c in system.constraints)
+
+    def test_fractional_target_implied_with_a_certificate_that_replays(self):
+        system = cached_system(THRESHOLD23, True, "full")
+        res = check_implied(system, {1: Fraction(3, 2)}, ">=", Fraction(3, 2))
+        assert res.implied and len(res.certificates) == 1
+        cert = res.certificates[0]
+        assert cert.claimed_bound == Fraction(3, 2)
+        assert verify_certificate(system, cert, objective=cert.objective)
+
     def test_accepts_term_pairs_as_target(self):
         system = cached_system(THRESHOLD23, True, "full")
         res = check_implied(system, ((0b0001, Fraction(1)),), ">=", Fraction(1))

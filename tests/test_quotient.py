@@ -179,16 +179,16 @@ def added_rows(system):
     p, r = ground.player_mask, ground.reference_mask
     links, _, _ = objective_rows(system, Objective("minmax", tuple(range(1, ground.players + 1))))
     # S(1) is pinned on one player and free on more, and S(R,1) folds
-    # onto S(1) -/+ 1 in mixed mode and onto S(P\1) in pure mode
-    cutoff = LinearConstraint(
-        "cutoff", ((1, Fraction(-3, 2)), (r | 1, Fraction(2))), ">=", Fraction(-7, 3)
-    )
+    # onto S(1) -/+ 1 in mixed mode and onto S(P\1) in pure mode; the
+    # row -3/2 S(1) + 2 S(R,1) >= -7/3 comes times 6, in ints, as
+    # `_witness_below` scales its cutoff
+    cutoff = LinearConstraint("cutoff", ((1, -9), (r | 1, 12)), ">=", -14)
     repeat = system.row("nonneg:1")._replace(id="repeat")
     negative = LinearConstraint("negative", ((p, -1),), ">=", 0)  # -S(P) >= 0 reads 0 >= 1
     return [(links, False), ((cutoff,), False), ((repeat,), False), ((negative,), True)]
 
 
-PRESOLVE_FIELDS = ("cols", "costs", "scales", "cost_scale", "var_pos", "rhs", "infeasible")
+PRESOLVE_FIELDS = ("cols", "costs", "var_pos", "infeasible")
 
 
 def test_closed_form_presolve_is_the_generic_presolve():
@@ -267,6 +267,17 @@ def test_pure_solves_generate_no_row_list(monkeypatch):
     assert lemma_suite(GAMMA4_BAR).all_implied
     assert theorem3_chain(4).all_implied
     assert calls == []
+
+
+@pytest.mark.parametrize("ineq", ["full", "elemental"])
+def test_mixed_bounds_generate_no_row_list(ineq):
+    # the mixed quotient folds the elemental >= rows straight from the
+    # generator, and the certificate replays by id
+    cached_system.cache_clear()
+    for structure in (THRESHOLD23, GAMMA4):
+        for objective in ("minmax", "minsum"):
+            share_bound(structure, mode="mixed", ineq=ineq, objective=objective)
+        assert "constraints" not in vars(cached_system(structure, False, ineq))
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)

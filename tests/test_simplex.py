@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,12 +24,15 @@ from helpers import (
     solve_with_equalities,
     two_phase_solve,
     verify_optimal,
+    whole,
 )
 
 
 def make_problem(num_vars, objective, rows):
+    """The LP of ``rows``, with every whole number in them an ``int``."""
     lp_rows = tuple(
-        LinearConstraint(f"r{i}", tuple(sorted(terms.items())), rel, Fraction(rhs))
+        LinearConstraint(f"r{i}", tuple(sorted((v, whole(c)) for v, c in terms.items())), rel,
+                         whole(rhs))
         for i, (terms, rel, rhs) in enumerate(rows)
     )
     return LPProblem(num_vars, tuple(sorted(objective.items())), lp_rows)
@@ -307,8 +311,9 @@ class TestIntegerKernel:
         assert s.primal == (Fraction(-1), Fraction(1))
 
     def test_fractional_data_keeps_exact_values(self):
-        # columns, right-hand sides and objective all need scaling
-        # (the objective is 1/2 of the first row plus 1/3 of the second)
+        # the reference scales each row to ints and the objective is
+        # scaled on restart (it is 1/2 of the first row plus 1/3 of the
+        # second); the multipliers lift back onto the fractional rows
         p = make_problem(
             2,
             {0: Fraction(1, 2), 1: Fraction(7, 18)},
@@ -317,7 +322,7 @@ class TestIntegerKernel:
                 ({0: Fraction(3, 4), 1: Fraction(1, 6)}, ">=", Fraction(2, 7)),
             ],
         )
-        s = solve(p)
+        s = solve_with_equalities(p)
         assert s.status == "optimal"
         assert s.value == Fraction(41, 210)
         assert s.duals == (Fraction(1, 2), Fraction(1, 3))
@@ -377,7 +382,8 @@ class TestVerifyOptimal:
         (_, inequalities, _), _ = cases = self.checks(problem, duals)
         for check, checked, multipliers in cases:
             verify_fractions(check, checked, x, multipliers, value)
-        assert solve(inequalities).value == solve_with_equalities(problem).value == value
+        values = {solve_with_equalities(lp).value for lp in (inequalities, problem)}
+        assert values == {value}
 
     @pytest.mark.parametrize(
         "shift,message",
@@ -416,6 +422,7 @@ class TestVerifyOptimal:
 
 
 ROW = LinearConstraint("a", ((0, 1),), ">=", 1)
+NOT_INTS = [("fraction", Fraction(1)), ("float", 1.0), ("bool", True)]
 ZERO_TERM = {0: Fraction(1), 1: Fraction(0)}
 MALFORMED = [
     pytest.param(
@@ -480,6 +487,23 @@ MALFORMED = [
         "variable 3 is not below num_vars 1",
         id="infeasible-state-above-num-vars",
     ),
+    # rows are ints: any other number is refused, a whole one too
+    *[
+        pytest.param(
+            LPProblem(1, ((0, 1),), (ROW._replace(terms=((0, number),)),)),
+            re.escape(f"coefficient {number!r} in row a is not an int"),
+            id=f"coefficient-{kind}",
+        )
+        for kind, number in NOT_INTS
+    ],
+    *[
+        pytest.param(
+            LPProblem(1, ((0, 1),), (ROW._replace(rhs=number),)),
+            re.escape(f"right-hand side {number!r} of row a is not an int"),
+            id=f"rhs-{kind}",
+        )
+        for kind, number in NOT_INTS
+    ],
 ]
 
 
@@ -515,22 +539,25 @@ class TestPresolvedState:
 
     def test_objective_variable_below_the_row_variables(self):
         # x0 is in no row, so a nonzero objective weight on it leaves the
-        # dual infeasible, and a zero weight leaves the dual unchanged
+        # dual infeasible, and a zero weight leaves the dual unchanged;
+        # the fractional row goes through the reference, whose state is
+        # shared by every objective
         rows = [
             ({1: Fraction(1), 2: Fraction(1)}, ">=", 2),
             ({2: Fraction(1)}, ">=", Fraction(1, 2)),
         ]
         base = make_problem(3, {}, rows)
-        state = Presolved(base.rows)
+        elimination = Elimination(base.rows)
         expected = {
             ((0, Fraction(1)),): ("unbounded", None),
             ((0, Fraction(0)), (1, Fraction(1)), (2, Fraction(1))): ("optimal", 2),
             ((0, Fraction(0)), (2, Fraction(1))): ("optimal", Fraction(1, 2)),
         }
         for objective, (status, value) in expected.items():
-            solution = solve(LPProblem(3, objective, base.rows, state))
+            problem = LPProblem(3, objective, base.rows)
+            solution = solve_with_equalities(problem, elimination=elimination)
             assert (solution.status, solution.value) == (status, value)
-            assert solution == solve(LPProblem(3, objective, base.rows))
+            assert solution == solve_with_equalities(problem)
 
     def test_infeasible_inequalities_with_an_objective_variable_outside_them(self):
         # x1 is in no row, so the dual has no feasible point, and the zero
@@ -554,7 +581,8 @@ class TestPresolvedState:
     def test_zero_coefficient_refused(self, problem, message):
         # the reference refuses a zero term in an equality, as Presolved
         # does in an inequality; solve refuses indices that are out of
-        # order, negative or not below num_vars
+        # order, negative or not below num_vars, and numbers that are not
+        # ints; Presolved refuses every defect of a row of inequalities
         if "zero" in message:
             # make_problem keeps the zero term: x0 + 0*x1
             assert problem.rows[0].terms == ((0, Fraction(1)), (1, Fraction(0)))
@@ -563,6 +591,9 @@ class TestPresolvedState:
                 solve_with_equalities(problem)
             else:
                 solve(problem)
+        if " row " in message and all(row.rel == ">=" for row in problem.rows):
+            with pytest.raises(ValueError, match=message):
+                Presolved(problem.rows)
 
 
 class TestCertificates:
@@ -626,7 +657,8 @@ def exact_numbers(solution):
 
 
 class TestIntegerRows:
-    """Integral rows are solved in ints, and a division never gives a float."""
+    """Rows are solved in ints, `simplex` takes no other number in a row,
+    and a division never gives a float."""
 
     def test_uneven_pivot_division_gives_a_fraction(self):
         presolve = Elimination((LinearConstraint("e", ((1, 2),), "=", 1),))  # 2*x1 = 1
@@ -685,7 +717,13 @@ class TestIntegerRows:
             s = solve_with_equalities(p)
             statuses.add(s.status)
             assert all(type(v) in (int, Fraction) for v in exact_numbers(s))
-            assert s == solve_with_equalities(as_fractions(p))
+            # simplex refuses the copy's rows; the reference scales them to ints
+            copy = as_fractions(p)
+            inequalities = tuple(row for row in copy.rows if row.rel == ">=")
+            if inequalities:
+                with pytest.raises(ValueError, match="is not an int"):
+                    Presolved(inequalities)
+            assert s == solve_with_equalities(copy)
             if s.status == "optimal":
                 assert type(s.value) is Fraction
         assert statuses == {"optimal", "infeasible", "unbounded"}
