@@ -127,6 +127,8 @@ class _Labels(dict):
         self.bits = {name: 1 << i for i, name in enumerate(self.names)}
 
     def __missing__(self, mask: int) -> str:
+        if mask < 0:
+            raise ValueError(f"no subset has the negative mask {mask}")
         top = mask.bit_length() - 1
         rest = mask ^ 1 << top
         label = self[mask] = f"{self[rest]},{self.names[top]}" if rest else self.names[top]
@@ -521,7 +523,7 @@ class Quotient:
         """``rows`` folded, each ``(terms, rhs)`` once under its first id."""
         kept = {}
         for rid, terms, rel, rhs in rows:
-            terms, constant = self.fold(terms)
+            terms, constant = self._fold(terms)
             rhs -= constant
             if (terms or rhs > 0) and (terms, rhs) not in kept:
                 kept[terms, rhs] = LinearConstraint(rid, terms, rel, rhs)
@@ -559,8 +561,17 @@ class Quotient:
         The system's form ``terms`` equals the sparse form plus the
         constant at every point that satisfies the equalities; a
         variable outside the ground set's masks, such as a minmax t,
-        maps to itself.
+        maps to itself.  A negative mask names no subset and is a
+        ``ValueError``.
         """
+        terms = tuple(terms)
+        low = min(terms, default=(0,))[0]  # the lowest mask
+        if low < 0:
+            raise ValueError(f"no subset has the negative mask {low}")
+        return self._fold(terms)
+
+    def _fold(self, terms):
+        """`fold` without its mask check, for the rows the generators make."""
         table, size = self._table, len(self._table)
         acc, constant = {}, 0
         for v, c in terms:

@@ -15,8 +15,11 @@ returned.
 
 `check_implied` decides whether a linear inequality over subset
 entropies is a consequence of a system by minimizing its slack; the
-lemma and chain suites drive it, in one loop, over the scheme relations
-that every perfect realization must satisfy.
+chain suite drives it, in one loop, over the steps of the staircase
+argument.  The lemma suite checks the scheme relations that every
+perfect realization must satisfy (:mod:`relations`) by replaying the
+hand proof each carries, and falls back to `check_implied` in the same
+loop for a target whose proof does not replay.
 
 Every LP here is made by the quotient of the system it is given
 (:meth:`cone.Quotient.problem`), the quotient of the elemental rows
@@ -51,7 +54,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .cone import (
     ConstraintSystem,
@@ -61,6 +64,7 @@ from .cone import (
     build_system,
     sparse_form,
 )
+from .relations import SuiteInstance, scheme_relation_instances
 from .simplex import LPProblem, LPSolution, Session, add_scaled, solve
 from .structures import (
     CAPACITY,
@@ -484,8 +488,7 @@ def weighted_sum(pairs) -> tuple[dict[int, int | Fraction], int | Fraction, int]
     return combo, rhs, scale
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one implied-inequality check."""
 
     implied: bool
@@ -520,21 +523,24 @@ def check_implied(
     for v, _ in target:
         if not 0 <= v <= full:
             raise StructureError(f"target mask {v} is outside 0..{full}")
-    directions = [(target, Fraction(rhs))]
-    if rel == "=":
-        directions.append((tuple((v, -c) for v, c in target), -Fraction(rhs)))
-
     if session is None:
         session = Session()
     certificates = []
     pivots = 0
-    for form, bound in directions:
+    for form, bound in _directions(target, rel, Fraction(rhs)):
         cert, witness, used = _prove_direction(system, form, bound, session)
         pivots += used
         if cert is None:
             return CheckResult(False, (), witness, pivots)
         certificates.append(cert)
     return CheckResult(True, tuple(certificates), None, pivots)
+
+
+def _directions(form, rel: str, rhs):
+    """The ``>=`` targets of a relation: ``(form, rhs)``, and for ``=`` also ``(-form, -rhs)``."""
+    if rel == "=":
+        return ((form, rhs), (tuple((v, -c) for v, c in form), -rhs))
+    return ((form, rhs),)
 
 
 def _prove_direction(system: ConstraintSystem, objective, bound: Fraction, session: Session):
@@ -576,19 +582,7 @@ def _validate_witness(system: ConstraintSystem, point: dict[int, Fraction]) -> N
             raise ProverError(f"refutation witness violates {c.id}")
 
 
-@dataclass(frozen=True)
-class SuiteInstance:
-    """One linear target with a stable id and a printable description."""
-
-    id: str
-    description: str
-    terms: tuple[tuple[int, int], ...]
-    rel: str
-    rhs: int
-
-
-@dataclass(frozen=True)
-class SuiteOutcome:
+class SuiteOutcome(NamedTuple):
     instance: SuiteInstance
     implied: bool
     pivots: int
@@ -604,6 +598,7 @@ class SuiteReport:
     ineq: str
     outcomes: tuple[SuiteOutcome, ...]
     millis: int
+    fallbacks: int  # targets solved by LP; not written to JSON
 
     @property
     def all_implied(self) -> bool:
@@ -624,84 +619,6 @@ class SuiteReport:
         }
 
 
-def scheme_relation_instances(structure: AccessStructure, ground: GroundSet) -> list[SuiteInstance]:
-    """Every derivable scheme relation of the model for this structure.
-
-    For each authorized A the three joint-entropy relations with its
-    complement; for every subset the joint-entropy-with-reference case
-    split; for every authorized pair with unauthorized intersection the
-    submodularity-with-gap inequality.
-    """
-    instances: list[SuiteInstance] = []
-    pmask = ground.player_mask
-    r = ground.reference_mask
-    authorized = [
-        m for m in range(1, pmask + 1) if structure.mask_authorized(m)
-    ]
-    for a in authorized:
-        abar = pmask & ~a
-        lbl = ground.label(a)
-        # S(A) = I(A:comp)/2 + 1, S(comp) = I(A:comp)/2, S(A) - S(comp) = 1
-        mutual = sparse_form((a, 1), (abar, 1), (pmask, -1))
-        instances.append(
-            SuiteInstance(
-                f"joint1:{lbl}",
-                f"2*S({lbl}) - I({lbl}:complement) = 2",
-                sparse_form((a, 2), *((m, -c) for m, c in mutual)),
-                "=",
-                2,
-            )
-        )
-        instances.append(
-            SuiteInstance(
-                f"joint2:{lbl}",
-                f"2*S(complement of {lbl}) - I({lbl}:complement) = 0",
-                sparse_form((abar, 2), *((m, -c) for m, c in mutual)),
-                "=",
-                0,
-            )
-        )
-        instances.append(
-            SuiteInstance(
-                f"joint3:{lbl}",
-                f"S({lbl}) - S(complement) = 1",
-                sparse_form((a, 1), (abar, -1)),
-                "=",
-                1,
-            )
-        )
-    for a in range(1, pmask + 1):
-        lbl = ground.label(a)
-        auth = structure.mask_authorized(a)
-        sign = -1 if auth else 1
-        word = "-" if auth else "+"
-        instances.append(
-            SuiteInstance(
-                f"withref:{lbl}",
-                f"S({lbl},R) = S({lbl}) {word} 1",
-                sparse_form((a | r, 1), (a, -1)),
-                "=",
-                sign,
-            )
-        )
-    for i, a in enumerate(authorized):
-        for b in authorized[i + 1:]:
-            meet = a & b
-            if structure.mask_authorized(meet):
-                continue
-            la, lb = ground.label(a), ground.label(b)
-            instances.append(
-                SuiteInstance(
-                    f"gap:{la};{lb}",
-                    f"S({la})+S({lb}) >= S(union)+S(intersection)+2",
-                    sparse_form((a, 1), (b, 1), (a | b, -1), (meet, -1)),
-                    ">=",
-                    2,
-                )
-            )
-    return instances
-
-
 def lemma_suite(
     structure: AccessStructure,
     *,
@@ -714,6 +631,31 @@ def lemma_suite(
     Requires a quantum structure, self-dual unless ``auto_purify`` is set
     (the relations are stated in pure mode).  Expected outcome: every
     instance implied.
+
+    Each relation carries one hand proof per direction
+    (:func:`relations.scheme_relation_instances`).  F is the ground set,
+    P the players and R the reference, and identity(Y), S(Y) - S(F\\Y)
+    >= 0, is the complement chain of Y ×1 plus ``purity`` ×-1
+    (``purity`` alone, ×+1 for Y = F and ×-1 for Y = ∅):
+
+    * ``withref:A``: the scheme row of A ×-1 and ``normalize`` ×+1, both
+      negated in reverse;
+    * ``joint3:A``: ``recover:A`` ×1, ``normalize`` ×-1 and
+      identity(A ∪ R); in reverse ``recover:A`` ×-1, ``normalize`` ×+1
+      and identity(P\\A);
+    * ``joint1:A``: ``joint3:A`` plus the proof of S(P) >= 1
+      (identity(P), ``normalize`` ×+1), and in reverse the reversed
+      ``joint3:A`` plus that of -S(P) >= -1 (identity(R), ``normalize``
+      ×-1); ``joint2:A`` the same with the two ``joint3:A`` directions
+      swapped;
+    * ``gap:A;B``: ``recover:A`` and ``recover:B`` ×1, the scheme rows of
+      A ∪ B and of a nonempty A ∩ B ×-1, and the chain-rule ssa rows of
+      I(A\\B; B\\A | (A ∩ B) ∪ R), each ×1.
+
+    A direction is proved when its proof replays
+    (:func:`verify_certificate`), with no solve.  A target whose proof is
+    missing or fails is solved by `check_implied` in the suite's session
+    and counts in the report's ``fallbacks``.
     """
     return _run_suite(structure, ineq, scheme_relation_instances, max_elements, auto_purify)
 
@@ -723,20 +665,45 @@ def _run_suite(
     instances_of: Callable[[AccessStructure, GroundSet], Iterable[SuiteInstance]],
     max_elements: int, auto_purify: bool = False,
 ) -> SuiteReport:
-    """Check ``instances_of(structure, ground)`` in one session on the pure ``ineq`` rows.
+    """Check ``instances_of(structure, ground)`` on the pure ``ineq`` rows.
 
     The structure is the one `prepare_structure` returns, in pure mode.
+    A target whose proofs replay (:func:`verify_certificate`) is implied
+    with 0 pivots; every other target is a fallback, checked by
+    `check_implied` in the suite's one session.
     """
     structure, _ = prepare_structure(structure, auto_purify=auto_purify, max_elements=max_elements)
     started = time.perf_counter()
     system = cached_system(structure, True, ineq)
     session = Session()
     outcomes = []
+    fallbacks = 0
     for inst in instances_of(structure, system.ground):
+        if _replays(system, inst):
+            outcomes.append(SuiteOutcome(inst, True, 0))
+            continue
+        fallbacks += 1
         res = check_implied(system, inst.terms, inst.rel, inst.rhs, session=session)
         outcomes.append(SuiteOutcome(inst, res.implied, res.pivots))
     millis = int((time.perf_counter() - started) * 1000)
-    return SuiteReport(structure, ineq, tuple(outcomes), millis)
+    return SuiteReport(structure, ineq, tuple(outcomes), millis, fallbacks)
+
+
+def _replays(system: ConstraintSystem, inst: SuiteInstance) -> bool:
+    """Does ``inst`` carry one proof per direction, each replaying on ``system``?
+
+    A proof that names a row the system does not have fails.
+    """
+    directions = _directions(inst.terms, inst.rel, inst.rhs)
+    if len(inst.proofs) != len(directions):
+        return False
+    try:
+        return all(
+            verify_certificate(system, Certificate(rhs, proof, form), objective=form)
+            for (form, rhs), proof in zip(directions, inst.proofs)
+        )
+    except KeyError:
+        return False
 
 
 @dataclass(frozen=True)

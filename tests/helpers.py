@@ -3,8 +3,8 @@ entropy points, the certificate of a plain LP, the LP with equality rows
 that a quotient folds and the reference solve of such an LP, seeded
 optimal LPs, a two-phase Bland solve as the reference for `solve`, the
 2^n enumerations behind `dual`, `is_self_dual` and `purify`, a counter on
-the pair scan of `is_quantum`, and a certificate emitter that replay
-must reject."""
+the pair scan of `is_quantum`, a certificate emitter that replay
+must reject, and the lemma suite on the LP route alone."""
 
 import math
 import sys
@@ -13,6 +13,7 @@ from fractions import Fraction
 from qssbounds import prover, simplex, structures
 from qssbounds.cone import build_system, sparse_form
 from qssbounds.prover import Certificate
+from qssbounds.relations import scheme_relation_instances
 from qssbounds.simplex import (
     LinearConstraint,
     LPProblem,
@@ -580,3 +581,20 @@ def bump_first_multiplier(monkeypatch):
         return ((rid, mult + 1), *rest)
 
     monkeypatch.setattr(prover, "_expand", bumped)
+
+
+def lp_lemma_suite(structure, ineq="full"):
+    """`lemma_suite` on its LP route, the reference for the hand proofs.
+
+    `check_implied` on every scheme relation of a self-dual ``structure``,
+    in suite order and in one session, with no proof replayed; every
+    target counts as a fallback.  The session and the solves are looked up
+    in `prover` at call time, so a test that patches them there sees them.
+    """
+    system = prover.cached_system(structure, True, ineq)
+    session = prover.Session()
+    outcomes = []
+    for inst in scheme_relation_instances(structure, system.ground):
+        res = prover.check_implied(system, inst.terms, inst.rel, inst.rhs, session=session)
+        outcomes.append(prover.SuiteOutcome(inst, res.implied, res.pivots))
+    return prover.SuiteReport(structure, ineq, tuple(outcomes), 0, len(outcomes))

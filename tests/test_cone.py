@@ -71,6 +71,15 @@ class TestGroundSet:
         assert g.label(0b1101) == "1,3,R"
         assert g.label(g.reference_mask) == "R"
 
+    @pytest.mark.parametrize("mask", [-1, -2, -0b1000])
+    def test_negative_mask_has_no_label(self, mask):
+        # the printer built a label from that of the mask less its top
+        # bit, which for a negative mask never reaches 0
+        g = GroundSet(3)
+        with pytest.raises(ValueError, match="negative mask"):
+            g.label(mask)
+        assert g.label(0b0101) == "1,3"
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             GroundSet(16)

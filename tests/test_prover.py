@@ -40,6 +40,7 @@ from helpers import (
     Elimination,
     bump_first_multiplier,
     count_quantum_scans,
+    lp_lemma_suite,
     plain_certificate,
     qutrit_threshold_vector,
     random_quantum_structure,
@@ -286,18 +287,19 @@ class TestPinnedPivotSequence:
 
     @pytest.mark.parametrize("ineq", ["full", "elemental"])
     def test_lemma_suite_threshold(self, ineq):
-        # a suite solves its targets in one session: each one restarts
-        # from the basis of the one before, so the pins are per target in
-        # suite order (threshold(2,3) has one feasible point, whose basis
-        # the first target finds)
-        report = lemma_suite(THRESHOLD23, ineq=ineq)
+        # the LP route of the suite solves its targets in one session:
+        # each one restarts from the basis of the one before, so the pins
+        # are per target in suite order (threshold(2,3) has one feasible
+        # point, whose basis the first target finds)
+        report = lp_lemma_suite(THRESHOLD23, ineq=ineq)
         got = [[o.instance.id, o.pivots] for o in report.outcomes]
         assert got == PINNED["lemmas_threshold23"][ineq]
 
     def test_lemma_suite_g4bar_elemental_total(self):
-        # 136 targets, 135 pivots in total in one session on the complement
-        # quotient (6339 when each direction is solved cold there)
-        report = lemma_suite(GAMMA4_BAR, ineq="elemental")
+        # 136 targets, 135 pivots in total on the LP route, in one session
+        # on the complement quotient (6339 when each direction is solved
+        # cold there)
+        report = lp_lemma_suite(GAMMA4_BAR, ineq="elemental")
         assert len(report.outcomes) == 136
         assert report.all_implied
         assert sum(o.pivots for o in report.outcomes) == 135
@@ -320,7 +322,7 @@ def cold_direction_pivots(structure, instances):
 
 
 class TestSuiteSessions:
-    """Lemma and chain suites warm-start each target in one session."""
+    """The chain suite and the lemma suite's LP route warm-start each target in one session."""
 
     def test_warm_pivots_are_no_more_than_cold(self):
         # a warm start that pivots more than a cold solve would be a
@@ -333,7 +335,7 @@ class TestSuiteSessions:
             warm += sum(s.pivots for s in report.steps)
             purified, _, instances = staircase_chain_instances(n)
             cold += cold_direction_pivots(purified, instances)
-        suite = lemma_suite(GAMMA4_BAR, ineq="elemental")
+        suite = lp_lemma_suite(GAMMA4_BAR, ineq="elemental")
         warm += sum(o.pivots for o in suite.outcomes)
         cold += cold_direction_pivots(GAMMA4_BAR, [o.instance for o in suite.outcomes])
         assert warm <= cold
@@ -350,7 +352,7 @@ class TestSuiteSessions:
 
     @pytest.mark.parametrize(
         "run",
-        [lambda: lemma_suite(GAMMA4_BAR, ineq="elemental"), lambda: theorem3_chain(4)],
+        [lambda: lp_lemma_suite(GAMMA4_BAR, ineq="elemental"), lambda: theorem3_chain(4)],
         ids=["lemma_suite", "theorem3_chain"],
     )
     def test_session_tableau_dies_with_the_suite(self, monkeypatch, run):

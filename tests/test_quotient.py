@@ -375,6 +375,17 @@ def test_forms_that_fold_to_a_constant(pure):
         assert all(row.satisfied_by(result.witness) for row in system.constraints)
 
 
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_fold_refuses_a_negative_mask(pure):
+    # a negative mask once read table[-1], the full set's entry in pure mode
+    quotient = cached_system(THRESHOLD23, pure, "elemental").quotient
+    for terms in (((-1, 1),), ((-3, ONE), (2, ONE)), iter([(1, 1), (-8, 1)])):
+        with pytest.raises(ValueError, match="negative mask"):
+            quotient.fold(terms)
+    assert quotient.fold(iter([(1, 1)])) == quotient.fold(((1, 1),))
+    assert quotient.fold(()) == ((), 0)
+
+
 @pytest.mark.parametrize("structure", STRUCTURES, ids=IDS)
 def test_minmax_bound_matches_the_plain_lp(structure):
     elemental = cached_system(structure, True, "elemental")
