@@ -468,7 +468,9 @@ class Quotient:
     Pure mode makes them from masks: ``nonneg:X`` for X below R, and
     ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K} (rest =
     F\\{i,j}; K itself when rest is empty), which fold alike; the wm
-    rows fold to rows it already has or to ``0 >= c`` with c <= 0.
+    rows fold to rows it already has or to ``0 >= c`` with c <= 0.  A
+    row's id is printed and its row built only once its masks fold to a
+    ``(terms, rhs)`` not kept yet; about half the candidates do not.
     Mixed mode folds :func:`vn_inequalities`' elemental rows in
     generation order, without the system's row list.
     :meth:`lift` reads the table to give a point its pinned entries back,
@@ -497,14 +499,20 @@ class Quotient:
         self.var_count = h - 1
         players = [(y, 0) for y in range(h)] + [(p ^ y, shift[p ^ y]) for y in range(h, r)]
         self._table = players + [players[full ^ x] for x in range(r, full + 1)]
-        self.rows = self._folded_rows(self._pure_rows())
+        self.rows = self._pure_rows()
 
-    def _pure_rows(self):
-        """The elemental rows that pure mode folds, made from masks."""
-        ground = self.ground
+    def _pure_rows(self) -> tuple[LinearConstraint, ...]:
+        """The elemental rows that pure mode folds, made from masks and folded first."""
+        ground, fold, kept = self.ground, self._fold, {}
         labels, full = ground.labels, ground.full_mask
+
+        def keep(prefix, mask, terms):
+            terms, constant = fold(terms)
+            if (terms or constant < 0) and (terms, -constant) not in kept:
+                kept[terms, -constant] = LinearConstraint(prefix + labels[mask], terms, ">=", -constant)
+
         for x in range(1, ground.reference_mask):
-            yield _nonneg_constraint(labels, x)
+            keep("nonneg:", x, ((x, 1),))
         for ei in range(ground.total):
             for ej in range(ei + 1, ground.total):
                 i_bit, j_bit = 1 << ei, 1 << ej
@@ -516,8 +524,8 @@ class Quotient:
                     if k < rest & ~k:
                         break
                     x, y = i_bit | k, j_bit | k
-                    terms = ((k, -1), (x, 1), (y, 1), (x | y, -1))
-                    yield LinearConstraint(pair + labels[k], terms, ">=", 0)
+                    keep(pair, k, ((k, -1), (x, 1), (y, 1), (x | y, -1)))
+        return tuple(kept.values())
 
     def _folded_rows(self, rows) -> tuple[LinearConstraint, ...]:
         """``rows`` folded, each ``(terms, rhs)`` once under its first id."""

@@ -44,9 +44,12 @@ rows' ints, the objective is scaled to integers, and the basis inverse
 is an integer matrix Q over one positive common denominator D.  A pivot updates them
 by the Bareiss rule, Q'[i] = (w_r*Q[i] - w_i*Q[r]) // D, whose division
 is always exact, and the pivot element w_r becomes the new D (all signs
-are flipped when it is negative, so D stays positive).  Every quantity
-the pivot rule compares is the exact one times a positive factor, so
-the pivot sequence is the one a rational basis inverse would make.
+are flipped when it is negative, so D stays positive).  Most pivots have
+w_r = D, where the rule is Q[i][k] -= w_i*Q[r][k] // D, so they update Q
+and the duals on the nonzero entries of the pivot row only.  Every
+quantity the pivot rule compares is the exact one times a positive
+factor, so the pivot sequence is the one a rational basis inverse would
+make.
 The primal point and the per-row multipliers are read off the tableau
 as integers over one positive denominator each, and checked in integers
 against every row (feasibility, sign conditions, the dual combination
@@ -239,10 +242,13 @@ class _Tableau:
     w_i*q[r]) // den`` (and the same to ``x``), a division that is always
     exact, and ``w_r`` becomes the new denominator; a negative ``w_r``
     (while driving out artificials, and on every dual pivot) and the
-    pivot row are negated first, so ``den`` stays positive.  Pricing uses
+    pivot row are negated first, so ``den`` stays positive.  When ``w_r
+    == den`` it is ``q[i][k] -= w_i*q[r][k] // den``, done in place on
+    the nonzero entries of the pivot row only.  Pricing uses
     the integer duals ``y = c_B q``, kept on the tableau: :meth:`run`
     computes them and each pivot of :meth:`run` and :meth:`dual_run`
-    moves them by one rank-one step, so they stay current
+    moves them by one rank-one step (:meth:`_update_duals`, sparse in the
+    same way), so they stay current
     (:meth:`restart` changes neither ``q`` nor ``y``) and :meth:`dual_run`
     and :meth:`multipliers` read them as they are.  Values, ratios and
     reduced costs are the exact ones times positive factors, so the pivot
@@ -319,8 +325,8 @@ class _Tableau:
                         leave = i
             if leave < 0:
                 return "unbounded"
-            wr = w[leave]
-            self.y = y = [(wr * a + red * b) // den for a, b in zip(y, self.q[leave])]
+            self._update_duals(w[leave], red, self.q[leave])
+            y = self.y
             in_basis.discard(basis[leave])
             in_basis.add(entering)
             self._pivot(entering, leave, w)
@@ -336,18 +342,41 @@ class _Tableau:
             x[leave] = -x[leave]
         qr = q[leave]
         xr = x[leave]
-        for i, wi in enumerate(w):
-            if i == leave:
-                continue
-            if wi:
-                q[i] = [(wr * a - wi * b) // den for a, b in zip(q[i], qr)]
-                x[i] = (wr * x[i] - wi * xr) // den
-            elif wr != den:
-                q[i] = [wr * a // den for a in q[i]]
-                x[i] = wr * x[i] // den
+        if wr == den:
+            # (den*a - wi*b) // den is a - wi*b // den, and only where b is nonzero
+            nonzero = [(k, b) for k, b in enumerate(qr) if b]
+            for i, wi in enumerate(w):
+                if wi and i != leave:
+                    row = q[i]
+                    for k, b in nonzero:
+                        row[k] -= wi * b // den
+                    x[i] -= wi * xr // den
+        else:
+            for i, wi in enumerate(w):
+                if i == leave:
+                    continue
+                if wi:
+                    q[i] = [(wr * a - wi * b) // den for a, b in zip(q[i], qr)]
+                    x[i] = (wr * x[i] - wi * xr) // den
+                else:
+                    q[i] = [wr * a // den for a in q[i]]
+                    x[i] = wr * x[i] // den
         self.den = wr
         self.basis[leave] = entering
         self.pivots += 1
+
+    def _update_duals(self, wr: int, red: int, qr: list[int]) -> None:
+        """The rank-one step ``y' = (wr*y + red*qr) // den`` of a pivot, before :meth:`_pivot`.
+
+        When ``wr == den`` only the entries where ``qr`` is nonzero move.
+        """
+        y, den = self.y, self.den
+        if wr == den:
+            for k, b in enumerate(qr):
+                if b:
+                    y[k] += red * b // den
+        else:
+            self.y = [(wr * a + red * b) // den for a, b in zip(y, qr)]
 
     def restart(self, rhs: list[int | Fraction]) -> None:
         """Keep the basis and recompute the basic values for a new rational ``d``."""
@@ -370,14 +399,18 @@ class _Tableau:
         entering column wins the ratio test ``red_j / -alpha_j``, ties
         going to the lowest index.  Pivot elements are negative, so
         :meth:`_pivot` flips the signs and ``y`` is flipped with them.
+
+        ``norms`` keeps each squared row norm it computes between pivots: a
+        pivot drops the rows it changes (``w_i != 0``), keeps its own row's
+        norm and multiplies every other by ``w_r**2/den**2``, exactly.
         """
         n, cols, costs, basis = self.n, self.state.cols, self.state.costs, self.basis
         if any(xi for xi, b in zip(self.x, basis) if b >= n):
             return "infeasible"
-        y = self.y
+        self.norms = norms = {}
         degenerate = 0
         for _ in range(MAX_ITERATIONS):
-            q, x, den = self.q, self.x, self.den
+            q, x, y, den = self.q, self.x, self.y, self.den
             leave, leave_norm = -1, 0
             for i, xi in enumerate(x):
                 if xi >= 0:
@@ -386,7 +419,9 @@ class _Tableau:
                     if leave < 0 or basis[i] < basis[leave]:
                         leave = i
                     continue
-                norm = sum(a * a for a in q[i])
+                norm = norms.get(i)
+                if norm is None:
+                    norm = norms[i] = sum(a * a for a in q[i])
                 if leave >= 0:
                     # x_i^2/norm_i against x_leave^2/norm_leave, cross-multiplied
                     lhs = xi * xi * leave_norm
@@ -414,8 +449,13 @@ class _Tableau:
                 return "infeasible"
             degenerate = degenerate + 1 if red == 0 else 0
             # the rank-one dual update of run(), negated with the pivot
-            self.y = y = [(-alpha * a - red * b) // den for a, b in zip(y, qr)]
-            self._pivot(entering, leave, self._column(entering))
+            self._update_duals(-alpha, -red, qr)
+            w = self._column(entering)
+            self.norms = norms = {
+                i: v if i == leave else v * alpha * alpha // (den * den)
+                for i, v in norms.items() if i == leave or not w[i]
+            }
+            self._pivot(entering, leave, w)
         raise SimplexError("iteration limit exceeded")
 
     def drive_out_artificials(self) -> None:

@@ -2,6 +2,7 @@
 entropy points, the certificate of a plain LP, the LP with equality rows
 that a quotient folds and the reference solve of such an LP, seeded
 optimal LPs, a two-phase Bland solve as the reference for `solve`, the
+dense Bareiss kernel as the reference for the sparse one, the
 2^n enumerations behind `dual`, `is_self_dual` and `purify`, a counter on
 the pair scan of `is_quantum`, a certificate emitter that replay
 must reject, and the lemma suite on the LP route alone."""
@@ -541,6 +542,35 @@ def two_phase_solve(problem):
     feasibility = two_phase_solve(LPProblem(problem.num_vars, (), problem.rows, state))
     status = "unbounded" if feasibility.status == "optimal" else "infeasible"
     return LPSolution(status, None, None, None, pivots + feasibility.pivots)
+
+
+class DenseTableau(simplex._Tableau):
+    """The tableau with the dense Bareiss updates, the reference for the sparse ones.
+
+    Every pivot updates every entry of ``q``, ``x`` and ``y`` by the
+    Bareiss rule, whether or not the pivot element equals the common
+    denominator; the pivots, the duals and every result must be those of
+    the package's kernel.
+    """
+
+    def _pivot(self, entering, leave, w):
+        q, x, den = self.q, self.x, self.den
+        wr = w[leave]
+        if wr < 0:
+            wr = -wr
+            q[leave] = [-a for a in q[leave]]
+            x[leave] = -x[leave]
+        qr, xr = q[leave], x[leave]
+        for i, wi in enumerate(w):
+            if i != leave:
+                q[i] = [(wr * a - wi * b) // den for a, b in zip(q[i], qr)]
+                x[i] = (wr * x[i] - wi * xr) // den
+        self.den = wr
+        self.basis[leave] = entering
+        self.pivots += 1
+
+    def _update_duals(self, wr, red, qr):
+        self.y = [(wr * a + red * b) // self.den for a, b in zip(self.y, qr)]
 
 
 def qutrit_threshold_vector(ground):

@@ -285,6 +285,15 @@ class TestPinnedPivotSequence:
             system = cached_system(structure, True, ineq)
             assert verify_certificate(system, report.certificate, objective=report.objective)
 
+    def test_share_bound_csirmaz6bar_elemental(self):
+        # the largest pin, an 8-element ground set: the LP where pivots
+        # whose element is not the common denominator add up
+        pinned = PINNED["share_bound"]["csirmaz6bar"]
+        report = share_bound(purify(csirmaz(6)[0]), ineq="elemental")
+        assert report.lp_value == Fraction(pinned["lp_value"])
+        assert report.pivots == pinned["pivots"]
+        assert entry_strings(report.certificate) == pinned["entries"]
+
     @pytest.mark.parametrize("ineq", ["full", "elemental"])
     def test_lemma_suite_threshold(self, ineq):
         # the LP route of the suite solves its targets in one session:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qssbounds import simplex
-from qssbounds.prover import bound_setup, objective_rows, rat_str
+from qssbounds.prover import bound_setup, objective_rows, rat_str, share_bound
 from qssbounds.simplex import (
     LinearConstraint,
     LPProblem,
@@ -14,9 +14,10 @@ from qssbounds.simplex import (
     SimplexError,
     solve,
 )
-from qssbounds.structures import is_quantum
+from qssbounds.structures import csirmaz, is_quantum, purify
 
 from helpers import (
+    DenseTableau,
     Elimination,
     all_antichain_structures,
     plain_certificate,
@@ -968,3 +969,99 @@ class TestAgainstTwoPhaseBland:
                     solved += 1
         # 1, 3, 11 and 80 quantum antichains on 1..4 players, two objectives each
         assert solved == 2 * (1 + 3 + 11 + 80)
+
+
+def recording(kernel, trace):
+    """``kernel`` with the tableau's state appended to ``trace`` after every pivot.
+
+    An entry holds whether the pivot element was the common denominator
+    up to sign and whether it was negative, then ``basis``, ``q``, ``x``,
+    ``y`` (None before the zero phase first prices) and ``den``.
+    """
+
+    class Recording(kernel):
+        def _pivot(self, entering, leave, w):
+            even, negative = abs(w[leave]) == self.den, w[leave] < 0
+            super()._pivot(entering, leave, w)
+            y = getattr(self, "y", None)
+            trace.append((even, negative, self.basis[:], [row[:] for row in self.q], self.x[:],
+                          y and y[:], self.den))
+
+    return Recording
+
+
+def traced_solves(monkeypatch, kernel, lps):
+    """Every objective of each ``(num_vars, rows, objectives)`` solved in
+    one session per LP on ``kernel``, and the state after every pivot."""
+    trace, solutions = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_Tableau", recording(kernel, trace))
+        for num_vars, rows, objectives in lps:
+            elimination = Elimination(rows)
+            session = simplex.Session()
+            for objective in objectives:
+                problem = LPProblem(num_vars, objective, rows)
+                solutions.append(solve_with_equalities(problem, session, elimination))
+    return trace, solutions
+
+
+class TestSparseUpdates:
+    """The sparse Bareiss updates against the dense ones of ``helpers.DenseTableau``.
+
+    A pivot whose element is the common denominator updates ``q``, ``x``
+    and ``y`` on the nonzero entries of the pivot row only; every other
+    pivot is dense.  Either way the state after every pivot, and so every
+    pivot and result, must be the dense kernel's.
+    """
+
+    def test_state_after_every_pivot_is_the_dense_kernels(self, monkeypatch):
+        negative_drive_out = make_problem(
+            2, {1: Fraction(1)},
+            [({1: Fraction(1)}, "=", 1), ({0: Fraction(-2)}, ">=", 0), ({0: Fraction(-2)}, ">=", 2)],
+        )
+        lps = [(2, negative_drive_out.rows, [negative_drive_out.objective])] + list(seeded_lps())
+        sparse, solved = traced_solves(monkeypatch, simplex._Tableau, lps)
+        dense, reference = traced_solves(monkeypatch, DenseTableau, lps)
+        assert sparse == dense
+        assert solved == reference
+        # the first LP drives a negative pivot element out of an artificial
+        assert sparse[0][:2] == (False, True)
+        kinds = {entry[:2] for entry in sparse}
+        assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_share_bound_is_the_dense_kernels(self, monkeypatch, n):
+        structure = purify(csirmaz(n)[0])
+        report = share_bound(structure, ineq="elemental")
+        monkeypatch.setattr(simplex, "_Tableau", DenseTableau)
+        reference = share_bound(structure, ineq="elemental")
+        assert (report.lp_value, report.pivots) == (reference.lp_value, reference.pivots)
+        assert report.certificate.entries == reference.certificate.entries
+
+
+def test_cached_row_norms_are_exact_after_every_dual_pivot(monkeypatch):
+    # the zero phase runs before any dual run, so a tableau with norms is
+    # in a dual run; kinds records, for the pivots that leave norms
+    # cached, whether the pivot element was the common denominator
+    checked, kinds = [0], set()
+    pivot = simplex._Tableau._pivot
+
+    def checking(tableau, entering, leave, w):
+        even = abs(w[leave]) == tableau.den
+        pivot(tableau, entering, leave, w)
+        norms = getattr(tableau, "norms", {})
+        for i, norm in norms.items():
+            assert norm == sum(a * a for a in tableau.q[i])
+        if norms:
+            kinds.add(even)
+        checked[0] += len(norms)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", checking)
+    for num_vars, rows, objectives in seeded_lps():
+        elimination = Elimination(rows)
+        session = simplex.Session()
+        for objective in objectives:
+            solve_with_equalities(LPProblem(num_vars, objective, rows), session, elimination)
+    share_bound(purify(csirmaz(6)[0]), ineq="elemental")
+    assert checked[0] > 0 and kinds == {True, False}
+
