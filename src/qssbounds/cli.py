@@ -24,8 +24,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from functools import cache
 
 from .simplex import SimplexError
@@ -324,6 +322,10 @@ def _batch_results(jobs: list[tuple[str, dict]], workers: int):
     if workers == 1:
         yield from map(_batch_worker, jobs)
         return
+    # imported here: only a pool needs it, and it is a fifth of the import time
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_batch_worker, job) for job in jobs]
         for (path, _), future in zip(jobs, futures):

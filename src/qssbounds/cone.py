@@ -22,7 +22,9 @@ emit three kinds of material:
   a constant, so the LP has ``>=`` rows only, and with
   :meth:`Quotient.cancel` and the elemental wm rows of
   :func:`complement_chain` it carries a combination of folded rows
-  back onto the system's own rows.
+  back onto the system's own rows.  A bound's quotient
+  (:meth:`ConstraintSystem.folded`) also folds each orbit of the
+  structure's symmetries into one variable.
 
 Generation is deterministic: identical input yields an identical list.
 Rows leave their generators final, with sorted nonzero terms, and are
@@ -61,7 +63,7 @@ from functools import cached_property
 from math import comb
 
 from .simplex import LinearConstraint, LPProblem, Presolved, add_scaled
-from .structures import CAPACITY, AccessStructure, CapacityError, StructureError
+from .structures import CAPACITY, AccessStructure, CapacityError, StructureError, symmetries
 
 
 @dataclass(frozen=True)
@@ -318,6 +320,7 @@ class ConstraintSystem:
         self.ineq = ineq
         self._memo: dict[str, LinearConstraint] = {}
         self._keys: dict[str, tuple[int, ...]] = {}
+        self._folds: dict[int, Quotient] = {}
 
     def __len__(self) -> int:
         n = self.ground.total
@@ -428,6 +431,22 @@ class ConstraintSystem:
         """
         return Quotient(self)
 
+    def folded(self, players: int) -> Quotient:
+        """The quotient folded by the symmetries that fix the player set ``players``.
+
+        They are the structure's :func:`structures.symmetries` that map the
+        mask ``players`` onto itself and, in pure mode, fix the top player,
+        whose sets the pure table treats apart.  A trivial group gives
+        ``quotient`` itself; each folded quotient lives as long as the
+        system, like ``quotient``.
+        """
+        fold = self._folds.get(players)
+        if fold is None:
+            top = 1 << (self.ground.players - 1) if self.pure else 0
+            group = symmetries(self.structure, players, top)
+            fold = self._folds[players] = Quotient(self, group) if group else self.quotient
+        return fold
+
     def dump(self) -> str:
         """Line-oriented debug text, one constraint per line."""
         lines = []
@@ -461,9 +480,20 @@ class Quotient:
       one is authorized), and ``StructureError`` refuses any other: its
       scheme rows contradict purity.
 
-    Either way the variables are the masks 1 to ``var_count``.  The rows
-    are the elemental ``>=`` rows folded, each ``(terms, rhs)`` kept
-    once under its first id.  A row that folds to ``0 >= c`` is dropped
+    Either way the variables are the masks 1 to ``var_count``, unless a
+    ``group`` of player permutations (generators from
+    :func:`structures.symmetries`, in pure mode fixing h) folds them
+    further.  It permutes the rows and commutes with the table, which then
+    maps each mask onto the smallest mask of its orbit: the variables are
+    those, ``var_count`` of them, and the rows of one orbit fold alike.
+    The LP is the unfolded one restricted to the points the group fixes,
+    which hold an optimum of any objective the group fixes (Bödi, Herr
+    and Joswig, Math. Program. 2013).  :meth:`orbit` gives the rows a
+    multiplier is spread over, and :meth:`cancel` reads the equalities'
+    table alone.
+
+    The rows are the elemental ``>=`` rows folded, each ``(terms, rhs)``
+    kept once under its first id.  A row that folds to ``0 >= c`` is dropped
     when c <= 0 and kept when c > 0, so the LP comes out infeasible.
     Pure mode makes them from masks: ``nonneg:X`` for X below R, and
     ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K} (rest =
@@ -480,26 +510,31 @@ class Quotient:
     either family, whose cones are the same.
     """
 
-    def __init__(self, system: ConstraintSystem) -> None:
+    def __init__(self, system: ConstraintSystem, group: tuple[tuple[int, ...], ...] = ()) -> None:
         self.ground = ground = system.ground
         self.pure = system.pure
+        self._memo = system._memo  # the rows :meth:`orbit` builds, by id
         r, p, full = ground.reference_mask, ground.player_mask, ground.full_mask
+        # the group acts on the ground set, fixing R
+        self.group = tuple(g + (ground.players,) for g in group)
         authorized = system.structure.mask_authorized
         shift = [1] + [-1 if authorized(a) else 1 for a in range(1, r)]
+        h = r if not self.pure else r >> 1  # the variables lie below h
         if not self.pure:
-            self.var_count = p
-            self._table = [(x, 0) for x in range(r)] + [(a, shift[a]) for a in range(r)]
-            self.rows = self._folded_rows(vn_inequalities(ground, "elemental"))
-            return
-        h = r >> 1
-        if any(shift[a] == shift[p ^ a] for a in range(1, h)):
+            self._pins = [(x, 0) for x in range(r)] + [(a, shift[a]) for a in range(r)]
+        elif any(shift[a] == shift[p ^ a] for a in range(1, h)):
             raise StructureError(
                 "a pure quotient needs a self-dual structure; its scheme rows contradict purity"
             )
-        self.var_count = h - 1
-        players = [(y, 0) for y in range(h)] + [(p ^ y, shift[p ^ y]) for y in range(h, r)]
-        self._table = players + [players[full ^ x] for x in range(r, full + 1)]
-        self.rows = self._pure_rows()
+        else:
+            players = [(y, 0) for y in range(h)] + [(p ^ y, shift[p ^ y]) for y in range(h, r)]
+            self._pins = players + [players[full ^ x] for x in range(r, full + 1)]
+        least = _orbit_minima(group, h)
+        self.var_count = len(set(least)) - 1  # the orbits but that of ∅
+        self._table = [(least[m], c) for m, c in self._pins]
+        self.rows = self._pure_rows() if self.pure else self._folded_rows(
+            vn_inequalities(ground, "elemental")
+        )
 
     def _pure_rows(self) -> tuple[LinearConstraint, ...]:
         """The elemental rows that pure mode folds, made from masks and folded first."""
@@ -556,11 +591,12 @@ class Quotient:
         objective, constant = self.fold(form)
         if not extra:
             return LPProblem(num_vars, objective, self.rows, self.presolved), constant
-        added = []
+        added = {}  # extra rows of one orbit fold alike, and the first is kept
         for rid, terms, rel, rhs in extra:
             terms, offset = self.fold(terms)
-            added.append(LinearConstraint(rid, terms, rel, rhs - offset))
-        rows = self.rows + tuple(added)
+            row = LinearConstraint(rid, terms, rel, rhs - offset)
+            added.setdefault((terms, rel, row.rhs), row)
+        rows = self.rows + tuple(added.values())
         return LPProblem(num_vars, objective, rows, Presolved(rows)), constant
 
     def fold(self, terms) -> tuple[tuple[tuple[int, int | Fraction], ...], int | Fraction]:
@@ -590,6 +626,36 @@ class Quotient:
             acc[v] = acc.get(v, 0) + c
         acc.pop(0, None)
         return tuple(sorted([t for t in acc.items() if t[1]])), constant
+
+    def orbit(self, row: LinearConstraint, extra=()) -> list[LinearConstraint]:
+        """``row`` and every other row the group maps it onto, ``row`` first.
+
+        The orbit is found on the rows' terms, where a variable above the
+        ground set's masks, such as a minmax t, is fixed.  An image in
+        ``extra`` (an ``objlink`` row) is that row; any other is an
+        elemental ``nonneg``, ``ssa`` or ``wm`` row, built once by its
+        family's builder from its masks with coefficient 1 and kept in the
+        system's row memo, which the certificate's order and replay read.
+        """
+        full, labels, family = self.ground.full_mask, self.ground.labels, row.family
+        found, todo = {row.terms: row}, [row.terms]
+        while todo:
+            terms = todo.pop()
+            for g in self.group:
+                image = tuple(sorted([(_permute(g, v) if v <= full else v, c) for v, c in terms]))
+                if image not in found:
+                    found[image] = None
+                    todo.append(image)
+        builders = {"nonneg": _nonneg_constraint, "ssa": _ssa_constraint, "wm": _wm_constraint}
+        build = builders.get(family)  # None for an extra row's family
+        others = {r.terms: r for r in extra}
+        for terms, image in found.items():
+            if terms in others:
+                found[terms] = others[terms]
+            elif image is None:  # named by its masks with coefficient 1, in increasing order
+                image = build(labels, *(v for v, c in terms if c > 0))
+                found[terms] = self._memo.setdefault(image.id, image)
+        return list(found.values())
 
     def lift(self, primal) -> dict[int, Fraction]:
         """The system's point for a quotient primal, pinned entries included."""
@@ -621,9 +687,9 @@ class Quotient:
         left, mult, folded = dict(residual), {}, {}
         add_scaled(folded, ((full ^ v if self.pure and v & r else v, c) for v, c in residual.items()), 1)
         for v, c in folded.items():
-            # the table maps the variable that the scheme row of A pins to
-            # (A, shift(A)), and the one normalize pins to (∅, 1)
-            a, shift = self._table[v]
+            # the equalities' table maps the variable that the scheme row
+            # of A pins to (A, shift(A)), and the one normalize pins to (∅, 1)
+            a, shift = self._pins[v]
             if shift and a:
                 mult[f"{'recover' if shift < 0 else 'secrecy'}:{labels[a]}"] = c
                 add_scaled(left, ((a, 1), (r, 1), (a | r, -1)), c)
@@ -638,6 +704,32 @@ class Quotient:
                         mult[row.id] = mult.get(row.id, 0) + abs(c)
                     mult["purity"] -= abs(c)
         return {rid: u for rid, u in mult.items() if u}
+
+
+def _permute(perm: tuple[int, ...], mask: int) -> int:
+    """The image of ``mask`` when element i goes to element ``perm[i]``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _orbit_minima(group, size: int) -> list[int]:
+    """The smallest mask of each mask's orbit under ``group``, for the masks
+    below ``size``, which every generator maps among themselves."""
+    least = list(range(size))
+    for x in range(size):
+        todo = [x] if least[x] == x else []
+        while todo:
+            y = todo.pop()
+            for g in group:
+                z = _permute(g, y)
+                if least[z] != x:
+                    least[z] = x
+                    todo.append(z)
+    return least
 
 
 def complement_chain(ground: GroundSet, y: int) -> list[LinearConstraint]:

@@ -23,12 +23,14 @@ loop for a target whose proof does not replay.
 
 Every LP here is made by the quotient of the system it is given
 (:meth:`cone.Quotient.problem`), the quotient of the elemental rows
-whatever the family.  They generate the same cone as the full rows and
-are a subset of them, id for id, so a certificate on them is also one
-for the full system, and a point satisfying them satisfies every full
-row.  The quotient folds every equality into its variables, so each LP
-has ``>=`` rows only, and its objective may fold to a constant, which
-is added to the optimum before it is claimed or compared.  Quotient
+whatever the family; a bound LP's is folded further by the structure's
+symmetries that fix its objective (:meth:`cone.ConstraintSystem.folded`).
+The elemental rows generate the same cone as the full rows and are a
+subset of them, id for id, so a certificate on them is also one for the
+full system, and a point satisfying them satisfies every full row.  The
+quotient folds every equality into its variables, so each LP has ``>=``
+rows only, and its objective may fold to a constant, which is added to
+the optimum before it is claimed or compared.  Quotient
 multipliers name original rows, and `_expand` turns them into a
 certificate on those rows plus the equalities and elemental wm rows
 :meth:`cone.Quotient.cancel` adds, in the order of
@@ -327,11 +329,13 @@ def share_bound(
     elemental rows.  The report carries the exact optimum, its
     reciprocal as an upper bound on the information rate, and a
     certificate on the original rows that has been replayed on the
-    ``ineq`` rows before returning.  ``rows`` and ``cols`` give the size
-    of the quotient LP: its ``>=`` rows, and the quotient's variables
-    plus the objective's own.  An objective whose LP value is 0, such as
-    the share of a dummy player, bounds no rate and raises
-    ``ProverError``.
+    ``ineq`` rows before returning.  The LP is solved on the quotient
+    folded by the symmetries that fix the objective's players (and the
+    top player in pure mode), and each multiplier is spread evenly over
+    its row's orbit.  ``rows`` and ``cols`` give the size of that LP: its
+    ``>=`` rows, and the quotient's variables plus the objective's own.
+    An objective whose LP value is 0, such as the share of a dummy
+    player, bounds no rate and raises ``ProverError``.
     """
     started = time.perf_counter()
     solved, purified, system, obj = bound_setup(
@@ -339,7 +343,7 @@ def share_bound(
         players=players, max_elements=max_elements,
     )
     extra, form, num_vars = objective_rows(system, obj)
-    quotient = system.quotient
+    quotient = system.folded(sum(1 << (i - 1) for i in obj.players))
     problem, constant = quotient.problem(num_vars, form, extra)
     solution = solve(problem)
     if solution.status != "optimal":
@@ -353,7 +357,7 @@ def share_bound(
             f"the {obj.describe()} objective has LP value {rat_str(value)}, "
             "which bounds no information rate"
         )
-    cert = _certify(system, obj, extra, form, problem, solution, value)
+    cert = _certify(system, obj, extra, form, problem, solution, value, quotient)
 
     k = _csirmaz_k_of(structure)
     return BoundReport(
@@ -377,14 +381,15 @@ def share_bound(
 
 def _certify(
     system: ConstraintSystem, objective, extra, form,
-    problem: LPProblem, solution: LPSolution, claimed: Fraction,
+    problem: LPProblem, solution: LPSolution, claimed: Fraction, quotient: Quotient | None = None,
 ) -> Certificate:
-    """The certificate of ``form`` >= ``claimed`` from an optimal LP on ``system.quotient``.
+    """The certificate of ``form`` >= ``claimed`` from an optimal LP on ``quotient``
+    (``system.quotient`` when None).
 
     Its entries are `_expand`'s; ``ProverError`` if it does not replay on
     ``system`` against ``objective`` (an :class:`Objective` or ``form``).
     """
-    entries = _expand(system, extra, problem.rows, *solution.multipliers, form)
+    entries = _expand(system, extra, problem.rows, *solution.multipliers, form, quotient)
     cert = Certificate(claimed, entries, form)
     if not verify_certificate(system, cert, objective=objective):
         raise ProverError("emitted certificate failed independent replay")
@@ -398,25 +403,38 @@ def _expand(
     multipliers: Iterable[int],
     den: int,
     objective: Iterable[tuple[int, Fraction]],
+    quotient: Quotient | None = None,
 ) -> tuple[tuple[str, Fraction], ...]:
     """Certificate entries on the original rows from quotient multipliers.
 
     ``multipliers[i] / den`` weights the row of ``system`` or ``extra``
-    that ``rows[i]`` names by id, and the work is in ints, ``den`` times
-    the certificate.  Weighted by them, those rows minus the objective
-    leave what the quotient does not see, and the rows that
+    that ``rows[i]`` names by id, spread evenly over that row's orbit
+    under the group of ``quotient`` (the LP's, ``system.quotient`` by
+    default).  The spread sum is fixed by the group, as the objective
+    is, and folds as the row does, so the two agree once the
+    equalities are folded.  The work is in ints, a common multiple of
+    ``den`` times the certificate.  Weighted so, the rows minus the
+    objective leave what the equalities pin, and the rows that
     :meth:`cone.Quotient.cancel` returns for it are added.  Entries come
     out in the system's row order (its ``order_key``), then
     ``extra``'s.
     """
+    quotient = quotient or system.quotient
     by_id = {row.id: row for row in extra}
+    orbits = [
+        (u, quotient.orbit(by_id.get(row.id) or system.row(row.id), extra))
+        for row, u in zip(rows, multipliers) if u
+    ]
+    scale = math.lcm(*(len(orbit) for _, orbit in orbits))
+    den *= scale
     mult, left = {}, {}  # left is den times the weighted rows minus the objective
-    for row, u in zip(rows, multipliers):
-        if u:
+    for u, orbit in orbits:  # disjoint: the rows of one orbit fold alike, and one is kept
+        u = u * scale // len(orbit)
+        for row in orbit:
             mult[row.id] = u
-            add_scaled(left, (by_id.get(row.id) or system.row(row.id)).terms, u)
+            add_scaled(left, row.terms, u)
     add_scaled(left, objective, -den)
-    add_scaled(mult, system.quotient.cancel(left).items(), 1)
+    add_scaled(mult, quotient.cancel(left).items(), 1)
     ids = sorted((rid for rid in mult if rid not in by_id), key=system.order_key)
     ids += [row.id for row in extra if row.id in mult]
     return tuple((rid, Fraction(mult[rid], den)) for rid in ids)
@@ -461,7 +479,8 @@ def verify_certificate(
             row = extra_by_id.get(rid) or system.row(rid)
         except KeyError:
             raise KeyError(f"certificate references unknown constraint {rid!r}") from None
-        if row.rel != "=" and mult < 0:
+        # the numerator's sign is the multiplier's, and an int compare is cheaper
+        if row.rel != "=" and mult.numerator < 0:
             return False
         weighted.append((mult, row))
     combo, total_rhs, scale = weighted_sum(weighted)

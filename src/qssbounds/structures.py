@@ -232,6 +232,68 @@ def promote(structure: AccessStructure, unauthorized: list[int]) -> AccessStruct
     return _from_masks(n + 1, [m.bits for m in structure.minimal_sets] + promoted)
 
 
+def symmetries(structure: AccessStructure, *fixed: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of the player permutations that map the minimal sets onto
+    themselves and each mask in ``fixed`` onto itself.
+
+    A generator g sends player i + 1 to player g[i] + 1.  The group is
+    never listed (threshold(7,13) has 12! elements): for each base point
+    b from the last player down, the permutations that fix the players
+    below b are generated by those found so far plus one for each image
+    of b not yet in b's orbit, found by `_extend`.  Players map only to
+    players of the same signature (the fixed masks that hold them and the
+    sizes of the minimal sets that do), and the search runs in player
+    order, so the generators depend on the structure and ``fixed`` alone.
+    """
+    n, mins = structure.n, [m.bits for m in structure.minimal_sets]
+    sig = [
+        ([f >> i & 1 for f in fixed], sorted(m.bit_count() for m in mins if m >> i & 1))
+        for i in range(n)
+    ]
+    gens: list[tuple[int, ...]] = []
+    for b in reversed(range(n)):
+        orbit, low = {b}, (1 << b) - 1
+        for c in range(b + 1, n):
+            if c in orbit or sig[c] != sig[b]:
+                continue
+            # players below b stay, b goes to c
+            g = _extend(mins, sig, [*range(b), c], [m & low | (m >> b & 1) << c for m in mins],
+                        [m & (low | 1 << c) for m in mins])
+            if g is not None:
+                gens.append(g)
+                grown = orbit
+                while grown:
+                    grown = {h[x] for h in gens for x in grown} - orbit
+                    orbit |= grown
+    return tuple(gens)
+
+
+def _extend(mins, sig, image, src, dst) -> tuple[int, ...] | None:
+    """A symmetry that sends player i + 1 to ``image[i] + 1`` for each i given, or None.
+
+    ``src`` holds the image of each minimal set's part on the players
+    mapped so far, and ``dst`` each minimal set's part on their images;
+    the two must agree as multisets, or no extension maps the minimal
+    sets onto themselves.
+    """
+    if sorted(src) != sorted(dst):
+        return None
+    i = len(image)
+    if i == len(sig):
+        return tuple(image)
+    for j in range(len(sig)):
+        if j not in image and sig[j] == sig[i]:
+            bit = 1 << j
+            found = _extend(
+                mins, sig, image + [j],
+                [s | bit if m >> i & 1 else s for s, m in zip(src, mins)],
+                [d | m & bit for d, m in zip(dst, mins)],
+            )
+            if found is not None:
+                return found
+    return None
+
+
 @dataclass(frozen=True)
 class CsirmazParams:
     """Bookkeeping for a Csirmaz staircase structure, sets as bitmasks.

@@ -5,7 +5,8 @@ optimal LPs, a two-phase Bland solve as the reference for `solve`, the
 dense Bareiss kernel as the reference for the sparse one, the
 2^n enumerations behind `dual`, `is_self_dual` and `purify`, a counter on
 the pair scan of `is_quantum`, a certificate emitter that replay
-must reject, and the lemma suite on the LP route alone."""
+must reject, the lemma suite on the LP route alone, and a bound solved
+on the quotient that no symmetry folds."""
 
 import math
 import sys
@@ -628,3 +629,20 @@ def lp_lemma_suite(structure, ineq="full"):
         res = prover.check_implied(system, inst.terms, inst.rel, inst.rhs, session=session)
         outcomes.append(prover.SuiteOutcome(inst, res.implied, res.pivots))
     return prover.SuiteReport(structure, ineq, tuple(outcomes), 0, len(outcomes))
+
+
+def unfolded_bound(system, objective):
+    """A bound LP solved on ``system.quotient``, which no symmetry folds.
+
+    `share_bound` solves the same LP folded by the symmetries that fix
+    ``objective`` (`ConstraintSystem.folded`); this is the reference.
+    Returns the problem, its solution and the certificate `prover._certify`
+    makes from it, replayed on ``system``.
+    """
+    extra, form, num_vars = prover.objective_rows(system, objective)
+    problem, constant = system.quotient.problem(num_vars, form, extra)
+    solution = solve(problem)
+    value = solution.value + constant
+    return problem, solution, prover._certify(
+        system, objective, extra, form, problem, solution, value
+    )

@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -585,7 +587,7 @@ class TestBound:
             "information rate <= 3/5",
             "closed-form reference (k=2): 7/5",
         ]
-        assert lines[-1].startswith("lp: 91 rows, 16 cols, 32 pivots, ")
+        assert lines[-1].startswith("lp: 62 rows, 12 cols, 25 pivots, ")
 
     def test_bound_deterministic_apart_from_timing(self, capsys, tmp_path):
         path = write_structure(tmp_path, "t.json", 3, [[1, 2], [1, 3], [2, 3]])
@@ -878,6 +880,19 @@ class TestSolverFailures:
             else:
                 assert entry["error"] == "worker process died"
                 assert not report.exists()
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only --batch with more than one worker needs the pool, so a plain
+        # command does not pay for importing it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys, qssbounds.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert "concurrent.futures.process" not in done.stdout
 
 
 # name -> (players, minimal sets, flags); g4bar is g4 purified by --auto-purify

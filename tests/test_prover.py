@@ -213,11 +213,13 @@ class TestShareBound:
         ]
         assert data["lp_value"] == "1/1"
         # the quotient LP: S(1), S(2) and S(1,2) are the unknowns the
-        # equalities leave free, plus t
-        assert (data["stats"]["rows"], data["stats"]["cols"]) == (15, 4)
+        # equalities leave free, and the swap of players 1 and 2, which
+        # fixes the top player 3, folds S(1) and S(2) into one; plus t
+        assert (data["stats"]["rows"], data["stats"]["cols"]) == (9, 3)
         mixed = share_bound(THRESHOLD23, mode="mixed").to_json_dict()["stats"]
-        # the seven player sets, plus t
-        assert (mixed["rows"], mixed["cols"]) == (35, 8)
+        # the seven player sets, one unknown per size under every
+        # permutation of the players, plus t
+        assert (mixed["rows"], mixed["cols"]) == (13, 4)
         assert all(
             isinstance(e["mult"], str) and "/" in e["mult"]
             for e in data["certificate"]["entries"]

@@ -46,6 +46,7 @@ from helpers import (
     plain_certificate,
     random_quantum_structure,
     solve_with_equalities,
+    unfolded_bound,
 )
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
@@ -432,38 +433,36 @@ class TestExpansion:
 
     @staticmethod
     def expanded_g4bar():
-        """The g4bar bound certificate and the rows its expansion added."""
+        """The g4bar bound certificate of the unfolded quotient, its
+        objective and the rows its expansion added."""
         elemental = cached_system(GAMMA4_BAR, True, "elemental")
-        quotient = elemental.quotient
         objective = Objective("minmax", (1, 2, 3, 4, 5))
-        extra, form, num_vars = objective_rows(elemental, objective)
-        problem, _ = quotient.problem(num_vars, form, extra)
-        found = dict(plain_certificate(problem, solve(problem)).entries)
-        report = share_bound(GAMMA4_BAR, ineq="elemental")
+        problem, solution, cert = unfolded_bound(elemental, objective)
+        found = dict(plain_certificate(problem, solution).entries)
         added = [
-            rid for rid, mult in report.certificate.entries
+            rid for rid, mult in cert.entries
             if rid.partition(":")[0] not in EQUALITIES and found.get(rid) != mult
         ]
-        return elemental, report, added
+        return elemental, objective, cert, added
 
     def test_dropping_any_chain_row_is_rejected(self):
-        elemental, report, added = self.expanded_g4bar()
+        elemental, objective, certificate, added = self.expanded_g4bar()
         assert added and all(rid.startswith("wm:") for rid in added)
-        assert verify_certificate(elemental, report.certificate, objective=report.objective)
+        assert verify_certificate(elemental, certificate, objective=objective)
         for rid in added:
-            entries = tuple(e for e in report.certificate.entries if e[0] != rid)
-            cert = Certificate(report.lp_value, entries, report.certificate.objective)
-            assert not verify_certificate(elemental, cert, objective=report.objective), rid
+            entries = tuple(e for e in certificate.entries if e[0] != rid)
+            cert = Certificate(certificate.claimed_bound, entries, certificate.objective)
+            assert not verify_certificate(elemental, cert, objective=objective), rid
 
     @pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)])
     def test_changed_purity_multiplier_is_rejected(self, delta):
         # and a changed normalize, recover or secrecy multiplier: the bounds
         # on g4bar and, in mixed mode, on g4, and S(R) >= 1 in both modes
-        elemental, report, _ = self.expanded_g4bar()
+        elemental, objective, certificate, _ = self.expanded_g4bar()
         mixed = cached_system(GAMMA4, False, "elemental")
         mixed_report = share_bound(GAMMA4, mode="mixed", ineq="elemental")
         cases = [
-            (elemental, report.certificate, report.objective),
+            (elemental, certificate, objective),
             (mixed, mixed_report.certificate, mixed_report.objective),
         ]
         for system in (elemental, mixed):
@@ -521,18 +520,22 @@ class TestExpansion:
         state = elimination.presolved
         problem = LPProblem(num_vars, form, rows)
         plain = solve_with_equalities(problem, elimination=elimination)
-        report = share_bound(structure, mode="mixed", ineq="elemental")
-        assert (report.lp_value, report.pivots) == (plain.value, plain.pivots)
-        assert report.certificate.entries == plain_certificate(problem, plain).entries
-        assert (report.rows, report.cols) == (len(state.cols), len(state.var_pos))
+        folded, solution, cert = unfolded_bound(system, objective)
+        assert (solution.value, solution.pivots) == (plain.value, plain.pivots)
+        assert cert.entries == plain_certificate(problem, plain).entries
+        assert (len(folded.rows), quotient.var_count + 1) == (len(state.cols), len(state.var_pos))
+        # share_bound folds the same LP by the players' symmetries
+        assert share_bound(structure, mode="mixed", ineq="elemental").lp_value == plain.value
 
 
 class TestCsirmazLadder:
     """Exact, replayed bounds on the purified staircase structures."""
 
-    # the cold route's pivots, zero phase and dual run together: a pivot
-    # regression fails here with no timing
-    PIVOTS = {5: 77, 6: 181, 7: 592}
+    # the cold route's pivots on the LP folded by the symmetries, zero
+    # phase and dual run together: a pivot regression fails here with no
+    # timing; and that LP's rows and columns, as the report gives them
+    PIVOTS = {5: 43, 6: 65, 7: 103}
+    FOLDED = {5: (103, 18), 6: (142, 24), 7: (182, 30)}
 
     @pytest.mark.parametrize(
         "n,value,rows,cols",
@@ -544,13 +547,28 @@ class TestCsirmazLadder:
         report = share_bound(structure, auto_purify=True, ineq="elemental")
         assert report.structure.n + 1 == n + 2
         assert report.lp_value == value
-        # the quotient LP: the player sets below the top player, plus t,
-        # and the rows deduplicated after folding
-        assert (report.rows, report.cols) == (rows, cols)
+        # the unfolded quotient LP: the player sets below the top player,
+        # plus t, and the rows deduplicated after folding
+        elemental = cached_system(report.structure, True, "elemental")
+        extra, form, num_vars = objective_rows(elemental, report.objective)
+        problem, _ = elemental.quotient.problem(num_vars, form, extra)
+        assert (len(problem.rows), elemental.quotient.var_count + 1) == (rows, cols)
+        assert (report.rows, report.cols) == self.FOLDED[n]
         assert report.pivots == self.PIVOTS[n]
         assert report.lp_value >= report.theorem3_bound == Fraction(7, 5)
-        elemental = cached_system(report.structure, True, "elemental")
         assert verify_certificate(elemental, report.certificate, objective=report.objective)
+
+    def test_csirmaz8bar_cold(self):
+        # 10 elements: 3045 x 256 and about 10 s unfolded; the 240
+        # symmetries that fix the top player fold it to 221 x 36
+        structure = purify(csirmaz(8)[0])
+        report = share_bound(structure, ineq="elemental", max_elements=10)
+        assert report.lp_value == Fraction(13, 7)
+        assert (report.rows, report.cols, report.pivots) == (221, 36, 170)
+        assert len(report.certificate.entries) == 364
+        for ineq in ("full", "elemental"):
+            system = cached_system(structure, True, ineq)
+            assert verify_certificate(system, report.certificate, objective=report.objective)
 
 
 class TestOneSystemPerSolve:
@@ -576,9 +594,10 @@ class TestOneSystemPerSolve:
             ]
 
     def test_full_solves_build_one_system_and_parse_each_id_once(self, monkeypatch):
-        builds, parses, named = [], [], []
+        # an id is parsed once, unless the orbit expansion built its row
+        builds, parses, named, images = [], [], [], []
         build, parse = prover.build_system, cone.ConstraintSystem._parse
-        verify = prover.verify_certificate
+        verify, orbit = prover.verify_certificate, cone.Quotient.orbit
 
         def counted_verify(system, cert, *, objective):
             named.extend(rid for rid, _ in cert.entries if not rid.startswith("objlink:"))
@@ -592,15 +611,24 @@ class TestOneSystemPerSolve:
             parses.append(rid)
             return parse(system, rid)
 
+        def counted_orbit(quotient, row, extra=()):
+            rows = orbit(quotient, row, extra)
+            images.extend(r.id for r in rows[1:] if not r.id.startswith("objlink:"))
+            return rows
+
         monkeypatch.setattr(prover, "build_system", counted_build)
         monkeypatch.setattr(cone.ConstraintSystem, "_parse", counted_parse)
         monkeypatch.setattr(prover, "verify_certificate", counted_verify)
-        runs = (lambda: share_bound(GAMMA4_BAR, ineq="full"), lambda: lemma_suite(THRESHOLD23))
-        for run in runs:
+        monkeypatch.setattr(cone.Quotient, "orbit", counted_orbit)
+        # the bound expands orbits of the swap of players 2 and 3; the suite none
+        runs = ((lambda: share_bound(GAMMA4_BAR, ineq="full"), True),
+                (lambda: lemma_suite(THRESHOLD23), False))
+        for run, expands in runs:
             cached_system.cache_clear()
-            for seen in (builds, parses, named):
+            for seen in (builds, parses, named, images):
                 seen.clear()
             run()
             assert builds == ["full"]
             # the rows of one memo serve the expansion and the replay
-            assert named and sorted(parses) == sorted(set(named))
+            assert named and sorted(parses + images) == sorted(set(named))
+            assert bool(images) == expands
