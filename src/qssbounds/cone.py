@@ -16,15 +16,13 @@ emit three kinds of material:
 * optionally, global purity S(players + R) = 0, which together with the
   triangle instances forces S(X) = S(complement) for every X
   (Araki-Lieb).  Every system is solved on its :class:`Quotient` of the
-  elemental rows, whatever its family.  The quotient alone decides the
-  LP's variables: it folds every equality (purity, the scheme rows and
-  normalization) into one table from each mask to a free variable plus
-  a constant, so the LP has ``>=`` rows only, and with
+  elemental rows, whatever its family.  It folds every equality into one
+  table from each mask to a free variable plus a constant, so the LP has
+  ``>=`` rows only, and a bound's quotient (:meth:`ConstraintSystem.folded`)
+  also folds each orbit of the structure's symmetries into one variable.
   :meth:`Quotient.cancel` and the elemental wm rows of
-  :func:`complement_chain` it carries a combination of folded rows
-  back onto the system's own rows.  A bound's quotient
-  (:meth:`ConstraintSystem.folded`) also folds each orbit of the
-  structure's symmetries into one variable.
+  :func:`complement_chain` carry a combination of folded rows back onto
+  the system's own rows.
 
 Generation is deterministic: identical input yields an identical list.
 Rows leave their generators final, with sorted nonzero terms, and are
@@ -41,18 +39,17 @@ A :class:`ConstraintSystem` is addressed by row id and makes no row
 until one is asked for.  Each id names its row: ``nonneg:X``,
 ``ssa:A;B|C``, ``wm:A;B|C``, ``recover:X``, ``secrecy:X``,
 ``normalize`` and ``purity``, with labels such as ``1,3,R`` and ``∅``
-from the one printer ``GroundSet.labels``.
-:meth:`ConstraintSystem.row` parses an id into masks and builds that one
-row with the generators' own builders, which print the id again; it is
-accepted only if the printed id is the id it was given and the row is a
-member of the system's family (see :meth:`ConstraintSystem.row` for the
-rules).  So replaying a certificate costs its own entries and labels,
-not the 2^(2·elements) rows of the full family, and works on ground
-sets too large to generate.  ``len`` and :meth:`ConstraintSystem.order_key`
-count rows and order elemental ids in closed form, and the pure quotient
-is made from masks and the mixed one from the elemental ``>=`` rows
-alone, so the ordered list of every row (``constraints``) is generated
-only for ``--dump-system`` and witness checks.
+from the one printer ``GroundSet.labels``.  Every row is made from
+masks by the builders here, which print its id, and kept in the
+system's memo under that id.  A bound's rows reach the memo from masks,
+so a bound parses no id; :meth:`ConstraintSystem.row` parses an id the
+memo lacks and accepts it only if the builder prints that id again and
+the row is a member of the system's family.  So replaying a certificate
+costs its own entries, not the 2^(2·elements) rows of the full family,
+and works on ground sets too large to generate.  ``len`` and
+:meth:`ConstraintSystem.order_key` count rows and order elemental ids in
+closed form, so the ordered list of every row (``constraints``) is
+generated only for ``--dump-system`` and witness checks.
 """
 
 from __future__ import annotations
@@ -319,7 +316,6 @@ class ConstraintSystem:
         self.pure = pure
         self.ineq = ineq
         self._memo: dict[str, LinearConstraint] = {}
-        self._keys: dict[str, tuple[int, ...]] = {}
         self._folds: dict[int, Quotient] = {}
 
     def __len__(self) -> int:
@@ -348,28 +344,23 @@ class ConstraintSystem:
         return tuple(rows)
 
     def order_key(self, rid: str) -> tuple[int, ...]:
-        """Sort key of ``rid`` in elemental generation order, made once per id from its row.
+        """Sort key of ``rid`` in elemental generation order, made from its row.
 
         Certificates name elemental rows only, whatever the family, so the
         key is theirs: families keep generation order; then ``ssa:A;B|C``
         sorts by (A, B, -C), ``wm:A;B|C`` by (C, -B) and any other row by
         its first term.
         """
-        key = self._keys.get(rid)
-        if key is None:
-            family, terms = rid.partition(":")[0], self.row(rid).terms
-            rank = ("nonneg", "ssa", "wm", "normalize", "recover", "purity").index(
-                "recover" if family == "secrecy" else family
-            )
-            key = (rank, terms[0][0])
-            if family in ("ssa", "wm"):
-                x, y = (v for v, c in terms if c > 0)
-                if family == "ssa":
-                    key = (rank, x & ~y, y & ~x, -(x & y))
-                else:
-                    key = (rank, x & y, -max(x & ~y, y & ~x))
-            self._keys[rid] = key
-        return key
+        family, terms = rid.partition(":")[0], self.row(rid).terms
+        rank = ("nonneg", "ssa", "wm", "normalize", "recover", "purity").index(
+            "recover" if family == "secrecy" else family
+        )
+        if family not in ("ssa", "wm"):
+            return (rank, terms[0][0])
+        x, y = (v for v, c in terms if c > 0)
+        if family == "ssa":
+            return (rank, x & ~y, y & ~x, -(x & y))
+        return (rank, x & y, -max(x & ~y, y & ~x))
 
     def row(self, rid: str) -> LinearConstraint:
         """The row named ``rid``, made from the id alone; ``KeyError`` if none is.
@@ -482,41 +473,46 @@ class Quotient:
 
     Either way the variables are the masks 1 to ``var_count``, unless a
     ``group`` of player permutations (generators from
-    :func:`structures.symmetries`, in pure mode fixing h) folds them
-    further.  It permutes the rows and commutes with the table, which then
-    maps each mask onto the smallest mask of its orbit: the variables are
-    those, ``var_count`` of them, and the rows of one orbit fold alike.
-    The LP is the unfolded one restricted to the points the group fixes,
-    which hold an optimum of any objective the group fixes (Bödi, Herr
-    and Joswig, Math. Program. 2013).  :meth:`orbit` gives the rows a
-    multiplier is spread over, and :meth:`cancel` reads the equalities'
-    table alone.
+    :func:`structures.symmetries`, in pure mode fixing h, each with a
+    lookup table of its image of every mask) folds them further.  It
+    permutes the rows and commutes with the table, which then maps each
+    mask onto the smallest mask of its orbit, and the rows of one orbit
+    fold alike.  The LP is the unfolded one restricted to the points the
+    group fixes, which hold an optimum of any objective the group fixes
+    (Bödi, Herr and Joswig, Math. Program. 2013).
 
     The rows are the elemental ``>=`` rows folded, each ``(terms, rhs)``
-    kept once under its first id.  A row that folds to ``0 >= c`` is dropped
-    when c <= 0 and kept when c > 0, so the LP comes out infeasible.
+    kept once under its first id; a row that folds to ``0 >= c`` is
+    dropped when c <= 0 and kept when c > 0, so the LP comes out
+    infeasible.  Mixed mode folds :func:`vn_inequalities`' elemental rows.
     Pure mode makes them from masks: ``nonneg:X`` for X below R, and
     ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K} (rest =
-    F\\{i,j}; K itself when rest is empty), which fold alike; the wm
-    rows fold to rows it already has or to ``0 >= c`` with c <= 0.  A
-    row's id is printed and its row built only once its masks fold to a
-    ``(terms, rhs)`` not kept yet; about half the candidates do not.
-    Mixed mode folds :func:`vn_inequalities`' elemental rows in
-    generation order, without the system's row list.
-    :meth:`lift` reads the table to give a point its pinned entries back,
-    and :meth:`cancel` carries a combination of folded rows back onto the
-    system's own rows.  A lifted quotient point satisfies every elemental
-    row, which has the value of its folded row here, and so every row of
-    either family, whose cones are the same.
+    F\\{i,j}; K itself when rest is empty), which fold alike; the wm rows
+    fold to rows it already has or to ``0 >= c`` with c <= 0.  A folded
+    row depends only on its masks' table entries, so pure mode folds one
+    candidate per key of entries: X's for ``nonneg:X``, and for the ssa
+    row of x = i ∪ K and y = j ∪ K those of K and x ∪ y and the unordered
+    pair of those of x and y.  Each kept row records its source, from
+    which :meth:`original` makes the system's row with no id parsed.
+    :meth:`lift` gives a point its pinned entries back, and :meth:`cancel`
+    carries a combination of folded rows back onto the system's own rows.
+    A lifted quotient point satisfies every elemental row, which has the
+    value of its folded row here, and so every row of either family,
+    whose cones are the same.
     """
 
     def __init__(self, system: ConstraintSystem, group: tuple[tuple[int, ...], ...] = ()) -> None:
         self.ground = ground = system.ground
-        self.pure = system.pure
-        self._memo = system._memo  # the rows :meth:`orbit` builds, by id
+        self.pure, self.structure = system.pure, system.structure
+        self._memo = system._memo  # the rows that orbit, original and cancel build
         r, p, full = ground.reference_mask, ground.player_mask, ground.full_mask
-        # the group acts on the ground set, fixing R
+        # the group acts on the ground set, fixing R; the image of a mask
+        # holding element e is that of the mask below 1 << e plus g[e]
         self.group = tuple(g + (ground.players,) for g in group)
+        self._images = [[0] for _ in self.group]
+        for g, image in zip(self.group, self._images):
+            for e in g:
+                image += [m | 1 << e for m in image]
         authorized = system.structure.mask_authorized
         shift = [1] + [-1 if authorized(a) else 1 for a in range(1, r)]
         h = r if not self.pure else r >> 1  # the variables lie below h
@@ -529,25 +525,36 @@ class Quotient:
         else:
             players = [(y, 0) for y in range(h)] + [(p ^ y, shift[p ^ y]) for y in range(h, r)]
             self._pins = players + [players[full ^ x] for x in range(r, full + 1)]
-        least = _orbit_minima(group, h)
+        least = list(range(h))  # each orbit below h walked from its least mask
+        for x in range(h):
+            todo = [x] if least[x] == x else []
+            for y in todo:  # the walk appends to the list it reads
+                for image in self._images:
+                    if least[image[y]] != x:
+                        least[image[y]] = x
+                        todo.append(image[y])
         self.var_count = len(set(least)) - 1  # the orbits but that of ∅
         self._table = [(least[m], c) for m, c in self._pins]
-        self.rows = self._pure_rows() if self.pure else self._folded_rows(
-            vn_inequalities(ground, "elemental")
-        )
+        self._sources = {}  # each kept row's source, by id
+        self.rows = self._pure_rows() if self.pure else self._mixed_rows()
 
     def _pure_rows(self) -> tuple[LinearConstraint, ...]:
-        """The elemental rows that pure mode folds, made from masks and folded first."""
-        ground, fold, kept = self.ground, self._fold, {}
+        """The elemental rows that pure mode folds, one fold per key of table entries."""
+        ground, fold, kept, seen = self.ground, self._fold, {}, set()
         labels, full = ground.labels, ground.full_mask
+        code = [4 * m + c for m, c in self._table]  # one int per table entry
 
-        def keep(prefix, mask, terms):
+        def keep(prefix, mask, source, terms):
             terms, constant = fold(terms)
             if (terms or constant < 0) and (terms, -constant) not in kept:
-                kept[terms, -constant] = LinearConstraint(prefix + labels[mask], terms, ">=", -constant)
+                rid = prefix + labels[mask]
+                kept[terms, -constant] = LinearConstraint(rid, terms, ">=", -constant)
+                self._sources[rid] = source
 
         for x in range(1, ground.reference_mask):
-            keep("nonneg:", x, ((x, 1),))
+            if code[x] not in seen:
+                seen.add(code[x])
+                keep("nonneg:", x, (_nonneg_constraint, x), ((x, 1),))
         for ei in range(ground.total):
             for ej in range(ei + 1, ground.total):
                 i_bit, j_bit = 1 << ei, 1 << ej
@@ -559,17 +566,22 @@ class Quotient:
                     if k < rest & ~k:
                         break
                     x, y = i_bit | k, j_bit | k
-                    keep(pair, k, ((k, -1), (x, 1), (y, 1), (x | y, -1)))
+                    a, b = code[x], code[y]
+                    key = (code[k], code[x | y], a, b) if a < b else (code[k], code[x | y], b, a)
+                    if key not in seen:
+                        seen.add(key)
+                        keep(pair, k, (_ssa_constraint, x, y), ((k, -1), (x, 1), (y, 1), (x | y, -1)))
         return tuple(kept.values())
 
-    def _folded_rows(self, rows) -> tuple[LinearConstraint, ...]:
-        """``rows`` folded, each ``(terms, rhs)`` once under its first id."""
+    def _mixed_rows(self) -> tuple[LinearConstraint, ...]:
+        """The elemental rows folded, each ``(terms, rhs)`` once under its first id."""
         kept = {}
-        for rid, terms, rel, rhs in rows:
-            terms, constant = self._fold(terms)
-            rhs -= constant
+        for row in vn_inequalities(self.ground, "elemental"):
+            terms, constant = self._fold(row.terms)
+            rhs = row.rhs - constant
             if (terms or rhs > 0) and (terms, rhs) not in kept:
-                kept[terms, rhs] = LinearConstraint(rid, terms, rel, rhs)
+                kept[terms, rhs] = LinearConstraint(row.id, terms, ">=", rhs)
+                self._sources[row.id] = row
         return tuple(kept.values())
 
     @cached_property
@@ -630,19 +642,16 @@ class Quotient:
     def orbit(self, row: LinearConstraint, extra=()) -> list[LinearConstraint]:
         """``row`` and every other row the group maps it onto, ``row`` first.
 
-        The orbit is found on the rows' terms, where a variable above the
-        ground set's masks, such as a minmax t, is fixed.  An image in
-        ``extra`` (an ``objlink`` row) is that row; any other is an
-        elemental ``nonneg``, ``ssa`` or ``wm`` row, built once by its
-        family's builder from its masks with coefficient 1 and kept in the
-        system's row memo, which the certificate's order and replay read.
-        """
+        The orbit is found on the terms through the image tables, and a
+        variable above the masks (a minmax t) is fixed.  An image in
+        ``extra`` is that row, and any other an elemental row built from
+        its masks with coefficient 1 and kept in the system's row memo."""
         full, labels, family = self.ground.full_mask, self.ground.labels, row.family
         found, todo = {row.terms: row}, [row.terms]
         while todo:
             terms = todo.pop()
-            for g in self.group:
-                image = tuple(sorted([(_permute(g, v) if v <= full else v, c) for v, c in terms]))
+            for table in self._images:
+                image = tuple(sorted([(table[v] if v <= full else v, c) for v, c in terms]))
                 if image not in found:
                     found[image] = None
                     todo.append(image)
@@ -656,6 +665,13 @@ class Quotient:
                 image = build(labels, *(v for v, c in terms if c > 0))
                 found[terms] = self._memo.setdefault(image.id, image)
         return list(found.values())
+
+    def original(self, row: LinearConstraint) -> LinearConstraint:
+        """The elemental row the kept ``row`` folds from, made from its source into the row memo."""
+        source = self._sources[row.id]  # a row, or a builder and its masks
+        if not isinstance(source, LinearConstraint):
+            source = source[0](self.ground.labels, *source[1:])
+        return self._memo.setdefault(source.id, source)
 
     def lift(self, primal) -> dict[int, Fraction]:
         """The system's point for a quotient primal, pinned entries included."""
@@ -680,56 +696,35 @@ class Quotient:
            right-hand side; ``purity`` absorbs the S(F) total.
 
         Each equality pins a variable of its own, so no other multipliers
-        on the equalities cancel ``residual``.
+        on the equalities cancel ``residual``.  Each row is built and memoized.
         """
-        ground = self.ground
+        ground, memo = self.ground, self._memo
         full, r, p, labels = ground.full_mask, ground.reference_mask, ground.player_mask, ground.labels
         left, mult, folded = dict(residual), {}, {}
+
+        def use(row, u):  # memoize ``row`` and add u to its multiplier
+            mult[row.id] = mult.get(row.id, 0) + u
+            return memo.setdefault(row.id, row)
+
         add_scaled(folded, ((full ^ v if self.pure and v & r else v, c) for v, c in residual.items()), 1)
         for v, c in folded.items():
             # the equalities' table maps the variable that the scheme row
             # of A pins to (A, shift(A)), and the one normalize pins to (∅, 1)
             a, shift = self._pins[v]
             if shift and a:
-                mult[f"{'recover' if shift < 0 else 'secrecy'}:{labels[a]}"] = c
-                add_scaled(left, ((a, 1), (r, 1), (a | r, -1)), c)
+                add_scaled(left, use(_scheme_constraint(self.structure, labels, r, a), c).terms, c)
         total = left.get(r, 0) + (left.get(p, 0) if self.pure else 0)
-        mult["normalize"] = -total
+        use(_normalize_constraint(r), -total)
         add_scaled(left, ((r, 1),), -total)
         if self.pure:
-            mult["purity"] = -left.get(full, 0)
+            purity = -left.get(full, 0)
             for v, c in left.items():
                 if v & r and v != full:
                     for row in complement_chain(ground, v if c < 0 else full & ~v):
-                        mult[row.id] = mult.get(row.id, 0) + abs(c)
-                    mult["purity"] -= abs(c)
+                        use(row, abs(c))
+                    purity -= abs(c)
+            use(purity_constraint(ground), purity)
         return {rid: u for rid, u in mult.items() if u}
-
-
-def _permute(perm: tuple[int, ...], mask: int) -> int:
-    """The image of ``mask`` when element i goes to element ``perm[i]``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _orbit_minima(group, size: int) -> list[int]:
-    """The smallest mask of each mask's orbit under ``group``, for the masks
-    below ``size``, which every generator maps among themselves."""
-    least = list(range(size))
-    for x in range(size):
-        todo = [x] if least[x] == x else []
-        while todo:
-            y = todo.pop()
-            for g in group:
-                z = _permute(g, y)
-                if least[z] != x:
-                    least[z] = x
-                    todo.append(z)
-    return least
 
 
 def complement_chain(ground: GroundSet, y: int) -> list[LinearConstraint]:

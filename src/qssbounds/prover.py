@@ -30,14 +30,15 @@ subset of them, id for id, so a certificate on them is also one for the
 full system, and a point satisfying them satisfies every full row.  The
 quotient folds every equality into its variables, so each LP has ``>=``
 rows only, and its objective may fold to a constant, which is added to
-the optimum before it is claimed or compared.  Quotient
-multipliers name original rows, and `_expand` turns them into a
-certificate on those rows plus the equalities and elemental wm rows
-:meth:`cone.Quotient.cancel` adds, in the order of
-:meth:`cone.ConstraintSystem.order_key`, reading rows from the memo that
-replay reads too.  The ``ineq`` choice only names the row set that
-certificates are replayed on and witnesses are checked against, and
-both checks run before any result is returned.
+the optimum before it is claimed or compared.  `_expand` turns quotient
+multipliers into a certificate on the system's rows, and the rows it
+names fill the system's row memo, which :meth:`cone.ConstraintSystem.order_key`
+and replay read, so a bound parses no id: each LP row's source row
+(:meth:`cone.Quotient.original`), its orbit (:meth:`cone.Quotient.orbit`)
+and the equalities and wm rows of :meth:`cone.Quotient.cancel`.  The
+``ineq`` choice only names the row set that certificates are replayed on
+and witnesses are checked against, and both checks run before any
+result is returned.
 
 A check's target is solved over the quotient's rows, on their shared
 presolved state, and a bound LP or a refutation witness over those rows
@@ -407,24 +408,27 @@ def _expand(
 ) -> tuple[tuple[str, Fraction], ...]:
     """Certificate entries on the original rows from quotient multipliers.
 
-    ``multipliers[i] / den`` weights the row of ``system`` or ``extra``
-    that ``rows[i]`` names by id, spread evenly over that row's orbit
-    under the group of ``quotient`` (the LP's, ``system.quotient`` by
-    default).  The spread sum is fixed by the group, as the objective
-    is, and folds as the row does, so the two agree once the
-    equalities are folded.  The work is in ints, a common multiple of
-    ``den`` times the certificate.  Weighted so, the rows minus the
+    ``multipliers[i] / den`` weights the row of ``extra`` that ``rows[i]``
+    names, or else the one `Quotient.original` makes from its source
+    (``ProverError`` if that prints another id), spread evenly over the
+    row's orbit under the group of ``quotient`` (the LP's,
+    ``system.quotient`` by default).  The spread sum is fixed by the
+    group, as the objective is, and folds as the row does, so the two
+    agree once the equalities are folded.  The work is in ints, a common
+    multiple of ``den`` times the certificate.  The rows minus the
     objective leave what the equalities pin, and the rows that
     :meth:`cone.Quotient.cancel` returns for it are added.  Entries come
-    out in the system's row order (its ``order_key``), then
-    ``extra``'s.
+    out in the system's row order (its ``order_key``), then ``extra``'s.
     """
     quotient = quotient or system.quotient
     by_id = {row.id: row for row in extra}
-    orbits = [
-        (u, quotient.orbit(by_id.get(row.id) or system.row(row.id), extra))
-        for row, u in zip(rows, multipliers) if u
-    ]
+    orbits = []
+    for row, u in zip(rows, multipliers):
+        if u:
+            source = by_id.get(row.id) or quotient.original(row)
+            if source.id != row.id:
+                raise ProverError(f"the LP row {row.id!r} was recorded from the row {source.id!r}")
+            orbits.append((u, quotient.orbit(source, extra)))
     scale = math.lcm(*(len(orbit) for _, orbit in orbits))
     den *= scale
     mult, left = {}, {}  # left is den times the weighted rows minus the objective

@@ -5,15 +5,17 @@ optimal LPs, a two-phase Bland solve as the reference for `solve`, the
 dense Bareiss kernel as the reference for the sparse one, the
 2^n enumerations behind `dual`, `is_self_dual` and `purify`, a counter on
 the pair scan of `is_quantum`, a certificate emitter that replay
-must reject, the lemma suite on the LP route alone, and a bound solved
-on the quotient that no symmetry folds."""
+must reject, the lemma suite on the LP route alone, a bound solved on
+the quotient that no symmetry folds, and the bit-loop permutation, orbit
+minima and fold-every-candidate pure rows that `cone.Quotient`'s lookup
+tables and skipped candidates replace."""
 
 import math
 import sys
 from fractions import Fraction
 
 from qssbounds import prover, simplex, structures
-from qssbounds.cone import build_system, sparse_form
+from qssbounds.cone import _submasks, build_system, sparse_form
 from qssbounds.prover import Certificate
 from qssbounds.relations import scheme_relation_instances
 from qssbounds.simplex import (
@@ -646,3 +648,63 @@ def unfolded_bound(system, objective):
     return problem, solution, prover._certify(
         system, objective, extra, form, problem, solution, value
     )
+
+
+def permute(perm, mask):
+    """The image of ``mask`` when element i goes to element ``perm[i]``, bit by bit.
+
+    The reference for `cone.Quotient`'s image tables.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def orbit_minima(group, size):
+    """The smallest mask of each mask's orbit under ``group``, for the masks
+    below ``size``, which every generator maps among themselves."""
+    least = list(range(size))
+    for x in range(size):
+        todo = [x] if least[x] == x else []
+        while todo:
+            y = todo.pop()
+            for g in group:
+                z = permute(g, y)
+                if least[z] != x:
+                    least[z] = x
+                    todo.append(z)
+    return least
+
+
+def reference_pure_rows(quotient):
+    """The rows of a pure ``quotient`` with every candidate folded.
+
+    `cone.Quotient` skips a candidate whose table entries match one it
+    has folded; this folds each ``nonneg`` and ``ssa`` candidate and keeps
+    each ``(terms, rhs)`` under its first id, so the two row tuples must
+    be equal, order included.
+    """
+    ground, kept = quotient.ground, {}
+    labels, full = ground.labels, ground.full_mask
+
+    def keep(prefix, mask, terms):
+        terms, constant = quotient.fold(terms)
+        if (terms or constant < 0) and (terms, -constant) not in kept:
+            kept[terms, -constant] = LinearConstraint(prefix + labels[mask], terms, ">=", -constant)
+
+    for x in range(1, ground.reference_mask):
+        keep("nonneg:", x, ((x, 1),))
+    for ei in range(ground.total):
+        for ej in range(ei + 1, ground.total):
+            i_bit, j_bit = 1 << ei, 1 << ej
+            rest = full & ~(i_bit | j_bit)
+            for k in _submasks(rest):
+                if k < rest & ~k:
+                    break
+                x, y = i_bit | k, j_bit | k
+                keep(f"ssa:{labels[i_bit]};{labels[j_bit]}|", k,
+                     ((k, -1), (x, 1), (y, 1), (x | y, -1)))
+    return tuple(kept.values())

@@ -10,7 +10,9 @@ themselves or by `helpers.equality_lp_rows`, and solved by the reference
 
 import json
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -594,10 +596,10 @@ class TestOneSystemPerSolve:
             ]
 
     def test_full_solves_build_one_system_and_parse_each_id_once(self, monkeypatch):
-        # an id is parsed once, unless the orbit expansion built its row
-        builds, parses, named, images = [], [], [], []
-        build, parse = prover.build_system, cone.ConstraintSystem._parse
-        verify, orbit = prover.verify_certificate, cone.Quotient.orbit
+        # a bound parses no id, its rows reaching the memo from masks; the
+        # lemma suite parses each id its hand proofs name once
+        builds, parses, named = [], [], []
+        build, parse, verify = prover.build_system, cone.ConstraintSystem._parse, prover.verify_certificate
 
         def counted_verify(system, cert, *, objective):
             named.extend(rid for rid, _ in cert.entries if not rid.startswith("objlink:"))
@@ -611,24 +613,31 @@ class TestOneSystemPerSolve:
             parses.append(rid)
             return parse(system, rid)
 
-        def counted_orbit(quotient, row, extra=()):
-            rows = orbit(quotient, row, extra)
-            images.extend(r.id for r in rows[1:] if not r.id.startswith("objlink:"))
-            return rows
-
         monkeypatch.setattr(prover, "build_system", counted_build)
         monkeypatch.setattr(cone.ConstraintSystem, "_parse", counted_parse)
         monkeypatch.setattr(prover, "verify_certificate", counted_verify)
-        monkeypatch.setattr(cone.Quotient, "orbit", counted_orbit)
-        # the bound expands orbits of the swap of players 2 and 3; the suite none
-        runs = ((lambda: share_bound(GAMMA4_BAR, ineq="full"), True),
-                (lambda: lemma_suite(THRESHOLD23), False))
-        for run, expands in runs:
+        # the bounds expand orbits of the swap of players 2 and 3
+        runs = [(partial(share_bound, GAMMA4_BAR, mode=mode, ineq="full", objective=objective), True)
+                for mode in ("pure", "mixed") for objective in ("minmax", "minsum")]
+        runs.append((partial(lemma_suite, THRESHOLD23), False))
+        for run, bound in runs:
             cached_system.cache_clear()
-            for seen in (builds, parses, named, images):
+            for seen in (builds, parses, named):
                 seen.clear()
             run()
-            assert builds == ["full"]
-            # the rows of one memo serve the expansion and the replay
-            assert named and sorted(parses + images) == sorted(set(named))
-            assert bool(images) == expands
+            assert builds == ["full"] and named
+            assert (parses == []) if bound else (sorted(parses) == sorted(set(named)))
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_expand_refuses_a_source_that_prints_another_id(self, pure):
+        system = build_system(GAMMA4_BAR, pure=pure, ineq="full")
+        objective = Objective("minmax", tuple(range(1, GAMMA4_BAR.n + 1)))
+        extra, form, num_vars = objective_rows(system, objective)
+        quotient = system.folded((1 << GAMMA4_BAR.n) - 1)
+        problem, _ = quotient.problem(num_vars, form, extra)
+        duals, den = solve(problem).multipliers
+        used = [row.id for row, u in zip(problem.rows, duals) if u and row.id in quotient._sources]
+        assert _expand(system, extra, problem.rows, duals, den, form, quotient)
+        quotient._sources[used[0]] = quotient._sources[used[1]]
+        with pytest.raises(prover.ProverError, match=f"LP row '{re.escape(used[0])}' was recorded"):
+            _expand(system, extra, problem.rows, duals, den, form, quotient)

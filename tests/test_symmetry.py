@@ -34,7 +34,14 @@ from qssbounds.prover import (
 from qssbounds.simplex import LPProblem
 from qssbounds.structures import csirmaz, from_minimal_sets, purify, symmetries
 
-from helpers import random_quantum_structure, solve_with_equalities, unfolded_bound
+from helpers import (
+    orbit_minima,
+    permute,
+    random_quantum_structure,
+    reference_pure_rows,
+    solve_with_equalities,
+    unfolded_bound,
+)
 
 THRESHOLD23 = from_minimal_sets(3, [[1, 2], [1, 3], [2, 3]])
 # a self-dual structure on 7 players that no permutation but the identity fixes
@@ -101,9 +108,11 @@ class TestGroupSearch:
         top = 1 << 12
         gens = symmetries(structure, top)
         assert 1 <= len(gens) <= 12 and all(g[12] == 12 for g in gens)
-        least = cone._orbit_minima(gens, top)
+        # the pure table maps each mask below the top player to its orbit's least
+        quotient = Quotient(cone.build_system(structure, pure=True, ineq="elemental"), gens)
+        least = [m for m, _ in quotient._table[:top]]
         assert least == [(1 << x.bit_count()) - 1 for x in range(top)]
-        assert len(set(least)) == 13
+        assert len(set(least)) == quotient.var_count + 1 == 13
 
     def test_rigid_structure_has_no_generator(self):
         assert symmetries(RIGID7) == ()
@@ -159,13 +168,13 @@ class TestFoldedQuotient:
         for g in quotient.group:
             assert g[ground.players] == ground.players  # R is fixed
             for x in range(1, ground.full_mask + 1):
-                image = cone._permute(g, x)
+                image = permute(g, x)
                 assert quotient.fold(((image, 1),)) == quotient.fold(((x, 1),))
         # every variable is the smallest mask of its orbit
         variables = {v for row in quotient.rows for v, _ in row.terms}
         assert len(variables) == quotient.var_count < system.quotient.var_count
         for v in variables:
-            assert all(cone._permute(g, v) >= v for g in quotient.group)
+            assert all(permute(g, v) >= v for g in quotient.group)
 
     def test_orbit_of_a_row_holds_its_images(self):
         structure = purify(csirmaz(5)[0])
@@ -178,6 +187,64 @@ class TestFoldedQuotient:
             assert len(folded) == 1
             for r in orbit:
                 assert system.row(r.id) == r
+
+
+def folded_quotients(structure, pure):
+    """The quotients of ``structure``'s bounds: minmax, and minsum over each one player."""
+    system = cached_system(structure, pure, "elemental")
+    everyone = (1 << structure.n) - 1
+    return [system.folded(players) for players in (everyone, *(1 << i for i in range(structure.n)))]
+
+
+TABLES = [(f"csirmaz{n}bar", purify(csirmaz(n)[0])) for n in (4, 5, 6, 7)] + [
+    (f"seeded{i}", purify(s)) for i, s in enumerate(seeded_structures(41, 4))
+]
+SKIPPED = (
+    [("threshold23", THRESHOLD23), ("g4bar", purify(from_minimal_sets(4, [[1, 2], [1, 3], [2, 3, 4]])))]
+    + [(f"csirmaz{n}bar", purify(csirmaz(n)[0])) for n in (4, 5, 6, 7)]
+    + [(f"seeded{i}", purify(random_quantum_structure(rng, rng.randint(4, 5))))
+       for rng in [random.Random(53)] for i in range(20)]
+)
+
+
+class TestMaskTables:
+    """`Quotient`'s image tables and skipped candidates against their references."""
+
+    @pytest.mark.parametrize("name,structure", TABLES, ids=[t[0] for t in TABLES])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_tables_and_minima_match_the_bit_loop(self, name, structure, pure):
+        ground = cached_system(structure, pure, "elemental").ground
+        h = ground.reference_mask >> pure  # the table's variables lie below h
+        for quotient in folded_quotients(structure, pure):
+            assert len(quotient._images) == len(quotient.group)
+            for g, image in zip(quotient.group, quotient._images):
+                assert image == [permute(g, m) for m in range(ground.full_mask + 1)]
+            least = [m for m, _ in quotient._table[:h]]
+            assert least == orbit_minima(quotient.group, h)
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_orbits_of_csirmaz6bar_rows_match_the_group_closure(self, pure):
+        structure = purify(csirmaz(6)[0])
+        system = cached_system(structure, pure, "elemental")
+        fresh = cone.build_system(structure, pure=pure, ineq="elemental")
+        quotient = system.folded((1 << structure.n) - 1)
+        extra, _, _ = objective_rows(system, Objective("minmax", tuple(range(1, structure.n + 1))))
+        group = closure(quotient.group, system.ground.total)
+        t = system.ground.var_count
+        for row in [quotient.original(r) for r in quotient.rows] + list(extra):
+            orbit = quotient.orbit(row, extra)
+            assert orbit[0] == row
+            images = {tuple(sorted((v if v == t else permute(p, v), c) for v, c in row.terms))
+                      for p in group}
+            assert [r.terms for r in orbit] == list(dict.fromkeys(r.terms for r in orbit))
+            assert {r.terms for r in orbit} == images
+            for r in orbit:
+                assert r == (r if r.family == "objlink" else fresh.row(r.id))
+
+    @pytest.mark.parametrize("name,structure", SKIPPED, ids=[s[0] for s in SKIPPED])
+    def test_pure_rows_match_folding_every_candidate(self, name, structure):
+        for quotient in folded_quotients(structure, True):
+            assert quotient.rows == reference_pure_rows(quotient)
 
 
 def objectives(n):
