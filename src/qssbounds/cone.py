@@ -48,8 +48,8 @@ the row is a member of the system's family.  So replaying a certificate
 costs its own entries, not the 2^(2·elements) rows of the full family,
 and works on ground sets too large to generate.  ``len`` and
 :meth:`ConstraintSystem.order_key` count rows and order elemental ids in
-closed form, so the ordered list of every row (``constraints``) is
-generated only for ``--dump-system`` and witness checks.
+closed form, so :func:`vn_inequalities` and the ordered list of every
+row (``constraints``) run only for ``--dump-system`` and witness checks.
 """
 
 from __future__ import annotations
@@ -481,19 +481,18 @@ class Quotient:
     group fixes, which hold an optimum of any objective the group fixes
     (Bödi, Herr and Joswig, Math. Program. 2013).
 
-    The rows are the elemental ``>=`` rows folded, each ``(terms, rhs)``
-    kept once under its first id; a row that folds to ``0 >= c`` is
-    dropped when c <= 0 and kept when c > 0, so the LP comes out
-    infeasible.  Mixed mode folds :func:`vn_inequalities`' elemental rows.
-    Pure mode makes them from masks: ``nonneg:X`` for X below R, and
-    ``ssa:i;j|K`` for the larger K of each pair {K, rest\\K} (rest =
-    F\\{i,j}; K itself when rest is empty), which fold alike; the wm rows
-    fold to rows it already has or to ``0 >= c`` with c <= 0.  A folded
-    row depends only on its masks' table entries, so pure mode folds one
-    candidate per key of entries: X's for ``nonneg:X``, and for the ssa
-    row of x = i ∪ K and y = j ∪ K those of K and x ∪ y and the unordered
-    pair of those of x and y.  Each kept row records its source, from
-    which :meth:`original` makes the system's row with no id parsed.
+    The rows are the elemental ``>=`` rows folded in generation order,
+    each ``(terms, rhs)`` kept once under its first id; a row that folds
+    to ``0 >= c`` is dropped when c <= 0 and kept when c > 0, so the LP
+    comes out infeasible.  A folded row depends only on its masks' table
+    entries, so the rows are made from masks, one fold per key of entries
+    (X's for ``nonneg:X``; for an ssa or wm row, those of its negative
+    masks, then the unordered pair of those of its positive ones).  Pure
+    mode skips what folds to a row it has or to ``0 >= c`` with c <= 0:
+    ``nonneg:X`` for X holding R, ``ssa:i;j|K`` for the smaller K of each
+    pair {K, rest\\K} (rest = F\\{i,j}), and every wm row.  Only a kept row
+    gets an id, and it records its builder and masks, from which
+    :meth:`original` makes the system's row with no id parsed.
     :meth:`lift` gives a point its pinned entries back, and :meth:`cancel`
     carries a combination of folded rows back onto the system's own rows.
     A lifted quotient point satisfies every elemental row, which has the
@@ -536,11 +535,11 @@ class Quotient:
         self.var_count = len(set(least)) - 1  # the orbits but that of ∅
         self._table = [(least[m], c) for m, c in self._pins]
         self._sources = {}  # each kept row's source, by id
-        self.rows = self._pure_rows() if self.pure else self._mixed_rows()
+        self.rows = self._rows()
 
-    def _pure_rows(self) -> tuple[LinearConstraint, ...]:
-        """The elemental rows that pure mode folds, one fold per key of table entries."""
-        ground, fold, kept, seen = self.ground, self._fold, {}, set()
+    def _rows(self) -> tuple[LinearConstraint, ...]:
+        """The elemental rows folded in generation order, one fold per key of table entries."""
+        ground, fold, kept, seen, pure = self.ground, self._fold, {}, set(), self.pure
         labels, full = ground.labels, ground.full_mask
         code = [4 * m + c for m, c in self._table]  # one int per table entry
 
@@ -551,7 +550,7 @@ class Quotient:
                 kept[terms, -constant] = LinearConstraint(rid, terms, ">=", -constant)
                 self._sources[rid] = source
 
-        for x in range(1, ground.reference_mask):
+        for x in range(1, ground.reference_mask if pure else ground.var_count):
             if code[x] not in seen:
                 seen.add(code[x])
                 keep("nonneg:", x, (_nonneg_constraint, x), ((x, 1),))
@@ -560,10 +559,10 @@ class Quotient:
                 i_bit, j_bit = 1 << ei, 1 << ej
                 pair = f"ssa:{labels[i_bit]};{labels[j_bit]}|"
                 rest = full & ~(i_bit | j_bit)
+                # K and rest\K fold alike in pure mode, which keeps the first: the larger
+                top = 1 << rest.bit_length() >> 1 if pure else 0  # the top of rest
                 for k in _submasks(rest):
-                    # K and rest\K give one row; the submasks holding the
-                    # top of rest come first and are the larger of a pair
-                    if k < rest & ~k:
+                    if k < top:
                         break
                     x, y = i_bit | k, j_bit | k
                     a, b = code[x], code[y]
@@ -571,17 +570,18 @@ class Quotient:
                     if key not in seen:
                         seen.add(key)
                         keep(pair, k, (_ssa_constraint, x, y), ((k, -1), (x, 1), (y, 1), (x | y, -1)))
-        return tuple(kept.values())
-
-    def _mixed_rows(self) -> tuple[LinearConstraint, ...]:
-        """The elemental rows folded, each ``(terms, rhs)`` once under its first id."""
-        kept = {}
-        for row in vn_inequalities(self.ground, "elemental"):
-            terms, constant = self._fold(row.terms)
-            rhs = row.rhs - constant
-            if (terms or rhs > 0) and (terms, rhs) not in kept:
-                kept[terms, rhs] = LinearConstraint(row.id, terms, ">=", rhs)
-                self._sources[row.id] = row
+        for e in range(0 if pure else ground.total):
+            e_bit, rest = 1 << e, full & ~(1 << e)
+            for k in _submasks(rest):  # one wm row per partition {K, rest\K}, K the larger
+                other = rest & ~k
+                if k < other:
+                    break
+                x, y = e_bit | k, e_bit | other
+                key = (*sorted((code[other], code[k])), *sorted((code[x], code[y])))
+                if key not in seen:
+                    seen.add(key)
+                    keep(f"wm:{labels[other]};{labels[k]}|", e_bit, (_wm_constraint, x, y),
+                         ((other, -1), (k, -1), (x, 1), (y, 1)))
         return tuple(kept.values())
 
     @cached_property
@@ -667,10 +667,9 @@ class Quotient:
         return list(found.values())
 
     def original(self, row: LinearConstraint) -> LinearConstraint:
-        """The elemental row the kept ``row`` folds from, made from its source into the row memo."""
-        source = self._sources[row.id]  # a row, or a builder and its masks
-        if not isinstance(source, LinearConstraint):
-            source = source[0](self.ground.labels, *source[1:])
+        """The elemental row the kept ``row`` folds from, built from its masks into the row memo."""
+        build, *masks = self._sources[row.id]
+        source = build(self.ground.labels, *masks)
         return self._memo.setdefault(source.id, source)
 
     def lift(self, primal) -> dict[int, Fraction]:

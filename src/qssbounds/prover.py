@@ -382,10 +382,9 @@ def share_bound(
 
 def _certify(
     system: ConstraintSystem, objective, extra, form,
-    problem: LPProblem, solution: LPSolution, claimed: Fraction, quotient: Quotient | None = None,
+    problem: LPProblem, solution: LPSolution, claimed: Fraction, quotient: Quotient,
 ) -> Certificate:
-    """The certificate of ``form`` >= ``claimed`` from an optimal LP on ``quotient``
-    (``system.quotient`` when None).
+    """The certificate of ``form`` >= ``claimed`` from an optimal LP on ``quotient``.
 
     Its entries are `_expand`'s; ``ProverError`` if it does not replay on
     ``system`` against ``objective`` (an :class:`Objective` or ``form``).
@@ -404,23 +403,21 @@ def _expand(
     multipliers: Iterable[int],
     den: int,
     objective: Iterable[tuple[int, Fraction]],
-    quotient: Quotient | None = None,
+    quotient: Quotient,
 ) -> tuple[tuple[str, Fraction], ...]:
     """Certificate entries on the original rows from quotient multipliers.
 
     ``multipliers[i] / den`` weights the row of ``extra`` that ``rows[i]``
     names, or else the one `Quotient.original` makes from its source
     (``ProverError`` if that prints another id), spread evenly over the
-    row's orbit under the group of ``quotient`` (the LP's,
-    ``system.quotient`` by default).  The spread sum is fixed by the
-    group, as the objective is, and folds as the row does, so the two
-    agree once the equalities are folded.  The work is in ints, a common
-    multiple of ``den`` times the certificate.  The rows minus the
-    objective leave what the equalities pin, and the rows that
+    row's orbit under the group of ``quotient``, the LP's.  The spread sum
+    is fixed by the group, as the objective is, and folds as the row does,
+    so the two agree once the equalities are folded.  The work is in
+    ints, a common multiple of ``den`` times the certificate.  The rows
+    minus the objective leave what the equalities pin, and the rows that
     :meth:`cone.Quotient.cancel` returns for it are added.  Entries come
     out in the system's row order (its ``order_key``), then ``extra``'s.
     """
-    quotient = quotient or system.quotient
     by_id = {row.id: row for row in extra}
     orbits = []
     for row, u in zip(rows, multipliers):
@@ -572,7 +569,7 @@ def _prove_direction(system: ConstraintSystem, objective, bound: Fraction, sessi
     problem, constant = quotient.problem(system.ground.var_count, objective)
     solution = solve(problem, session)
     if solution.status == "optimal" and solution.value + constant >= bound:
-        cert = _certify(system, objective, (), objective, problem, solution, bound)
+        cert = _certify(system, objective, (), objective, problem, solution, bound, quotient)
         return cert, None, solution.pivots
     if solution.status == "optimal":
         witness = quotient.lift(solution.primal)

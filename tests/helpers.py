@@ -7,7 +7,7 @@ dense Bareiss kernel as the reference for the sparse one, the
 the pair scan of `is_quantum`, a certificate emitter that replay
 must reject, the lemma suite on the LP route alone, a bound solved on
 the quotient that no symmetry folds, and the bit-loop permutation, orbit
-minima and fold-every-candidate pure rows that `cone.Quotient`'s lookup
+minima and fold-every-row quotient rows that `cone.Quotient`'s lookup
 tables and skipped candidates replace."""
 
 import math
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from qssbounds import prover, simplex, structures
-from qssbounds.cone import _submasks, build_system, sparse_form
+from qssbounds.cone import build_system, sparse_form, vn_inequalities
 from qssbounds.prover import Certificate
 from qssbounds.relations import scheme_relation_instances
 from qssbounds.simplex import (
@@ -646,7 +646,7 @@ def unfolded_bound(system, objective):
     solution = solve(problem)
     value = solution.value + constant
     return problem, solution, prover._certify(
-        system, objective, extra, form, problem, solution, value
+        system, objective, extra, form, problem, solution, value, system.quotient
     )
 
 
@@ -679,32 +679,19 @@ def orbit_minima(group, size):
     return least
 
 
-def reference_pure_rows(quotient):
-    """The rows of a pure ``quotient`` with every candidate folded.
+def reference_rows(quotient):
+    """The rows of ``quotient`` with every elemental row folded.
 
-    `cone.Quotient` skips a candidate whose table entries match one it
-    has folded; this folds each ``nonneg`` and ``ssa`` candidate and keeps
-    each ``(terms, rhs)`` under its first id, so the two row tuples must
-    be equal, order included.
+    `cone.Quotient` folds one candidate per key of table entries and, in
+    pure mode, skips three kinds of candidate; this folds each row of
+    `vn_inequalities` in generation order and keeps each ``(terms, rhs)``
+    under its first id, so the two row tuples must be equal, order
+    included.
     """
-    ground, kept = quotient.ground, {}
-    labels, full = ground.labels, ground.full_mask
-
-    def keep(prefix, mask, terms):
-        terms, constant = quotient.fold(terms)
-        if (terms or constant < 0) and (terms, -constant) not in kept:
-            kept[terms, -constant] = LinearConstraint(prefix + labels[mask], terms, ">=", -constant)
-
-    for x in range(1, ground.reference_mask):
-        keep("nonneg:", x, ((x, 1),))
-    for ei in range(ground.total):
-        for ej in range(ei + 1, ground.total):
-            i_bit, j_bit = 1 << ei, 1 << ej
-            rest = full & ~(i_bit | j_bit)
-            for k in _submasks(rest):
-                if k < rest & ~k:
-                    break
-                x, y = i_bit | k, j_bit | k
-                keep(f"ssa:{labels[i_bit]};{labels[j_bit]}|", k,
-                     ((k, -1), (x, 1), (y, 1), (x | y, -1)))
+    kept = {}
+    for row in vn_inequalities(quotient.ground, "elemental"):
+        terms, constant = quotient.fold(row.terms)
+        rhs = row.rhs - constant
+        if (terms or rhs > 0) and (terms, rhs) not in kept:
+            kept[terms, rhs] = LinearConstraint(row.id, terms, ">=", rhs)
     return tuple(kept.values())

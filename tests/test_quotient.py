@@ -260,7 +260,8 @@ def test_order_key_sorts_ids_into_generation_order(ineq, elements, pure):
 
 
 def test_pure_solves_generate_no_row_list(monkeypatch):
-    # bounds, suites and chains solve on the quotient and replay by id
+    # bounds, suites and chains solve on the quotient and replay by id;
+    # the quotient of either mode is made from masks, not from the generator
     calls = []
     original = cone.vn_inequalities
     monkeypatch.setattr(cone, "vn_inequalities", lambda *a: calls.append(a) or original(*a))
@@ -269,13 +270,15 @@ def test_pure_solves_generate_no_row_list(monkeypatch):
         share_bound(GAMMA4, auto_purify=True, ineq=ineq)
     assert lemma_suite(GAMMA4_BAR).all_implied
     assert theorem3_chain(4).all_implied
+    for structure in (THRESHOLD23, GAMMA4):
+        for objective in ("minmax", "minsum"):
+            share_bound(structure, mode="mixed", objective=objective)
     assert calls == []
 
 
 @pytest.mark.parametrize("ineq", ["full", "elemental"])
 def test_mixed_bounds_generate_no_row_list(ineq):
-    # the mixed quotient folds the elemental >= rows straight from the
-    # generator, and the certificate replays by id
+    # the mixed quotient is made from masks, and the certificate replays by id
     cached_system.cache_clear()
     for structure in (THRESHOLD23, GAMMA4):
         for objective in ("minmax", "minsum"):
@@ -342,7 +345,7 @@ def test_session_solves_match_cold_solves(structure):
             warm_pivots += warm.pivots
             if warm.status != "optimal":
                 continue
-            entries = _expand(elemental, (), problem.rows, *warm.multipliers, objective)
+            entries = _expand(elemental, (), problem.rows, *warm.multipliers, objective, quotient)
             cert = Certificate(warm.value + constant, entries, objective)
             for system in systems:
                 assert verify_certificate(system, cert, objective=objective), inst.id
