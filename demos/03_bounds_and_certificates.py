@@ -4,6 +4,8 @@
 Deterministic, stdout only.  Run as: python3 demos/03_bounds_and_certificates.py
 """
 
+from fractions import Fraction
+
 from qssbounds import (
     Certificate,
     from_minimal_sets,
@@ -27,16 +29,13 @@ print()
 print("== the certificate is a nonnegative combination of rows ==")
 cert = report.certificate
 print(f"claimed bound {cert.claimed_bound} from {len(cert.entries)} rows, e.g.")
-for rid, mult in cert.entries[:5]:
-    print(f"    {mult} * [{rid}]")
+for rid, u in cert.entries[:5]:  # multipliers are ints over one denominator
+    print(f"    {Fraction(u, cert.den)} * [{rid}]")
 system = cached_system(report.structure, True, "full")
 print("replay accepts:", verify_certificate(system, cert, objective=report.objective))
 
-tampered = Certificate(
-    cert.claimed_bound,
-    ((cert.entries[0][0], cert.entries[0][1] + 1),) + cert.entries[1:],
-    cert.objective,
-)
+(rid, u), *rest = cert.entries
+tampered = Certificate(cert.claimed_bound, ((rid, u + cert.den), *rest), cert.den, cert.objective)
 print("replay after tampering with one multiplier:",
       verify_certificate(system, tampered, objective=report.objective))
 

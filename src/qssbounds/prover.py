@@ -5,13 +5,13 @@ system, attaches an objective over selected share entropies and solves it
 exactly.  `bound_setup` turns its keywords into the structure, system
 and objective, and the ``verify-cert`` command replays on those.
 
-This module owns the :class:`Certificate`: `_certify` builds it from a
-solve's multipliers, `certificate_to_json_dict` and
-`certificate_from_json_dict` write and read it with rationals as
-``"p/q"`` strings (`rat_str`), and `verify_certificate` replays it by
-pure constraint arithmetic, never consulting the solver.  Every
-certificate, of a bound or of a check, is replayed before it is
-returned.
+This module owns the :class:`Certificate`, int multipliers over one
+positive denominator: `_certify` builds it from a solve's multipliers,
+`certificate_to_json_dict` and `certificate_from_json_dict` write and
+read it with rationals as ``"p/q"`` strings (`rat_str`), and
+`verify_certificate` replays it by pure int arithmetic, never
+consulting the solver.  Every certificate, of a bound or of a check,
+is replayed before it is returned.
 
 `check_implied` decides whether a linear inequality over subset
 entropies is a consequence of a system by minimizing its slack; the
@@ -129,16 +129,19 @@ class Objective:
 class Certificate:
     """Replayable nonnegative combination of rows proving a lower bound.
 
-    The weighted sum of the referenced row forms equals ``objective``, the
-    minimized form, which for a check records the direction proved, and
-    the weighted right-hand sides add up to at least ``claimed_bound``.
-    A certificate read from JSON has an empty ``objective``; replay takes
-    the objective from its caller.
+    Row ``rid`` of ``entries`` is weighted ``u / den``: int multipliers
+    over one positive denominator, in lowest terms when made here or
+    read from JSON.  The weighted sum of the referenced row forms equals
+    ``objective``, the minimized form, which for a check records the
+    direction proved, and the weighted right-hand sides add up to at
+    least ``claimed_bound``.  A certificate read from JSON has an empty
+    ``objective``; replay takes the objective from its caller.
     """
 
     claimed_bound: Fraction
-    entries: tuple[tuple[str, Fraction], ...]
-    objective: tuple[tuple[int, Fraction], ...]
+    entries: tuple[tuple[str, int], ...]
+    den: int
+    objective: tuple[tuple[int, int | Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
     return {
         "claimed_bound": rat_str(cert.claimed_bound),
         "entries": [
-            {"id": rid, "mult": rat_str(mult)} for rid, mult in cert.entries
+            {"id": rid, "mult": rat_str(Fraction(u, cert.den))} for rid, u in cert.entries
         ],
     }
 
@@ -198,18 +201,22 @@ def rat_str(value: Fraction) -> str:
 _RATIONAL = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
 
 
-def _rational_field(value, what: str) -> Fraction:
+def _rational_field(value, what: str) -> tuple[int, int]:
+    """``(p, q)`` of a ``"p/q"`` string with ``q > 0``, unreduced."""
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise ValueError(f"{what} must be a \"p/q\" string with q > 0, not {value!r}")
-    return Fraction(int(match[1]), int(match[2]))
+    return int(match[1]), int(match[2])
 
 
 def certificate_from_json_dict(data) -> Certificate:
     """Inverse of :func:`certificate_to_json_dict`.
 
     Strict about shape: a malformed field, a rational that is not a
-    ``"p/q"`` string or a repeated row id raises ``ValueError``.
+    ``"p/q"`` string or a repeated row id raises ``ValueError``.  The
+    multipliers are put over one denominator in lowest terms, the lcm of
+    their reduced denominators, so a certificate written by the other
+    reads back equal.
     """
     if not isinstance(data, dict):
         raise ValueError("a certificate must be a JSON object")
@@ -227,10 +234,14 @@ def certificate_from_json_dict(data) -> Certificate:
         if rid in seen:
             raise ValueError(f"certificate names row {rid!r} twice")
         seen.add(rid)
-        parsed.append((rid, _rational_field(entry.get("mult"), f"multiplier of {rid!r}")))
+        parsed.append((rid, *_rational_field(entry.get("mult"), f"multiplier of {rid!r}")))
+    den = math.lcm(*(q for _, _, q in parsed))
+    scaled = [(rid, p * (den // q)) for rid, p, q in parsed]
+    g = math.gcd(den, *(u for _, u in scaled))
     return Certificate(
-        claimed_bound=_rational_field(data.get("claimed_bound"), "claimed_bound"),
-        entries=tuple(parsed),
+        claimed_bound=Fraction(*_rational_field(data.get("claimed_bound"), "claimed_bound")),
+        entries=tuple((rid, u // g) for rid, u in scaled),
+        den=den // g,
         objective=(),
     )
 
@@ -389,8 +400,8 @@ def _certify(
     Its entries are `_expand`'s; ``ProverError`` if it does not replay on
     ``system`` against ``objective`` (an :class:`Objective` or ``form``).
     """
-    entries = _expand(system, extra, problem.rows, *solution.multipliers, form, quotient)
-    cert = Certificate(claimed, entries, form)
+    entries, den = _expand(system, extra, problem.rows, *solution.multipliers, form, quotient)
+    cert = Certificate(claimed, entries, den, form)
     if not verify_certificate(system, cert, objective=objective):
         raise ProverError("emitted certificate failed independent replay")
     return cert
@@ -402,10 +413,11 @@ def _expand(
     rows: Iterable[LinearConstraint],
     multipliers: Iterable[int],
     den: int,
-    objective: Iterable[tuple[int, Fraction]],
+    objective: Iterable[tuple[int, int | Fraction]],
     quotient: Quotient,
-) -> tuple[tuple[str, Fraction], ...]:
-    """Certificate entries on the original rows from quotient multipliers.
+) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Certificate entries on the original rows from quotient multipliers,
+    and their denominator.
 
     ``multipliers[i] / den`` weights the row of ``extra`` that ``rows[i]``
     names, or else the one `Quotient.original` makes from its source
@@ -413,10 +425,12 @@ def _expand(
     row's orbit under the group of ``quotient``, the LP's.  The spread sum
     is fixed by the group, as the objective is, and folds as the row does,
     so the two agree once the equalities are folded.  The work is in
-    ints, a common multiple of ``den`` times the certificate.  The rows
-    minus the objective leave what the equalities pin, and the rows that
-    :meth:`cone.Quotient.cancel` returns for it are added.  Entries come
-    out in the system's row order (its ``order_key``), then ``extra``'s.
+    ints, over ``den`` times the lcm of the orbit sizes and of the
+    objective's denominators.  The rows minus the objective leave what
+    the equalities pin, and the rows that :meth:`cone.Quotient.cancel`
+    returns for it are added.  The multipliers and denominator come out
+    in lowest terms, and the entries in the system's row order (its
+    ``order_key``), then ``extra``'s.
     """
     by_id = {row.id: row for row in extra}
     orbits = []
@@ -426,7 +440,8 @@ def _expand(
             if source.id != row.id:
                 raise ProverError(f"the LP row {row.id!r} was recorded from the row {source.id!r}")
             orbits.append((u, quotient.orbit(source, extra)))
-    scale = math.lcm(*(len(orbit) for _, orbit in orbits))
+    objective = tuple(objective)
+    scale = math.lcm(*(len(orbit) for _, orbit in orbits), *(c.denominator for _, c in objective))
     den *= scale
     mult, left = {}, {}  # left is den times the weighted rows minus the objective
     for u, orbit in orbits:  # disjoint: the rows of one orbit fold alike, and one is kept
@@ -434,11 +449,12 @@ def _expand(
         for row in orbit:
             mult[row.id] = u
             add_scaled(left, row.terms, u)
-    add_scaled(left, objective, -den)
+    add_scaled(left, ((v, c.numerator * (den // c.denominator)) for v, c in objective), -1)
     add_scaled(mult, quotient.cancel(left).items(), 1)
     ids = sorted((rid for rid in mult if rid not in by_id), key=system.order_key)
     ids += [row.id for row in extra if row.id in mult]
-    return tuple((rid, Fraction(mult[rid], den)) for rid in ids)
+    g = math.gcd(den, *mult.values())
+    return tuple((rid, mult[rid] // g) for rid in ids), den // g
 
 
 def _csirmaz_k_of(structure: AccessStructure) -> int | None:
@@ -459,53 +475,40 @@ def verify_certificate(
     system: ConstraintSystem,
     cert: Certificate,
     *,
-    objective: Objective | Iterable[tuple[int, Fraction]],
+    objective: Objective | Iterable[tuple[int, int | Fraction]],
 ) -> bool:
     """Replay a certificate by exact arithmetic, no solver involved.
 
-    Accepts iff multipliers on inequality rows are nonnegative, the
-    weighted row forms add up exactly to the minimized objective form,
-    and the weighted right-hand sides reach the claimed bound.  Unknown
-    row ids raise; sign violations and mismatches just reject.
+    Accepts iff the denominator is positive, multipliers on inequality
+    rows are nonnegative, the sum of ``u * row`` over the entries has
+    the form ``den`` times the minimized objective form, and its
+    right-hand side reaches ``den`` times the claimed bound.  The rows
+    hold ints, so every sum does.  Unknown row ids raise; sign
+    violations and mismatches just reject.
     """
     if isinstance(objective, Objective):
         extra, form, _ = objective_rows(system, objective)
     else:
         extra, form = (), tuple(objective)
     extra_by_id = {row.id: row for row in extra}
+    den = cert.den
+    if den <= 0:
+        return False
 
-    weighted = []
-    for rid, mult in cert.entries:
+    combo: dict[int, int] = {}
+    rhs = 0
+    for rid, u in cert.entries:
         try:
             row = extra_by_id.get(rid) or system.row(rid)
         except KeyError:
             raise KeyError(f"certificate references unknown constraint {rid!r}") from None
-        # the numerator's sign is the multiplier's, and an int compare is cheaper
-        if row.rel != "=" and mult.numerator < 0:
+        if row.rel != "=" and u < 0:
             return False
-        weighted.append((mult, row))
-    combo, total_rhs, scale = weighted_sum(weighted)
-    if combo != {v: c * scale for v, c in form if c}:
+        rhs += u * row.rhs
+        add_scaled(combo, row.terms, u)
+    if combo != {v: c * den for v, c in form if c}:
         return False
-    return total_rhs >= cert.claimed_bound * scale
-
-
-def weighted_sum(pairs) -> tuple[dict[int, int | Fraction], int | Fraction, int]:
-    """``scale`` times the sum of ``u * row`` over ``(u, row)`` pairs.
-
-    ``scale`` is the lcm of the multipliers' denominators, so on integral
-    rows every sum is an ``int``.  Returns the combined terms with zeros
-    dropped, the combined right-hand side and ``scale``.
-    """
-    pairs = [(u, row) for u, row in pairs if u]
-    scale = math.lcm(*(u.denominator for u, _ in pairs))
-    combo: dict = {}
-    rhs = 0
-    for u, row in pairs:
-        w = u.numerator * (scale // u.denominator)
-        rhs += w * row.rhs
-        add_scaled(combo, row.terms, w)
-    return combo, rhs, scale
+    return rhs >= cert.claimed_bound * den
 
 
 class CheckResult(NamedTuple):
@@ -652,27 +655,9 @@ def lemma_suite(
     (the relations are stated in pure mode).  Expected outcome: every
     instance implied.
 
-    Each relation carries one hand proof per direction
-    (:func:`relations.scheme_relation_instances`).  F is the ground set,
-    P the players and R the reference, and identity(Y), S(Y) - S(F\\Y)
-    >= 0, is the complement chain of Y ×1 plus ``purity`` ×-1
-    (``purity`` alone, ×+1 for Y = F and ×-1 for Y = ∅):
-
-    * ``withref:A``: the scheme row of A ×-1 and ``normalize`` ×+1, both
-      negated in reverse;
-    * ``joint3:A``: ``recover:A`` ×1, ``normalize`` ×-1 and
-      identity(A ∪ R); in reverse ``recover:A`` ×-1, ``normalize`` ×+1
-      and identity(P\\A);
-    * ``joint1:A``: ``joint3:A`` plus the proof of S(P) >= 1
-      (identity(P), ``normalize`` ×+1), and in reverse the reversed
-      ``joint3:A`` plus that of -S(P) >= -1 (identity(R), ``normalize``
-      ×-1); ``joint2:A`` the same with the two ``joint3:A`` directions
-      swapped;
-    * ``gap:A;B``: ``recover:A`` and ``recover:B`` ×1, the scheme rows of
-      A ∪ B and of a nonempty A ∩ B ×-1, and the chain-rule ssa rows of
-      I(A\\B; B\\A | (A ∩ B) ∪ R), each ×1.
-
-    A direction is proved when its proof replays
+    Each relation carries one hand proof per direction, int multipliers
+    over 1, whose recipes :func:`relations.scheme_relation_instances`
+    gives.  A direction is proved when its proof replays
     (:func:`verify_certificate`), with no solve.  A target whose proof is
     missing or fails is solved by `check_implied` in the suite's session
     and counts in the report's ``fallbacks``.
@@ -719,7 +704,7 @@ def _replays(system: ConstraintSystem, inst: SuiteInstance) -> bool:
         return False
     try:
         return all(
-            verify_certificate(system, Certificate(rhs, proof, form), objective=form)
+            verify_certificate(system, Certificate(rhs, proof, 1, form), objective=form)
             for (form, rhs), proof in zip(directions, inst.proofs)
         )
     except KeyError:

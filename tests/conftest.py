@@ -6,7 +6,11 @@ on, whose row memo the solve has filled: the quotient, its orbits and
 so that replay parses no id.  This fixture replays each certificate that
 `_certify` returns once more, after the test, on a new system of the same
 structure, mode and family with an empty memo, so each id is parsed and
-goes through the parser's family-membership checks.
+goes through the parser's family-membership checks.  Each certificate
+must also read back from its JSON (`prover.certificate_to_json_dict`,
+then `prover.certificate_from_json_dict`) with an equal claimed bound,
+entries and denominator, so it was in lowest terms, and the copy read
+back must replay too.
 """
 
 import pytest
@@ -34,3 +38,8 @@ def replay_on_a_fresh_system():
         assert prover.verify_certificate(fresh, cert, objective=objective), cert
         named = {rid for rid, _ in cert.entries if not rid.startswith("objlink:")}
         assert set(fresh._memo) == named  # each row was parsed from its id
+        back = prover.certificate_from_json_dict(prover.certificate_to_json_dict(cert))
+        assert (back.claimed_bound, back.entries, back.den) == (
+            cert.claimed_bound, cert.entries, cert.den
+        ), cert
+        assert prover.verify_certificate(fresh, back, objective=objective), back

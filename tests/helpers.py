@@ -148,14 +148,16 @@ def reference_purify(structure):
 def plain_certificate(problem, solution):
     """The reference certificate of an LP solved on its own rows.
 
-    Every row with a nonzero multiplier, in row order, and the optimum as
-    the claimed bound; no quotient and no replay.
+    Every row with a nonzero multiplier, in row order, over the solve's
+    denominator in lowest terms, and the optimum as the claimed bound; no
+    quotient and no replay.
     """
     if solution.status != "optimal":
         raise ValueError("certificates exist only for optimal solves")
     duals, den = solution.multipliers
-    entries = tuple((row.id, Fraction(u, den)) for row, u in zip(problem.rows, duals) if u)
-    return Certificate(solution.value, entries, problem.objective)
+    g = math.gcd(den, *duals)
+    entries = tuple((row.id, u // g) for row, u in zip(problem.rows, duals) if u)
+    return Certificate(solution.value, entries, den // g, problem.objective)
 
 
 def equality_lp_rows(system, extra=()):
@@ -605,13 +607,13 @@ def count_quantum_scans(monkeypatch):
 
 
 def bump_first_multiplier(monkeypatch):
-    """Make `prover._expand` raise its first multiplier by 1, so that every
-    certificate it emits fails replay."""
+    """Make `prover._expand` raise its first multiplier by 1 (its numerator
+    by the denominator), so that every certificate it emits fails replay."""
     real = prover._expand
 
     def bumped(*args):
-        (rid, mult), *rest = real(*args)
-        return ((rid, mult + 1), *rest)
+        ((rid, u), *rest), den = real(*args)
+        return ((rid, u + den), *rest), den
 
     monkeypatch.setattr(prover, "_expand", bumped)
 

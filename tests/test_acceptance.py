@@ -192,10 +192,13 @@ def test_criterion_8_soundness_round_trip(mode_pair_reports, chain4):
         for _ in range(20):
             idx = rng.randrange(len(cert.entries))
             delta = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
-            entries = list(cert.entries)
-            rid, mult = entries[idx]
-            entries[idx] = (rid, mult + delta)
-            tampered = Certificate(cert.claimed_bound, tuple(entries), cert.objective)
+            # u / den + delta, every multiplier over den times delta's denominator
+            q = delta.denominator
+            entries = [(rid, u * q) for rid, u in cert.entries]
+            rid, u = entries[idx]
+            entries[idx] = (rid, u + delta.numerator * cert.den)
+            tampered = Certificate(cert.claimed_bound, tuple(entries), cert.den * q,
+                                   cert.objective)
             bad = verify_certificate(system, tampered, objective=objective)
             ok = ok and not bad
             rejected += not bad

@@ -441,21 +441,21 @@ class TestLazySystem:
             system = build_system(structure, pure=False, ineq=ineq)
             # counted from the closed form: the full family has about 4^16 / 2 rows
             assert len(system) > (10 ** 9 if ineq == "full" else 10 ** 5)
-            single = Certificate(Fraction(0), (("nonneg:1", Fraction(1)),), ())
+            single = Certificate(Fraction(0), (("nonneg:1", 1),), 1, ())
             assert verify_certificate(system, single, objective=Objective("minsum", (1,)))
             # S(1,2) >= 1 from recover:1,2, normalize and nonneg:1,2,R
             r = 1 << 15
-            entries = (("recover:1,2", Fraction(1)), ("normalize", Fraction(-1)),
-                       ("nonneg:1,2,R", Fraction(1)))
+            entries = (("recover:1,2", 1), ("normalize", -1), ("nonneg:1,2,R", 1))
             form = ((0b11, 1),)
-            assert verify_certificate(system, Certificate(Fraction(1), entries, form), objective=form)
-            assert not verify_certificate(system, Certificate(Fraction(2), entries, form),
+            assert verify_certificate(system, Certificate(Fraction(1), entries, 1, form),
+                                      objective=form)
+            assert not verify_certificate(system, Certificate(Fraction(2), entries, 1, form),
                                           objective=form)
             assert system.row("ssa:1;15|R").terms == ((r, -1), (r | 1, 1), (r | 1 << 14, 1),
                                                       (r | 1 | 1 << 14, -1))
             with pytest.raises(KeyError):
                 verify_certificate(
-                    system, Certificate(Fraction(0), (("nonneg:16", Fraction(1)),), form),
+                    system, Certificate(Fraction(0), (("nonneg:16", 1),), 1, form),
                     objective=form,
                 )
             assert "constraints" not in vars(system)

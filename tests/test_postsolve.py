@@ -134,7 +134,8 @@ def assert_same_as_reference(problem):
     assert solution.primal == primal and solution.duals == duals
     assert all(type(v) is Fraction for v in solution.primal + solution.duals)
     entries = tuple((row.id, u) for row, u in zip(problem.rows, duals) if u)
-    assert plain_certificate(problem, solution).entries == entries
+    plain = plain_certificate(problem, solution)
+    assert tuple((rid, Fraction(u, plain.den)) for rid, u in plain.entries) == entries
     return solution, tableau_den
 
 

@@ -236,7 +236,9 @@ def pinned_structure(case):
 
 
 def entry_strings(cert):
-    return [[rid, f"{m.numerator}/{m.denominator}"] for rid, m in cert.entries]
+    """Each entry's id and its multiplier ``u / den`` as a reduced ``"p/q"``."""
+    mults = ((rid, Fraction(u, cert.den)) for rid, u in cert.entries)
+    return [[rid, f"{m.numerator}/{m.denominator}"] for rid, m in mults]
 
 
 class TestPinnedPivotSequence:
@@ -539,10 +541,12 @@ class TestVerifyCertificate:
     def test_perturbed_multiplier_rejected(self):
         report = share_bound(THRESHOLD23)
         system = cached_system(THRESHOLD23, True, "full")
-        rid, mult = report.certificate.entries[0]
+        rid, u = report.certificate.entries[0]
+        den = report.certificate.den
         tampered = Certificate(
             report.certificate.claimed_bound,
-            ((rid, mult + 1),) + report.certificate.entries[1:],
+            ((rid, u + den),) + report.certificate.entries[1:],
+            den,
             report.certificate.objective,
         )
         assert not verify_certificate(system, tampered, objective=report.objective)
@@ -553,6 +557,7 @@ class TestVerifyCertificate:
         greedy = Certificate(
             report.certificate.claimed_bound + Fraction(1, 7),
             report.certificate.entries,
+            report.certificate.den,
             report.certificate.objective,
         )
         assert not verify_certificate(system, greedy, objective=report.objective)
@@ -562,7 +567,8 @@ class TestVerifyCertificate:
         system = cached_system(THRESHOLD23, True, "full")
         bogus = Certificate(
             report.certificate.claimed_bound,
-            (("nonsense:1", Fraction(1)),) + report.certificate.entries,
+            (("nonsense:1", report.certificate.den),) + report.certificate.entries,
+            report.certificate.den,
             report.certificate.objective,
         )
         with pytest.raises(KeyError):
@@ -571,7 +577,7 @@ class TestVerifyCertificate:
     def test_negative_multiplier_on_inequality_rejected(self):
         system = cached_system(THRESHOLD23, True, "full")
         some_ineq = next(c for c in system.constraints if c.rel == ">=")
-        cert = Certificate(Fraction(0), ((some_ineq.id, Fraction(-1)),), ())
+        cert = Certificate(Fraction(0), ((some_ineq.id, -1),), 1, ())
         assert not verify_certificate(
             system, cert, objective=[(v, -c) for v, c in some_ineq.terms]
         )
@@ -581,7 +587,28 @@ class TestVerifyCertificate:
         data = certificate_to_json_dict(report.certificate)
         back = certificate_from_json_dict(data)
         assert back.entries == report.certificate.entries
+        assert back.den == report.certificate.den
         assert back.claimed_bound == report.certificate.claimed_bound
+
+    def test_denominator_not_positive_rejected(self):
+        system = cached_system(GAMMA4_BAR, True, "full")
+        # no entries and no objective: 0 >= 0, whose sums match over any den
+        assert verify_certificate(system, Certificate(Fraction(0), (), 1, ()), objective=())
+        assert not verify_certificate(system, Certificate(Fraction(0), (), 0, ()), objective=())
+        # the entries of a proof of form >= claim match -form >= -claim over -den
+        (cert,) = check_implied(system, {0b00011: ONE, 0b11100: -ONE}, ">=", ONE).certificates
+        negated = tuple((v, -c) for v, c in cert.objective)
+        flipped = Certificate(-cert.claimed_bound, cert.entries, -cert.den, negated)
+        assert not verify_certificate(system, flipped, objective=negated)
+
+    def test_doubled_multipliers_and_denominator_verify(self):
+        report = share_bound(GAMMA4_BAR, players=[1, 2, 3, 4])
+        system = cached_system(GAMMA4_BAR, True, "full")
+        cert = report.certificate
+        doubled = Certificate(cert.claimed_bound, tuple((rid, 2 * u) for rid, u in cert.entries),
+                              2 * cert.den, cert.objective)
+        assert verify_certificate(system, doubled, objective=report.objective)
+        assert certificate_to_json_dict(doubled) == certificate_to_json_dict(cert)
 
 
 def reference_replay(system, cert, objective):
@@ -597,7 +624,8 @@ def reference_replay(system, cert, objective):
     rows = {c.id: c for c in system.constraints}
     rows.update((row.id, row) for row in extra)
     combo, total = {}, Fraction(0)
-    for rid, mult in cert.entries:
+    for rid, u in cert.entries:
+        mult = Fraction(u, cert.den)
         if rid not in rows:
             raise KeyError(rid)
         row = rows[rid]
@@ -618,28 +646,30 @@ def replay_outcome(replay, system, cert, objective):
 
 
 def certificate_variants(system, cert):
-    """The certificate and variants of it that replay must judge alike."""
-    entries, claim = cert.entries, cert.claimed_bound
+    """The certificate and variants of it that replay must judge alike, as
+    ``(name, entries, den, claim)``."""
+    entries, den, claim = cert.entries, cert.den, cert.claimed_bound
     first = next(i for i, (rid, _) in enumerate(entries) if system.row(rid).rel == ">=")
-    rid, mult = entries[first]
+    rid, u = entries[first]
     rest = entries[:first] + entries[first + 1:]
 
-    def with_mult(new):
+    def with_mult(new, entries=entries):
         return entries[:first] + ((rid, new),) + entries[first + 1:]
 
     unused = next(c.id for c in system.constraints if c.id not in dict(entries))
-    negative = (rid, -mult)
-    unknown = ("nonsense:1", Fraction(1))
-    yield "genuine", entries, claim
-    yield "raised-claim", entries, claim + Fraction(1, 7)
-    yield "thirds", tuple((r, m * Fraction(1, 3)) for r, m in entries), claim / 3
-    yield "tampered", with_mult(mult + Fraction(1, 7)), claim
-    yield "zero-unused", entries + ((unused, Fraction(0)),), claim
-    yield "zero-used", with_mult(Fraction(0)), claim
-    yield "negative-ineq", rest + (negative,), claim
-    yield "unknown-id", (unknown,) + entries, claim
-    yield "negative-then-unknown", (negative, unknown) + rest, claim
-    yield "unknown-then-negative", (unknown, negative) + rest, claim
+    negative = (rid, -u)
+    unknown = ("nonsense:1", den)
+    sevenths = tuple((r, 7 * m) for r, m in entries)  # over 7 * den
+    yield "genuine", entries, den, claim
+    yield "raised-claim", entries, den, claim + Fraction(1, 7)
+    yield "thirds", entries, 3 * den, claim / 3
+    yield "tampered", with_mult(7 * u + den, sevenths), 7 * den, claim  # the multiplier + 1/7
+    yield "zero-unused", entries + ((unused, 0),), den, claim
+    yield "zero-used", with_mult(0), den, claim
+    yield "negative-ineq", rest + (negative,), den, claim
+    yield "unknown-id", (unknown,) + entries, den, claim
+    yield "negative-then-unknown", (negative, unknown) + rest, den, claim
+    yield "unknown-then-negative", (unknown, negative) + rest, den, claim
 
 
 class TestReplayMatchesFractionSum:
@@ -661,9 +691,9 @@ class TestReplayMatchesFractionSum:
         seen = {}
         fractional = False
         for cert, objective in self.cases():
-            fractional |= any(m.denominator > 1 for _, m in cert.entries)
-            for name, entries, claim in certificate_variants(system, cert):
-                variant = Certificate(claim, entries, cert.objective)
+            fractional |= cert.den > 1  # in lowest terms, so some multiplier is not whole
+            for name, entries, den, claim in certificate_variants(system, cert):
+                variant = Certificate(claim, entries, den, cert.objective)
                 got = replay_outcome(verify_certificate, system, variant, objective)
                 want = replay_outcome(reference_replay, system, variant, objective)
                 assert got == want, name
@@ -695,10 +725,11 @@ class TestReplayGeneratesNoRows:
         monkeypatch.setattr(cone, "qss_constraints", refuse)
         system = prover.build_system(report.structure, pure=mode == "pure", ineq=ineq)
         assert verify_certificate(system, report.certificate, objective=report.objective)
-        raised = Certificate(report.lp_value + 1, report.certificate.entries, ())
+        raised = Certificate(report.lp_value + 1, report.certificate.entries,
+                             report.certificate.den, ())
         assert not verify_certificate(system, raised, objective=report.objective)
         with pytest.raises(KeyError, match="unknown constraint 'nonneg:01'"):
-            unknown = Certificate(report.lp_value, (("nonneg:01", ONE),), ())
+            unknown = Certificate(report.lp_value, (("nonneg:01", 1),), 1, ())
             verify_certificate(system, unknown, objective=report.objective)
         if mode == "pure":
             for cert in implied.certificates:
@@ -786,6 +817,17 @@ class TestCheckImplied:
         cert = res.certificates[0]
         assert cert.claimed_bound == Fraction(3, 2)
         assert verify_certificate(system, cert, objective=cert.objective)
+
+    def test_fractional_terms_that_fold_into_one_term(self):
+        # S(1)/3 + 2*S(2,3,R)/3 folds to S(1) in pure mode, so the LP's
+        # denominator need not hold the 3 that the certificate does
+        system = cached_system(THRESHOLD23, True, "full")
+        form = ((0b0001, Fraction(1, 3)), (0b1110, Fraction(2, 3)))
+        problem, _ = system.quotient.problem(system.ground.var_count, form)
+        assert problem.objective == ((1, 1),) and solve(problem).multipliers[1] % 3
+        (cert,) = check_implied(system, dict(form), ">=", ONE).certificates
+        assert cert.den == 6 and dict(cert.entries)["purity"] == -2
+        assert verify_certificate(system, cert, objective=form)
 
     def test_accepts_term_pairs_as_target(self):
         system = cached_system(THRESHOLD23, True, "full")

@@ -345,8 +345,9 @@ def test_session_solves_match_cold_solves(structure):
             warm_pivots += warm.pivots
             if warm.status != "optimal":
                 continue
-            entries = _expand(elemental, (), problem.rows, *warm.multipliers, objective, quotient)
-            cert = Certificate(warm.value + constant, entries, objective)
+            entries, den = _expand(elemental, (), problem.rows, *warm.multipliers, objective,
+                                   quotient)
+            cert = Certificate(warm.value + constant, entries, den, objective)
             for system in systems:
                 assert verify_certificate(system, cert, objective=objective), inst.id
     assert statuses == {"optimal", "unbounded"}
@@ -443,10 +444,11 @@ class TestExpansion:
         elemental = cached_system(GAMMA4_BAR, True, "elemental")
         objective = Objective("minmax", (1, 2, 3, 4, 5))
         problem, solution, cert = unfolded_bound(elemental, objective)
-        found = dict(plain_certificate(problem, solution).entries)
+        plain = plain_certificate(problem, solution)
+        found = {rid: Fraction(u, plain.den) for rid, u in plain.entries}
         added = [
-            rid for rid, mult in cert.entries
-            if rid.partition(":")[0] not in EQUALITIES and found.get(rid) != mult
+            rid for rid, u in cert.entries
+            if rid.partition(":")[0] not in EQUALITIES and found.get(rid) != Fraction(u, cert.den)
         ]
         return elemental, objective, cert, added
 
@@ -456,7 +458,8 @@ class TestExpansion:
         assert verify_certificate(elemental, certificate, objective=objective)
         for rid in added:
             entries = tuple(e for e in certificate.entries if e[0] != rid)
-            cert = Certificate(certificate.claimed_bound, entries, certificate.objective)
+            cert = Certificate(certificate.claimed_bound, entries, certificate.den,
+                               certificate.objective)
             assert not verify_certificate(elemental, cert, objective=objective), rid
 
     @pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)])
@@ -481,10 +484,13 @@ class TestExpansion:
                 if rid.partition(":")[0] not in EQUALITIES:
                     continue
                 families.add(rid.partition(":")[0])
+                # u / den + delta, every multiplier over den times delta's denominator
+                q = delta.denominator
                 entries = tuple(
-                    (other, mult + delta if other == rid else mult) for other, mult in cert.entries
+                    (other, u * q + (delta.numerator * cert.den if other == rid else 0))
+                    for other, u in cert.entries
                 )
-                changed = Certificate(cert.claimed_bound, entries, cert.objective)
+                changed = Certificate(cert.claimed_bound, entries, cert.den * q, cert.objective)
                 assert not verify_certificate(system, changed, objective=objective), rid
         assert families == set(EQUALITIES)
 
@@ -497,7 +503,7 @@ class TestExpansion:
         (cert,) = result.certificates
         assert cert.objective == ((0b0001, ONE),)
         (plain,) = check_implied(system, {0b0001: ONE}, ">=", ONE).certificates
-        assert cert.entries == plain.entries
+        assert (cert.entries, cert.den) == (plain.entries, plain.den)
         assert verify_certificate(system, cert, objective=((0b0001, ONE),))
 
     @pytest.mark.parametrize(
@@ -527,7 +533,8 @@ class TestExpansion:
         plain = solve_with_equalities(problem, elimination=elimination)
         folded, solution, cert = unfolded_bound(system, objective)
         assert (solution.value, solution.pivots) == (plain.value, plain.pivots)
-        assert cert.entries == plain_certificate(problem, plain).entries
+        reference = plain_certificate(problem, plain)
+        assert (cert.entries, cert.den) == (reference.entries, reference.den)
         assert (len(folded.rows), quotient.var_count + 1) == (len(state.cols), len(state.var_pos))
         # share_bound folds the same LP by the players' symmetries
         assert share_bound(structure, mode="mixed", ineq="elemental").lp_value == plain.value

@@ -120,7 +120,7 @@ def test_a_changed_multiplier_falls_back_to_the_lp(monkeypatch, target_id, direc
     )
     system = cached_system(GAMMA4_BAR, True, "elemental")
     form, rhs = prover._directions(inst.terms, inst.rel, inst.rhs)[direction]
-    cert = prover.Certificate(rhs, inst.proofs[direction], form)
+    cert = prover.Certificate(rhs, inst.proofs[direction], 1, form)
     assert not verify_certificate(system, cert, objective=form)
     assert report.fallbacks == 1 and report.all_implied
     (outcome,) = [o for o in report.outcomes if o.instance.id == target_id]
